@@ -82,10 +82,6 @@ class Backend:
             return f"{BIGFLOAT}:{self.precision}"
         return self.kind
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == RATIONAL
-
     # -- arithmetic helpers --------------------------------------------------
 
     def context(self):
@@ -203,10 +199,6 @@ def scalar_to_json(x):
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 
-def scalar_from_json(value, backend: Backend):
-    return backend.convert(value)
-
-
 def to_float(x) -> float:
     """Lossy conversion to a machine double (for display and f64 views)."""
     if isinstance(x, Fraction):
@@ -215,14 +207,6 @@ def to_float(x) -> float:
 
 
 # -- small vector helpers (backend-generic) -----------------------------------
-
-
-def dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else 0
 
 
 def norm_sq(v):

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -346,15 +345,11 @@ def cmd_bench(args) -> int:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    jobs = max(1, args.jobs)
-    # inputs are drawn sequentially in grid order so --jobs cannot change them
-    inputs = {n: rng.standard_normal((vectors, n)) for n in n_grid}
-
-    def bench_one(n):
-        gs = inputs[n]
+    rows = []
+    for n in n_grid:
         worst = 0.0
         t_naive = t_fft = 0.0
-        for g in gs:
+        for g in rng.standard_normal((vectors, n)):
             t0 = time.perf_counter()
             ref = matvec_naive(ms, list(g), n)
             t_naive += time.perf_counter() - t0
@@ -364,19 +359,13 @@ def cmd_bench(args) -> int:
             scale = max(abs(v) for v in ref)
             dev = max(abs(a - b) for a, b in zip(ref, fast)) / scale
             worst = max(worst, float(dev))
-        return {
+        rows.append({
             "n": n,
             "max_rel_dev": worst,
             "naive_s": t_naive / vectors,
             "fft_s": t_fft / vectors,
             "agrees": bool(worst < tolerance),
-        }
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(bench_one, n_grid))
-    else:
-        rows = [bench_one(n) for n in n_grid]
+        })
 
     ok = all(r["agrees"] for r in rows)
     report = _report_skeleton("bench", config)
@@ -492,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", help="output directory for JSON/CSV artifacts")
         p.add_argument("--backend", help="override the config backend (rational|bigfloat:<bits>|f64)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel grid workers (f64 paths only)")
 
     for name, fn in (
         ("classify", cmd_classify),

@@ -21,7 +21,7 @@ from .backends import (
     to_float,
 )
 from .measures import DiscreteMeasure, EmptyMeasureError
-from .moments import Discrete, MomentSequence
+from .moments import Discrete, MomentSequence, hankel_rows
 from .orthopoly import TriangularPair, factor
 from .spectral import xi_vector
 
@@ -151,11 +151,11 @@ def perturbation_check(
                     )
 
         deviation = backend.zero()
-        for k in range(n):
-            for l in range(n):
-                lhs = full.moment(k + l)
-                rhs = trimmed.moment(k + l) + correction[k][l]
-                diff = abs(lhs - rhs)
+        for lhs_row, rhs_row, corr_row in zip(
+            hankel_rows(full, n), hankel_rows(trimmed, n), correction
+        ):
+            for lhs, rhs, corr in zip(lhs_row, rhs_row, corr_row):
+                diff = abs(lhs - (rhs + corr))
                 if diff > deviation:
                     deviation = diff
     return PerturbationReport(

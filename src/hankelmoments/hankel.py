@@ -14,7 +14,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from .backends import F64, RATIONAL, BackendError, norm_sq, to_float
-from .moments import MomentSequence, classify
+from .moments import MomentSequence, classify, hankel_rows
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,13 @@ class HankelMatrix:
     def to_lists(self):
         return [list(r) for r in self.rows]
 
-    def float_array(self) -> np.ndarray:
-        return np.array([[to_float(x) for x in row] for row in self.rows])
-
 
 def build(ms: MomentSequence, n: int) -> HankelMatrix:
     """Materialize the truncation; entry (k, l) is exactly moment k+l."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     ms.check_truncation(n)
-    diag = ms.moments(2 * n - 1)
-    rows = tuple(tuple(diag[k + l] for l in range(n)) for k in range(n))
-    return HankelMatrix(ms, n, rows)
+    return HankelMatrix(ms, n, tuple(map(tuple, hankel_rows(ms, n))))
 
 
 # ---------------------------------------------------------------------------

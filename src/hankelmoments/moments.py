@@ -10,7 +10,6 @@ ever get window-based heuristic verdicts.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -290,13 +289,12 @@ class _Difference(MomentFamily):
 
 
 class MomentSequence:
-    """A family bound to a backend, with a guarded append-only cache."""
+    """A family bound to a backend, with an append-only cache."""
 
     def __init__(self, family: MomentFamily, backend: Backend):
         self.family = family
         self.backend = backend
         self._cache: dict[int, object] = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"MomentSequence({self.family.name}, {self.backend.tag()})"
@@ -306,10 +304,8 @@ class MomentSequence:
             return self._cache[n]
         except KeyError:
             pass
-        value = self.family.moment(n, self.backend)
-        with self._lock:
-            self._cache.setdefault(n, value)
-        return self._cache[n]
+        value = self._cache[n] = self.family.moment(n, self.backend)
+        return value
 
     def moments(self, count: int) -> list:
         return [self.moment(n) for n in range(count)]
@@ -337,8 +333,19 @@ class MomentSequence:
         self.family.check_truncation(self.backend, n)
 
 
-def nu_moments(ms: MomentSequence) -> MomentSequence:
-    return ms.nu()
+def hankel_rows(ms: MomentSequence, n: int) -> list[list]:
+    """The N x N truncation (m_{k+l}) as row lists, from one moment block."""
+    block = ms.moments(2 * n - 1)
+    return [block[k : k + n] for k in range(n)]
+
+
+def partial_trace(ms: MomentSequence, terms: int):
+    """m_0 + m_2 + ... + m_{2(terms-1)}, summed in order in the backend."""
+    with ms.backend.context():
+        acc = ms.backend.zero()
+        for k in range(terms):
+            acc = acc + ms.moment(2 * k)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +476,7 @@ def classify(
     pd_up_to = 0
     try:
         ms.check_truncation(n_probe)
-        rows = [[ms.moment(k + l) for l in range(n_probe)] for k in range(n_probe)]
+        rows = hankel_rows(ms, n_probe)
         with ms.backend.context():
             pd_up_to = ldl_positive_definite_limit(rows, n_probe, ms.backend.zero())
     except (PrecisionError, BackendError, MissingMomentError, OverflowError):
@@ -478,11 +485,7 @@ def classify(
     terms = trace_terms if trace_terms is not None else n
     trace = None
     try:
-        with ms.backend.context():
-            acc = ms.backend.zero()
-            for k in range(terms):
-                acc = acc + ms.moment(2 * k)
-            trace = acc
+        trace = partial_trace(ms, terms)
     except (OverflowError, PrecisionError):
         trace = float("inf")
     except MissingMomentError:

@@ -10,8 +10,11 @@ are checked in that form.
 Hankel truncations of bounded-support families are notoriously ill
 conditioned (Hilbert-type condition numbers grow like e^{3.5 N}), so float
 factorizations run on a precision ladder: machine floats up to a small size,
-then big floats with dimension- and scale-dependent bits, doubling on pivot
-failure up to a hard cap.
+then big floats.  :meth:`PrecisionPolicy.ladder` is the one list of big-float
+precisions that both ``factor`` and the spectral profiles walk: it starts at
+dimension- and scale-dependent bits (raised to an explicit big-float
+backend's own precision) and doubles while it stays at or below
+``retry_cap_bits``; a caller stops at the first rung that succeeds.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .backends import (
     Backend,
     F64_BACKEND,
     bigfloat,
-    to_float,
 )
-from .moments import MomentSequence
+from .moments import MomentSequence, hankel_rows
 from .triangular import (
     PositivityError,
     invert_unit_upper,
@@ -45,15 +47,28 @@ class PrecisionPolicy:
     machine_max_n: int = 12
     bits_per_dim: int = 4
     base_margin_bits: int = 64
-    scale_aware: bool = True
     retry_cap_bits: int = 65536
     escalate_max_n: int = 64  # spectral profiles refuse big-float work above this
 
     def ladder_bits(self, ms: MomentSequence, n: int) -> int:
         bits = self.bits_per_dim * n + self.base_margin_bits
-        if self.scale_aware:
-            bits += max(0, _max_moment_log2(ms, 2 * n - 1))
-        return max(bits, 64)
+        return max(bits + max(0, _max_moment_log2(ms, 2 * n - 1)), 64)
+
+    def ladder(self, ms: MomentSequence, n: int) -> list[int]:
+        """Big-float precisions to try for the N x N truncation, cheapest first.
+
+        Starts at :meth:`ladder_bits`, raised to the precision of an explicit
+        big-float backend, and doubles while at most ``retry_cap_bits``; empty
+        when the start already exceeds the cap.
+        """
+        bits = self.ladder_bits(ms, n)
+        if ms.backend.kind == BIGFLOAT:
+            bits = max(bits, ms.backend.precision)
+        rungs = []
+        while bits <= self.retry_cap_bits:
+            rungs.append(bits)
+            bits *= 2
+        return rungs
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -164,77 +179,49 @@ def factor(
     """Factor the N x N truncation on the precision ladder.
 
     Rational input stays exact.  f64 input is factored at machine precision up
-    to ``policy.machine_max_n`` and on the big-float ladder beyond; explicit
-    big-float backends start from their own precision.  Pivot failures double
-    the precision up to the cap before reporting positivity failure.
+    to ``policy.machine_max_n``; beyond that, and for big-float input, each
+    rung of ``policy.ladder`` is tried in turn until the pivots come out
+    positive.  Failure on every rung raises :class:`PositivityError`, flagged
+    ``precision_suspect`` unless the input was exact.
     """
     policy = policy or DEFAULT_POLICY
     if n < 1:
         raise ValueError("factorization size must be >= 1")
     ms.check_truncation(n)
-    backend = ms.backend
 
-    if backend.kind == RATIONAL:
-        rows = [[ms.moment(k + l) for l in range(n)] for k in range(n)]
-        unit_upper, pivots = ldl_decompose(rows, n, backend.zero())
-        inv = invert_unit_upper(unit_upper, n, backend.zero())
-        return TriangularPair(
-            n, backend,
-            tuple(tuple(r) for r in unit_upper),
-            tuple(pivots),
-            tuple(tuple(r) for r in inv),
-            None,
-        )
+    if ms.backend.kind == RATIONAL:
+        rungs = [(ms, None)]
+    elif ms.backend.kind == F64 and n <= policy.machine_max_n:
+        rungs = [(ms, 53)]
+    else:
+        rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in policy.ladder(ms, n)]
 
-    if backend.kind == F64 and n <= policy.machine_max_n:
-        rows = [[to_float(ms.moment(k + l)) for l in range(n)] for k in range(n)]
-        try:
-            unit_upper, pivots = ldl_decompose(rows, n, 0.0)
-        except PositivityError as err:
-            raise PositivityError(
-                err.dimension,
-                str(err) + " (machine precision; the ladder may still succeed)",
-                precision_suspect=True,
-            ) from None
-        inv = invert_unit_upper(unit_upper, n, 0.0)
-        return TriangularPair(
-            n, backend,
-            tuple(tuple(r) for r in unit_upper),
-            tuple(pivots),
-            tuple(tuple(r) for r in inv),
-            53,
-        )
-
-    bits = policy.ladder_bits(ms, n)
-    if backend.kind == BIGFLOAT:
-        bits = max(bits, backend.precision)
-    bits = max(bits, 64)
     last_err = None
-    while bits <= policy.retry_cap_bits:
-        work = ms.with_backend(bigfloat(bits))
-        with mpmath.workprec(bits):
-            rows = [[work.moment(k + l) for l in range(n)] for k in range(n)]
+    for work, bits in rungs:
+        backend = work.backend
+        with backend.context():
+            rows = hankel_rows(work, n)
             try:
                 unit_upper, pivots = ldl_decompose(
-                    rows, n, mpmath.mpf(0), precision_suspect=True
+                    rows, n, backend.zero(), precision_suspect=backend.kind == BIGFLOAT
                 )
-                inv = invert_unit_upper(unit_upper, n, mpmath.mpf(0))
             except PositivityError as err:
                 last_err = err
-                bits *= 2
                 continue
+            inv = invert_unit_upper(unit_upper, n, backend.zero())
         return TriangularPair(
-            n, bigfloat(bits),
+            n, backend,
             tuple(tuple(r) for r in unit_upper),
             tuple(pivots),
             tuple(tuple(r) for r in inv),
             bits,
         )
+    tried = ", ".join("exact" if bits is None else f"{bits} bits" for _, bits in rungs)
     raise PositivityError(
         last_err.dimension if last_err else n,
-        f"not positive definite at any ladder precision up to "
-        f"{policy.retry_cap_bits} bits: {last_err}",
-        precision_suspect=True,
+        f"{last_err} (tried: {tried})" if last_err
+        else f"the precision ladder has no rung at or below {policy.retry_cap_bits} bits",
+        precision_suspect=ms.backend.kind != RATIONAL,
     )
 
 

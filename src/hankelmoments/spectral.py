@@ -25,13 +25,14 @@ from .backends import (
     BIGFLOAT,
     RATIONAL,
     BackendError,
+    HankelError,
     PrecisionError,
     bigfloat,
     norm_sq,
     sup_norm,
     to_float,
 )
-from .moments import MomentSequence
+from .moments import MissingMomentError, MomentSequence, hankel_rows, partial_trace
 from .orthopoly import DEFAULT_POLICY, PrecisionPolicy, TriangularPair, factor
 from .triangular import PositivityError
 
@@ -120,8 +121,7 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int):
     """(lambda_min, lambda_max) of the truncation at the given precision."""
     work = ms.with_backend(bigfloat(bits))
     with mpmath.workprec(bits):
-        rows = [[work.moment(k + l) for l in range(n)] for k in range(n)]
-        diag, off = householder_tridiagonalize(rows, n)
+        diag, off = householder_tridiagonalize(hankel_rows(work, n), n)
         return (
             extreme_eigenvalue(diag, off, "min"),
             extreme_eigenvalue(diag, off, "max"),
@@ -155,8 +155,12 @@ class ProfileEntry:
         }
 
 
-class SpectralInvariantError(AssertionError):
-    """A computed profile violated eigenvalue interlacing beyond tolerance."""
+class SpectralInvariantError(HankelError):
+    """A computed result broke an invariant that holds by construction.
+
+    Raised when reliable extremes violate interlacing beyond tolerance and
+    when an exact xi vector fails its defining identity.
+    """
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,13 @@ def lambda_profile(
     """Extreme-eigenvalue (and related) profile over a truncation grid.
 
     Per grid point the cheapest adequate precision is chosen: LAPACK at f64
-    while the machine Cholesky of the truncation still succeeds, the big-float
-    ladder otherwise (up to ``policy.escalate_max_n``, beyond which the entry
-    is marked unresolved rather than silently degraded).  Interlacing of the
-    reliable extremes is enforced as a postcondition.
+    while the machine Cholesky of the truncation still succeeds, otherwise
+    the rungs of ``policy.ladder`` (the same ladder ``factor`` walks) until
+    lambda_min comes out positive.  An entry whose ladder runs out at
+    ``retry_cap_bits`` without that, or whose size exceeds
+    ``policy.escalate_max_n``, is marked unresolved rather than silently
+    degraded.  Interlacing of the reliable extremes is enforced as a
+    postcondition.
     """
     policy = policy or DEFAULT_POLICY
     n_grid = sorted(set(int(n) for n in n_grid))
@@ -259,13 +266,7 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
     try:
         if want_trace:
             try:
-                with ms.backend.context():
-                    trace = to_float(
-                        sum(
-                            (ms.moment(2 * k) for k in range(n)),
-                            start=ms.backend.zero(),
-                        )
-                    )
+                trace = to_float(partial_trace(ms, n))
             except (OverflowError, PrecisionError):
                 trace = float("inf")
 
@@ -273,12 +274,10 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
         if ms.backend.kind != BIGFLOAT:
             try:
                 ms.check_truncation(n)
-                cand = np.array(
-                    [[to_float(ms.moment(k + l)) for l in range(n)] for k in range(n)]
-                )
+                cand = np.array(hankel_rows(ms, n), dtype=float)
                 if np.all(np.isfinite(cand)):
                     h64 = cand
-            except Exception:
+            except (PrecisionError, BackendError, MissingMomentError, OverflowError):
                 h64 = None
         use_f64 = h64 is not None and _f64_cholesky_ok(h64)
 
@@ -288,19 +287,15 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
             lam_max = float(eig[-1]) if want_max else None
             bits_used = 53
         elif (want_min or want_max) and n <= policy.escalate_max_n:
-            bits = policy.ladder_bits(ms, n)
-            if ms.backend.kind == BIGFLOAT:
-                bits = max(bits, ms.backend.precision)
-            while True:
+            status = "lambda-min-unresolved"
+            for bits in policy.ladder(ms, n):
                 lo, hi = bigfloat_extremes(ms, n, bits)
-                if lo > 0 or bits >= policy.retry_cap_bits:
+                lam_min = to_float(lo) if want_min else None
+                lam_max = to_float(hi) if want_max else None
+                bits_used = bits
+                if lo > 0:
+                    status = "ok"
                     break
-                bits *= 2
-            lam_min = to_float(lo) if want_min else None
-            lam_max = to_float(hi) if want_max else None
-            bits_used = bits
-            if lo <= 0:
-                status = "lambda-min-unresolved"
         elif want_min or want_max:
             # out of escalation range: keep what f64 can still say (lambda_max
             # of a bounded family is stable even when lambda_min is hopeless)
@@ -436,7 +431,7 @@ def xi_vector(tp: TriangularPair, t) -> XiVector:
             for k in range(tp.n):
                 u_xi = sum(tp.unit_upper[k][j] * xi[j] for j in range(k, tp.n))
                 if u_xi * tp.pivots[k] != y[k]:
-                    raise AssertionError(
+                    raise SpectralInvariantError(
                         "xi construction violated its defining identity"
                     )
     p = eval_polys(tp, t)

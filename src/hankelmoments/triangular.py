@@ -79,16 +79,6 @@ def invert_unit_upper(unit_upper, n, zero):
     return inv
 
 
-def mat_vec(rows, vec, zero):
-    out = []
-    for row in rows:
-        s = zero
-        for a, b in zip(row, vec):
-            s = s + a * b
-        out.append(s)
-    return out
-
-
 def mat_mul(a, b, zero):
     n = len(a)
     m = len(b[0])
@@ -101,10 +91,6 @@ def mat_mul(a, b, zero):
                 s = s + a[i][t] * b[t][j]
             out[i][j] = s
     return out
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 def utdu_product(unit_upper, pivots, zero):

@@ -110,6 +110,25 @@ def test_spectrum_empty_grid_exits_2(tmp_path, run):
     assert code == 2
 
 
+def test_spectrum_invariant_violation_exits_1(tmp_path, run, monkeypatch):
+    from hankelmoments import cli
+    from hankelmoments.spectral import SpectralInvariantError
+
+    def violated(*args, **kwargs):
+        raise SpectralInvariantError("lambda_min must be non-increasing, got 1.0 -> 2.0")
+
+    monkeypatch.setattr(cli, "lambda_profile", violated)
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": {"family": "power_log", "params": {"c": 1}}, "n_grid": [2, 4]},
+    )
+    code, _, err = run("spectrum", "--config", cfg)
+    assert code == 1
+    assert err.splitlines() == [
+        "computation failed: lambda_min must be non-increasing, got 1.0 -> 2.0"
+    ]
+
+
 @pytest.mark.slow
 def test_spectrum_contrast_verdicts(tmp_path, run):
     grid = list(range(4, 25, 4))
@@ -200,25 +219,6 @@ def test_bench_small_grid(tmp_path, run):
     report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
     assert report["results"]["all_agree"] is True
     assert all(r["max_rel_dev"] < 1e-10 for r in report["results"]["rows"])
-
-
-def test_bench_jobs_flag_keeps_results_deterministic(tmp_path, run):
-    cfg = write(
-        tmp_path / "b.json",
-        {
-            "family": {"family": "power_log", "params": {"c": 1}},
-            "n_grid": [8, 16, 32],
-            "vectors": 2,
-        },
-    )
-    reports = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"o{jobs}"
-        code, _, _ = run("bench", "--config", cfg, "--out", str(out), "--jobs", jobs)
-        assert code == 0
-        report = json.loads((out / "bench_report.json").read_text())
-        reports.append(report["results"])
-    assert reports[0] == reports[1]
 
 
 def test_bench_refuses_rational_backend(tmp_path, run):

@@ -28,7 +28,7 @@ from hankelmoments import (
 )
 from hankelmoments.backends import norm_sq
 from hankelmoments.hankel import default_k_grid
-from hankelmoments.moments import LogNormal
+from hankelmoments.moments import LogNormal, hankel_rows
 
 RAT = RATIONAL_BACKEND
 F = Fraction
@@ -88,6 +88,22 @@ def test_build_lognormal_needs_bigfloat():
     ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
     with pytest.raises(PrecisionError, match="bigfloat"):
         build(ms, 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_hankel_rows_slices_one_moment_block(n, monkeypatch):
+    calls = []
+    closed_form = PowerLog.moment
+
+    def counting(self, j, backend):
+        calls.append(j)
+        return closed_form(self, j, backend)
+
+    monkeypatch.setattr(PowerLog, "moment", counting)
+    rows = hankel_rows(hilbert(), n)
+    assert len(calls) == 2 * n - 1
+    assert sorted(calls) == list(range(2 * n - 1))
+    assert rows == build(hilbert(), n).to_lists()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from hankelmoments import (
     RATIONAL_BACKEND,
     bigfloat,
     classify,
-    nu_moments,
 )
 
 RAT = RATIONAL_BACKEND
@@ -106,12 +105,12 @@ def test_log_normal_overflow_names_backend():
 
 
 def test_nu_first_value():
-    nu = nu_moments(seq(PowerLog(1)))
+    nu = seq(PowerLog(1)).nu()
     assert nu.moment(0) == Fraction(2, 3)
 
 
 def test_nu_gegenbauer_closed_form():
-    nu = nu_moments(seq(Gegenbauer(Fraction(1, 2))))
+    nu = seq(Gegenbauer(Fraction(1, 2))).nu()
     for k in range(10):
         assert nu.moment(2 * k) == Fraction(1, 2 * k + 1) - Fraction(1, 2 * k + 3)
 
@@ -273,13 +272,3 @@ def test_cache_is_idempotent():
     first = ms.moment(7)
     assert ms.moment(7) is first
     assert ms.moments(8)[7] == first
-
-
-def test_concurrent_materialization_is_safe():
-    from concurrent.futures import ThreadPoolExecutor
-
-    ms = seq(Gegenbauer(Fraction(1, 3)))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: tuple(ms.moments(60)), range(16)))
-    assert all(r == results[0] for r in results)
-    assert results[0][4] == seq(Gegenbauer(Fraction(1, 3))).moment(4)

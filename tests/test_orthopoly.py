@@ -93,6 +93,11 @@ def test_factor_reports_failing_dimension():
     with pytest.raises(PositivityError) as err:
         factor(ms, 3)
     assert err.value.dimension == 3
+    assert not err.value.precision_suspect  # exact input proves indefiniteness
+    with pytest.raises(PositivityError) as err:
+        factor(ms.with_backend(F64_BACKEND), 3)
+    assert err.value.dimension == 3
+    assert err.value.precision_suspect
 
 
 def test_factor_rational_round_trips_exact():
@@ -173,6 +178,48 @@ def test_policy_constants_are_overridable():
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     tp = factor(ms, 6, policy)
     assert tp.precision_bits >= 4 * 6 + 64  # forced onto the ladder
+
+
+def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
+    # one bit per dimension is too little for Hilbert N=40: the first rung
+    # (104 bits) loses a pivot and the second one (208 bits) succeeds
+    import mpmath
+
+    from hankelmoments import orthopoly
+
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    policy = PrecisionPolicy(bits_per_dim=1)
+    rungs = policy.ladder(ms, 40)
+    assert rungs[:2] == [104, 208]
+    seen = []
+    original = orthopoly.ldl_decompose
+
+    def recording(*args, **kwargs):
+        seen.append(mpmath.mp.prec)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orthopoly, "ldl_decompose", recording)
+    tp = factor(ms, 40, policy)
+    assert seen == rungs[:2]
+    assert tp.precision_bits == rungs[1] == 208
+    assert tp.backend == bigfloat(208)
+
+
+def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap():
+    ms = MomentSequence(PowerLog(1), bigfloat(200))
+    policy = PrecisionPolicy(retry_cap_bits=1000)
+    assert policy.ladder_bits(ms, 6) == 4 * 6 + 64
+    assert policy.ladder(ms, 6) == [200, 400, 800]
+
+
+def test_empty_ladder_raises_precision_suspect_positivity_error():
+    policy = PrecisionPolicy(retry_cap_bits=64)
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    assert policy.ladder(ms, 20) == []
+    with pytest.raises(PositivityError) as err:
+        factor(ms, 20, policy)
+    assert err.value.precision_suspect
+    assert err.value.dimension == 20
 
 
 # ---------------------------------------------------------------------------

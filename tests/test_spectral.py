@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +12,13 @@ from hankelmoments import (
     F64_BACKEND,
     Gaussian,
     Gegenbauer,
+    HankelError,
+    MomentFamily,
     MomentSequence,
     PowerLog,
+    PrecisionPolicy,
     RATIONAL_BACKEND,
+    TriangularPair,
     a_matrix_experiment,
     bigfloat,
     factor,
@@ -25,6 +30,7 @@ from hankelmoments import (
 from hankelmoments.moments import LogNormal
 from hankelmoments.spectral import (
     PlateauVerdict,
+    SpectralInvariantError,
     SpectralProfile,
     ProfileEntry,
     bigfloat_extremes,
@@ -162,6 +168,78 @@ def test_profile_trace_partial_column():
     assert profile.entries[1].trace_partial == pytest.approx(1 + 1 / 3 + 1 / 5)
 
 
+def _fake_extremes(monkeypatch, nonpositive_rungs):
+    """Patch bigfloat_extremes so its first rungs report lambda_min <= 0."""
+    from hankelmoments import spectral
+
+    seen = []
+
+    def fake(ms, n, bits):
+        seen.append(bits)
+        lo, hi = bigfloat_extremes(ms, n, bits)
+        return (-lo if len(seen) <= nonpositive_rungs else lo), hi
+
+    monkeypatch.setattr(spectral, "bigfloat_extremes", fake)
+    return seen
+
+
+def test_profile_walks_the_factor_ladder(monkeypatch):
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=2)
+    ms = MomentSequence(PowerLog(1), bigfloat(64))
+    policy = PrecisionPolicy()
+    profile = lambda_profile(ms, [6], policy, quantities=("lambda_min", "lambda_max"))
+    assert seen == policy.ladder(ms, 6)[:3]
+    entry = profile.entries[0]
+    assert entry.status == "ok"
+    assert entry.precision_bits == seen[-1]
+    assert entry.lambda_min > 0
+
+
+def test_profile_stops_at_the_ladder_cap(monkeypatch):
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=100)
+    ms = MomentSequence(PowerLog(1), bigfloat(64))
+    policy = PrecisionPolicy(retry_cap_bits=400)
+    profile = lambda_profile(ms, [6], policy, quantities=("lambda_min", "lambda_max"))
+    assert seen == policy.ladder(ms, 6) == [88, 176, 352]
+    entry = profile.entries[0]
+    assert entry.status == "lambda-min-unresolved"
+    assert entry.precision_bits == 352
+
+
+def test_profile_entry_with_empty_ladder_is_unresolved():
+    policy = PrecisionPolicy(retry_cap_bits=64)
+    profile = lambda_profile(
+        MomentSequence(PowerLog(1), bigfloat(64)),
+        [6],
+        policy,
+        quantities=("lambda_min", "lambda_max"),
+    )
+    entry = profile.entries[0]
+    assert entry.status == "lambda-min-unresolved"
+    assert entry.lambda_min is None and entry.lambda_max is None
+    assert entry.precision_bits is None
+
+
+@dataclass(frozen=True)
+class _BrokenAtF64(MomentFamily):
+    """Hilbert moments, with a bug that only the f64 branch hits."""
+
+    name = "broken_at_f64"
+
+    def moment(self, n, backend):
+        if backend.kind == "f64":
+            raise TypeError("bug in the f64 moment branch")
+        return PowerLog(1).moment(n, backend)
+
+
+def test_profile_does_not_swallow_bugs_in_the_f64_assembly():
+    # only the failures the f64 path expects (precision, backend, missing
+    # moments, overflow) fall back to the ladder; a bug must surface
+    ms = MomentSequence(_BrokenAtF64(), F64_BACKEND)
+    with pytest.raises(TypeError, match="f64 moment branch"):
+        lambda_profile(ms, [4, 8], quantities=("lambda_min", "lambda_max"))
+
+
 # ---------------------------------------------------------------------------
 # plateau heuristic
 # ---------------------------------------------------------------------------
@@ -278,6 +356,19 @@ def test_xi_warns_outside_unit_interval():
     tp = factor(uniform(), 3)
     with pytest.warns(UserWarning):
         xi_vector(tp, F(3, 2))
+
+
+def test_xi_identity_violation_is_a_library_error():
+    # U^{-1} stored as the identity although U is not: the exact identity
+    # (U xi)_k d_k = pi_k(t) fails and is reported as a HankelError
+    tp = TriangularPair(
+        2, RAT, ((F(1), F(1, 2)), (F(0), F(1))), (F(1), F(1)),
+        ((F(1), F(0)), (F(0), F(1))), None,
+    )
+    with pytest.raises(SpectralInvariantError) as err:
+        xi_vector(tp, F(1, 2))
+    assert isinstance(err.value, HankelError)
+    assert not isinstance(err.value, AssertionError)
 
 
 def test_h_xi_identity_exact_for_rational_families(three_point_measure):
