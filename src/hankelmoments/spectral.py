@@ -8,7 +8,12 @@ limit: every verdict ships with the profile that produced it.
 
 Big-float eigenvalue extremes use Householder tridiagonalization followed by
 bisection with inertia counts, which is deterministic at any fixed precision;
-the f64 path uses LAPACK.
+the f64 path uses LAPACK.  Only the requested extremes are bisected, each
+positive one to a bracket 2^(-min(64, prec/2)) wide relative to its own size
+(geometric bisection for lambda_min, whose size can be far below 1).  A
+lambda_min below the resolution floor, 2^(-prec) times the Gershgorin bound
+on the spectrum, comes back as 0, so the profile moves to the next precision
+rung instead of reporting it.
 """
 
 from __future__ import annotations
@@ -90,24 +95,9 @@ def eigen_count_below(diag, off, x):
     return count
 
 
-def extreme_eigenvalue(diag, off, which: str):
-    """Smallest or largest eigenvalue by bisection on inertia counts.
-
-    Deterministic at fixed precision; the interval is narrowed until it is
-    below 2^(-prec/2) relative to its endpoints.
-    """
-    n = len(diag)
-    if n == 1:
-        return diag[0]
-    rad = (
-        [abs(off[0])]
-        + [abs(off[i - 1]) + abs(off[i]) for i in range(1, n - 1)]
-        + [abs(off[-1])]
-    )
-    lo = min(diag[i] - rad[i] for i in range(n))
-    hi = max(diag[i] + rad[i] for i in range(n))
+def _bisect(diag, off, lo, hi, target):
+    """Plain bisection for the ``target``-th eigenvalue inside [lo, hi]."""
     tol = mpf(2) ** (-(mpmath.mp.prec // 2))
-    target = 1 if which == "min" else n
     while hi - lo > tol * max(mpf(1), abs(hi), abs(lo)):
         mid = (lo + hi) / 2
         if eigen_count_below(diag, off, mid) >= target:
@@ -117,14 +107,68 @@ def extreme_eigenvalue(diag, off, which: str):
     return (lo + hi) / 2
 
 
-def bigfloat_extremes(ms: MomentSequence, n: int, bits: int):
-    """(lambda_min, lambda_max) of the truncation at the given precision."""
+def extreme_eigenvalue(diag, off, which: str):
+    """Smallest or largest eigenvalue by bisection on inertia counts.
+
+    Deterministic at fixed precision.  A positive extreme is bracketed to
+    2^(-min(64, prec/2)) relative to its own size: lambda_min geometrically
+    on (floor, min diag], lambda_max arithmetically on [max diag, Gershgorin
+    hi] (every diagonal entry is a Rayleigh quotient).  The floor is
+    2^(-prec) times max(|Gershgorin lo|, |Gershgorin hi|); a lambda_min
+    below it cannot be resolved at this precision and comes back as 0.  A
+    negative lambda_min (and a lambda_max with max diag <= 0) is found by
+    plain bisection to 2^(-prec/2) relative to max(1, |endpoints|).
+    """
+    n = len(diag)
+    if n == 1:
+        return diag[0]
+    rad = (
+        [abs(off[0])]
+        + [abs(off[i - 1]) + abs(off[i]) for i in range(1, n - 1)]
+        + [abs(off[-1])]
+    )
+    g_lo = min(diag[i] - rad[i] for i in range(n))
+    g_hi = max(diag[i] + rad[i] for i in range(n))
+    prec = mpmath.mp.prec
+    rel = mpf(2) ** (-min(64, prec // 2))
+    if which == "min":
+        if eigen_count_below(diag, off, mpf(0)) >= 1:
+            return _bisect(diag, off, g_lo, mpf(0), 1)
+        lo = mpf(2) ** (-prec) * max(abs(g_lo), abs(g_hi))
+        if eigen_count_below(diag, off, lo) >= 1:
+            return mpf(0)
+        hi = min(diag)
+        while hi > lo * (1 + rel):
+            mid = mpmath.sqrt(lo * hi)
+            if eigen_count_below(diag, off, mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+    lo = max(diag)
+    if lo <= 0:
+        return _bisect(diag, off, g_lo, g_hi, n)
+    hi = g_hi
+    while hi - lo > rel * lo:
+        mid = (lo + hi) / 2
+        if eigen_count_below(diag, off, mid) >= n:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max")):
+    """(lambda_min, lambda_max) of the truncation at the given precision.
+
+    Only the extremes named in ``which`` are computed; the other is None.
+    """
     work = ms.with_backend(bigfloat(bits))
     with mpmath.workprec(bits):
         diag, off = householder_tridiagonalize(hankel_rows(work, n), n)
-        return (
-            extreme_eigenvalue(diag, off, "min"),
-            extreme_eigenvalue(diag, off, "max"),
+        return tuple(
+            extreme_eigenvalue(diag, off, end) if end in which else None
+            for end in ("min", "max")
         )
 
 
@@ -288,8 +332,10 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
             bits_used = 53
         elif (want_min or want_max) and n <= policy.escalate_max_n:
             status = "lambda-min-unresolved"
+            # lambda_min is always computed: the status below is read off it
+            which = ("min", "max") if want_max else ("min",)
             for bits in policy.ladder(ms, n):
-                lo, hi = bigfloat_extremes(ms, n, bits)
+                lo, hi = bigfloat_extremes(ms, n, bits, which=which)
                 lam_min = to_float(lo) if want_min else None
                 lam_max = to_float(hi) if want_max else None
                 bits_used = bits

@@ -129,7 +129,6 @@ def test_spectrum_invariant_violation_exits_1(tmp_path, run, monkeypatch):
     ]
 
 
-@pytest.mark.slow
 def test_spectrum_contrast_verdicts(tmp_path, run):
     grid = list(range(4, 25, 4))
     gauss = write(

@@ -83,6 +83,68 @@ def test_bisection_agrees_with_lapack_on_random_symmetric():
         assert float(hi) == pytest.approx(ref[-1], abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "diag, off",
+    [([0.5, -1.0, 2.0, 0.25], [1.5, 0.75, -1.0]), ([-3.0, -1.0, -2.0], [0.5, 0.25])],
+    ids=["indefinite", "negative-definite"],
+)
+def test_tridiagonal_with_negative_lambda_min_matches_lapack(diag, off):
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.eigvalsh(dense)
+    assert ref[0] < 0
+    with mpmath.workprec(128):
+        d, o = [mpmath.mpf(x) for x in diag], [mpmath.mpf(x) for x in off]
+        lo = extreme_eigenvalue(d, o, "min")
+        hi = extreme_eigenvalue(d, o, "max")
+    assert float(lo) == pytest.approx(ref[0], abs=1e-10)
+    assert float(hi) == pytest.approx(ref[-1], abs=1e-10)
+
+
+def test_lambda_min_below_the_resolution_floor_is_not_positive():
+    # 1e-60 lies below 2^-128 times the spectral radius: no positive value
+    # computed at 128 bits could be trusted
+    with mpmath.workprec(128):
+        d, o = [mpmath.mpf(1), mpmath.mpf("1e-60")], [mpmath.mpf(0)]
+        assert extreme_eigenvalue(d, o, "min") <= 0
+
+
+def _count_steps(monkeypatch):
+    """Spy on the Sturm counts made by each extreme_eigenvalue call."""
+    from hankelmoments import spectral
+
+    steps = []
+    count_below = spectral.eigen_count_below
+    extreme = spectral.extreme_eigenvalue
+
+    def counting(diag, off, x):
+        steps[-1][1] += 1
+        return count_below(diag, off, x)
+
+    def spying(diag, off, which):
+        steps.append([which, 0])
+        return extreme(diag, off, which)
+
+    monkeypatch.setattr(spectral, "eigen_count_below", counting)
+    monkeypatch.setattr(spectral, "extreme_eigenvalue", spying)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "family, n, bits",
+    [(LogNormal(1.0), 28, 2280), (Gaussian(), 40, 414)],
+    ids=["lognormal", "gaussian"],
+)
+def test_bisection_step_budget_at_the_first_rung(monkeypatch, family, n, bits):
+    # a relative 64-bit bracket costs ~64 + log2(prec) counts, not prec/2
+    ms = MomentSequence(family, bigfloat(256))
+    assert PrecisionPolicy().ladder(ms, n)[0] == bits
+    steps = _count_steps(monkeypatch)
+    lo, hi = bigfloat_extremes(ms, n, bits)
+    assert 0 < lo < hi
+    assert [which for which, _ in steps] == ["min", "max"]
+    assert all(count <= 100 for _, count in steps), steps
+
+
 def test_eigen_count_is_monotone():
     with mpmath.workprec(80):
         rows = [
@@ -174,9 +236,9 @@ def _fake_extremes(monkeypatch, nonpositive_rungs):
 
     seen = []
 
-    def fake(ms, n, bits):
+    def fake(ms, n, bits, **kwargs):
         seen.append(bits)
-        lo, hi = bigfloat_extremes(ms, n, bits)
+        lo, hi = bigfloat_extremes(ms, n, bits, **kwargs)
         return (-lo if len(seen) <= nonpositive_rungs else lo), hi
 
     monkeypatch.setattr(spectral, "bigfloat_extremes", fake)
@@ -218,6 +280,50 @@ def test_profile_entry_with_empty_ladder_is_unresolved():
     assert entry.status == "lambda-min-unresolved"
     assert entry.lambda_min is None and entry.lambda_max is None
     assert entry.precision_bits is None
+
+
+def test_profile_computes_only_the_requested_extremes(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    profile = lambda_profile(
+        MomentSequence(Gaussian(), bigfloat(256)), [8, 12], quantities=("lambda_min",)
+    )
+    assert all(e.status == "ok" and e.lambda_max is None for e in profile.entries)
+    assert [which for which, _ in steps] == ["min", "min"]
+
+
+def _eigsy_extremes(family, n):
+    with mpmath.workprec(1200):
+        ms = MomentSequence(family, bigfloat(1200))
+        h = mpmath.matrix([[ms.moment(i + j) for j in range(n)] for i in range(n)])
+        eig = mpmath.eigsy(h, eigvals_only=True)
+        return float(min(eig)), float(max(eig))
+
+
+@pytest.mark.parametrize("family", [PowerLog(1), Gaussian()], ids=["hilbert", "gaussian"])
+def test_bigfloat_profile_matches_eigsy(family):
+    grid = list(range(8, 21, 2))
+    profile = lambda_profile(
+        MomentSequence(family, bigfloat(64)), grid, quantities=("lambda_min", "lambda_max")
+    )
+    for entry in profile.entries:
+        lam_min, lam_max = _eigsy_extremes(family, entry.n)
+        assert entry.status == "ok"
+        assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0), entry.n
+        assert entry.lambda_max == pytest.approx(lam_max, rel=1e-12, abs=0), entry.n
+
+
+def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
+    # at 64 bits Hilbert lambda_min(16) ~ 9.2e-23 sits below the resolution
+    # floor 2^-64 * |H|; the entry must move up the ladder, not report "ok"
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    ms = MomentSequence(PowerLog(1), bigfloat(64))
+    policy = PrecisionPolicy(bits_per_dim=1, base_margin_bits=0)
+    assert policy.ladder(ms, 16)[:2] == [64, 128]
+    entry = lambda_profile(ms, [16], policy, quantities=("lambda_min",)).entries[0]
+    assert seen == [64, 128]
+    assert entry.status == "ok" and entry.precision_bits == 128
+    lam_min = _eigsy_extremes(PowerLog(1), 16)[0]
+    assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
 
 
 @dataclass(frozen=True)
@@ -296,7 +402,6 @@ def test_hs_growth_contrast_recorded():
     assert logn_growth < 1.05
 
 
-@pytest.mark.slow
 def test_gaussian_vs_lognormal_contrast_small_grid():
     grid = range(4, 25, 4)
     gauss = lambda_profile(
