@@ -1,7 +1,10 @@
 """Moment sequences of the measure families used throughout the library.
 
 Each family knows its moments in closed form, so every value is independently
-checkable and exact whenever the data is rational.  Asymptotic classification
+checkable and exact whenever the data is rational.  Moments walked in index
+order along a sequence are linear-time: the sequence hands its cached moments
+to the family, and Gegenbauer takes one ratio step from m_{n-2} instead of
+the O(n) product, with the same values.  Asymptotic classification
 (decay, boundedness, summability of even moments) is computed analytically
 from the family's known tail behavior; explicitly tabulated sequences only
 ever get window-based heuristic verdicts.
@@ -10,6 +13,7 @@ ever get window-based heuristic verdicts.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,11 +44,18 @@ class MissingMomentError(HankelError, LookupError):
 
 
 class MomentFamily:
-    """Base class; subclasses provide ``moment(n, backend)`` in closed form."""
+    """Base class; subclasses provide ``moment(n, backend, known)`` in closed form."""
 
     name: str = "?"
 
-    def moment(self, n: int, backend: Backend):
+    def moment(self, n: int, backend: Backend, known: Mapping | None = None):
+        """m_n in ``backend``.
+
+        ``known`` is read-only: the moments (index -> value) this sequence has
+        already computed in this backend.  A family may step from them instead
+        of evaluating its closed form, but must return the same value; without
+        ``known`` the closed form is evaluated directly.
+        """
         raise NotImplementedError
 
     def tail_class(self) -> dict | None:
@@ -75,7 +86,7 @@ class PowerLog(MomentFamily):
         if not to_float(self.c) > 0:
             raise ValueError("power_log requires c > 0")
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         c = self.c
         if backend.kind == RATIONAL:
@@ -107,11 +118,14 @@ class Gegenbauer(MomentFamily):
         if not to_float(self.lam) > -0.5:
             raise ValueError("gegenbauer requires lam > -1/2")
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         if n % 2:
             return backend.zero()
         k = n // 2
+        # with m_{n-2} known, only the product's last factor (i = k - 1) is
+        # applied, with its operands and order, so the value is the same
+        prev = known.get(n - 2) if known else None
         if backend.kind == RATIONAL:
             if isinstance(self.lam, float):
                 raise BackendError(
@@ -119,6 +133,9 @@ class Gegenbauer(MomentFamily):
                     "pass a Fraction or use a float backend"
                 )
             lam = Fraction(self.lam)
+            if prev is not None:
+                i = k - 1
+                return prev * (Fraction(1, 2) + i) / (lam + 1 + i)
             num = Fraction(1)
             den = Fraction(1)
             for i in range(k):
@@ -127,8 +144,10 @@ class Gegenbauer(MomentFamily):
             return num / den
         with backend.context():
             lam = backend.convert(self.lam)
-            value = backend.one()
-            for i in range(k):
+            value, first = backend.one(), 0
+            if prev is not None:
+                value, first = prev, k - 1
+            for i in range(first, k):
                 value = value * (backend.convert(Fraction(1, 2)) + i) / (lam + 1 + i)
             return value
 
@@ -146,7 +165,7 @@ class Gaussian(MomentFamily):
 
     name = "gaussian"
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         if n % 2:
             return backend.zero()
@@ -175,7 +194,7 @@ class LogNormal(MomentFamily):
         if not to_float(self.sigma) > 0:
             raise ValueError("log_normal requires sigma > 0")
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         if backend.kind == RATIONAL:
             raise BackendError(
@@ -217,7 +236,7 @@ class Discrete(MomentFamily):
 
     name = "discrete"
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         points = [backend.convert(x) for x in self.measure.points]
         weights = [backend.convert(w) for w in self.measure.weights]
@@ -253,7 +272,7 @@ class Explicit(MomentFamily):
         conv = lambda x: parse_rational_string(x) if isinstance(x, str) else x
         return Explicit(tuple(conv(v) for v in values))
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         _require_index(n)
         if n >= len(self.values):
             raise MissingMomentError(
@@ -276,7 +295,7 @@ class _Difference(MomentFamily):
 
     name = "nu_view"
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         return self.base.moment(n) - self.base.moment(n + 2)
 
     def tail_class(self):
@@ -304,7 +323,7 @@ class MomentSequence:
             return self._cache[n]
         except KeyError:
             pass
-        value = self._cache[n] = self.family.moment(n, self.backend)
+        value = self._cache[n] = self.family.moment(n, self.backend, self._cache)
         return value
 
     def moments(self, count: int) -> list:

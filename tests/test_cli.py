@@ -253,6 +253,20 @@ def test_domain_command(tmp_path, run):
     assert "bounded-trend" in out
 
 
+def test_domain_gegenbauer_default_grid(tmp_path, run):
+    # the default k_max = 10^5 needs 2*10^5 moments, linear along the sequence
+    cfg = write(
+        tmp_path / "d.json",
+        {"family": {"family": "gegenbauer", "params": {"lambda": "1/2"}}, "decay": 1.2},
+    )
+    code, out, _ = run("domain", "--config", cfg)
+    assert code == 0
+    labels = ("bounded-trend", "divergent-trend", "inconclusive")
+    form, operator = (line for line in out.splitlines() if "domain trend" in line)
+    assert form.split(":")[1].split()[0] in labels
+    assert operator.split(":")[1].split()[0] in labels
+
+
 def test_positivity_failure_exits_1(tmp_path, run):
     cfg = write(
         tmp_path / "r.json",

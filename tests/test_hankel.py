@@ -95,9 +95,9 @@ def test_hankel_rows_slices_one_moment_block(n, monkeypatch):
     calls = []
     closed_form = PowerLog.moment
 
-    def counting(self, j, backend):
+    def counting(self, j, backend, known=None):
         calls.append(j)
-        return closed_form(self, j, backend)
+        return closed_form(self, j, backend, known)
 
     monkeypatch.setattr(PowerLog, "moment", counting)
     rows = hankel_rows(hilbert(), n)

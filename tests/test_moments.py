@@ -88,15 +88,75 @@ def test_rational_backend_refusals():
         seq(PowerLog(Fraction(1, 2))).moment(1)
     with pytest.raises(BackendError):
         seq(LogNormal(1)).moment(1)
-    # float lam is not exact data
+    # float lam is not exact data, also when m_{n-2} is at hand
     with pytest.raises(BackendError):
         seq(Gegenbauer(0.5)).moment(2)
+    with pytest.raises(BackendError):
+        Gegenbauer(0.5).moment(2, RAT, {0: Fraction(1)})
 
 
 def test_log_normal_overflow_names_backend():
     ms = seq(LogNormal(1.0), F64_BACKEND)
     with pytest.raises(PrecisionError, match="bigfloat"):
         ms.moment(60)
+
+
+# ---------------------------------------------------------------------------
+# linear-time sequences: a cached step gives the closed form's value
+# ---------------------------------------------------------------------------
+
+STEP_BACKENDS = [RAT, F64_BACKEND, bigfloat(64), bigfloat(256)]
+STEP_CASES = [
+    (Fraction(lam), backend)
+    for lam in ("0", "1/2", "1", "3/2")
+    for backend in STEP_BACKENDS
+] + [(0.3, backend) for backend in STEP_BACKENDS[1:]]
+
+
+def assert_identical(a, b):
+    # same value, same type and, for mpf, the same bits
+    assert a == b
+    assert type(a) is type(b)
+    assert getattr(a, "_mpf_", None) == getattr(b, "_mpf_", None)
+
+
+@pytest.mark.parametrize(
+    "lam, backend", STEP_CASES, ids=[f"{lam}-{b.tag()}" for lam, b in STEP_CASES]
+)
+def test_gegenbauer_sequence_equals_closed_form(lam, backend):
+    family = Gegenbauer(lam)
+    ms = seq(family, backend)
+    for n in range(300):
+        assert_identical(ms.moment(n), family.moment(n, backend))
+
+
+@pytest.mark.parametrize("backend", STEP_BACKENDS, ids=lambda b: b.tag())
+def test_gegenbauer_out_of_order_and_nu_equal_closed_form(backend):
+    family = Gegenbauer(Fraction(1, 2))
+    ms = seq(family, backend)
+    for n in [40, 42] + list(range(61)):
+        assert_identical(ms.moment(n), family.moment(n, backend))
+    nu = seq(family, backend).nu()
+    with backend.context():
+        for n in range(60):
+            direct = family.moment(n, backend) - family.moment(n + 2, backend)
+            assert_identical(nu.moment(n), direct)
+
+
+def test_gegenbauer_known_predecessor_is_one_step():
+    # a sentinel in place of m_8 shows m_10 is m_8 times one ratio, not the product
+    lam = Fraction(3, 2)
+    s = Fraction(7, 3)
+    m10 = Gegenbauer(lam).moment(10, RAT, {8: s})
+    assert m10 == s * (Fraction(1, 2) + 4) / (lam + 5)
+    assert Gegenbauer(0.3).moment(10, F64_BACKEND, {8: 7.0}) == 7.0 * (0.5 + 4) / (0.3 + 1 + 4)
+    big = bigfloat(128)
+    with big.context():
+        s_big = big.convert(7)
+        expected = s_big * (big.convert(Fraction(1, 2)) + 4) / (big.convert(lam) + 1 + 4)
+    assert_identical(Gegenbauer(lam).moment(10, big, {8: s_big}), expected)
+    # without m_{n-2} the closed form is used
+    assert Gegenbauer(lam).moment(10, RAT, {6: s}) == Gegenbauer(lam).moment(10, RAT)
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,20 @@ def test_factor_uniform_matches_symbolic_gram_schmidt():
 
 def test_factor_sympy_cross_check():
     sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
-    # weight sqrt(1 - x^2) / B(1/2, 3/2) on (-1, 1): the lam = 1 family
-    weight = sympy.sqrt(1 - x**2) / sympy.beta(
-        sympy.Rational(1, 2), sympy.Rational(3, 2)
-    )
+    x, theta = sympy.symbols("x theta")
+    # weight sqrt(1 - x^2) / B(1/2, 3/2) on (-1, 1): the lam = 1 family.  Its
+    # moments come from sympy through x = cos(theta), as the integrals of
+    # cos^k sin^2 over (0, pi) normalized by k = 0; inner products of
+    # polynomials up to degree 3 need k <= 6
+    raw = [
+        sympy.integrate(sympy.cos(theta) ** k * sympy.sin(theta) ** 2, (theta, 0, sympy.pi))
+        for k in range(7)
+    ]
+    weight_moments = [r / raw[0] for r in raw]
 
     def inner(p, q):
-        return sympy.integrate(p * q * weight, (x, -1, 1))
+        coeffs = sympy.Poly(sympy.expand(p * q), x).all_coeffs()[::-1]
+        return sum(c * weight_moments[k] for k, c in enumerate(coeffs))
 
     ortho = []
     for degree in range(4):

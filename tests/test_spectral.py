@@ -332,7 +332,7 @@ class _BrokenAtF64(MomentFamily):
 
     name = "broken_at_f64"
 
-    def moment(self, n, backend):
+    def moment(self, n, backend, known=None):
         if backend.kind == "f64":
             raise TypeError("bug in the f64 moment branch")
         return PowerLog(1).moment(n, backend)
