@@ -136,17 +136,31 @@ class SeriesApplyReport:
         }
 
 
-def _series_term(nu: MomentSequence, g, n: int, l: int):
-    """Term S^{2l}(H_nu g) restricted to indices < n."""
+def _row_actions(nu: MomentSequence, g, start: int, stop: int):
+    """r_k = sum_j nu_{k+j} g_j for start <= k < stop, summed in order of j."""
     backend = nu.backend
     out = []
     with backend.context():
-        for i in range(n):
+        for k in range(start, stop):
             acc = backend.zero()
             for j, gj in enumerate(g):
-                acc = acc + nu.moment(i + 2 * l + j) * gj
+                acc = acc + nu.moment(k + j) * gj
             out.append(acc)
     return out
+
+
+def _series_terms(nu: MomentSequence, g, n: int):
+    """Yield the terms S^{2l}(H_nu g) restricted to indices < n, l = 0, 1, ...
+
+    Term ``l`` is the slice r[2l : 2l + n] of one sequence of row actions, so
+    each r_k is computed once and each further term adds two entries.
+    """
+    rows = _row_actions(nu, g, 0, n)
+    l = 0
+    while True:
+        yield rows[2 * l : 2 * l + n]
+        l += 1
+        rows += _row_actions(nu, g, 2 * l + n - 2, 2 * l + n)
 
 
 def apply_H_via_series(
@@ -187,8 +201,7 @@ def apply_H_via_series(
         deltas = []
         partial = [backend.zero()] * n
         terms_used = 0
-        for l in range(stages):
-            term = _series_term(nu, g, n, l)
+        for l, term in zip(range(stages), _series_terms(nu, g, n)):
             ns = norm_sq(term)
             deltas.append(math.sqrt(to_float(ns)))
             for i in range(n):
@@ -221,8 +234,7 @@ def apply_H_via_series(
     converged = False
     terms_used = 0
     with backend.context():
-        for l in range(max_terms):
-            term = _series_term(nu, g, n, l)
+        for l, term in zip(range(max_terms), _series_terms(nu, g, n)):
             delta = math.sqrt(to_float(norm_sq(term)))
             deltas.append(delta)
             for i in range(n):

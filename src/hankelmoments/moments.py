@@ -296,7 +296,8 @@ class _Difference(MomentFamily):
     name = "nu_view"
 
     def moment(self, n, backend, known=None):
-        return self.base.moment(n) - self.base.moment(n + 2)
+        with backend.context():
+            return self.base.moment(n) - self.base.moment(n + 2)
 
     def tail_class(self):
         return self.base.family.tail_class()
@@ -495,9 +496,9 @@ def classify(
     pd_up_to = 0
     try:
         ms.check_truncation(n_probe)
-        rows = hankel_rows(ms, n_probe)
+        block = ms.moments(2 * n_probe - 1)
         with ms.backend.context():
-            pd_up_to = ldl_positive_definite_limit(rows, n_probe, ms.backend.zero())
+            pd_up_to = ldl_positive_definite_limit(block, n_probe, ms.backend.zero())
     except (PrecisionError, BackendError, MissingMomentError, OverflowError):
         pd_up_to = 0
 

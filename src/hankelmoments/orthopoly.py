@@ -3,9 +3,13 @@
 ``factor`` peels the truncation into ``C = D^{1/2} U`` (unit upper triangular
 ``U``, positive pivots ``D``) so that ``C^t C`` reproduces the matrix and
 ``B = C^{-1}`` carries the polynomial coefficients: column ``n`` of ``B``
-holds the monomial coefficients of the n-th orthonormal polynomial.  Under
-the rational backend everything stays square-root-free and exact; identities
-are checked in that form.
+holds the monomial coefficients of the n-th orthonormal polynomial.  The
+factorization is the O(N^2) Chebyshev algorithm of :mod:`.triangular`, which
+works on the moment block ``m_0 .. m_{2N-2}`` directly: it yields ``D`` and
+``U`` from the mixed moments, then ``U^{-1}`` (the monic polynomials) from
+the three-term recurrence.  :func:`recurrence` reads that recurrence off
+``U`` and ``D`` in O(N).  Under the rational backend everything stays
+square-root-free and exact; identities are checked in that form.
 
 Hankel truncations of bounded-support families are notoriously ill
 conditioned (Hilbert-type condition numbers grow like e^{3.5 N}), so float
@@ -31,11 +35,12 @@ from .backends import (
     F64_BACKEND,
     bigfloat,
 )
-from .moments import MomentSequence, hankel_rows
+from .moments import MomentSequence
 from .triangular import (
     PositivityError,
     invert_unit_upper,
     ldl_decompose,
+    monic_alpha,
     utdu_product,
 )
 
@@ -178,11 +183,13 @@ def factor(
 ) -> TriangularPair:
     """Factor the N x N truncation on the precision ladder.
 
-    Rational input stays exact.  f64 input is factored at machine precision up
-    to ``policy.machine_max_n``; beyond that, and for big-float input, each
-    rung of ``policy.ladder`` is tried in turn until the pivots come out
-    positive.  Failure on every rung raises :class:`PositivityError`, flagged
-    ``precision_suspect`` unless the input was exact.
+    Each attempt runs :func:`ldl_decompose` on the moment block and then
+    :func:`invert_unit_upper`, both O(N^2).  Rational input stays exact.  f64
+    input is factored at machine precision up to ``policy.machine_max_n``;
+    beyond that, and for big-float input, each rung of ``policy.ladder`` is
+    tried in turn until the pivots come out positive.  Failure on every rung
+    raises :class:`PositivityError`, flagged ``precision_suspect`` unless the
+    input was exact.
     """
     policy = policy or DEFAULT_POLICY
     if n < 1:
@@ -200,15 +207,15 @@ def factor(
     for work, bits in rungs:
         backend = work.backend
         with backend.context():
-            rows = hankel_rows(work, n)
+            block = work.moments(2 * n - 1)
             try:
                 unit_upper, pivots = ldl_decompose(
-                    rows, n, backend.zero(), precision_suspect=backend.kind == BIGFLOAT
+                    block, n, backend.zero(), precision_suspect=backend.kind == BIGFLOAT
                 )
             except PositivityError as err:
                 last_err = err
                 continue
-            inv = invert_unit_upper(unit_upper, n, backend.zero())
+            inv = invert_unit_upper(unit_upper, pivots, n, backend.zero())
         return TriangularPair(
             n, backend,
             tuple(tuple(r) for r in unit_upper),
@@ -308,27 +315,22 @@ class RecurrenceCoeffs:
 
 
 def recurrence(tp: TriangularPair) -> RecurrenceCoeffs:
-    """Extract recurrence coefficients from consecutive coefficient columns.
+    """Read the orthonormal recurrence coefficients off the factorization, in O(N).
 
-    The monomial coefficients of x P_n are column n of B shifted down one
-    degree; conversion back through C reads off alpha_n and beta_{n+1}.
+    The monic polynomials satisfy pi_{n+1} = (x - alpha_n) pi_n - b_n pi_{n-1}
+    with alpha_n = U[n][n+1] - U[n-1][n] and b_n = d_n / d_{n-1}; normalizing
+    by P_n = pi_n / sqrt(d_n) keeps alpha_n and gives beta_{n+1} =
+    sqrt(d_{n+1} / d_n).  Both are formed in the pair's backend (exactly for
+    rational pairs) and then converted to the numeric view.
     """
     if tp.n < 3:
         raise ValueError("recurrence extraction needs N >= 3")
     vb = tp._view_backend()
+    with tp.backend.context():
+        alpha = [monic_alpha(tp.unit_upper, n) for n in range(tp.n - 1)]
+        ratios = [tp.pivots[n + 1] / tp.pivots[n] for n in range(tp.n - 1)]
     with vb.context():
-        b = tp.b_matrix()
-        roots = [vb.sqrt(vb.convert(d)) for d in tp.pivots]
-        alpha = []
-        beta = []
-        for n in range(tp.n - 1):
-            shifted = [vb.zero()] + [b[j][n] for j in range(n + 1)]
-            gamma = []
-            for k in range(n + 2):
-                acc = vb.zero()
-                for j in range(k, n + 2):
-                    acc = acc + vb.convert(tp.unit_upper[k][j]) * shifted[j]
-                gamma.append(roots[k] * acc)
-            alpha.append(gamma[n])
-            beta.append(gamma[n + 1])
-        return RecurrenceCoeffs(alpha=alpha, beta=beta)
+        return RecurrenceCoeffs(
+            alpha=[vb.convert(a) for a in alpha],
+            beta=[vb.sqrt(vb.convert(r)) for r in ratios],
+        )

@@ -1,9 +1,24 @@
-"""Square-root-free triangular factorization of positive definite matrices.
+"""Square-root-free triangular factorization of Hankel truncations.
 
-Works entry-wise over any scalar backend (Fractions stay exact).  A symmetric
-positive definite ``H`` is decomposed as ``H = U^t D U`` with ``U`` unit upper
-triangular and ``D`` a positive diagonal, which realizes the Cholesky factor
-``C = D^{1/2} U`` without ever forming square roots.
+Works entry-wise over any scalar backend (Fractions stay exact).  The N x N
+Hankel truncation ``H = (m_{k+l})`` of a positive definite moment sequence is
+decomposed as ``H = U^t D U`` with ``U`` unit upper triangular and ``D`` a
+positive diagonal, which realizes the Cholesky factor ``C = D^{1/2} U``
+without ever forming square roots.
+
+The factorization uses the Hankel structure through the Chebyshev algorithm
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
+§2.1.7), in O(N^2) operations instead of the O(N^3) of dense elimination.
+With the monic orthogonal polynomials ``pi_k`` of the moment functional, the
+mixed moments ``sigma_{k,l} = <pi_k, x^l>`` satisfy
+
+    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l},
+
+starting from ``sigma_{0,l} = m_l``.  They are the rows of ``D U``:
+``d_k = sigma_{k,k}`` and ``U[k][l] = sigma_{k,l} / d_k``.  Column ``k`` of
+``U^{-1}`` holds the coefficients of ``pi_k``, which follow from the
+three-term recurrence ``pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}``
+with ``alpha_k = U[k][k+1] - U[k-1][k]`` and ``beta_k = d_k / d_{k-1}``.
 """
 
 from __future__ import annotations
@@ -25,40 +40,57 @@ class PositivityError(HankelError):
         self.precision_suspect = precision_suspect
 
 
-def ldl_decompose(rows, n, zero, *, precision_suspect=False):
-    """Return ``(unit_upper, pivots)`` with ``rows = U^t diag(pivots) U``.
+def monic_alpha(unit_upper, k):
+    """alpha_k = U[k][k+1] - U[k-1][k] of the monic recurrence (needs k + 1 < N)."""
+    if k == 0:
+        return unit_upper[0][1]
+    return unit_upper[k][k + 1] - unit_upper[k - 1][k]
 
-    ``rows`` is indexed ``rows[i][j]``; only the lower triangle is read.
-    Raises :class:`PositivityError` at the first nonpositive pivot.
+
+def ldl_decompose(moments, n, zero, *, precision_suspect=False):
+    """Return ``(unit_upper, pivots)`` with ``H = U^t diag(pivots) U``.
+
+    ``moments`` holds ``m_0 .. m_{2n-2}``, the entries of the N x N Hankel
+    truncation ``H``.  Runs the Chebyshev algorithm (module docstring) in
+    O(N^2) operations.  Raises :class:`PositivityError` at the first
+    nonpositive pivot ``sigma_{k,k}``, with ``dimension = k + 1``.
     """
-    lower = [[zero] * n for _ in range(n)]
+    unit_upper = [[zero] * n for _ in range(n)]
     pivots = []
-    for j in range(n):
-        d = rows[j][j]
-        for k in range(j):
-            d = d - lower[j][k] * lower[j][k] * pivots[k]
+    older = [zero] * (2 * n - 1)  # sigma_{k-2, .}; sigma_{-1, .} = 0
+    sigma = list(moments[: 2 * n - 1])  # sigma_{k, .}, valid for k <= l <= 2n-2-k
+    for k in range(n):
+        if k:
+            alpha = monic_alpha(unit_upper, k - 1)
+            beta = pivots[k - 1] / pivots[k - 2] if k > 1 else zero
+            nxt = [zero] * (2 * n - 1)
+            for l in range(k, 2 * n - 1 - k):
+                nxt[l] = sigma[l + 1] - alpha * sigma[l] - beta * older[l]
+            older, sigma = sigma, nxt
+        d = sigma[k]
         if not d > 0:
             raise PositivityError(
-                j + 1,
-                f"leading {j + 1}x{j + 1} block is not positive definite "
+                k + 1,
+                f"leading {k + 1}x{k + 1} block is not positive definite "
                 f"(pivot {d!r})",
                 precision_suspect=precision_suspect,
             )
         pivots.append(d)
-        lower[j][j] = zero + 1
-        for i in range(j + 1, n):
-            s = rows[i][j]
-            for k in range(j):
-                s = s - lower[i][k] * lower[j][k] * pivots[k]
-            lower[i][j] = s / d
-    unit_upper = [[lower[j][i] for j in range(n)] for i in range(n)]
+        row = unit_upper[k]
+        row[k] = zero + 1
+        for l in range(k + 1, n):
+            row[l] = sigma[l] / d
     return unit_upper, pivots
 
 
-def ldl_positive_definite_limit(rows, n, zero) -> int:
-    """Largest ``M <= n`` whose leading ``MxM`` block is positive definite."""
+def ldl_positive_definite_limit(moments, n, zero) -> int:
+    """Largest ``M <= n`` whose leading ``MxM`` Hankel block is positive definite.
+
+    ``moments`` holds ``m_0 .. m_{2n-2}``; ``M`` is the first index with
+    ``sigma_{M,M} <= 0`` in :func:`ldl_decompose` (``n`` if there is none).
+    """
     try:
-        ldl_decompose(rows, n, zero)
+        ldl_decompose(moments, n, zero)
     except PositivityError as err:
         return err.dimension - 1
     except (OverflowError, ZeroDivisionError):
@@ -66,16 +98,26 @@ def ldl_positive_definite_limit(rows, n, zero) -> int:
     return n
 
 
-def invert_unit_upper(unit_upper, n, zero):
-    """Exact inverse of a unit upper triangular matrix (back substitution)."""
+def invert_unit_upper(unit_upper, pivots, n, zero):
+    """Inverse of the unit upper factor of :func:`ldl_decompose`, in O(N^2).
+
+    Column ``k`` of ``U^{-1}`` holds the monomial coefficients of the monic
+    orthogonal polynomial ``pi_k``; columns are built by the three-term
+    recurrence from ``alpha_k`` and ``beta_k = pivots[k] / pivots[k-1]``.
+    Exact for rational input.
+    """
     inv = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = zero + 1
-        for i in range(j - 1, -1, -1):
-            s = zero
-            for k in range(i + 1, j + 1):
-                s = s + unit_upper[i][k] * inv[k][j]
-            inv[i][j] = -s
+    for k in range(n):
+        inv[k][k] = zero + 1
+    if n > 1:
+        inv[0][1] = -monic_alpha(unit_upper, 0)
+    for k in range(1, n - 1):
+        alpha = monic_alpha(unit_upper, k)
+        beta = pivots[k] / pivots[k - 1]
+        inv[0][k + 1] = -alpha * inv[0][k] - beta * inv[0][k - 1]
+        for j in range(1, k):
+            inv[j][k + 1] = inv[j - 1][k] - alpha * inv[j][k] - beta * inv[j][k - 1]
+        inv[k][k + 1] = inv[k - 1][k] - alpha
     return inv
 
 

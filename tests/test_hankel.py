@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from hankelmoments import (
     shift,
     shift_adjoint,
 )
-from hankelmoments.backends import norm_sq
+from hankelmoments.backends import norm_sq, to_float
 from hankelmoments.hankel import default_k_grid
 from hankelmoments.moments import LogNormal, hankel_rows
 
@@ -273,6 +274,43 @@ def test_series_float_hilbert_agrees_within_tail_bound():
     tail = sum(abs(x) for x in g) * ms.moment(2 * report.terms_used)
     assert not report.converged
     assert max(abs(a - b) for a, b in zip(report.result, naive)) <= tail + 1e-12
+
+
+def per_stage_series(ms, g, n, stages):
+    """Reference: term l of the series summed afresh as (sum_j nu_{i+2l+j} g_j)_{i<n}."""
+    nu = ms.nu()
+    with ms.backend.context():
+        terms = []
+        for l in range(stages):
+            term = []
+            for i in range(n):
+                acc = ms.backend.zero()
+                for j, gj in enumerate(g):
+                    acc = acc + nu.moment(i + 2 * l + j) * gj
+                term.append(acc)
+            terms.append(term)
+        return terms
+
+
+@pytest.mark.parametrize("backend", [RAT, F64_BACKEND], ids=lambda b: b.tag())
+def test_series_terms_equal_per_stage_sums(backend):
+    ms = uniform(backend)
+    g = [backend.convert(x) for x in (F(1), F(-1, 3), F(0), F(1, 2), F(-1, 5))]
+    n = 12
+    report = apply_H_via_series(ms, g, n, max_terms=32, tol=0.0, recorded_terms=32)
+    assert report.terms_used == 32
+    terms = per_stage_series(ms, g, n, 32)
+    assert report.partial_norm_deltas == [
+        math.sqrt(to_float(norm_sq(t))) for t in terms
+    ]
+    partial = [backend.zero()] * n
+    for t in terms:
+        partial = [p + x for p, x in zip(partial, t)]
+    if backend == RAT:
+        # the exact mode closes the telescope with the remainder at 2 * 32
+        partial = [p + sum(ms.moment(i + j + 64) * gj for j, gj in enumerate(g))
+                   for i, p in enumerate(partial)]
+    assert report.result == partial
 
 
 def test_series_requires_decaying_moments():

@@ -332,3 +332,12 @@ def test_cache_is_idempotent():
     first = ms.moment(7)
     assert ms.moment(7) is first
     assert ms.moments(8)[7] == first
+
+
+def test_nu_moment_keeps_backend_precision_outside_a_context():
+    big = bigfloat(256)
+    outside = seq(Gegenbauer(Fraction(1, 2)), big).nu().moment(0)
+    with big.context():
+        inside = seq(Gegenbauer(Fraction(1, 2)), big).nu().moment(0)
+        assert outside == inside
+        assert abs(outside - big.convert(Fraction(2, 3))) < big.convert(2) ** -250

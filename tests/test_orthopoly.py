@@ -374,3 +374,37 @@ def test_recurrence_round_trip_rebuilds_polynomials():
 def test_recurrence_needs_three_columns():
     with pytest.raises(ValueError):
         recurrence(factor(uniform(), 2))
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1, 2), F(1), F(3, 2)], ids=str)
+def test_rational_recurrence_matches_gegenbauer_closed_form(lam):
+    # symmetric weight: alpha_n is exactly zero; the orthonormal
+    # beta_n^2 = n (n + 2 lam - 1) / (4 (n + lam) (n + lam - 1)), and
+    # beta_1 = 1/sqrt(2) for lam = 0 (Chebyshev polynomials of the first kind)
+    import mpmath
+
+    n = 64
+    rc = recurrence(factor(MomentSequence(Gegenbauer(lam), RAT), n))
+    assert all(a == 0.0 for a in rc.alpha)
+    with mpmath.workprec(200):
+        for k, b in enumerate(rc.beta, start=1):
+            if lam == 0 and k == 1:
+                ref = 1 / mpmath.sqrt(2)
+            else:
+                ratio = F(k * (k + 2 * lam - 1), 4 * (k + lam) * (k + lam - 1))
+                ref = mpmath.sqrt(mpmath.mpf(ratio.numerator) / ratio.denominator)
+            assert abs(b - float(ref)) <= 2 * math.ulp(float(ref)), k
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_hilbert_f64_hs_norm_matches_eigsy(n):
+    # ||B||_F^2 = trace(H^{-1}) = sum 1 / lambda_i, from mpmath.eigsy at 640 bits
+    import mpmath
+
+    tp = factor(MomentSequence(PowerLog(1), F64_BACKEND), n)
+    assert tp.precision_bits == 53
+    hs = math.sqrt(to_float(tp.hs_norm_sq_b()))
+    with mpmath.workprec(640):
+        h = mpmath.matrix([[mpmath.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)])
+        ref = mpmath.sqrt(sum(1 / lam for lam in mpmath.eigsy(h, eigvals_only=True)))
+    assert abs(hs - float(ref)) <= 1e-7 * float(ref)
