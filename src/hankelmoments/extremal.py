@@ -20,6 +20,7 @@ from .backends import (
     norm_sq,
     to_float,
 )
+from .hankel import row_actions
 from .measures import DiscreteMeasure, EmptyMeasureError
 from .moments import Discrete, MomentSequence, hankel_rows
 from .orthopoly import TriangularPair, factor
@@ -186,7 +187,7 @@ def cd_kernel(
     ms = MomentSequence(Discrete(mu), backend)
     tp = tp or factor(ms, mu.size)
     pix = tp.monic_values(x)
-    piy = tp.monic_values(y)
+    piy = pix if y == x else tp.monic_values(y)
     with tp.backend.context():
         acc = tp.backend.zero()
         for k in range(tp.n):
@@ -259,13 +260,7 @@ def kernel_vector_check(
     with backend.context():
         for x in removed_points or []:
             xi = xi_vector(tp, x).xi[:emb]
-            image = []
-            for row in range(n):
-                acc = backend.zero()
-                for col in range(emb):
-                    acc = acc + trimmed.moment(row + col) * xi[col]
-                image.append(acc)
-            ns = norm_sq(image)
+            ns = norm_sq(row_actions(trimmed, xi, 0, n))
             if ns != 0:
                 all_zero = False
             norms.append(math.sqrt(to_float(ns)))

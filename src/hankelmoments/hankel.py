@@ -3,6 +3,9 @@
 An "operator" here is always the pair (moment sequence, truncation size);
 nothing pretends to be the infinite matrix.  Domain membership questions are
 answered with trend evidence over growing truncations, never as theorems.
+Every exact product -- ``matvec_naive`` off f64, the shift series and its
+remainder, the kernel-vector images of ``extremal`` -- is one row action,
+:func:`row_actions`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
-from .backends import F64, RATIONAL, BackendError, norm_sq, to_float
+from .backends import F64, RATIONAL, BackendError, to_float
 from .moments import MomentSequence, classify, hankel_rows
 
 
@@ -45,6 +48,23 @@ def build(ms: MomentSequence, n: int) -> HankelMatrix:
 # ---------------------------------------------------------------------------
 
 
+def row_actions(ms: MomentSequence, g, start: int, stop: int):
+    """r_k = sum_j m_{k+j} g_j for start <= k < stop, summed in order of j.
+
+    The one exact Hankel row action: every product that is not an f64 array
+    product goes through it, inside the backend's context.
+    """
+    backend = ms.backend
+    out = []
+    with backend.context():
+        for k in range(start, stop):
+            acc = backend.zero()
+            for j, gj in enumerate(g):
+                acc = acc + ms.moment(k + j) * gj
+            out.append(acc)
+    return out
+
+
 def matvec_naive(ms: MomentSequence, g, n: int):
     """Row action (sum_k m_{i+k} g_k)_{i<n} by direct summation.
 
@@ -61,14 +81,7 @@ def matvec_naive(ms: MomentSequence, g, n: int):
         # avoids materializing the n x len(g) block
         rows = np.lib.stride_tricks.sliding_window_view(m, len(g))[:n]
         return list(rows @ garr)
-    out = []
-    with ms.backend.context():
-        for i in range(n):
-            acc = ms.backend.zero()
-            for k, gk in enumerate(g):
-                acc = acc + ms.moment(i + k) * gk
-            out.append(acc)
-    return out
+    return row_actions(ms, g, 0, n)
 
 
 def matvec_fft(ms: MomentSequence, g, n: int):
@@ -113,33 +126,6 @@ class SeriesApplyReport:
         }
 
 
-def _row_actions(nu: MomentSequence, g, start: int, stop: int):
-    """r_k = sum_j nu_{k+j} g_j for start <= k < stop, summed in order of j."""
-    backend = nu.backend
-    out = []
-    with backend.context():
-        for k in range(start, stop):
-            acc = backend.zero()
-            for j, gj in enumerate(g):
-                acc = acc + nu.moment(k + j) * gj
-            out.append(acc)
-    return out
-
-
-def _series_terms(nu: MomentSequence, g, n: int):
-    """Yield the terms S^{2l}(H_nu g) restricted to indices < n, l = 0, 1, ...
-
-    Term ``l`` is the slice r[2l : 2l + n] of one sequence of row actions, so
-    each r_k is computed once and each further term adds two entries.
-    """
-    rows = _row_actions(nu, g, 0, n)
-    l = 0
-    while True:
-        yield rows[2 * l : 2 * l + n]
-        l += 1
-        rows += _row_actions(nu, g, 2 * l + n - 2, 2 * l + n)
-
-
 def apply_H_via_series(
     ms: MomentSequence,
     g,
@@ -153,13 +139,17 @@ def apply_H_via_series(
 
     Requires even moments decreasing to zero (measure inside (-1, 1)).  The
     added term at stage ``l`` is the ``2l``-fold shift of the damped-sequence
-    row action on ``g``; its norm is recorded per stage.
+    row action on ``g``: the slice r[2l : 2l + n] of one growing sequence of
+    row actions r_k = sum_j nu_{k+j} g_j, so each further stage computes two
+    entries and squares each once.  A stage's norm is the in-order sum of its
+    n squares and is recorded per stage.
 
     Under float backends the terms are summed until the last one drops below
     ``tol`` (default 1e-12) or ``max_terms`` is hit.  Under the rational
-    backend the partial sums telescope exactly against a remainder that
-    vanishes in the limit, so the exact limit is returned with the leading
-    ``recorded_terms`` term norms attached as evidence.
+    backend at most ``recorded_terms`` terms are summed (stopping early on a
+    zero term) and the remainder R(L)_i = sum_j m_{i+j+2L} g_j of the ``L``
+    terms used is always added: the partial sums telescope to H g - R(L), so
+    the exact product is returned with the term norms attached as evidence.
     """
     if n < 1 or max_terms < 1:
         raise ValueError("n and max_terms must be >= 1")
@@ -171,62 +161,41 @@ def apply_H_via_series(
             f"(is_o1 verdict: {verdict.value})"
         )
     backend = ms.backend
+    exact = backend.kind == RATIONAL
+    if not exact:
+        tol = 1e-12 if tol is None else tol
     nu = ms.nu()
-
-    if backend.kind == RATIONAL:
-        stages = min(max_terms, recorded_terms)
-        deltas = []
-        partial = [backend.zero()] * n
-        terms_used = 0
-        for l, term in zip(range(stages), _series_terms(nu, g, n)):
-            ns = norm_sq(term)
-            deltas.append(math.sqrt(to_float(ns)))
-            for i in range(n):
-                partial[i] = partial[i] + term[i]
-            terms_used = l + 1
-            if ns == 0:
-                break
-        else:
-            # close the telescope: sum_{l<L} term_l = R(0) - R(L) with
-            # R(L)_i = sum_j g_j m_{i+j+2L}, and R(L) -> 0 by the decay
-            # precondition, so adding the exact remainder yields the limit
-            remainder = [
-                sum((ms.moment(i + j + 2 * stages) * gj for j, gj in enumerate(g)),
-                    start=backend.zero())
-                for i in range(n)
-            ]
-            partial = [p + r for p, r in zip(partial, remainder)]
-        return SeriesApplyReport(
-            result=partial,
-            partial_norm_deltas=deltas,
-            converged=True,
-            terms_used=terms_used,
-            mode="telescoped-exact",
-            tolerance=None,
-        )
-
-    tol = 1e-12 if tol is None else tol
+    rows, squares = [], []  # r_k and r_k^2 for k < 2l + n
     result = [backend.zero()] * n
     deltas = []
-    converged = False
+    converged = exact
     terms_used = 0
     with backend.context():
-        for l, term in zip(range(max_terms), _series_terms(nu, g, n)):
-            delta = math.sqrt(to_float(norm_sq(term)))
-            deltas.append(delta)
+        for l in range(min(max_terms, recorded_terms) if exact else max_terms):
+            fresh = row_actions(nu, g, len(rows), 2 * l + n)
+            rows += fresh
+            squares += [r * r for r in fresh]
+            ns = squares[2 * l]
+            for sq in squares[2 * l + 1 : 2 * l + n]:
+                ns = ns + sq
+            deltas.append(math.sqrt(to_float(ns)))
             for i in range(n):
-                result[i] = result[i] + term[i]
+                result[i] = result[i] + rows[2 * l + i]
             terms_used = l + 1
-            if delta < tol:
+            if (ns == 0) if exact else (deltas[-1] < tol):
                 converged = True
                 break
+    if exact:
+        # close the telescope: the L terms sum to H g - R(L), R(L) = S^{2L} H g
+        remainder = row_actions(ms, g, 2 * terms_used, 2 * terms_used + n)
+        result = [p + r for p, r in zip(result, remainder)]
     return SeriesApplyReport(
         result=result,
         partial_norm_deltas=deltas,
         converged=converged,
         terms_used=terms_used,
-        mode="iterative",
-        tolerance=tol,
+        mode="telescoped-exact" if exact else "iterative",
+        tolerance=None if exact else tol,
     )
 
 

@@ -50,10 +50,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return len(self.points)
 
-    def raw_moment(self, n: int):
-        """``sum_i c_i x_i^n`` in the arithmetic of the stored data."""
-        return sum(c * x**n for x, c in zip(self.points, self.weights))
-
     def total_mass(self):
         return sum(self.weights, start=Fraction(0) if self._rational() else 0.0)
 

@@ -413,17 +413,12 @@ class Classification:
 
 def _heuristic_verdicts(ms: MomentSequence, window: int) -> dict[str, Verdict]:
     """Window-based evidence for tabulated sequences.  Never asserts a limit."""
-    try:
-        values = [to_float(ms.moment(n)) for n in range(window)]
-    except MissingMomentError:
-        values = []
-        n = 0
-        while True:
-            try:
-                values.append(to_float(ms.moment(n)))
-            except MissingMomentError:
-                break
-            n += 1
+    values = []
+    for n in range(window):
+        try:
+            values.append(to_float(ms.moment(n)))
+        except MissingMomentError:
+            break
     evens = values[::2]
     if len(evens) < 4:
         unknown = Verdict(None, "heuristic", {"window": len(values)})

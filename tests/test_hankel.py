@@ -19,6 +19,7 @@ from hankelmoments import (
     PrecisionError,
     RATIONAL_BACKEND,
     apply_H_via_series,
+    bigfloat,
     build,
     domain_diagnostic,
     matvec_fft,
@@ -261,7 +262,9 @@ def per_stage_series(ms, g, n, stages):
         return terms
 
 
-@pytest.mark.parametrize("backend", [RAT, F64_BACKEND], ids=lambda b: b.tag())
+@pytest.mark.parametrize(
+    "backend", [RAT, F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag()
+)
 def test_series_terms_equal_per_stage_sums(backend):
     ms = uniform(backend)
     g = [backend.convert(x) for x in (F(1), F(-1, 3), F(0), F(1, 2), F(-1, 5))]
@@ -269,17 +272,31 @@ def test_series_terms_equal_per_stage_sums(backend):
     report = apply_H_via_series(ms, g, n, max_terms=32, tol=0.0, recorded_terms=32)
     assert report.terms_used == 32
     terms = per_stage_series(ms, g, n, 32)
-    assert report.partial_norm_deltas == [
-        math.sqrt(to_float(norm_sq(t))) for t in terms
-    ]
-    partial = [backend.zero()] * n
-    for t in terms:
-        partial = [p + x for p, x in zip(partial, t)]
+    # squares and sums at the backend's precision, not mpmath's default
+    with backend.context():
+        assert report.partial_norm_deltas == [
+            math.sqrt(to_float(norm_sq(t))) for t in terms
+        ]
+        partial = [backend.zero()] * n
+        for t in terms:
+            partial = [p + x for p, x in zip(partial, t)]
     if backend == RAT:
         # the exact mode closes the telescope with the remainder at 2 * 32
         partial = [p + sum(ms.moment(i + j + 64) * gj for j, gj in enumerate(g))
                    for i, p in enumerate(partial)]
     assert report.result == partial
+
+
+def test_series_adds_remainder_after_a_zero_term():
+    # term 0 is nu_0 g_0 + nu_1 g_1 = 0, but H g = m_0 g_0 + m_1 g_1 is not:
+    # the telescope must still be closed with R(1)
+    mu = DiscreteMeasure((F(1, 3), F(1, 2)), (F(1), F(1)))
+    ms = MomentSequence(Discrete(mu), RAT)
+    g = [F(-145, 354), F(1)]
+    report = apply_H_via_series(ms, g, 1)
+    assert report.partial_norm_deltas == [0.0]
+    assert report.result == [F(5, 354)]
+    assert report.converged
 
 
 def test_series_requires_decaying_moments():

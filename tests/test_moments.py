@@ -245,6 +245,14 @@ def test_classify_explicit_is_heuristic():
     assert result.is_o1.value is True
 
 
+def test_classify_short_explicit_reports_its_whole_window():
+    # 16 moments, fewer than the default window of 64: every one is evidence
+    values = [Fraction(1, (n + 1) ** 3) for n in range(16)]
+    result = classify(seq(Explicit(tuple(values))), 4)
+    for verdict in (result.is_o1, result.is_O_1_over_n, result.is_ell1):
+        assert verdict.evidence["window"] == 16
+
+
 def test_verdict_monotonicity_across_families():
     families = [
         PowerLog(1),
