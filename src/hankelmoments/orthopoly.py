@@ -27,6 +27,7 @@ backend's own precision) and doubles while it stays at or below
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 
@@ -132,21 +133,34 @@ class TriangularPair:
                 for k in range(self.n)
             ]
 
+    @cached_property
+    def monic_recurrence(self):
+        """(alpha_0..alpha_{N-2}, beta_1..beta_{N-1}) of the monic recurrence.
+
+        alpha_k = U[k][k+1] - U[k-1][k] and beta_k = d_k / d_{k-1}, formed
+        once per pair in its scalar backend (exactly for rational pairs).
+        """
+        with self.backend.context():
+            alpha = tuple(monic_alpha(self.unit_upper, k) for k in range(self.n - 1))
+            beta = tuple(self.pivots[k] / self.pivots[k - 1] for k in range(1, self.n))
+        return alpha, beta
+
     def monic_values(self, x):
         """Values pi_0(x), ..., pi_{N-1}(x) of the monic orthogonal polynomials.
 
         O(N) by the recurrence pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}
-        with alpha_k = U[k][k+1] - U[k-1][k] and beta_k = d_k / d_{k-1};
-        P_k = pi_k / sqrt(d_k).  Stays in the pair's scalar backend (exact for
-        rational pairs, which therefore need a rational ``x``).
+        (:attr:`monic_recurrence`); P_k = pi_k / sqrt(d_k).  Stays in the
+        pair's scalar backend (exact for rational pairs, which therefore need
+        a rational ``x``).
         """
+        alpha, beta = self.monic_recurrence
         x = self.backend.convert(x)
         with self.backend.context():
             values = [self.backend.one()]
             for k in range(self.n - 1):
-                nxt = (x - monic_alpha(self.unit_upper, k)) * values[k]
+                nxt = (x - alpha[k]) * values[k]
                 if k:
-                    nxt = nxt - self.pivots[k] / self.pivots[k - 1] * values[k - 1]
+                    nxt = nxt - beta[k - 1] * values[k - 1]
                 values.append(nxt)
             return values
 
@@ -292,9 +306,7 @@ def recurrence(tp: TriangularPair) -> RecurrenceCoeffs:
     if tp.n < 3:
         raise ValueError("recurrence extraction needs N >= 3")
     vb = tp._view_backend()
-    with tp.backend.context():
-        alpha = [monic_alpha(tp.unit_upper, n) for n in range(tp.n - 1)]
-        ratios = [tp.pivots[n + 1] / tp.pivots[n] for n in range(tp.n - 1)]
+    alpha, ratios = tp.monic_recurrence
     with vb.context():
         return RecurrenceCoeffs(
             alpha=[vb.convert(a) for a in alpha],

@@ -7,24 +7,39 @@ determinate-like from indeterminate-like moment data.  Nothing here claims a
 limit: every verdict ships with the profile that produced it.
 
 Big-float eigenvalue extremes use Householder tridiagonalization followed by
-bisection with inertia counts, which is deterministic at any fixed precision;
-the f64 path uses LAPACK.  Only the requested extremes are bisected, each
-positive one to a bracket 2^(-min(64, prec/2)) wide relative to its own size
-(geometric bisection for lambda_min, whose size can be far below 1).  A
-lambda_min below the resolution floor, 2^(-prec) times the Gershgorin bound
-on the spectrum, comes back as 0, so the profile moves to the next precision
-rung instead of reporting it.
+bisection with inertia counts, both in fixed point on Python ints, which is
+deterministic at any fixed precision; the f64 path uses LAPACK.  At precision
+``bits`` the moment block m_0 .. m_{2N-2} is taken at ``bits``, scaled by
+2^-e, where e is the exponent of the largest |m_j| (so every entry is below 1
+in magnitude), and rounded to ints with
+
+    p = bits + r + 2 ceil(log2 N) + 8
+
+fractional bits, r = min(64, bits/2) being the bisection resolution.  The
+kernels then move an eigenvalue by at most (N^2 + 1) 2^(e-p): the rounding of
+the block (N/2 units of 2^-p), the Householder steps (exactly orthogonal
+integer reflectors; (N-2)(N+18)/4 units in all) and the inertia counts (exact
+for a diagonal moved by less than two units) add up to (N^2 + 18N - 28)/4 <=
+N^2 + 1 units (Weyl).  Only the requested extremes are bisected, each
+positive one to a bracket 2^-r wide relative to its own size (geometric
+bisection for lambda_min, whose size can be far below 1).  A lambda_min below
+the resolution floor, 2^(-bits) times the Gershgorin bound on the spectrum,
+comes back as 0, so the profile moves to the next precision rung instead of
+reporting it.  That floor is at least 2^(e-1-bits), so the kernel error lies
+r + 6 bits below it: it moves a resolved lambda_min by less than 2^-(r+6)
+relative, a 64th of the bracket.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-from mpmath import mpf
 
 from .backends import (
     BIGFLOAT,
@@ -43,81 +58,113 @@ from .triangular import PositivityError
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenvalue extremes
+# symmetric eigenvalue extremes (fixed point on Python ints)
 # ---------------------------------------------------------------------------
 
 
-def householder_tridiagonalize(rows, n):
-    """Similarity-reduce a symmetric matrix (mpf entries) to tridiagonal form.
+def householder_tridiagonalize(rows, n, frac_bits):
+    """Similarity-reduce a symmetric fixed-point matrix to tridiagonal form.
 
-    Runs at the caller's mpmath working precision; returns (diag, offdiag).
+    ``rows`` holds ints, each entry scaled by 2^frac_bits; returns (diag,
+    offdiag) in the same format.  Only the lower triangle is read and
+    updated.  Each reflector I - 2 v v^t / (v^t v) is defined by the integer
+    vector v = x - alpha e_0, and v^t v is summed exactly, so every reflector
+    is exactly orthogonal; alpha = -sign(x_0) isqrt(|x|^2) is written as the
+    off-diagonal directly, and only the rows below it are updated.  The
+    reflected vector q carries 2 ceil(log2 N) + 3 guard bits.  For entries of
+    magnitude at most 1 the result is exactly orthogonally similar to a
+    symmetric matrix within (N-2)(N+18)/4 units of 2^-frac_bits of the input
+    in the 2-norm: per step, half a unit per row from rounding the update,
+    at most 2.25 from the rounding of q (against |v| <= 2N + 1) and 2 from
+    dropping the part of the reflected column that the rounded alpha leaves
+    below the off-diagonal.
     """
-    a = [list(r) for r in rows]
-    for k in range(n - 2):
-        norm2 = mpmath.fsum(a[i][k] ** 2 for i in range(k + 1, n))
+    scale = frac_bits + 2 * (n - 1).bit_length() + 3
+    rnd = 1 << (scale - 1)
+    mul = operator.mul
+    block = [list(r[: i + 1]) for i, r in enumerate(rows)]
+    diag, off = [], []
+    while len(block) > 2:
+        diag.append(block[0][0])
+        x = [r[0] for r in block[1:]]
+        block = [r[1:] for r in block[1:]]
+        norm2 = sum(t * t for t in x)
         if norm2 == 0:
+            off.append(0)
             continue
-        alpha = mpmath.sqrt(norm2)
-        if a[k + 1][k] > 0:
+        alpha = math.isqrt(norm2)
+        if x[0] > 0:
             alpha = -alpha
-        r2 = norm2 - a[k + 1][k] * alpha
-        v = [mpf(0)] * n
-        v[k + 1] = a[k + 1][k] - alpha
-        for i in range(k + 2, n):
-            v[i] = a[i][k]
-        w = [
-            mpmath.fsum(a[i][j] * v[j] for j in range(k + 1, n)) / r2
-            for i in range(n)
+        off.append(alpha)
+        v = x
+        v[0] -= alpha
+        vv = sum(t * t for t in v)
+        # p = 2 B v / (v^t v), with (B v)_j = row j + column j - diagonal
+        p = [
+            ((sum(map(mul, r, v)) + sum(map(mul, c, v)) - r[-1] * vj) << (scale + 1)) // vv
+            for r, c, vj in zip(block, itertools.zip_longest(*block, fillvalue=0), v)
         ]
-        coef = mpmath.fsum(v[i] * w[i] for i in range(k + 1, n)) / (2 * r2)
-        for i in range(n):
-            w[i] = w[i] - coef * v[i]
-        for i in range(k, n):
-            for j in range(k, i + 1):
-                a[i][j] = a[i][j] - v[i] * w[j] - w[i] * v[j]
-                a[j][i] = a[i][j]
-    return [a[i][i] for i in range(n)], [a[i + 1][i] for i in range(n - 1)]
+        # q = p - (p^t v / v^t v) v; then B <- B - v q^t - q v^t, rounded
+        pv = sum(map(mul, p, v))
+        q = [pi - pv * vi // vv for pi, vi in zip(p, v)]
+        block = [
+            [b - ((vi * qj + qi * vj + rnd) >> scale) for b, qj, vj in zip(r, q, v)]
+            for r, vi, qi in zip(block, v, q)
+        ]
+    diag += [r[-1] for r in block]
+    if len(block) == 2:
+        off.append(block[1][0])
+    return diag, off
 
 
-def eigen_count_below(diag, off, x):
-    """Number of eigenvalues of the tridiagonal matrix strictly below ``x``."""
+def eigen_count_below(diag, off_sq, x):
+    """Number of eigenvalues of the tridiagonal matrix strictly below ``x``.
+
+    Fixed point: ``diag`` and ``x`` share a scale 2^p and ``off_sq`` holds
+    the squared off-diagonals at 2^(2p).  The floor division makes each
+    pivot q_i = d_i - x - e_{i-1}^2 // q_{i-1} exact for a diagonal entry
+    moved by less than one unit, so the count is exact for T + diag(delta)
+    with |delta_i| < 2^-p; a zero pivot is taken as one unit, which moves
+    its entry by less than 2^(1-p).
+    """
     count = 0
-    tiny = mpf(2) ** (-3 * mpmath.mp.prec)
     q = diag[0] - x
-    if q < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        if q == 0:
-            q = tiny
-        q = diag[i] - x - off[i - 1] * off[i - 1] / q
+    for d, e2 in zip(diag[1:], off_sq):
         if q < 0:
             count += 1
-    return count
+        elif q == 0:
+            q = 1
+        q = d - x - e2 // q
+    return count + (q < 0)
 
 
-def _bisect(diag, off, lo, hi, target):
+def _bisect(diag, off_sq, lo, hi, target, bits):
     """Plain bisection for the ``target``-th eigenvalue inside [lo, hi]."""
-    tol = mpf(2) ** (-(mpmath.mp.prec // 2))
-    while hi - lo > tol * max(mpf(1), abs(hi), abs(lo)):
-        mid = (lo + hi) / 2
-        if eigen_count_below(diag, off, mid) >= target:
+    rel = bits // 2
+    while hi - lo > max(1, max(abs(lo), abs(hi)) >> rel):
+        mid = (lo + hi) >> 1
+        if eigen_count_below(diag, off_sq, mid) >= target:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2
+    return (lo + hi) >> 1
 
 
-def extreme_eigenvalue(diag, off, which: str):
-    """Smallest or largest eigenvalue by bisection on inertia counts.
+def extreme_eigenvalue(diag, off, which: str, bits: int):
+    """Smallest or largest eigenvalue of a fixed-point tridiagonal matrix.
 
-    Deterministic at fixed precision.  A positive extreme is bracketed to
-    2^(-min(64, prec/2)) relative to its own size: lambda_min geometrically
-    on (floor, min diag], lambda_max arithmetically on [max diag, Gershgorin
-    hi] (every diagonal entry is a Rayleigh quotient).  The floor is
-    2^(-prec) times max(|Gershgorin lo|, |Gershgorin hi|); a lambda_min
-    below it cannot be resolved at this precision and comes back as 0.  A
-    negative lambda_min (and a lambda_max with max diag <= 0) is found by
-    plain bisection to 2^(-prec/2) relative to max(1, |endpoints|).
+    ``diag`` and ``off`` are ints at one scale 2^p, and so is the result;
+    ``bits`` is the precision the matrix stands for.  A positive extreme is
+    bracketed to 2^-r relative to its own size, r = min(64, bits/2):
+    lambda_min geometrically (midpoint ``isqrt(lo * hi)``) on (floor, min
+    diag], lambda_max arithmetically on [max diag, Gershgorin hi] (every
+    diagonal entry is a Rayleigh quotient).  The floor is 2^-bits times
+    max(|Gershgorin lo|, |Gershgorin hi|); a lambda_min below it cannot be
+    resolved at this precision and comes back as 0.  A negative lambda_min
+    (and a lambda_max with max diag <= 0) is found by plain bisection to
+    2^-(bits/2) relative to the larger bracket end.  The off-diagonals are
+    squared once, and every inertia count is exact for the matrix with its
+    diagonal moved by less than two units (:func:`eigen_count_below`).
     """
     n = len(diag)
     if n == 1:
@@ -127,47 +174,70 @@ def extreme_eigenvalue(diag, off, which: str):
         + [abs(off[i - 1]) + abs(off[i]) for i in range(1, n - 1)]
         + [abs(off[-1])]
     )
-    g_lo = min(diag[i] - rad[i] for i in range(n))
-    g_hi = max(diag[i] + rad[i] for i in range(n))
-    prec = mpmath.mp.prec
-    rel = mpf(2) ** (-min(64, prec // 2))
+    g_lo = min(d - r for d, r in zip(diag, rad))
+    g_hi = max(d + r for d, r in zip(diag, rad))
+    off_sq = [e * e for e in off]
+    r = min(64, bits // 2)
     if which == "min":
-        if eigen_count_below(diag, off, mpf(0)) >= 1:
-            return _bisect(diag, off, g_lo, mpf(0), 1)
-        lo = mpf(2) ** (-prec) * max(abs(g_lo), abs(g_hi))
-        if eigen_count_below(diag, off, lo) >= 1:
-            return mpf(0)
+        if eigen_count_below(diag, off_sq, 0) >= 1:
+            return _bisect(diag, off_sq, g_lo, 0, 1, bits)
+        lo = max(abs(g_lo), abs(g_hi)) >> bits
+        if eigen_count_below(diag, off_sq, lo) >= 1:
+            return 0
+        lo = max(lo, 1)
         hi = min(diag)
-        while hi > lo * (1 + rel):
-            mid = mpmath.sqrt(lo * hi)
-            if eigen_count_below(diag, off, mid) >= 1:
+        # hi - lo > 2 keeps the integer geometric mean strictly inside
+        while hi - lo > max(2, lo >> r):
+            mid = math.isqrt(lo * hi)
+            if eigen_count_below(diag, off_sq, mid) >= 1:
                 hi = mid
             else:
                 lo = mid
-        return (lo + hi) / 2
+        return (lo + hi) >> 1
     lo = max(diag)
     if lo <= 0:
-        return _bisect(diag, off, g_lo, g_hi, n)
+        return _bisect(diag, off_sq, g_lo, g_hi, n, bits)
     hi = g_hi
-    while hi - lo > rel * lo:
-        mid = (lo + hi) / 2
-        if eigen_count_below(diag, off, mid) >= n:
+    while hi - lo > max(1, lo >> r):
+        mid = (lo + hi) >> 1
+        if eigen_count_below(diag, off_sq, mid) >= n:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2
+    return (lo + hi) >> 1
+
+
+def _to_fixed(x, shift):
+    """round(x * 2^shift) for an mpf ``x``, exactly."""
+    man, exp = x.man_exp
+    exp += shift
+    if exp >= 0:
+        return man << exp
+    return (man + (1 << (-exp - 1))) >> -exp
 
 
 def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max")):
     """(lambda_min, lambda_max) of the truncation at the given precision.
 
     Only the extremes named in ``which`` are computed; the other is None.
+    The moment block is taken at ``bits`` and handed to the fixed-point
+    kernels (module docstring), and the extremes come back as mpf at
+    ``bits``.
     """
     work = ms.with_backend(bigfloat(bits))
+    frac_bits = bits + min(64, bits // 2) + 2 * (n - 1).bit_length() + 8
     with mpmath.workprec(bits):
-        diag, off = householder_tridiagonalize(hankel_rows(work, n), n)
+        block = work.moments(2 * n - 1)
+    e = max((m.exp + m.bc for m in block if m), default=0)
+    fixed = [_to_fixed(m, frac_bits - e) for m in block]
+    diag, off = householder_tridiagonalize(
+        [fixed[k : k + n] for k in range(n)], n, frac_bits
+    )
+    with mpmath.workprec(bits):
         return tuple(
-            extreme_eigenvalue(diag, off, end) if end in which else None
+            mpmath.ldexp(extreme_eigenvalue(diag, off, end, bits), e - frac_bits)
+            if end in which
+            else None
             for end in ("min", "max")
         )
 

@@ -1,4 +1,11 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import hankelmoments
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +18,21 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from hankelmoments import *", namespace)
     assert set(hankelmoments.__all__) <= namespace.keys()
+
+
+def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # the tracer wraps library functions by (module, name); a rename would
+    # silently drop a layer from the benchmark's per-layer metrics
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    pairs = [(module, fn) for module, fn, _ in tracer.SPANNED + tracer.COUNTED]
+    missing = [
+        (module, fn)
+        for module, fn in pairs
+        if not callable(
+            getattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"), fn, None)
+        )
+    ]
+    assert pairs and missing == []

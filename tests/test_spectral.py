@@ -42,6 +42,8 @@ F = Fraction
 
 LAM_MIN_2 = (4 - math.sqrt(13)) / 6
 LAM_MAX_2 = (4 + math.sqrt(13)) / 6
+# mpmath.eigsy at 1200 bits on the exact Hilbert moments
+HILBERT_64_LAMBDA_MIN = 6.07200368296270307882392095089e-96
 
 
 def uniform(backend=RAT):
@@ -51,6 +53,121 @@ def uniform(backend=RAT):
 # ---------------------------------------------------------------------------
 # eigenvalue machinery
 # ---------------------------------------------------------------------------
+
+
+def _fixed(x, frac_bits):
+    """round(x * 2^frac_bits): a float in the kernels' fixed-point format."""
+    return round(x * 2**frac_bits)
+
+
+def _mpf_householder(rows, n):
+    """Oracle: Householder tridiagonalization in mpf at the working precision."""
+    a = [list(r) for r in rows]
+    for k in range(n - 2):
+        norm2 = mpmath.fsum(a[i][k] ** 2 for i in range(k + 1, n))
+        if norm2 == 0:
+            continue
+        alpha = mpmath.sqrt(norm2)
+        if a[k + 1][k] > 0:
+            alpha = -alpha
+        r2 = norm2 - a[k + 1][k] * alpha
+        v = [mpmath.mpf(0)] * n
+        v[k + 1] = a[k + 1][k] - alpha
+        for i in range(k + 2, n):
+            v[i] = a[i][k]
+        w = [
+            mpmath.fsum(a[i][j] * v[j] for j in range(k + 1, n)) / r2
+            for i in range(n)
+        ]
+        coef = mpmath.fsum(v[i] * w[i] for i in range(k + 1, n)) / (2 * r2)
+        for i in range(n):
+            w[i] = w[i] - coef * v[i]
+        for i in range(k, n):
+            for j in range(k, i + 1):
+                a[i][j] = a[i][j] - v[i] * w[j] - w[i] * v[j]
+                a[j][i] = a[i][j]
+    return [a[i][i] for i in range(n)], [a[i + 1][i] for i in range(n - 1)]
+
+
+def _mpf_count_below(diag, off, x):
+    """Oracle: Sturm count in mpf at the working precision."""
+    count = 0
+    tiny = mpmath.mpf(2) ** (-3 * mpmath.mp.prec)
+    q = diag[0] - x
+    if q < 0:
+        count += 1
+    for i in range(1, len(diag)):
+        if q == 0:
+            q = tiny
+        q = diag[i] - x - off[i - 1] * off[i - 1] / q
+        if q < 0:
+            count += 1
+    return count
+
+
+def _tridiagonal_matrix(diag, off):
+    n = len(diag)
+    t = mpmath.zeros(n, n)
+    for i in range(n):
+        t[i, i] = diag[i]
+    for i in range(n - 1):
+        t[i, i + 1] = t[i + 1, i] = off[i]
+    return t
+
+
+@pytest.mark.parametrize(
+    "family, n, bits",
+    [(Gaussian(), 8, 256), (PowerLog(1), 32, 192), (LogNormal(1.0), 28, 2280)],
+    ids=["gaussian", "hilbert", "lognormal"],
+)
+def test_fixed_point_kernels_match_the_mpf_oracle_and_eigsy(family, n, bits):
+    # every path starts from the same moment block at ``bits``, so the
+    # comparison isolates the kernels from the rounding of the moments.  The
+    # Gaussian block is a checkerboard: one reflected sub-column vanishes up
+    # to rounding, so v^t v must be summed from v, not from the rounded alpha
+    ms = MomentSequence(family, bigfloat(bits))
+    lo, hi = bigfloat_extremes(ms, n, bits)
+    with mpmath.workprec(bits):
+        block = ms.moments(2 * n - 1)
+    with mpmath.workprec(bits + 128):
+        rows = [block[k : k + n] for k in range(n)]
+        dense = mpmath.eigsy(mpmath.matrix(rows), eigvals_only=True)
+        oracle = mpmath.eigsy(_tridiagonal_matrix(*_mpf_householder(rows, n)), eigvals_only=True)
+        for ref in (dense, oracle):
+            assert abs(lo / min(ref) - 1) < 1e-12
+            assert abs(hi / max(ref) - 1) < 1e-12
+
+
+def _sturm_cases():
+    s = 3**20
+    return {
+        "toeplitz": ([2 * s] * 11, [-s] * 10),
+        "wilkinson": ([abs(10 - i) * s for i in range(21)], [s] * 20),
+        "zero-diagonal": ([0] * 10, [s + 7 * i for i in range(9)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sturm_cases()))
+def test_sturm_count_within_two_units_of_an_eigenvalue_matches_lapack(case):
+    # at 3^20 scale LAPACK places every eigenvalue within 1e-3 units, so a
+    # point 1 to 2 units away is on a known side; the integer count must be
+    # exact there, as it is exact for the diagonal moved by less than one unit
+    # (two next to a vanishing pivot: x = 0 on the zero diagonal makes one)
+    diag, off = _sturm_cases()[case]
+    dense = np.diag(np.array(diag, float))
+    dense += np.diag(np.array(off, float), 1) + np.diag(np.array(off, float), -1)
+    eig = np.linalg.eigvalsh(dense)
+    near = {x for lam in eig for x in (math.floor(lam) - 1, math.ceil(lam) + 1)}
+    points = [x for x in sorted(near | {0}) if np.min(np.abs(eig - x)) > 1.01]
+    assert sum(np.min(np.abs(eig - x)) <= 2 for x in points) >= len(diag)
+    off_sq = [e * e for e in off]
+    for x in points:
+        expected = int(np.sum(eig < x))
+        assert eigen_count_below(diag, off_sq, x) == expected, x
+        with mpmath.workprec(128):
+            assert _mpf_count_below(
+                [mpmath.mpf(d) for d in diag], [mpmath.mpf(e) for e in off], mpmath.mpf(x)
+            ) == expected, x
 
 
 def test_hilbert_2x2_closed_form_f64():
@@ -72,11 +189,10 @@ def test_bisection_agrees_with_lapack_on_random_symmetric():
         a = rng.standard_normal((7, 7))
         sym = (a + a.T) / 2
         ref = np.linalg.eigvalsh(sym)
-        with mpmath.workprec(96):
-            rows = [[mpmath.mpf(float(sym[i, j])) for j in range(7)] for i in range(7)]
-            diag, off = householder_tridiagonalize(rows, 7)
-            lo = extreme_eigenvalue(diag, off, "min")
-            hi = extreme_eigenvalue(diag, off, "max")
+        rows = [[_fixed(sym[i, j], 96) for j in range(7)] for i in range(7)]
+        diag, off = householder_tridiagonalize(rows, 7, 96)
+        lo = extreme_eigenvalue(diag, off, "min", 96) / 2**96
+        hi = extreme_eigenvalue(diag, off, "max", 96) / 2**96
         assert float(lo) == pytest.approx(ref[0], abs=1e-10)
         assert float(hi) == pytest.approx(ref[-1], abs=1e-10)
 
@@ -90,10 +206,9 @@ def test_tridiagonal_with_negative_lambda_min_matches_lapack(diag, off):
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     ref = np.linalg.eigvalsh(dense)
     assert ref[0] < 0
-    with mpmath.workprec(128):
-        d, o = [mpmath.mpf(x) for x in diag], [mpmath.mpf(x) for x in off]
-        lo = extreme_eigenvalue(d, o, "min")
-        hi = extreme_eigenvalue(d, o, "max")
+    d, o = [_fixed(x, 128) for x in diag], [_fixed(x, 128) for x in off]
+    lo = extreme_eigenvalue(d, o, "min", 128) / 2**128
+    hi = extreme_eigenvalue(d, o, "max", 128) / 2**128
     assert float(lo) == pytest.approx(ref[0], abs=1e-10)
     assert float(hi) == pytest.approx(ref[-1], abs=1e-10)
 
@@ -101,9 +216,8 @@ def test_tridiagonal_with_negative_lambda_min_matches_lapack(diag, off):
 def test_lambda_min_below_the_resolution_floor_is_not_positive():
     # 1e-60 lies below 2^-128 times the spectral radius: no positive value
     # computed at 128 bits could be trusted
-    with mpmath.workprec(128):
-        d, o = [mpmath.mpf(1), mpmath.mpf("1e-60")], [mpmath.mpf(0)]
-        assert extreme_eigenvalue(d, o, "min") <= 0
+    d, o = [_fixed(1.0, 256), _fixed(1e-60, 256)], [0]
+    assert extreme_eigenvalue(d, o, "min", 128) <= 0
 
 
 def _count_steps(monkeypatch):
@@ -118,9 +232,9 @@ def _count_steps(monkeypatch):
         steps[-1][1] += 1
         return count_below(diag, off, x)
 
-    def spying(diag, off, which):
+    def spying(diag, off, which, bits):
         steps.append([which, 0])
-        return extreme(diag, off, which)
+        return extreme(diag, off, which, bits)
 
     monkeypatch.setattr(spectral, "eigen_count_below", counting)
     monkeypatch.setattr(spectral, "extreme_eigenvalue", spying)
@@ -144,13 +258,10 @@ def test_bisection_step_budget_at_the_first_rung(monkeypatch, family, n, bits):
 
 
 def test_eigen_count_is_monotone():
-    with mpmath.workprec(80):
-        rows = [
-            [mpmath.mpf(v) for v in row]
-            for row in [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-        ]
-        diag, off = householder_tridiagonalize(rows, 3)
-        counts = [eigen_count_below(diag, off, mpmath.mpf(x)) for x in (-1, 1, 2.5, 5)]
+    rows = [[_fixed(v, 80) for v in row] for row in [[2, 1, 0], [1, 2, 1], [0, 1, 2]]]
+    diag, off = householder_tridiagonalize(rows, 3, 80)
+    off_sq = [e * e for e in off]
+    counts = [eigen_count_below(diag, off_sq, _fixed(x, 80)) for x in (-1, 1, 2.5, 5)]
     assert counts == sorted(counts)
     assert counts[0] == 0 and counts[-1] == 3
 
@@ -308,6 +419,20 @@ def test_bigfloat_profile_matches_eigsy(family):
         assert entry.status == "ok"
         assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0), entry.n
         assert entry.lambda_max == pytest.approx(lam_max, rel=1e-12, abs=0), entry.n
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Hilbert N=64 lambda_min is labelled ok at 320 bits, ~2 bits above the "
+    "resolution floor, where the moment rounding leaves it 3.7e-4 off eigsy",
+)
+def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy():
+    entry = lambda_profile(
+        MomentSequence(PowerLog(1), F64_BACKEND), [64], quantities=("lambda_min",)
+    ).entries[0]
+    assert entry.status != "ok" or entry.lambda_min == pytest.approx(
+        HILBERT_64_LAMBDA_MIN, rel=1e-12, abs=0
+    )
 
 
 def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
