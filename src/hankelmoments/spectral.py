@@ -62,6 +62,21 @@ from .triangular import PositivityError
 # ---------------------------------------------------------------------------
 
 
+def _resolution(bits):
+    """r: the relative bracket width 2^-r of a positive extreme at ``bits``."""
+    return min(64, bits // 2)
+
+
+def _guard_bits(n):
+    """2 ceil(log2 N): the headroom of the N x N kernels' rounding errors."""
+    return 2 * (n - 1).bit_length()
+
+
+def _frac_bits(bits, n):
+    """p = bits + r + 2 ceil(log2 N) + 8, the fixed-point format of the block."""
+    return bits + _resolution(bits) + _guard_bits(n) + 8
+
+
 def householder_tridiagonalize(rows, n, frac_bits):
     """Similarity-reduce a symmetric fixed-point matrix to tridiagonal form.
 
@@ -79,7 +94,7 @@ def householder_tridiagonalize(rows, n, frac_bits):
     dropping the part of the reflected column that the rounded alpha leaves
     below the off-diagonal.
     """
-    scale = frac_bits + 2 * (n - 1).bit_length() + 3
+    scale = frac_bits + _guard_bits(n) + 3
     rnd = 1 << (scale - 1)
     mul = operator.mul
     block = [list(r[: i + 1]) for i, r in enumerate(rows)]
@@ -177,7 +192,7 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     g_lo = min(d - r for d, r in zip(diag, rad))
     g_hi = max(d + r for d, r in zip(diag, rad))
     off_sq = [e * e for e in off]
-    r = min(64, bits // 2)
+    r = _resolution(bits)
     if which == "min":
         if eigen_count_below(diag, off_sq, 0) >= 1:
             return _bisect(diag, off_sq, g_lo, 0, 1, bits)
@@ -208,8 +223,10 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
 
 
 def _to_fixed(x, shift):
-    """round(x * 2^shift) for an mpf ``x``, exactly."""
-    man, exp = x.man_exp
+    """round(x * 2^shift) for an mpf ``x``, exactly (halves rounded up)."""
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
     exp += shift
     if exp >= 0:
         return man << exp
@@ -225,7 +242,7 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max"
     ``bits``.
     """
     work = ms.with_backend(bigfloat(bits))
-    frac_bits = bits + min(64, bits // 2) + 2 * (n - 1).bit_length() + 8
+    frac_bits = _frac_bits(bits, n)
     with mpmath.workprec(bits):
         block = work.moments(2 * n - 1)
     e = max((m.exp + m.bc for m in block if m), default=0)

@@ -8,6 +8,8 @@ import pytest
 
 from hankelmoments import (
     Discrete,
+    DiscreteMeasure,
+    Explicit,
     F64_BACKEND,
     Gaussian,
     Gegenbauer,
@@ -136,6 +138,46 @@ def test_fixed_point_kernels_match_the_mpf_oracle_and_eigsy(family, n, bits):
         for ref in (dense, oracle):
             assert abs(lo / min(ref) - 1) < 1e-12
             assert abs(hi / max(ref) - 1) < 1e-12
+
+
+def _eigsy_on_block(ms, n, bits):
+    """Extremes by mpmath.eigsy of the moment block taken at ``bits``."""
+    with mpmath.workprec(bits):
+        block = ms.moments(2 * n - 1)
+    with mpmath.workprec(bits + 128):
+        eig = mpmath.eigsy(mpmath.matrix([block[k : k + n] for k in range(n)]), eigvals_only=True)
+        return min(eig), max(eig)
+
+
+def test_mixed_sign_moments_keep_their_sign():
+    # points on both sides of 0 make odd moments of either sign (m_1 > 0,
+    # m_3 < 0); the fixed-point block must carry each sign into the kernels
+    mu = DiscreteMeasure.from_lists([F(-1), F(-1, 2), F(1, 4), F(1, 2), F(19, 20)], [1] * 5)
+    ms = MomentSequence(Discrete(mu), bigfloat(128))
+    assert ms.moment(1) > 0 > ms.moment(3)
+    profile = lambda_profile(ms, [3, 5], quantities=("lambda_min", "lambda_max"))
+    for entry in profile.entries:
+        lo, hi = bigfloat_extremes(ms, entry.n, 128)
+        ref_lo, ref_hi = _eigsy_on_block(ms, entry.n, 128)
+        assert abs(lo / ref_lo - 1) < 1e-12 and abs(hi / ref_hi - 1) < 1e-12
+        assert entry.status == "ok" and entry.precision_bits == 128
+        assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
+        assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
+
+
+def test_indefinite_explicit_sequence_reports_its_negative_lambda_min():
+    ms = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
+    ref_lo, ref_hi = _eigsy_on_block(ms.with_backend(bigfloat(128)), 3, 128)
+    assert ref_lo < 0
+    lo, hi = bigfloat_extremes(ms, 3, 128)
+    assert abs(lo / ref_lo - 1) < 1e-12 and abs(hi / ref_hi - 1) < 1e-12
+    # every rung finds lambda_min < 0, so the capped ladder ends unresolved
+    policy = PrecisionPolicy(retry_cap_bits=400)
+    entry = lambda_profile(ms, [3], policy, quantities=("lambda_min", "lambda_max")).entries[0]
+    assert entry.status == "lambda-min-unresolved"
+    assert entry.precision_bits == policy.ladder(ms, 3)[-1]
+    assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
+    assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
 
 def _sturm_cases():
