@@ -30,20 +30,18 @@ from .moments import (
     PowerLog,
     Verdict,
     classify,
+    hankel_rows,
 )
 from .hankel import (
     DomainVerdict,
-    HankelMatrix,
     SeriesApplyReport,
     apply_H_via_series,
-    build,
     domain_diagnostic,
     matvec_fft,
     matvec_naive,
     power_decay,
 )
 from .orthopoly import (
-    PrecisionPolicy,
     RecurrenceCoeffs,
     TriangularPair,
     eval_polys,
@@ -86,7 +84,6 @@ __all__ = [
     "Gaussian",
     "Gegenbauer",
     "HankelError",
-    "HankelMatrix",
     "HypothesisViolationError",
     "KernelResidualReport",
     "LogNormal",
@@ -98,7 +95,6 @@ __all__ = [
     "PositivityError",
     "PowerLog",
     "PrecisionError",
-    "PrecisionPolicy",
     "ProfileEntry",
     "RATIONAL_BACKEND",
     "RecurrenceCoeffs",
@@ -109,13 +105,13 @@ __all__ = [
     "XiVector",
     "apply_H_via_series",
     "bigfloat",
-    "build",
     "cd_kernel",
     "classify",
     "domain_diagnostic",
     "eval_polys",
     "factor",
     "h_xi_identity",
+    "hankel_rows",
     "kernel_vector_check",
     "lambda_profile",
     "matvec_fft",

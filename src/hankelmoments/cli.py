@@ -24,7 +24,6 @@ from .backends import Backend, BackendError, HankelError, to_float
 from .hankel import domain_diagnostic, matvec_fft, matvec_naive, power_decay
 from .measures import DiscreteMeasure
 from .moments import MomentSequence, classify
-from .orthopoly import PrecisionPolicy
 from .serialize import (
     dump_json,
     family_from_json,
@@ -68,18 +67,6 @@ _MEASURE_SCHEMA = {
 
 _BACKEND_SCHEMA = {"type": "string", "pattern": r"^(rational|f64|bigfloat:[0-9]+)$"}
 
-_POLICY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "machine_max_n": {"type": "integer", "minimum": 1},
-        "escalate_max_n": {"type": "integer", "minimum": 1},
-        "bits_per_dim": {"type": "integer", "minimum": 1},
-        "base_margin_bits": {"type": "integer", "minimum": 64},
-        "retry_cap_bits": {"type": "integer", "minimum": 64},
-    },
-    "additionalProperties": False,
-}
-
 CONFIG_SCHEMAS = {
     "classify": {
         "type": "object",
@@ -108,7 +95,6 @@ CONFIG_SCHEMAS = {
                 "items": {"enum": ["lambda_min", "lambda_max", "hs_norm_b", "trace_partial"]},
                 "minItems": 1,
             },
-            "policy": _POLICY_SCHEMA,
             "out": {"type": "string"},
         },
         "required": ["family", "n_grid"],
@@ -200,10 +186,6 @@ def _sequence_from_config(config: dict) -> MomentSequence:
     return MomentSequence(family, backend)
 
 
-def _policy_from_config(config: dict) -> PrecisionPolicy:
-    return PrecisionPolicy(**config.get("policy", {}))
-
-
 def _report_skeleton(command: str, config: dict) -> dict:
     return {
         "command": command,
@@ -254,13 +236,12 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     config = _load_config(args, "spectrum")
     ms = _sequence_from_config(config)
-    policy = _policy_from_config(config)
     quantities = tuple(config.get("quantities", ["lambda_min", "lambda_max", "hs_norm_b", "trace_partial"]))
     window = config.get("window", 4)
     threshold = config.get("ratio_threshold", 0.5)
 
     t0 = time.perf_counter()
-    profile = lambda_profile(ms, config["n_grid"], policy, quantities)
+    profile = lambda_profile(ms, config["n_grid"], quantities)
     elapsed = time.perf_counter() - t0
     verdict = None
     if "lambda_min" in quantities:

@@ -17,30 +17,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from .backends import F64, RATIONAL, BackendError, to_float
-from .moments import MomentSequence, classify, hankel_rows
-
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """The N x N truncation (m_{k+l}), 0 <= k, l < N."""
-
-    ms: MomentSequence
-    n: int
-    rows: tuple
-
-    def entry(self, k: int, l: int):
-        return self.rows[k][l]
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
-
-
-def build(ms: MomentSequence, n: int) -> HankelMatrix:
-    """Materialize the truncation; entry (k, l) is exactly moment k+l."""
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
-    ms.check_truncation(n)
-    return HankelMatrix(ms, n, tuple(map(tuple, hankel_rows(ms, n))))
+from .moments import MomentSequence, classify
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +81,9 @@ def matvec_fft(ms: MomentSequence, g, n: int):
 # ---------------------------------------------------------------------------
 
 
+RECORDED_TERMS = 32  # exact mode: shift-series terms summed before the remainder
+
+
 @dataclass(frozen=True)
 class SeriesApplyReport:
     result: list
@@ -132,8 +112,6 @@ def apply_H_via_series(
     n: int,
     max_terms: int = 10_000,
     tol: float | None = None,
-    *,
-    recorded_terms: int = 32,
 ) -> SeriesApplyReport:
     """Apply the operator through its damped-measure shift series.
 
@@ -146,7 +124,7 @@ def apply_H_via_series(
 
     Under float backends the terms are summed until the last one drops below
     ``tol`` (default 1e-12) or ``max_terms`` is hit.  Under the rational
-    backend at most ``recorded_terms`` terms are summed (stopping early on a
+    backend at most ``RECORDED_TERMS`` terms are summed (stopping early on a
     zero term) and the remainder R(L)_i = sum_j m_{i+j+2L} g_j of the ``L``
     terms used is always added: the partial sums telescope to H g - R(L), so
     the exact product is returned with the term norms attached as evidence.
@@ -171,7 +149,7 @@ def apply_H_via_series(
     converged = exact
     terms_used = 0
     with backend.context():
-        for l in range(min(max_terms, recorded_terms) if exact else max_terms):
+        for l in range(min(max_terms, RECORDED_TERMS) if exact else max_terms):
             fresh = row_actions(nu, g, len(rows), 2 * l + n)
             rows += fresh
             squares += [r * r for r in fresh]
@@ -205,6 +183,8 @@ def apply_H_via_series(
 
 BOUNDED_SLOPE = 0.05
 DIVERGENT_SLOPE = 0.2
+FIT_FRACTION = 0.5  # share of a grid's tail the log-log slope is fitted on
+N_WINDOW = tuple(2**j for j in range(14))  # row-action index windows 1 .. 8192
 
 
 @dataclass(frozen=True)
@@ -242,10 +222,10 @@ def _trend_label(slope: float) -> str:
     return "inconclusive"
 
 
-def _fit_tail_slope(grid, values, fit_fraction: float):
+def _fit_tail_slope(grid, values):
     logx = np.log(np.asarray(grid, dtype=float))
     logy = np.log(np.maximum(np.asarray(values, dtype=float), 1e-300))
-    start = int(len(grid) * (1 - fit_fraction))
+    start = int(len(grid) * (1 - FIT_FRACTION))
     start = min(max(start, 0), len(grid) - 2)
     return float(np.polyfit(logx[start:], logy[start:], 1)[0])
 
@@ -264,29 +244,21 @@ def power_decay(d: float):
     return gen
 
 
-def domain_diagnostic(
-    ms: MomentSequence,
-    g,
-    k_grid=None,
-    n_window=None,
-    *,
-    fit_fraction: float = 0.5,
-) -> DomainVerdict:
+def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     """Trend evidence for form-domain and operator-domain membership.
 
     ``g`` is a coefficient generator ``k -> g_k`` so that the truncations used
     at each grid size are consistent.  The form values Q_K and the row-action
-    tails are computed at f64 via FFT convolutions; verdicts compare the
-    fitted log-log slope over the tail of the grid against frozen thresholds
-    (< 0.05 bounded, > 0.2 divergent, else inconclusive).
+    tails (square sums over the index windows ``N_WINDOW``) are computed at
+    f64 via FFT convolutions; verdicts compare the log-log slope fitted over
+    the last ``FIT_FRACTION`` of each grid against frozen thresholds (< 0.05
+    bounded, > 0.2 divergent, else inconclusive).
     """
     k_grid = default_k_grid() if k_grid is None else sorted(set(int(k) for k in k_grid))
     if len(k_grid) < 3:
         raise ValueError("k_grid needs at least 3 points")
     k_max = k_grid[-1]
-    if n_window is None:
-        n_window = [2**j for j in range(0, 14)]
-    n_max = max(n_window) + 1
+    n_max = N_WINDOW[-1] + 1
 
     gvec = np.array([to_float(g(k)) for k in range(k_max)])
     m_all = ms.float_array(2 * k_max - 1)
@@ -297,7 +269,7 @@ def domain_diagnostic(
         size = next_fast_len(2 * k - 1)
         conv = irfft(rfft(gvec[:k], size) ** 2, size)[: 2 * k - 1]
         q_values.append(float(np.dot(m_all[: 2 * k - 1], conv)))
-    slope_q = _fit_tail_slope(k_grid, q_values, fit_fraction)
+    slope_q = _fit_tail_slope(k_grid, q_values)
     in_v = TrendVerdict(_trend_label(slope_q), slope_q, k_grid, q_values)
 
     # row action u_i = sum_k m_{i+k} g_k (convolution with reversed g), then
@@ -307,10 +279,10 @@ def domain_diagnostic(
     conv = irfft(rfft(m_long, size) * rfft(gvec[::-1], size), size)
     u = conv[k_max - 1 : k_max - 1 + n_max]
     tail_sums = np.cumsum(u * u)
-    t_values = [float(tail_sums[w]) for w in n_window]
-    slope_u = _fit_tail_slope(n_window, t_values, fit_fraction)
+    t_values = [float(tail_sums[w]) for w in N_WINDOW]
+    slope_u = _fit_tail_slope(N_WINDOW, t_values)
     label_u = _trend_label(slope_u)
     if label_u == "bounded-trend" and in_v.label != "bounded-trend":
         label_u = "inconclusive"  # operator domain sits inside the form domain
-    in_d = TrendVerdict(label_u, slope_u, list(n_window), t_values)
+    in_d = TrendVerdict(label_u, slope_u, list(N_WINDOW), t_values)
     return DomainVerdict(in_V_mu=in_v, in_D_H=in_d)

@@ -126,22 +126,6 @@ class Gegenbauer(MomentFamily):
         # with m_{n-2} known, only the product's last factor (i = k - 1) is
         # applied, with its operands and order, so the value is the same
         prev = known.get(n - 2) if known else None
-        if backend.kind == RATIONAL:
-            if isinstance(self.lam, float):
-                raise BackendError(
-                    "gegenbauer with float lam is not rational; "
-                    "pass a Fraction or use a float backend"
-                )
-            lam = Fraction(self.lam)
-            if prev is not None:
-                i = k - 1
-                return prev * (Fraction(1, 2) + i) / (lam + 1 + i)
-            num = Fraction(1)
-            den = Fraction(1)
-            for i in range(k):
-                num *= Fraction(1, 2) + i
-                den *= lam + 1 + i
-            return num / den
         with backend.context():
             lam = backend.convert(self.lam)
             value, first = backend.one(), 0
@@ -411,10 +395,13 @@ class Classification:
         }
 
 
-def _heuristic_verdicts(ms: MomentSequence, window: int) -> dict[str, Verdict]:
+HEURISTIC_WINDOW = 64  # moments read as evidence for a tabulated sequence
+
+
+def _heuristic_verdicts(ms: MomentSequence) -> dict[str, Verdict]:
     """Window-based evidence for tabulated sequences.  Never asserts a limit."""
     values = []
-    for n in range(window):
+    for n in range(HEURISTIC_WINDOW):
         try:
             values.append(to_float(ms.moment(n)))
         except MissingMomentError:
@@ -466,7 +453,6 @@ def classify(
     n: int,
     *,
     trace_terms: int | None = None,
-    heuristic_window: int = 64,
 ) -> Classification:
     """Positive definiteness up to ``n`` plus decay/summability verdicts.
 
@@ -482,7 +468,7 @@ def classify(
             for key, val in analytic.items()
         }
     else:
-        verdicts = _heuristic_verdicts(ms, heuristic_window)
+        verdicts = _heuristic_verdicts(ms)
 
     # largest leading block passing the pivot test under this backend
     n_probe = n

@@ -16,12 +16,13 @@ are checked in that form.
 
 Hankel truncations of bounded-support families are notoriously ill
 conditioned (Hilbert-type condition numbers grow like e^{3.5 N}), so float
-factorizations run on a precision ladder: machine floats up to a small size,
-then big floats.  :meth:`PrecisionPolicy.ladder` is the one list of big-float
-precisions that both ``factor`` and the spectral profiles walk: it starts at
-dimension- and scale-dependent bits (raised to an explicit big-float
-backend's own precision) and doubles while it stays at or below
-``retry_cap_bits``; a caller stops at the first rung that succeeds.
+factorizations run on a precision ladder: machine floats up to
+``MACHINE_MAX_N``, then big floats.  :func:`ladder` is the one list of
+big-float precisions that both ``factor`` and the spectral profiles walk: it
+starts at ``BITS_PER_DIM`` bits per dimension plus ``BASE_MARGIN_BITS`` plus
+the exponent of the largest moment (raised to an explicit big-float backend's
+own precision) and doubles while it stays at or below ``RETRY_CAP_BITS``; a
+caller stops at the first rung that succeeds.
 """
 
 from __future__ import annotations
@@ -49,42 +50,32 @@ from .triangular import (
 )
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Constants of the factorization precision ladder."""
-
-    machine_max_n: int = 12
-    bits_per_dim: int = 4
-    base_margin_bits: int = 64
-    retry_cap_bits: int = 65536
-    escalate_max_n: int = 64  # spectral profiles refuse big-float work above this
-
-    def ladder_bits(self, ms: MomentSequence, n: int) -> int:
-        bits = self.bits_per_dim * n + self.base_margin_bits
-        return max(bits + max(0, _max_moment_log2(ms, 2 * n - 1)), 64)
-
-    def ladder(self, ms: MomentSequence, n: int) -> list[int]:
-        """Big-float precisions to try for the N x N truncation, cheapest first.
-
-        Starts at :meth:`ladder_bits`, raised to the precision of an explicit
-        big-float backend, and doubles while at most ``retry_cap_bits``; empty
-        when the start already exceeds the cap.
-        """
-        bits = self.ladder_bits(ms, n)
-        if ms.backend.kind == BIGFLOAT:
-            bits = max(bits, ms.backend.precision)
-        rungs = []
-        while bits <= self.retry_cap_bits:
-            rungs.append(bits)
-            bits *= 2
-        return rungs
+MACHINE_MAX_N = 12  # f64 input is factored at machine precision up to here
+BITS_PER_DIM = 4
+BASE_MARGIN_BITS = 64
+RETRY_CAP_BITS = 65536
 
 
-DEFAULT_POLICY = PrecisionPolicy()
+def ladder(ms: MomentSequence, n: int) -> list[int]:
+    """Big-float precisions to try for the N x N truncation, cheapest first.
+
+    Starts at BITS_PER_DIM * N + BASE_MARGIN_BITS plus ceil(log2 max |m_j|)
+    (at least 64), raised to the precision of an explicit big-float backend,
+    and doubles while at most RETRY_CAP_BITS; empty when the start already
+    exceeds the cap.
+    """
+    bits = max(BITS_PER_DIM * n + BASE_MARGIN_BITS + _max_moment_log2(ms, 2 * n - 1), 64)
+    if ms.backend.kind == BIGFLOAT:
+        bits = max(bits, ms.backend.precision)
+    rungs = []
+    while bits <= RETRY_CAP_BITS:
+        rungs.append(bits)
+        bits *= 2
+    return rungs
 
 
 def _max_moment_log2(ms: MomentSequence, count: int) -> int:
-    """ceil(log2 max |m_j|) over j < count, probed at low precision."""
+    """ceil(log2 max |m_j|) over j < count (0 when at most 1), probed at 64 bits."""
     probe = ms.with_backend(bigfloat(64))
     with mpmath.workprec(64):
         top = max(abs(probe.moment(j)) for j in range(count))
@@ -195,32 +186,27 @@ class TriangularPair:
             return acc
 
 
-def factor(
-    ms: MomentSequence,
-    n: int,
-    policy: PrecisionPolicy | None = None,
-) -> TriangularPair:
+def factor(ms: MomentSequence, n: int) -> TriangularPair:
     """Factor the N x N truncation on the precision ladder.
 
     Each attempt runs :func:`ldl_decompose` on the moment block and then
     :func:`invert_unit_upper`, both O(N^2).  Rational input stays exact.  f64
-    input is factored at machine precision up to ``policy.machine_max_n``;
-    beyond that, and for big-float input, each rung of ``policy.ladder`` is
-    tried in turn until the pivots come out positive.  Failure on every rung
-    raises :class:`PositivityError`, flagged ``precision_suspect`` unless the
-    input was exact.
+    input is factored at machine precision up to ``MACHINE_MAX_N``; beyond
+    that, and for big-float input, each rung of :func:`ladder` is tried in
+    turn until the pivots come out positive.  Failure on every rung raises
+    :class:`PositivityError`, flagged ``precision_suspect`` unless the input
+    was exact; an empty ladder names ``RETRY_CAP_BITS``.
     """
-    policy = policy or DEFAULT_POLICY
     if n < 1:
         raise ValueError("factorization size must be >= 1")
     ms.check_truncation(n)
 
     if ms.backend.kind == RATIONAL:
         rungs = [(ms, None)]
-    elif ms.backend.kind == F64 and n <= policy.machine_max_n:
+    elif ms.backend.kind == F64 and n <= MACHINE_MAX_N:
         rungs = [(ms, 53)]
     else:
-        rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in policy.ladder(ms, n)]
+        rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in ladder(ms, n)]
 
     last_err = None
     for work, bits in rungs:
@@ -246,7 +232,7 @@ def factor(
     raise PositivityError(
         last_err.dimension if last_err else n,
         f"{last_err} (tried: {tried})" if last_err
-        else f"the precision ladder has no rung at or below {policy.retry_cap_bits} bits",
+        else f"the precision ladder has no rung at or below RETRY_CAP_BITS = {RETRY_CAP_BITS} bits",
         precision_suspect=ms.backend.kind != RATIONAL,
     )
 

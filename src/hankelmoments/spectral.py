@@ -25,9 +25,10 @@ positive one to a bracket 2^-r wide relative to its own size (geometric
 bisection for lambda_min, whose size can be far below 1).  A lambda_min below
 the resolution floor, 2^(-bits) times the Gershgorin bound on the spectrum,
 comes back as 0, so the profile moves to the next precision rung instead of
-reporting it.  That floor is at least 2^(e-1-bits), so the kernel error lies
-r + 6 bits below it: it moves a resolved lambda_min by less than 2^-(r+6)
-relative, a 64th of the bracket.
+reporting it; a negative lambda_min that two consecutive rungs repeat ends
+the walk (:func:`lambda_profile`).  That floor is at least 2^(e-1-bits), so
+the kernel error lies r + 6 bits below it: it moves a resolved lambda_min by
+less than 2^-(r+6) relative, a 64th of the bracket.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from .backends import (
     to_float,
 )
 from .moments import MissingMomentError, MomentSequence, hankel_rows, partial_trace
-from .orthopoly import DEFAULT_POLICY, PrecisionPolicy, TriangularPair, eval_polys, factor
+from .orthopoly import TriangularPair, eval_polys, factor, ladder
 from .triangular import PositivityError
+
+ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +304,6 @@ class SpectralProfile:
     entries: list
     quantities: tuple
 
-    def n_grid(self):
-        return [e.n for e in self.entries]
-
-    def series(self, name: str):
-        return [getattr(e, name) for e in self.entries]
-
     def reliable(self, name: str):
         """(n, value) pairs whose value the status does not call into question."""
         out = []
@@ -346,27 +343,29 @@ def _check_interlacing(profile: SpectralProfile):
 def lambda_profile(
     ms: MomentSequence,
     n_grid,
-    policy: PrecisionPolicy | None = None,
     quantities: tuple = ("lambda_min", "lambda_max", "hs_norm_b", "trace_partial"),
 ) -> SpectralProfile:
     """Extreme-eigenvalue (and related) profile over a truncation grid.
 
     Per grid point the cheapest adequate precision is chosen: LAPACK at f64
     while the machine Cholesky of the truncation still succeeds, otherwise
-    the rungs of ``policy.ladder`` (the same ladder ``factor`` walks) until
-    lambda_min comes out positive.  An entry whose ladder runs out at
-    ``retry_cap_bits`` without that, or whose size exceeds
-    ``policy.escalate_max_n``, is marked unresolved rather than silently
-    degraded.  Interlacing of the reliable extremes is enforced as a
-    postcondition.
+    the rungs of :func:`~.orthopoly.ladder` (the same ladder ``factor``
+    walks) until lambda_min comes out positive.  The walk also stops once
+    two consecutive rungs give negative lambda_min values that agree to
+    2^-r relative (r the lower rung's resolution): the truncation is then
+    indefinite, and a higher precision would only repeat the value.  An
+    entry left without a positive lambda_min (its ladder run out at
+    ``RETRY_CAP_BITS``, stopped on a negative value, or its size above
+    ``ESCALATE_MAX_N``) is marked unresolved rather than silently degraded;
+    it reports the last rung tried.  Interlacing of the reliable extremes is
+    enforced as a postcondition.
     """
-    policy = policy or DEFAULT_POLICY
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid must contain positive sizes")
     entries = []
     for n in n_grid:
-        entries.append(_profile_entry(ms, n, policy, quantities))
+        entries.append(_profile_entry(ms, n, quantities))
     profile = SpectralProfile(
         family=ms.family.name,
         backend_tag=ms.backend.tag(),
@@ -385,7 +384,16 @@ def _f64_cholesky_ok(h: np.ndarray) -> bool:
         return False
 
 
-def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
+def _repeats_negative(prev, lo, prev_bits) -> bool:
+    """Whether ``lo`` and the previous rung's lambda_min ``prev`` are both
+    negative and agree to 2^-r relative, r the resolution at ``prev_bits``."""
+    if prev is None or not (prev < 0 and lo < 0):
+        return False
+    with mpmath.workprec(prev_bits):
+        return abs(lo - prev) <= mpmath.ldexp(abs(prev), -_resolution(prev_bits))
+
+
+def _profile_entry(ms, n, quantities) -> ProfileEntry:
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
@@ -417,11 +425,12 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
             lam_min = float(eig[0]) if want_min else None
             lam_max = float(eig[-1]) if want_max else None
             bits_used = 53
-        elif (want_min or want_max) and n <= policy.escalate_max_n:
+        elif (want_min or want_max) and n <= ESCALATE_MAX_N:
             status = "lambda-min-unresolved"
             # lambda_min is always computed: the status below is read off it
             which = ("min", "max") if want_max else ("min",)
-            for bits in policy.ladder(ms, n):
+            prev = prev_bits = None
+            for bits in ladder(ms, n):
                 lo, hi = bigfloat_extremes(ms, n, bits, which=which)
                 lam_min = to_float(lo) if want_min else None
                 lam_max = to_float(hi) if want_max else None
@@ -429,6 +438,9 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
                 if lo > 0:
                     status = "ok"
                     break
+                if _repeats_negative(prev, lo, prev_bits):
+                    break
+                prev, prev_bits = lo, bits
         elif want_min or want_max:
             # out of escalation range: keep what f64 can still say (lambda_max
             # of a bounded family is stable even when lambda_min is hopeless)
@@ -439,8 +451,8 @@ def _profile_entry(ms, n, policy, quantities) -> ProfileEntry:
             lam_min = None
             status = "lambda-min-unresolved" if want_min else "ok"
 
-        if want_hs and n <= policy.escalate_max_n:
-            tp = factor(ms, n, policy)
+        if want_hs and n <= ESCALATE_MAX_N:
+            tp = factor(ms, n)
             hs = math.sqrt(to_float(tp.hs_norm_sq_b()))
             if bits_used is None:
                 bits_used = tp.precision_bits

@@ -124,7 +124,7 @@ def test_criterion_3_hilbert_norm_trend():
         ms = MomentSequence(PowerLog(1), F64_BACKEND)
         grid = [2, 4, 8, 16, 32, 64, 128, 256, 512]
         profile = lambda_profile(ms, grid, quantities=("lambda_min", "lambda_max"))
-        maxima = profile.series("lambda_max")
+        maxima = [e.lambda_max for e in profile.entries]
         assert all(v is not None for v in maxima)
         assert all(a < b for a, b in zip(maxima, maxima[1:])), "strict increase"
         assert all(v < math.pi for v in maxima), "bounded by the operator norm"

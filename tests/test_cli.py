@@ -110,6 +110,23 @@ def test_spectrum_empty_grid_exits_2(tmp_path, run):
     assert code == 2
 
 
+def test_spectrum_policy_key_is_a_config_error(tmp_path, run):
+    # the precision ladder has no settable constants; a "policy" key is unknown
+    cfg = write(
+        tmp_path / "s.json",
+        {
+            "family": {"family": "power_log", "params": {"c": 1}},
+            "n_grid": [2, 4],
+            "policy": {"retry_cap_bits": 400},
+        },
+    )
+    code, out, err = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert not (tmp_path / "o").exists()
+
+
 def test_spectrum_invariant_violation_exits_1(tmp_path, run, monkeypatch):
     from hankelmoments import cli
     from hankelmoments.spectral import SpectralInvariantError
@@ -304,6 +321,15 @@ def test_schema_is_published(run):
     code, out, _ = run("schema")
     assert code == 0
     assert set(json.loads(out)) >= {"classify", "spectrum", "extremal", "bench"}
+
+
+def test_spectrum_schema_lists_exactly_its_keys(run):
+    code, out, _ = run("schema", "spectrum")
+    assert code == 0
+    assert set(json.loads(out)["properties"]) == {
+        "command", "family", "backend", "n_grid", "window", "ratio_threshold",
+        "quantities", "out",
+    }
 
 
 def test_reports_are_deterministic_modulo_timings(tmp_path, run):

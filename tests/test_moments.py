@@ -306,9 +306,9 @@ def test_positive_definite_at_machine_floats(family, n):
     [PowerLog(1), Gegenbauer(Fraction(1, 2)), Gaussian(), LogNormal(1.0)],
 )
 def test_positive_definite_at_bigfloat_40(family):
-    from hankelmoments.orthopoly import DEFAULT_POLICY
+    from hankelmoments.orthopoly import ladder
 
-    bits = max(512, DEFAULT_POLICY.ladder_bits(MomentSequence(family, bigfloat(64)), 40))
+    bits = max(512, ladder(MomentSequence(family, bigfloat(64)), 40)[0])
     result = classify(MomentSequence(family, bigfloat(bits)), 40)
     assert result.positive_definite_up_to == 40
 

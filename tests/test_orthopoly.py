@@ -14,7 +14,6 @@ from hankelmoments import (
     MomentSequence,
     PositivityError,
     PowerLog,
-    PrecisionPolicy,
     RATIONAL_BACKEND,
     bigfloat,
     eval_polys,
@@ -22,7 +21,9 @@ from hankelmoments import (
     recurrence,
 )
 from hankelmoments.backends import to_float
+from hankelmoments import orthopoly
 from hankelmoments.moments import LogNormal
+from hankelmoments.orthopoly import ladder
 
 from conftest import rational_points_and_weights
 
@@ -179,23 +180,12 @@ def test_ladder_handles_lognormal_scale():
     assert tp.precision_bits >= 700
 
 
-def test_policy_constants_are_overridable():
-    policy = PrecisionPolicy(machine_max_n=4)
-    ms = MomentSequence(PowerLog(1), F64_BACKEND)
-    tp = factor(ms, 6, policy)
-    assert tp.precision_bits >= 4 * 6 + 64  # forced onto the ladder
-
-
 def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
     # one bit per dimension is too little for Hilbert N=40: the first rung
     # (104 bits) loses a pivot and the second one (208 bits) succeeds
-    import mpmath
-
-    from hankelmoments import orthopoly
-
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
-    policy = PrecisionPolicy(bits_per_dim=1)
-    rungs = policy.ladder(ms, 40)
+    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
+    rungs = ladder(ms, 40)
     assert rungs[:2] == [104, 208]
     seen = []
     original = orthopoly.ldl_decompose
@@ -205,27 +195,28 @@ def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(orthopoly, "ldl_decompose", recording)
-    tp = factor(ms, 40, policy)
+    tp = factor(ms, 40)
     assert seen == rungs[:2]
     assert tp.precision_bits == rungs[1] == 208
     assert tp.backend == bigfloat(208)
 
 
-def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap():
+def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap(monkeypatch):
     ms = MomentSequence(PowerLog(1), bigfloat(200))
-    policy = PrecisionPolicy(retry_cap_bits=1000)
-    assert policy.ladder_bits(ms, 6) == 4 * 6 + 64
-    assert policy.ladder(ms, 6) == [200, 400, 800]
+    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 1000)
+    assert ladder(ms.with_backend(bigfloat(64)), 6)[0] == 4 * 6 + 64
+    assert ladder(ms, 6) == [200, 400, 800]
 
 
 def test_empty_ladder_raises_precision_suspect_positivity_error():
-    policy = PrecisionPolicy(retry_cap_bits=64)
-    ms = MomentSequence(PowerLog(1), F64_BACKEND)
-    assert policy.ladder(ms, 20) == []
-    with pytest.raises(PositivityError) as err:
-        factor(ms, 20, policy)
+    # the largest moment of LogNormal(30) at N=10 is ~ 2^210345, so the
+    # ladder would start beyond RETRY_CAP_BITS
+    ms = MomentSequence(LogNormal(30), bigfloat(64))
+    assert ladder(ms, 10) == []
+    with pytest.raises(PositivityError, match="RETRY_CAP_BITS") as err:
+        factor(ms, 10)
     assert err.value.precision_suspect
-    assert err.value.dimension == 20
+    assert err.value.dimension == 10
 
 
 # ---------------------------------------------------------------------------

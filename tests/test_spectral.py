@@ -17,7 +17,6 @@ from hankelmoments import (
     MomentFamily,
     MomentSequence,
     PowerLog,
-    PrecisionPolicy,
     RATIONAL_BACKEND,
     TriangularPair,
     bigfloat,
@@ -27,7 +26,9 @@ from hankelmoments import (
     plateau_verdict,
     xi_vector,
 )
+from hankelmoments import orthopoly, spectral
 from hankelmoments.moments import LogNormal
+from hankelmoments.orthopoly import ladder
 from hankelmoments.spectral import (
     PlateauVerdict,
     SpectralInvariantError,
@@ -165,17 +166,20 @@ def test_mixed_sign_moments_keep_their_sign():
         assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
 
-def test_indefinite_explicit_sequence_reports_its_negative_lambda_min():
+def test_indefinite_explicit_sequence_reports_its_negative_lambda_min(monkeypatch):
     ms = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
     ref_lo, ref_hi = _eigsy_on_block(ms.with_backend(bigfloat(128)), 3, 128)
     assert ref_lo < 0
     lo, hi = bigfloat_extremes(ms, 3, 128)
     assert abs(lo / ref_lo - 1) < 1e-12 and abs(hi / ref_hi - 1) < 1e-12
-    # every rung finds lambda_min < 0, so the capped ladder ends unresolved
-    policy = PrecisionPolicy(retry_cap_bits=400)
-    entry = lambda_profile(ms, [3], policy, quantities=("lambda_min", "lambda_max")).entries[0]
+    # the first two rungs find the same lambda_min < 0 (to 2^-39 relative at
+    # 78 bits), which proves the truncation indefinite: the walk stops there
+    # instead of climbing to RETRY_CAP_BITS
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    entry = lambda_profile(ms, [3], quantities=("lambda_min", "lambda_max")).entries[0]
+    assert seen == ladder(ms, 3)[:2] == [78, 156]
     assert entry.status == "lambda-min-unresolved"
-    assert entry.precision_bits == policy.ladder(ms, 3)[-1]
+    assert entry.precision_bits == 156
     assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
     assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
@@ -264,8 +268,6 @@ def test_lambda_min_below_the_resolution_floor_is_not_positive():
 
 def _count_steps(monkeypatch):
     """Spy on the Sturm counts made by each extreme_eigenvalue call."""
-    from hankelmoments import spectral
-
     steps = []
     count_below = spectral.eigen_count_below
     extreme = spectral.extreme_eigenvalue
@@ -291,7 +293,7 @@ def _count_steps(monkeypatch):
 def test_bisection_step_budget_at_the_first_rung(monkeypatch, family, n, bits):
     # a relative 64-bit bracket costs ~64 + log2(prec) counts, not prec/2
     ms = MomentSequence(family, bigfloat(256))
-    assert PrecisionPolicy().ladder(ms, n)[0] == bits
+    assert ladder(ms, n)[0] == bits
     steps = _count_steps(monkeypatch)
     lo, hi = bigfloat_extremes(ms, n, bits)
     assert 0 < lo < hi
@@ -339,19 +341,16 @@ def test_profile_escalates_precision_beyond_machine():
 
 
 def test_profile_marks_unresolved_beyond_escalation_cap():
-    from hankelmoments import PrecisionPolicy
-
-    policy = PrecisionPolicy(escalate_max_n=12)
+    assert spectral.ESCALATE_MAX_N < 80
     profile = lambda_profile(
         MomentSequence(PowerLog(1), F64_BACKEND),
-        [8, 32],
-        policy,
+        [8, 80],
         quantities=("lambda_min", "lambda_max"),
     )
     by_n = {e.n: e for e in profile.entries}
-    assert by_n[32].status == "lambda-min-unresolved"
-    assert by_n[32].lambda_min is None
-    assert by_n[32].lambda_max is not None  # still trustworthy at f64
+    assert by_n[80].status == "lambda-min-unresolved"
+    assert by_n[80].lambda_min is None
+    assert by_n[80].lambda_max is not None  # still trustworthy at f64
 
 
 def test_profile_lognormal_f64_escalates_instead_of_crashing():
@@ -370,7 +369,7 @@ def test_profile_lognormal_f64_escalates_instead_of_crashing():
 
 def test_profile_hs_norm_non_decreasing():
     profile = lambda_profile(uniform(), [2, 4, 8], quantities=("hs_norm_b",))
-    hs = profile.series("hs_norm_b")
+    hs = [e.hs_norm_b for e in profile.entries]
     assert all(a <= b for a, b in zip(hs, hs[1:]))
 
 
@@ -382,15 +381,17 @@ def test_profile_trace_partial_column():
 
 
 def _fake_extremes(monkeypatch, nonpositive_rungs):
-    """Patch bigfloat_extremes so its first rungs report lambda_min <= 0."""
-    from hankelmoments import spectral
+    """Patch bigfloat_extremes so its first rungs report lambda_min = 0.
 
+    0 is what the kernel returns for a lambda_min below the resolution
+    floor, so those rungs read as unresolved, not as indefinite.
+    """
     seen = []
 
     def fake(ms, n, bits, **kwargs):
         seen.append(bits)
         lo, hi = bigfloat_extremes(ms, n, bits, **kwargs)
-        return (-lo if len(seen) <= nonpositive_rungs else lo), hi
+        return (mpmath.mpf(0) if len(seen) <= nonpositive_rungs else lo), hi
 
     monkeypatch.setattr(spectral, "bigfloat_extremes", fake)
     return seen
@@ -399,9 +400,8 @@ def _fake_extremes(monkeypatch, nonpositive_rungs):
 def test_profile_walks_the_factor_ladder(monkeypatch):
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=2)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
-    policy = PrecisionPolicy()
-    profile = lambda_profile(ms, [6], policy, quantities=("lambda_min", "lambda_max"))
-    assert seen == policy.ladder(ms, 6)[:3]
+    profile = lambda_profile(ms, [6], quantities=("lambda_min", "lambda_max"))
+    assert seen == ladder(ms, 6)[:3]
     entry = profile.entries[0]
     assert entry.status == "ok"
     assert entry.precision_bits == seen[-1]
@@ -411,22 +411,34 @@ def test_profile_walks_the_factor_ladder(monkeypatch):
 def test_profile_stops_at_the_ladder_cap(monkeypatch):
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=100)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
-    policy = PrecisionPolicy(retry_cap_bits=400)
-    profile = lambda_profile(ms, [6], policy, quantities=("lambda_min", "lambda_max"))
-    assert seen == policy.ladder(ms, 6) == [88, 176, 352]
+    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 400)
+    profile = lambda_profile(ms, [6], quantities=("lambda_min", "lambda_max"))
+    assert seen == ladder(ms, 6) == [88, 176, 352]
     entry = profile.entries[0]
     assert entry.status == "lambda-min-unresolved"
     assert entry.precision_bits == 352
 
 
+def test_profile_climbs_past_negative_rungs_that_disagree(monkeypatch):
+    # Hilbert lambda_min(32) ~ 4.2e-47 comes out as -5.7e-21 at 64 bits and
+    # -1.7e-41 at 128: negative values that do not repeat are rounding, not
+    # indefiniteness, so the walk goes on to the rung that resolves it
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    ms = MomentSequence(PowerLog(1), bigfloat(64))
+    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
+    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
+    entry = lambda_profile(ms, [32], quantities=("lambda_min",)).entries[0]
+    assert seen == ladder(ms, 32)[:3] == [64, 128, 256]
+    assert entry.status == "ok" and entry.precision_bits == 256
+    assert entry.lambda_min == pytest.approx(4.21e-47, rel=1e-3)
+
+
 def test_profile_entry_with_empty_ladder_is_unresolved():
-    policy = PrecisionPolicy(retry_cap_bits=64)
-    profile = lambda_profile(
-        MomentSequence(PowerLog(1), bigfloat(64)),
-        [6],
-        policy,
-        quantities=("lambda_min", "lambda_max"),
-    )
+    # the largest moment of LogNormal(30) at N=10 is e^{18^2 30^2 / 2} ~
+    # 2^210345, so the ladder would start beyond RETRY_CAP_BITS
+    ms = MomentSequence(LogNormal(30), bigfloat(64))
+    assert ladder(ms, 10) == []
+    profile = lambda_profile(ms, [10], quantities=("lambda_min", "lambda_max"))
     entry = profile.entries[0]
     assert entry.status == "lambda-min-unresolved"
     assert entry.lambda_min is None and entry.lambda_max is None
@@ -482,9 +494,10 @@ def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
     # floor 2^-64 * |H|; the entry must move up the ladder, not report "ok"
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
-    policy = PrecisionPolicy(bits_per_dim=1, base_margin_bits=0)
-    assert policy.ladder(ms, 16)[:2] == [64, 128]
-    entry = lambda_profile(ms, [16], policy, quantities=("lambda_min",)).entries[0]
+    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
+    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
+    assert ladder(ms, 16)[:2] == [64, 128]
+    entry = lambda_profile(ms, [16], quantities=("lambda_min",)).entries[0]
     assert seen == [64, 128]
     assert entry.status == "ok" and entry.precision_bits == 128
     lam_min = _eigsy_extremes(PowerLog(1), 16)[0]
@@ -557,10 +570,12 @@ def test_hs_growth_contrast_recorded():
     grid = [4, 8, 12, 16]
     logn = lambda_profile(
         MomentSequence(LogNormal(1.0), bigfloat(256)), grid, quantities=("hs_norm_b",)
-    ).series("hs_norm_b")
+    ).entries
     gauss = lambda_profile(
         MomentSequence(Gaussian(), bigfloat(256)), grid, quantities=("hs_norm_b",)
-    ).series("hs_norm_b")
+    ).entries
+    logn = [e.hs_norm_b for e in logn]
+    gauss = [e.hs_norm_b for e in gauss]
     logn_growth = logn[-1] / logn[-2]
     gauss_growth = gauss[-1] / gauss[-2]
     assert logn_growth < gauss_growth
