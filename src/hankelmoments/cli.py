@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .backends import Backend, BackendError, HankelError, to_float
@@ -170,7 +171,10 @@ def _load_config(args, command: str) -> dict:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     try:
-        jsonschema.validate(config, CONFIG_SCHEMAS[command])
+        # the schemas are constants, checked once by the test suite rather
+        # than on every run as jsonschema.validate would
+        schema = CONFIG_SCHEMAS[command]
+        validator_for(schema)(schema).validate(config)
     except jsonschema.ValidationError as err:
         raise ConfigError(f"config rejected by schema: {err.message}") from None
     if args.backend:

@@ -16,6 +16,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .backends import (
     BIGFLOAT,
     F64,
     RATIONAL,
+    RATIONAL_BACKEND,
     Backend,
     BackendError,
     HankelError,
@@ -220,8 +222,30 @@ class Discrete(MomentFamily):
 
     name = "discrete"
 
+    @cached_property
+    def _integer_form(self):
+        """(a, w, B, W): points a_i / B and weights w_i / W over common denominators.
+
+        Converted through the rational backend once per measure, so float
+        data raises :class:`BackendError` as a per-moment conversion would.
+        """
+        points = [RATIONAL_BACKEND.convert(x) for x in self.measure.points]
+        weights = [RATIONAL_BACKEND.convert(c) for c in self.measure.weights]
+        b = math.lcm(*(x.denominator for x in points))
+        w = math.lcm(*(c.denominator for c in weights))
+        return (
+            [x.numerator * (b // x.denominator) for x in points],
+            [c.numerator * (w // c.denominator) for c in weights],
+            b,
+            w,
+        )
+
     def moment(self, n, backend, known=None):
         _require_index(n)
+        if backend.kind == RATIONAL:
+            # an integer power sum over one common denominator, reduced once
+            a, c, b, w = self._integer_form
+            return Fraction(sum(ci * ai**n for ai, ci in zip(a, c)), w * b**n)
         points = [backend.convert(x) for x in self.measure.points]
         weights = [backend.convert(w) for w in self.measure.weights]
         with backend.context():
@@ -293,12 +317,18 @@ class _Difference(MomentFamily):
 
 
 class MomentSequence:
-    """A family bound to a backend, with an append-only cache."""
+    """A family bound to a backend, with an append-only cache.
+
+    :meth:`with_backend` keeps one sibling sequence per backend for the life
+    of the sequence, in a registry the siblings share, so every caller that
+    asks for the same family at the same precision reads one cache.
+    """
 
     def __init__(self, family: MomentFamily, backend: Backend):
         self.family = family
         self.backend = backend
         self._cache: dict[int, object] = {}
+        self._siblings: dict[Backend, MomentSequence] = {backend: self}
 
     def __repr__(self):
         return f"MomentSequence({self.family.name}, {self.backend.tag()})"
@@ -326,12 +356,19 @@ class MomentSequence:
         return MomentSequence(_Difference(self), self.backend)
 
     def with_backend(self, backend: Backend) -> "MomentSequence":
-        if backend == self.backend:
-            return self
+        """The sibling sequence in ``backend``, made on first use and then kept."""
+        try:
+            return self._siblings[backend]
+        except KeyError:
+            pass
         family = self.family
         if isinstance(family, _Difference):
-            return family.base.with_backend(backend).nu()
-        return MomentSequence(family, backend)
+            sibling = family.base.with_backend(backend).nu()
+        else:
+            sibling = MomentSequence(family, backend)
+        sibling._siblings = self._siblings
+        self._siblings[backend] = sibling
+        return sibling
 
     def check_truncation(self, n: int) -> None:
         self.family.check_truncation(self.backend, n)

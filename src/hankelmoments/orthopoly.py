@@ -75,7 +75,11 @@ def ladder(ms: MomentSequence, n: int) -> list[int]:
 
 
 def _max_moment_log2(ms: MomentSequence, count: int) -> int:
-    """ceil(log2 max |m_j|) over j < count (0 when at most 1), probed at 64 bits."""
+    """ceil(log2 max |m_j|) over j < count (0 when at most 1), probed at 64 bits.
+
+    The probe reads the sequence's one 64-bit sibling, so the ladders of a
+    whole profile grid compute each probe moment once.
+    """
     probe = ms.with_backend(bigfloat(64))
     with mpmath.workprec(64):
         top = max(abs(probe.moment(j)) for j in range(count))

@@ -29,6 +29,30 @@ reporting it; a negative lambda_min that two consecutive rungs repeat ends
 the walk (:func:`lambda_profile`).  That floor is at least 2^(e-1-bits), so
 the kernel error lies r + 6 bits below it: it moves a resolved lambda_min by
 less than 2^-(r+6) relative, a 64th of the bracket.
+
+At machine precision a profile entry that asks for lambda_max but not
+lambda_min takes lambda_max from LAPACK whenever a bound certifies it.
+``eigvalsh`` is backward stable (Demmel, *Applied Numerical Linear Algebra*,
+1997, sec. 5.2): its values are the exact eigenvalues of H~ + E, with
+||E||_2 <= N u ||H~||_2 and u = 2^-53, where H~ is the f64 truncation.  H~
+differs from the exact truncation H by the rounding of its moments: a moment
+formed in at most 2N roundings lies within 2N u of its exact value, relative,
+so ||H~ - H||_2 <= ||H~ - H||_F <= 2N u ||H||_F.  The closed forms take one
+to a few roundings per moment (a power, an exponential, a conversion), and
+Gegenbauer two per step of its product, at most j for m_j.  A Gegenbauer
+lambda for which lambda + 1 + i rounds takes two more per step, up to 2j;
+that case is covered only to the extent that its decreasing moments put
+little of ||H||_F on the large indices.  By Weyl's inequality, with ||.||_2
+<= ||.||_F, the computed lambda^_max then lies within 3N u ||H||_F of the
+exact lambda_max to first order.  The bound takes N u more, for the
+second-order terms and for ||H~||_F standing in for ||H||_F, and is read
+relative to the value:
+
+    eps = 4 N u ||H~||_F / lambda^_max.
+
+An entry with lambda^_max > 0 and eps <= LAMBDA_MAX_TOL reports it at 53 bits
+without touching the big-float ladder; 1e-12 is the relative agreement the
+``eigsy`` checks hold the big-float path to.
 """
 
 from __future__ import annotations
@@ -58,6 +82,7 @@ from .orthopoly import TriangularPair, eval_polys, factor, ladder
 from .triangular import PositivityError
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
+LAMBDA_MAX_TOL = 1e-12  # relative bound under which f64 lambda_max is reported
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +294,15 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max"
 
 @dataclass(frozen=True)
 class ProfileEntry:
+    """One grid point of a :class:`SpectralProfile`.
+
+    ``precision_bits`` names the path the eigenvalues came from: 53 for
+    LAPACK on the f64 truncation, otherwise the big-float rung of the last
+    ladder step.  An entry without eigenvalue quantities reports the
+    precision of the factor behind ``hs_norm_b``; None means no such path
+    ran.
+    """
+
     n: int
     lambda_min: float | None
     lambda_max: float | None
@@ -347,7 +381,11 @@ def lambda_profile(
 ) -> SpectralProfile:
     """Extreme-eigenvalue (and related) profile over a truncation grid.
 
-    Per grid point the cheapest adequate precision is chosen: LAPACK at f64
+    Per grid point the cheapest adequate precision is chosen.  An entry
+    that asks for lambda_max without lambda_min takes the LAPACK value of
+    the f64 truncation when it is positive and its relative bound eps = 4 N
+    u ||H||_F / lambda_max (u = 2^-53, derived in the module docstring) is at
+    most ``LAMBDA_MAX_TOL`` = 1e-12.  Any other entry takes LAPACK at f64
     while the machine Cholesky of the truncation still succeeds, otherwise
     the rungs of :func:`~.orthopoly.ladder` (the same ladder ``factor``
     walks) until lambda_min comes out positive.  The walk also stops once
@@ -384,6 +422,14 @@ def _f64_cholesky_ok(h: np.ndarray) -> bool:
         return False
 
 
+def _lambda_max_bound(h64: np.ndarray, lam_max: float) -> float:
+    """eps = 4 N u ||H||_F / lambda_max, the relative error bound of an f64
+    lambda_max (module docstring); infinite unless lambda_max > 0."""
+    if not lam_max > 0:
+        return math.inf
+    return 4 * len(h64) * 2.0**-53 * float(np.linalg.norm(h64)) / lam_max
+
+
 def _repeats_negative(prev, lo, prev_bits) -> bool:
     """Whether ``lo`` and the previous rung's lambda_min ``prev`` are both
     negative and agree to 2^-r relative, r the resolution at ``prev_bits``."""
@@ -418,10 +464,16 @@ def _profile_entry(ms, n, quantities) -> ProfileEntry:
                     h64 = cand
             except (PrecisionError, BackendError, MissingMomentError, OverflowError):
                 h64 = None
-        use_f64 = h64 is not None and _f64_cholesky_ok(h64)
+        # the f64 eigenvalues, computed at most once per entry
+        eig = None
+        if h64 is not None and want_max and not want_min:
+            eig = np.linalg.eigvalsh(h64)
+        certified = eig is not None and _lambda_max_bound(h64, eig[-1]) <= LAMBDA_MAX_TOL
+        use_f64 = h64 is not None and (certified or _f64_cholesky_ok(h64))
 
         if use_f64:
-            eig = np.linalg.eigvalsh(h64)
+            if eig is None:
+                eig = np.linalg.eigvalsh(h64)
             lam_min = float(eig[0]) if want_min else None
             lam_max = float(eig[-1]) if want_max else None
             bits_used = 53
@@ -445,7 +497,8 @@ def _profile_entry(ms, n, quantities) -> ProfileEntry:
             # out of escalation range: keep what f64 can still say (lambda_max
             # of a bounded family is stable even when lambda_min is hopeless)
             if h64 is not None:
-                eig = np.linalg.eigvalsh(h64)
+                if eig is None:
+                    eig = np.linalg.eigvalsh(h64)
                 lam_max = float(eig[-1]) if want_max else None
                 bits_used = 53
             lam_min = None

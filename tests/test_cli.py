@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from jsonschema.validators import validator_for
 
-from hankelmoments.cli import main
+from hankelmoments.cli import CONFIG_SCHEMAS, main
 
 
 def write(path, obj):
@@ -321,6 +322,13 @@ def test_schema_is_published(run):
     code, out, _ = run("schema")
     assert code == 0
     assert set(json.loads(out)) >= {"classify", "spectrum", "extremal", "bench"}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_SCHEMAS))
+def test_config_schema_is_a_valid_schema(command):
+    # configs are validated without re-checking the schema on every run
+    schema = CONFIG_SCHEMAS[command]
+    validator_for(schema).check_schema(schema)
 
 
 def test_spectrum_schema_lists_exactly_its_keys(run):

@@ -55,6 +55,21 @@ def test_discrete_moment(three_point_measure):
     assert ms.moment(2) == Fraction(1, 8)
 
 
+def test_discrete_rational_moments_equal_the_fraction_sums():
+    # the rational path sums integer powers over one common denominator
+    points = (Fraction(-2, 3), Fraction(1, 6), Fraction(3, 4))
+    mu = DiscreteMeasure(points, (Fraction(1, 5), Fraction(2, 7), 1))
+    ms = seq(Discrete(mu))
+    for n in range(12):
+        assert ms.moment(n) == sum(c * x**n for x, c in zip(mu.points, mu.weights))
+
+
+def test_discrete_float_points_are_refused_by_the_rational_backend():
+    ms = seq(Discrete(DiscreteMeasure((0.5,), (Fraction(1),))))
+    with pytest.raises(BackendError):
+        ms.moment(0)
+
+
 def test_gaussian_double_factorial():
     ms = seq(Gaussian())
     assert [ms.moment(n) for n in range(7)] == [1, 0, 1, 0, 3, 0, 15]
@@ -162,6 +177,17 @@ def test_gegenbauer_known_predecessor_is_one_step():
 # ---------------------------------------------------------------------------
 # the damped sequence m_n - m_{n+2}
 # ---------------------------------------------------------------------------
+
+
+def test_with_backend_keeps_one_sibling_per_backend():
+    ms = seq(PowerLog(1), F64_BACKEND)
+    big = ms.with_backend(bigfloat(64))
+    assert ms.with_backend(bigfloat(64)) is big
+    assert big.with_backend(F64_BACKEND) is ms
+    assert ms.with_backend(F64_BACKEND) is ms
+    nu = ms.nu()
+    assert nu.with_backend(bigfloat(64)) is nu.with_backend(bigfloat(64))
+    assert nu.with_backend(bigfloat(64)).family.base is big
 
 
 def test_nu_first_value():

@@ -489,6 +489,77 @@ def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy():
     )
 
 
+def _no_ladder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the big-float path ran")
+
+    monkeypatch.setattr(spectral, "ladder", refuse)
+    monkeypatch.setattr(spectral, "bigfloat_extremes", refuse)
+
+
+def test_f64_lambda_max_is_certified_at_53_bits(monkeypatch):
+    # machine Cholesky fails from N ~ 13 on, but backward-stable LAPACK
+    # lambda_max stays within eps = 4 N u |H|_F / lambda_max of the exact one
+    _no_ladder(monkeypatch)
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    profile = lambda_profile(ms, [16, 32, 64], quantities=("lambda_max",))
+    for entry in profile.entries:
+        assert entry.status == "ok" and entry.precision_bits == 53
+        lam_max = _eigsy_extremes(PowerLog(1), entry.n)[1]
+        assert entry.lambda_max == pytest.approx(lam_max, rel=1e-12, abs=0), entry.n
+
+
+def test_uncertified_lambda_max_falls_back_to_the_ladder():
+    # -H_16: lambda_max = -lambda_min(Hilbert) ~ -1e-22 is far below the
+    # rounding of |H|_F ~ 1.9, so LAPACK's value carries no digits
+    n = 16
+    ms = MomentSequence(
+        Explicit(tuple(F(-1, j + 1) for j in range(2 * n - 1))), F64_BACKEND
+    )
+    h = np.array(ms.moments(2 * n - 1))
+    h = np.array([h[k : k + n] for k in range(n)])
+    lam = np.linalg.eigvalsh(h)[-1]
+    assert spectral._lambda_max_bound(h, lam) > spectral.LAMBDA_MAX_TOL
+    entry = lambda_profile(ms, [n], quantities=("lambda_max",)).entries[0]
+    assert entry.precision_bits != 53
+    assert entry.precision_bits in ladder(ms, n)
+    assert entry.lambda_max < 0
+
+
+class _CountingHilbert(MomentFamily):
+    """Hilbert moments that count how often each (backend, index) is computed."""
+
+    name = "counting_hilbert"
+
+    def __init__(self):
+        self.calls = {}
+
+    def moment(self, n, backend, known=None):
+        self.calls[backend, n] = self.calls.get((backend, n), 0) + 1
+        return PowerLog(1).moment(n, backend)
+
+
+def test_profile_grid_computes_each_probe_moment_once():
+    family = _CountingHilbert()
+    ms = MomentSequence(family, F64_BACKEND)
+    profile = lambda_profile(ms, [16, 20, 24], quantities=("lambda_min",))
+    assert all(e.precision_bits > 53 for e in profile.entries)  # every entry laddered
+    probe = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(64)}
+    assert sorted(probe) == list(range(2 * 24 - 1))
+    assert set(family.calls.values()) == {1}
+
+
+def test_hs_norm_entry_computes_its_rung_block_once():
+    family = _CountingHilbert()
+    ms = MomentSequence(family, F64_BACKEND)
+    entry = lambda_profile(ms, [16], quantities=("lambda_min", "hs_norm_b")).entries[0]
+    rung = entry.precision_bits
+    assert entry.status == "ok" and rung == ladder(ms, 16)[0] > 53
+    block = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(rung)}
+    assert block == {j: 1 for j in range(2 * 16 - 1)}
+    assert entry.hs_norm_b > 0
+
+
 def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
     # at 64 bits Hilbert lambda_min(16) ~ 9.2e-23 sits below the resolution
     # floor 2^-64 * |H|; the entry must move up the ladder, not report "ok"
