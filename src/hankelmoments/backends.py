@@ -136,19 +136,6 @@ class Backend:
         with self.context():
             return mpmath.exp(x)
 
-    def power(self, base, exponent):
-        """``base ** exponent`` with rational exactness when possible."""
-        if self.kind == RATIONAL:
-            if isinstance(exponent, int) or (
-                isinstance(exponent, Fraction) and exponent.denominator == 1
-            ):
-                return Fraction(base) ** int(exponent)
-            raise BackendError("non-integer powers are not rational")
-        if self.kind == F64:
-            return float(base) ** float(exponent)
-        with self.context():
-            return mpmath.power(self.convert(base), self.convert(exponent))
-
     def zero(self):
         return self.convert(0)
 

@@ -5,7 +5,9 @@ nothing pretends to be the infinite matrix.  Domain membership questions are
 answered with trend evidence over growing truncations, never as theorems.
 Every exact product -- ``matvec_naive`` off f64, the shift series and its
 remainder, the kernel-vector images of ``extremal`` -- is one row action,
-:func:`row_actions`.
+:func:`row_actions`.  The fast f64 products (``matvec_fft`` and the form and
+row-action values of ``domain_diagnostic``) run on numpy's FFT at 5-smooth
+lengths.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from numpy.fft import irfft, rfft
 
 from .backends import F64, RATIONAL, BackendError, to_float
 from .moments import MomentSequence, classify
@@ -61,6 +63,20 @@ def matvec_naive(ms: MomentSequence, g, n: int):
     return row_actions(ms, g, 0, n)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the real FFT factors fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd times the smallest power of two that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def matvec_fft(ms: MomentSequence, g, n: int):
     """Same row action via cyclic convolution of length >= 2n-1; f64 only."""
     if ms.backend.kind != F64:
@@ -71,7 +87,7 @@ def matvec_fft(ms: MomentSequence, g, n: int):
     if not g:
         return [0.0] * n
     m = ms.float_array(n + len(g) - 1)
-    size = next_fast_len(n + len(g) - 1)
+    size = _fast_len(n + len(g) - 1)
     conv = irfft(rfft(m, size) * rfft(g[::-1], size), size)
     return list(conv[len(g) - 1 : len(g) - 1 + n])
 
@@ -92,18 +108,6 @@ class SeriesApplyReport:
     terms_used: int
     mode: str  # "iterative" or "telescoped-exact"
     tolerance: float | None
-
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "result": [scalar_to_json(x) for x in self.result],
-            "partial_norm_deltas": self.partial_norm_deltas,
-            "converged": self.converged,
-            "terms_used": self.terms_used,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-        }
 
 
 def apply_H_via_series(
@@ -250,9 +254,10 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     ``g`` is a coefficient generator ``k -> g_k`` so that the truncations used
     at each grid size are consistent.  The form values Q_K and the row-action
     tails (square sums over the index windows ``N_WINDOW``) are computed at
-    f64 via FFT convolutions; verdicts compare the log-log slope fitted over
-    the last ``FIT_FRACTION`` of each grid against frozen thresholds (< 0.05
-    bounded, > 0.2 divergent, else inconclusive).
+    f64 via convolutions on numpy's FFT, padded to 5-smooth lengths; verdicts
+    compare the log-log slope fitted over the last ``FIT_FRACTION`` of each
+    grid against frozen thresholds (< 0.05 bounded, > 0.2 divergent, else
+    inconclusive).
     """
     k_grid = default_k_grid() if k_grid is None else sorted(set(int(k) for k in k_grid))
     if len(k_grid) < 3:
@@ -266,7 +271,7 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     # quadratic form Q_K = sum_j m_j (g*g)_j over the K x K block
     q_values = []
     for k in k_grid:
-        size = next_fast_len(2 * k - 1)
+        size = _fast_len(2 * k - 1)
         conv = irfft(rfft(gvec[:k], size) ** 2, size)[: 2 * k - 1]
         q_values.append(float(np.dot(m_all[: 2 * k - 1], conv)))
     slope_q = _fit_tail_slope(k_grid, q_values)
@@ -275,7 +280,7 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     # row action u_i = sum_k m_{i+k} g_k (convolution with reversed g), then
     # the growth of its square sums over the index window
     m_long = ms.float_array(n_max + k_max)
-    size = next_fast_len(n_max + k_max)
+    size = _fast_len(n_max + k_max)
     conv = irfft(rfft(m_long, size) * rfft(gvec[::-1], size), size)
     u = conv[k_max - 1 : k_max - 1 + n_max]
     tail_sums = np.cumsum(u * u)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .backends import HankelError, parse_rational_string, scalar_to_json
 
@@ -49,14 +48,6 @@ class DiscreteMeasure:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def total_mass(self):
-        return sum(self.weights, start=Fraction(0) if self._rational() else 0.0)
-
-    def _rational(self) -> bool:
-        return all(
-            isinstance(v, (int, Fraction)) for v in (*self.points, *self.weights)
-        )
 
     def to_json(self) -> dict:
         return {

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import mpmath
 import numpy as np
 
 from .backends import (
@@ -98,7 +99,11 @@ class PowerLog(MomentFamily):
                     "use the f64 or bigfloat backend"
                 )
             return Fraction(1, (n + 1) ** int(c))
-        return backend.power(n + 1, -backend.convert(c))
+        if backend.kind == F64:
+            return float(n + 1) ** -float(c)
+        exponent = -backend.convert(c)
+        with backend.context():
+            return mpmath.power(n + 1, exponent)
 
     def tail_class(self):
         c = to_float(self.c)

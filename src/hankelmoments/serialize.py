@@ -10,11 +10,7 @@ from __future__ import annotations
 import csv
 import json
 
-from .backends import (
-    Backend,
-    scalar_to_json,
-    parse_rational_string,
-)
+from .backends import parse_rational_string, scalar_to_json
 from .measures import DiscreteMeasure
 from .moments import (
     Discrete,
@@ -70,12 +66,6 @@ def sequence_to_json(ms: MomentSequence) -> dict:
     return obj
 
 
-def sequence_from_json(obj: dict) -> MomentSequence:
-    family = family_from_json(obj)
-    backend = Backend.parse(obj.get("backend", "rational"))
-    return MomentSequence(family, backend)
-
-
 def triangular_pair_to_json(tp) -> dict:
     """Square-root-free factorization data with the usual scalar coding."""
     return {
@@ -86,21 +76,6 @@ def triangular_pair_to_json(tp) -> dict:
         "pivots": vector_to_json(tp.pivots),
         "unit_upper_inv": matrix_to_json(tp.unit_upper_inv),
     }
-
-
-def triangular_pair_from_json(obj: dict):
-    from .orthopoly import TriangularPair
-
-    backend = Backend.parse(obj["backend"])
-    conv = lambda rows: tuple(tuple(backend.convert(x) for x in row) for row in rows)
-    return TriangularPair(
-        n=obj["n"],
-        backend=backend,
-        unit_upper=conv(obj["unit_upper"]),
-        pivots=tuple(backend.convert(x) for x in obj["pivots"]),
-        unit_upper_inv=conv(obj["unit_upper_inv"]),
-        precision_bits=obj.get("precision_bits"),
-    )
 
 
 def recurrence_to_csv(rc, path) -> None:
@@ -118,10 +93,6 @@ def vector_to_json(vec) -> list:
 
 def matrix_to_json(rows) -> list:
     return [[scalar_to_json(x) for x in row] for row in rows]
-
-
-def vector_from_json(data, backend: Backend) -> list:
-    return [backend.convert(x) for x in data]
 
 
 def dump_json(obj, path) -> None:

@@ -586,16 +586,6 @@ class XiVector:
     xi: list
     p: list
 
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "t": scalar_to_json(self.t),
-            "n": self.n,
-            "xi": [scalar_to_json(x) for x in self.xi],
-            "p": [scalar_to_json(x) for x in self.p],
-        }
-
 
 def _xi_and_image(tp: TriangularPair, t):
     """xi(t) and its image D U xi(t), each computed once.
@@ -648,16 +638,6 @@ class ResidualReport:
     sup: float
     l2: float
     exact_zero: bool
-
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "residuals": [scalar_to_json(r) for r in self.residuals],
-            "sup": self.sup,
-            "l2": self.l2,
-            "exact_zero": self.exact_zero,
-        }
 
 
 def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:

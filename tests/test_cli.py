@@ -54,6 +54,15 @@ def test_classify_hilbert_boundary_case(tmp_path, run):
     assert "is_ell1           : False" in out
 
 
+def test_classify_backend_defaults_to_rational(tmp_path, run):
+    cfg = write(tmp_path / "c.json", {"family": {"family": "gaussian"}})
+    code, out, _ = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "[rational]" in out
+    report = json.loads((tmp_path / "o" / "classify_report.json").read_text())
+    assert report["results"]["sequence"]["backend"] == "rational"
+
+
 def test_classify_malformed_family_exits_2(tmp_path, run):
     cfg = write(tmp_path / "c.json", {"family": {"family": "nope"}})
     code, out, err = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))

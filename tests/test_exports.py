@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,20 @@ def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
         )
     ]
     assert pairs and missing == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the FFT products run on numpy; importing scipy.fft alone would double
+    # the CLI's start-up time
+    src = str(Path(hankelmoments.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = (
+        "import sys, hankelmoments.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from hankelmoments import (
     power_decay,
 )
 from hankelmoments.backends import norm_sq, to_float
-from hankelmoments.hankel import default_k_grid
+from hankelmoments.hankel import _fast_len, default_k_grid
 from hankelmoments.moments import LogNormal
 
 RAT = RATIONAL_BACKEND
@@ -137,6 +138,18 @@ def test_matvec_fft_matches_naive_small():
     assert out[1] == pytest.approx(5 / 6, abs=1e-12)
 
 
+def test_fast_len_is_the_next_5_smooth_number():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(15)
+        for b in range(10)
+        for c in range(7)
+        if 2**a * 3**b * 5**c < 2 * 10**4
+    )
+    for n in range(1, 10**4):
+        assert _fast_len(n) == smooth[bisect.bisect_left(smooth, n)]
+
+
 def test_matvec_fft_zero_vector():
     ms = hilbert(F64_BACKEND)
     assert matvec_fft(ms, [0.0, 0.0, 0.0], 3) == pytest.approx([0.0, 0.0, 0.0])
@@ -147,7 +160,7 @@ def test_matvec_fft_refuses_exact_backends():
         matvec_fft(hilbert(), [F(1)], 2)
 
 
-@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 512, 4096])
 @pytest.mark.parametrize("family", [PowerLog(1), Gegenbauer(F(1, 2))])
 def test_matvec_fft_equivalence(n, family):
     ms = MomentSequence(family, F64_BACKEND)
