@@ -10,6 +10,16 @@ A :class:`Backend` instance is threaded through all constructions so that a
 computation is deterministic given (inputs, backend).  Big-float arithmetic
 must run inside ``with backend.context():`` so the mpmath working precision
 matches the backend.
+
+The exact inner loops of the library (the Chebyshev recurrence and the
+triangular inverse, xi and its identities, the Hankel row action) run on two
+scalar kernels, :func:`dot` and :func:`three_term`.  On ``Fraction`` (or
+``int``) operands they sum the integer products over a running least common
+denominator and reduce once, so each result is one reduced ``Fraction``
+built from an unreduced integer accumulation instead of a reduction per
+operation.  On any other operand type they evaluate the in-order expression
+an accumulate loop would, with the same operands, so float results keep
+their bits.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 from mpmath import mpf
@@ -211,3 +222,67 @@ def sup_norm(v):
         if m is None or x > m:
             m = x
     return m if m is not None else 0
+
+
+# -- exact inner-loop kernels ---------------------------------------------------
+
+_EXACT_TYPES = frozenset((Fraction, int))
+
+
+def dot(xs, ys):
+    """sum_i x_i y_i over two sequences of equal length, in order of i.
+
+    Fraction and int operands: the products' integer numerators are summed
+    over a running least common denominator, exactly zero terms skipped, and
+    one reduced ``Fraction`` is built at the end (``Fraction(0)`` when empty).
+    Other operands: ``0 + x_0 y_0 + x_1 y_1 + ...``, left to right.
+    """
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        if type(x) not in _EXACT_TYPES or type(y) not in _EXACT_TYPES:
+            return _in_order_dot(xs, ys)
+        a = x.numerator
+        c = y.numerator
+        if not (a and c):
+            continue
+        a *= c
+        b = x.denominator * y.denominator
+        if b == den:
+            num += a
+        else:
+            g = gcd(den, b)
+            num = num * (b // g) + a * (den // g)
+            den = den // g * b
+    return Fraction(num, den)
+
+
+def _in_order_dot(xs, ys):
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def three_term(a, alpha, b, beta, c):
+    """a - alpha b - beta c, the step of a three-term recurrence.
+
+    Fraction and int operands: one reduced ``Fraction`` from the integer
+    numerators over a common denominator, exactly zero products skipped.
+    Other operands: ``a - alpha * b - beta * c`` as written.
+    """
+    if (type(a) in _EXACT_TYPES and type(alpha) in _EXACT_TYPES
+            and type(b) in _EXACT_TYPES and type(beta) in _EXACT_TYPES
+            and type(c) in _EXACT_TYPES):
+        num, den = a.numerator, a.denominator
+        for p, q in ((alpha, b), (beta, c)):
+            t = p.numerator * q.numerator
+            if t:
+                d = p.denominator * q.denominator
+                if d == den:
+                    num -= t
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) - t * (den // g)
+                    den = den // g * d
+        return Fraction(num, den)
+    return a - alpha * b - beta * c

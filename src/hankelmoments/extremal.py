@@ -24,7 +24,7 @@ from .hankel import row_actions
 from .measures import DiscreteMeasure, EmptyMeasureError
 from .moments import Discrete, MomentSequence, hankel_rows
 from .orthopoly import TriangularPair, factor
-from .spectral import xi_vector
+from .spectral import _xi_and_image
 
 FINITE_SURROGATE_BANNER = (
     "finite-surrogate: identities verified exactly on a finitely supported "
@@ -234,7 +234,8 @@ def kernel_vector_check(
     On the full-rank finite surrogate (n = embedding length = M) the products
     vanish exactly: the xi vectors span the kernel of the trimmed operator.
     Shorter truncations report the positive residual left by cutting the
-    geometric tails.
+    geometric tails.  Only xi itself is formed (no float view of the
+    polynomial values), and each image is one row action.
     """
     indices = list(indices)
     m = mu.size
@@ -259,7 +260,7 @@ def kernel_vector_check(
     all_zero = True
     with backend.context():
         for x in removed_points or []:
-            xi = xi_vector(tp, x).xi[:emb]
+            xi = _xi_and_image(tp, x)[0][:emb]
             ns = norm_sq(row_actions(trimmed, xi, 0, n))
             if ns != 0:
                 all_zero = False

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .backends import F64, RATIONAL, BackendError, to_float
+from .backends import F64, RATIONAL, BackendError, dot, to_float
 from .moments import MomentSequence, classify
 
 
@@ -31,17 +31,19 @@ def row_actions(ms: MomentSequence, g, start: int, stop: int):
     """r_k = sum_j m_{k+j} g_j for start <= k < stop, summed in order of j.
 
     The one exact Hankel row action: every product that is not an f64 array
-    product goes through it, inside the backend's context.
+    product goes through it, inside the backend's context.  ``g`` is
+    converted to the backend first (so the rational backend refuses float
+    coefficients), the moments m_start .. m_{stop+len(g)-2} are read once in
+    increasing order, and each row is one :func:`.backends.dot`.
     """
     backend = ms.backend
-    out = []
     with backend.context():
-        for k in range(start, stop):
-            acc = backend.zero()
-            for j, gj in enumerate(g):
-                acc = acc + ms.moment(k + j) * gj
-            out.append(acc)
-    return out
+        g = [backend.convert(x) for x in g]
+        if not g:
+            return [backend.zero()] * (stop - start)
+        width = len(g)
+        window = [ms.moment(i) for i in range(start, stop + width - 1)]
+        return [dot(window[i : i + width], g) for i in range(stop - start)]
 
 
 def matvec_naive(ms: MomentSequence, g, n: int):

@@ -101,9 +101,8 @@ class PowerLog(MomentFamily):
             return Fraction(1, (n + 1) ** int(c))
         if backend.kind == F64:
             return float(n + 1) ** -float(c)
-        exponent = -backend.convert(c)
         with backend.context():
-            return mpmath.power(n + 1, exponent)
+            return mpmath.power(n + 1, -backend.convert(c))
 
     def tail_class(self):
         c = to_float(self.c)

@@ -39,6 +39,7 @@ from .backends import (
     Backend,
     F64_BACKEND,
     bigfloat,
+    dot,
 )
 from .moments import MomentSequence
 from .triangular import (
@@ -46,7 +47,6 @@ from .triangular import (
     invert_unit_upper,
     ldl_decompose,
     monic_alpha,
-    utdu_product,
 )
 
 
@@ -108,26 +108,6 @@ class TriangularPair:
     def _view_backend(self) -> Backend:
         return F64_BACKEND if self.backend.kind == RATIONAL else self.backend
 
-    def c_matrix(self):
-        """Upper-triangular Cholesky factor C = D^{1/2} U (numeric view)."""
-        vb = self._view_backend()
-        with vb.context():
-            roots = [vb.sqrt(vb.convert(d)) for d in self.pivots]
-            return [
-                [roots[k] * vb.convert(self.unit_upper[k][j]) for j in range(self.n)]
-                for k in range(self.n)
-            ]
-
-    def b_matrix(self):
-        """Inverse factor B = U^{-1} D^{-1/2}; column n holds P_n's coefficients."""
-        vb = self._view_backend()
-        with vb.context():
-            roots = [vb.sqrt(vb.convert(d)) for d in self.pivots]
-            return [
-                [vb.convert(self.unit_upper_inv[k][j]) / roots[j] for j in range(self.n)]
-                for k in range(self.n)
-            ]
-
     @cached_property
     def monic_recurrence(self):
         """(alpha_0..alpha_{N-2}, beta_1..beta_{N-1}) of the monic recurrence.
@@ -159,34 +139,13 @@ class TriangularPair:
                 values.append(nxt)
             return values
 
-    def reconstruction(self):
-        """U^t D U, for reconstruction checks against the source matrix."""
-        with self.backend.context():
-            return utdu_product(
-                [list(r) for r in self.unit_upper], list(self.pivots),
-                self.backend.zero(),
-            )
-
-    def inverse_residual_identity(self):
-        """U * U^{-1}, which must be the identity (exactly, when rational)."""
-        from .triangular import mat_mul
-
-        with self.backend.context():
-            return mat_mul(
-                [list(r) for r in self.unit_upper],
-                [list(r) for r in self.unit_upper_inv],
-                self.backend.zero(),
-            )
-
     def hs_norm_sq_b(self):
         """Squared Frobenius norm of B (exact for rational pairs)."""
         with self.backend.context():
             acc = self.backend.zero()
             for j in range(self.n):
-                col = self.backend.zero()
-                for k in range(j + 1):
-                    col = col + self.unit_upper_inv[k][j] * self.unit_upper_inv[k][j]
-                acc = acc + col / self.pivots[j]
+                col = [self.unit_upper_inv[k][j] for k in range(j + 1)]
+                acc = acc + dot(col, col) / self.pivots[j]
             return acc
 
 

@@ -73,6 +73,7 @@ from .backends import (
     HankelError,
     PrecisionError,
     bigfloat,
+    dot,
     norm_sq,
     sup_norm,
     to_float,
@@ -605,18 +606,8 @@ def _xi_and_image(tp: TriangularPair, t):
     y = tp.monic_values(t)
     with backend.context():
         z = [y[k] / tp.pivots[k] for k in range(tp.n)]
-        xi = []
-        for i in range(tp.n):
-            acc = backend.zero()
-            for k in range(i, tp.n):
-                acc = acc + tp.unit_upper_inv[i][k] * z[k]
-            xi.append(acc)
-        image = []
-        for k in range(tp.n):
-            acc = backend.zero()
-            for j in range(k, tp.n):
-                acc = acc + tp.unit_upper[k][j] * xi[j]
-            image.append(acc * tp.pivots[k])
+        xi = [dot(tp.unit_upper_inv[i][i:], z[i:]) for i in range(tp.n)]
+        image = [dot(tp.unit_upper[k][k:], xi[k:]) * tp.pivots[k] for k in range(tp.n)]
     if backend.kind == RATIONAL and image != y:
         raise SpectralInvariantError("xi construction violated its defining identity")
     return xi, image
@@ -654,11 +645,8 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
         # r = U^t (D U xi) - tau
         residuals = []
         power = backend.one()
-        for i in range(tp.n):
-            acc = backend.zero()
-            for k in range(i + 1):
-                acc = acc + tp.unit_upper[k][i] * image[k]
-            residuals.append(acc - power)
+        for i, column in enumerate(zip(*tp.unit_upper)):
+            residuals.append(dot(column[: i + 1], image[: i + 1]) - power)
             power = power * tv
         return ResidualReport(
             residuals=residuals,

@@ -19,11 +19,16 @@ starting from ``sigma_{0,l} = m_l``.  They are the rows of ``D U``:
 ``U^{-1}`` holds the coefficients of ``pi_k``, which follow from the
 three-term recurrence ``pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}``
 with ``alpha_k = U[k][k+1] - U[k-1][k]`` and ``beta_k = d_k / d_{k-1}``.
+
+Both recurrences step through :func:`.backends.three_term`: on Fractions
+each new sigma and each coefficient of ``pi_{k+1}`` is one reduced Fraction
+formed from an integer numerator over a common denominator, and on floats
+the step is the expression above, as written.
 """
 
 from __future__ import annotations
 
-from .backends import HankelError
+from .backends import HankelError, three_term
 
 
 class PositivityError(HankelError):
@@ -65,7 +70,7 @@ def ldl_decompose(moments, n, zero, *, precision_suspect=False):
             beta = pivots[k - 1] / pivots[k - 2] if k > 1 else zero
             nxt = [zero] * (2 * n - 1)
             for l in range(k, 2 * n - 1 - k):
-                nxt[l] = sigma[l + 1] - alpha * sigma[l] - beta * older[l]
+                nxt[l] = three_term(sigma[l + 1], alpha, sigma[l], beta, older[l])
             older, sigma = sigma, nxt
         d = sigma[k]
         if not d > 0:
@@ -116,33 +121,6 @@ def invert_unit_upper(unit_upper, pivots, n, zero):
         beta = pivots[k] / pivots[k - 1]
         inv[0][k + 1] = -alpha * inv[0][k] - beta * inv[0][k - 1]
         for j in range(1, k):
-            inv[j][k + 1] = inv[j - 1][k] - alpha * inv[j][k] - beta * inv[j][k - 1]
+            inv[j][k + 1] = three_term(inv[j - 1][k], alpha, inv[j][k], beta, inv[j][k - 1])
         inv[k][k + 1] = inv[k - 1][k] - alpha
     return inv
-
-
-def mat_mul(a, b, zero):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = zero
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
-def utdu_product(unit_upper, pivots, zero):
-    """Reassemble ``U^t D U`` (for exact reconstruction checks)."""
-    n = len(pivots)
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = zero
-            for k in range(min(i, j) + 1):
-                s = s + unit_upper[k][i] * pivots[k] * unit_upper[k][j]
-            out[i][j] = s
-    return out

@@ -2,14 +2,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmoments import Backend, BackendError, bigfloat
 from hankelmoments.backends import (
     F64_BACKEND,
     RATIONAL_BACKEND,
+    dot,
     norm_sq,
     scalar_to_json,
     sup_norm,
+    three_term,
     to_float,
 )
 
@@ -71,3 +75,73 @@ def test_vector_helpers():
     assert norm_sq(v) == 25
     assert sup_norm(v) == 4
     assert to_float(Fraction(1, 2)) == 0.5
+
+
+# -- the exact inner-loop kernels ------------------------------------------------
+
+# zeros, negatives and plain ints mixed with Fractions
+exact_scalars = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-50, 50),
+    st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+)
+float_scalars = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def in_order_dot(xs, ys, zero):
+    acc = zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+@given(pairs=st.lists(st.tuples(exact_scalars, exact_scalars), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_dot_equals_the_in_order_fraction_loop(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    out = dot(xs, ys)
+    assert type(out) is Fraction
+    assert out == in_order_dot(xs, ys, Fraction(0))
+
+
+@given(args=st.tuples(*[exact_scalars] * 5))
+@settings(max_examples=200, deadline=None)
+def test_three_term_equals_the_fraction_expression(args):
+    a, alpha, b, beta, c = args
+    out = three_term(a, alpha, b, beta, c)
+    assert type(out) is Fraction
+    assert out == Fraction(a) - Fraction(alpha) * b - Fraction(beta) * c
+
+
+def test_dot_on_empty_and_single_terms():
+    assert dot([], []) == 0 and type(dot([], [])) is Fraction
+    assert dot([Fraction(2, 3)], [Fraction(-9, 4)]) == Fraction(-3, 2)
+    assert dot([Fraction(0)], [Fraction(5, 7)]) == 0
+    assert dot([3], [4]) == 12 and type(dot([3], [4])) is Fraction
+
+
+@given(pairs=st.lists(st.tuples(float_scalars, float_scalars), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_dot_float_branch_keeps_the_in_order_bits(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    assert repr(dot(xs, ys)) == repr(in_order_dot(xs, ys, 0.0))
+    with bigfloat(128).context():
+        ms = [mpmath.mpf(x) / 3 for x in xs]
+        ns = [mpmath.mpf(y) / 7 for y in ys]
+        assert dot(ms, ns) == in_order_dot(ms, ns, mpmath.mpf(0))
+        # a Fraction among mpf operands takes the float branch too
+        mixed = [Fraction(1, 3)] + ns[1:]
+        assert dot(ms, mixed) == in_order_dot(ms, mixed, mpmath.mpf(0))
+
+
+@given(args=st.tuples(*[float_scalars] * 5))
+@settings(max_examples=200, deadline=None)
+def test_three_term_float_branch_keeps_the_expression_bits(args):
+    a, alpha, b, beta, c = args
+    assert repr(three_term(a, alpha, b, beta, c)) == repr(a - alpha * b - beta * c)
+    with bigfloat(128).context():
+        m = [mpmath.mpf(v) / 3 for v in args]
+        assert three_term(*m) == m[0] - m[1] * m[2] - m[3] * m[4]

@@ -131,6 +131,22 @@ def test_matvec_naive_gegenbauer_difference():
     ]
 
 
+def test_exact_products_refuse_float_coefficients():
+    # a float would otherwise turn the "exact" product into a float product
+    with pytest.raises(BackendError):
+        matvec_naive(uniform(), [0.5, F(1, 3)], 2)
+    with pytest.raises(BackendError):
+        apply_H_via_series(uniform(), [F(1), 0.25], 3)
+    # ints and Fractions are exact data
+    assert matvec_naive(uniform(), [1, F(1, 3)], 2) == [F(1), F(1, 9)]
+
+
+def test_matvec_naive_empty_vector_keeps_the_backend_type():
+    out = matvec_naive(uniform(bigfloat(128)), [], 3)
+    assert out == [0, 0, 0]
+    assert all(type(x) is type(bigfloat(128).zero()) for x in out)
+
+
 def test_matvec_fft_matches_naive_small():
     ms = hilbert(F64_BACKEND)
     out = matvec_fft(ms, [1.0, 1.0], 2)

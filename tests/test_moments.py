@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,15 @@ def test_explicit_missing_index():
     assert ms.moment(2) == Fraction(1, 2)
     with pytest.raises(MissingMomentError):
         ms.moment(3)
+
+
+def test_power_log_bigfloat_exponent_keeps_the_backend_precision():
+    # c = 1/3 is not dyadic: negating it at mpmath's ambient 53 bits would
+    # leave the moment about 3e-17 relative off
+    value = seq(PowerLog(Fraction(1, 3)), bigfloat(256)).moment(5)
+    with mpmath.workprec(300):
+        reference = mpmath.power(6, -mpmath.mpf(1) / 3)
+        assert abs(value - reference) / reference < mpmath.mpf(2) ** -250
 
 
 def test_rational_backend_refusals():
