@@ -198,8 +198,14 @@ def scalar_to_json(x):
 
 
 def to_float(x) -> float:
-    """Lossy conversion to a machine double (for display and f64 views)."""
-    if isinstance(x, Fraction):
+    """Lossy conversion to a machine double (for display and f64 views).
+
+    The exact-type test is deliberate: ``isinstance(x, Fraction)`` goes
+    through ``ABCMeta`` and costs several times the conversion itself.
+    Anything else, a ``Fraction`` subclass included, takes ``float(x)``,
+    which for a rational is the same correctly rounded ``int / int``.
+    """
+    if type(x) is Fraction:
         return x.numerator / x.denominator
     return float(x)
 

@@ -336,13 +336,13 @@ def cmd_bench(args) -> int:
         t_naive = t_fft = 0.0
         for g in rng.standard_normal((vectors, n)):
             t0 = time.perf_counter()
-            ref = matvec_naive(ms, list(g), n)
+            ref = matvec_naive(ms, g, n)
             t_naive += time.perf_counter() - t0
             t0 = time.perf_counter()
-            fast = matvec_fft(ms, list(g), n)
+            fast = matvec_fft(ms, g, n)
             t_fft += time.perf_counter() - t0
-            scale = max(abs(v) for v in ref)
-            dev = max(abs(a - b) for a, b in zip(ref, fast)) / scale
+            ref, fast = np.asarray(ref), np.asarray(fast)
+            dev = np.max(np.abs(ref - fast)) / np.max(np.abs(ref))
             worst = max(worst, float(dev))
         rows.append({
             "n": n,

@@ -184,8 +184,8 @@ def cd_kernel(
     the inverse square roots pair up, so the kernel value is exact for
     rational data.  On support points K(x_i, x_j) = delta_ij / c_i.
     """
-    ms = MomentSequence(Discrete(mu), backend)
-    tp = tp or factor(ms, mu.size)
+    if tp is None:
+        tp = factor(MomentSequence(Discrete(mu), backend), mu.size)
     pix = tp.monic_values(x)
     piy = pix if y == x else tp.monic_values(y)
     with tp.backend.context():

@@ -7,7 +7,11 @@ Every exact product -- ``matvec_naive`` off f64, the shift series and its
 remainder, the kernel-vector images of ``extremal`` -- is one row action,
 :func:`row_actions`.  The fast f64 products (``matvec_fft`` and the form and
 row-action values of ``domain_diagnostic``) run on numpy's FFT at 5-smooth
-lengths.
+lengths.  The f64 paths convert their data into numpy once -- a vector
+``g`` with ``np.asarray``, the values of a coefficient generator with
+``np.fromiter``, the moments through ``MomentSequence.float_array`` -- and
+return lists of Python floats.  numpy converts each element with
+``float()``, so the doubles are those a per-element conversion gives.
 """
 
 from __future__ import annotations
@@ -49,19 +53,20 @@ def row_actions(ms: MomentSequence, g, start: int, stop: int):
 def matvec_naive(ms: MomentSequence, g, n: int):
     """Row action (sum_k m_{i+k} g_k)_{i<n} by direct summation.
 
-    Exact under the rational backend; the f64 path uses a dense product with
-    the same summation semantics.
+    Exact under the rational backend.  The f64 path converts ``g`` to one
+    array and returns a list of Python floats; its dense product sums each
+    row in order of k, as the in-order loop does.
     """
-    g = list(g)
+    f64 = ms.backend.kind == F64
+    g = np.asarray(g, dtype=float) if f64 else list(g)
     if len(g) > n:
         raise ValueError("len(g) must be <= n")
-    if ms.backend.kind == F64:
+    if f64:
         m = ms.float_array(n + len(g))
-        garr = np.array([to_float(x) for x in g])
         # rows i of the dense product are m[i : i + len(g)]; the strided view
         # avoids materializing the n x len(g) block
         rows = np.lib.stride_tricks.sliding_window_view(m, len(g))[:n]
-        return list(rows @ garr)
+        return (rows @ g).tolist()
     return row_actions(ms, g, 0, n)
 
 
@@ -83,15 +88,15 @@ def matvec_fft(ms: MomentSequence, g, n: int):
     """Same row action via cyclic convolution of length >= 2n-1; f64 only."""
     if ms.backend.kind != F64:
         raise BackendError("matvec_fft supports only the f64 backend")
-    g = [to_float(x) for x in g]
+    g = np.asarray(g, dtype=float)
     if len(g) > n:
         raise ValueError("len(g) must be <= n")
-    if not g:
+    if not len(g):
         return [0.0] * n
     m = ms.float_array(n + len(g) - 1)
     size = _fast_len(n + len(g) - 1)
     conv = irfft(rfft(m, size) * rfft(g[::-1], size), size)
-    return list(conv[len(g) - 1 : len(g) - 1 + n])
+    return conv[len(g) - 1 : len(g) - 1 + n].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +130,10 @@ def apply_H_via_series(
     added term at stage ``l`` is the ``2l``-fold shift of the damped-sequence
     row action on ``g``: the slice r[2l : 2l + n] of one growing sequence of
     row actions r_k = sum_j nu_{k+j} g_j, so each further stage computes two
-    entries and squares each once.  A stage's norm is the in-order sum of its
-    n squares and is recorded per stage.
+    entries.  A stage's squared norm is one :func:`.backends.dot` of its n
+    entries with themselves, and each result entry one ``dot`` over its terms
+    after the last stage; both sum in order, so float bits are those of the
+    in-order loops.
 
     Under float backends the terms are summed until the last one drops below
     ``tol`` (default 1e-12) or ``max_terms`` is hit.  Under the rational
@@ -149,30 +156,27 @@ def apply_H_via_series(
     if not exact:
         tol = 1e-12 if tol is None else tol
     nu = ms.nu()
-    rows, squares = [], []  # r_k and r_k^2 for k < 2l + n
-    result = [backend.zero()] * n
+    rows = []  # r_k for k < 2l + n
     deltas = []
     converged = exact
     terms_used = 0
     with backend.context():
         for l in range(min(max_terms, RECORDED_TERMS) if exact else max_terms):
-            fresh = row_actions(nu, g, len(rows), 2 * l + n)
-            rows += fresh
-            squares += [r * r for r in fresh]
-            ns = squares[2 * l]
-            for sq in squares[2 * l + 1 : 2 * l + n]:
-                ns = ns + sq
+            rows += row_actions(nu, g, len(rows), 2 * l + n)
+            stage = rows[2 * l : 2 * l + n]
+            ns = dot(stage, stage)
             deltas.append(math.sqrt(to_float(ns)))
-            for i in range(n):
-                result[i] = result[i] + rows[2 * l + i]
             terms_used = l + 1
             if (ns == 0) if exact else (deltas[-1] < tol):
                 converged = True
                 break
-    if exact:
-        # close the telescope: the L terms sum to H g - R(L), R(L) = S^{2L} H g
-        remainder = row_actions(ms, g, 2 * terms_used, 2 * terms_used + n)
-        result = [p + r for p, r in zip(result, remainder)]
+        # entry i sums r_i, r_{i+2}, ... over the stages, in stage order
+        terms = [rows[i : i + 2 * terms_used : 2] for i in range(n)]
+        if exact:
+            # close the telescope: the L terms sum to H g - R(L), R(L) = S^{2L} H g
+            remainder = row_actions(ms, g, 2 * terms_used, 2 * terms_used + n)
+            terms = [t + [r] for t, r in zip(terms, remainder)]
+        result = [dot(t, [1] * len(t)) for t in terms]
     return SeriesApplyReport(
         result=result,
         partial_norm_deltas=deltas,
@@ -267,7 +271,7 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     k_max = k_grid[-1]
     n_max = N_WINDOW[-1] + 1
 
-    gvec = np.array([to_float(g(k)) for k in range(k_max)])
+    gvec = np.fromiter(map(g, range(k_max)), float, k_max)
     m_all = ms.float_array(2 * k_max - 1)
 
     # quadratic form Q_K = sum_j m_j (g*g)_j over the K x K block

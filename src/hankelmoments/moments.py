@@ -100,7 +100,9 @@ class PowerLog(MomentFamily):
                 )
             return Fraction(1, (n + 1) ** int(c))
         if backend.kind == F64:
-            return float(n + 1) ** -float(c)
+            # numpy's pow, as in MomentSequence.float_array: Python's differs
+            # from it in the last bit at a few percent of the indices
+            return float(np.power(float(n + 1), -float(c)))
         with backend.context():
             return mpmath.power(n + 1, -backend.convert(c))
 
@@ -110,6 +112,9 @@ class PowerLog(MomentFamily):
 
     def params_json(self):
         return {"c": self.c}
+
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,12 @@ class Gegenbauer(MomentFamily):
         prev = known.get(n - 2) if known else None
         with backend.context():
             lam = backend.convert(self.lam)
+            half = backend.convert(_HALF)
             value, first = backend.one(), 0
             if prev is not None:
                 value, first = prev, k - 1
             for i in range(first, k):
-                value = value * (backend.convert(Fraction(1, 2)) + i) / (lam + 1 + i)
+                value = value * (half + i) / (lam + 1 + i)
             return value
 
     def tail_class(self):
@@ -349,11 +355,15 @@ class MomentSequence:
         return [self.moment(n) for n in range(count)]
 
     def float_array(self, count: int) -> np.ndarray:
-        """First ``count`` moments as a dense f64 array (fast numeric paths)."""
+        """First ``count`` moments as a dense f64 array (fast numeric paths).
+
+        PowerLog takes one vectorized pow, whose values its f64 ``moment``
+        repeats; any other family reads its moments in index order.
+        """
         if isinstance(self.family, PowerLog):
             c = to_float(self.family.c)
             return (np.arange(count, dtype=float) + 1.0) ** (-c)
-        return np.array([to_float(self.moment(n)) for n in range(count)])
+        return np.fromiter(map(self.moment, range(count)), float, count)
 
     def nu(self) -> "MomentSequence":
         """The sequence m_n - m_{n+2} (moments after damping by 1 - x^2)."""

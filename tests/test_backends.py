@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,52 @@ def test_bigfloat_conversion_uses_context_precision():
 def test_f64_convert():
     assert F64_BACKEND.convert("1/4") == 0.25
     assert F64_BACKEND.convert(Fraction(1, 2)) == 0.5
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+_BIG = 10**400 + 7
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Fraction(1, 3),
+        Fraction(-7, 10**17 + 3),
+        Fraction(3 * _BIG + 1, _BIG),  # numerator and denominator beyond f64 range
+        Fraction(-(_BIG**2) - 1, 7 * _BIG**2),
+        Fraction(1, 3 * _BIG),  # underflows to 0.0
+        0,
+        2**53 + 1,
+        -(10**20) - 1,
+        0.1,
+        -0.0,
+        np.float64(1 / 3),
+        mpmath.mpf(1) / 3,
+        _FractionSubclass(2, 3),
+        _FractionSubclass(_BIG + 1, 3 * _BIG),
+    ],
+    ids=repr,
+)
+def test_to_float_is_float_bit_for_bit(x):
+    with mpmath.workprec(200):
+        assert to_float(x).hex() == float(x).hex()
+        assert type(to_float(x)) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(-(10**450), 10**450), den=st.integers(1, 10**450))
+def test_to_float_is_float_on_fractions(num, den):
+    x = Fraction(num, den)
+    try:
+        expected = float(x).hex()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            to_float(x)
+        return
+    assert to_float(x).hex() == expected
 
 
 def test_scalar_json_forms():

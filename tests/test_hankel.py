@@ -189,6 +189,37 @@ def test_matvec_fft_equivalence(n, family):
         assert max(abs(a - b) for a, b in zip(ref, fast)) / scale < 1e-10
 
 
+_G5 = [F(1), F(-1, 3), F(0), F(1, 2), F(-1, 5)]
+
+
+@pytest.mark.parametrize("product", [matvec_naive, matvec_fft])
+@pytest.mark.parametrize("family", [PowerLog(1), Gegenbauer(F(1, 2))])
+def test_f64_products_return_python_floats_for_any_vector_kind(product, family):
+    ms = MomentSequence(family, F64_BACKEND)
+    floats = [to_float(x) for x in _G5]
+    outs = [product(ms, g, 8) for g in (floats, np.array(floats), _G5)]
+    for out in outs:
+        assert type(out) is list and len(out) == 8
+        assert all(type(x) is float for x in out)
+    assert [x.hex() for x in outs[1]] == [x.hex() for x in outs[0]]
+    assert [x.hex() for x in outs[2]] == [x.hex() for x in outs[0]]
+
+
+@pytest.mark.parametrize("family", [PowerLog(1), PowerLog(0.3), Gegenbauer(F(1, 2))])
+def test_f64_matvec_naive_is_the_in_order_sum(family):
+    n = 64
+    ms = MomentSequence(family, F64_BACKEND)
+    g = np.random.default_rng(64).standard_normal(n).tolist()
+    m = [ms.moment(j) for j in range(2 * n - 1)]
+    ref = []
+    for i in range(n):
+        acc = 0.0
+        for k in range(n):
+            acc += m[i + k] * g[k]
+        ref.append(acc)
+    assert [x.hex() for x in matvec_naive(ms, g, n)] == [x.hex() for x in ref]
+
+
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
@@ -360,6 +391,15 @@ def test_domain_finite_support_is_bounded():
     assert verdict.in_V_mu.label == "bounded-trend"
     assert verdict.in_D_H.label == "bounded-trend"
     assert verdict.in_V_mu.heuristic and verdict.in_D_H.heuristic
+
+
+def test_domain_fraction_generator_equals_its_float_twin():
+    ms = MomentSequence(PowerLog(0.5), F64_BACKEND)
+    grid = default_k_grid(2_000, 5)
+    exact = domain_diagnostic(ms, lambda k: F(2, 3 * k + 1), grid)
+    twin = domain_diagnostic(ms, lambda k: 2 / (3 * k + 1), grid)
+    assert exact.to_json() == twin.to_json()
+    assert [v.hex() for v in exact.in_D_H.values] == [v.hex() for v in twin.in_D_H.values]
 
 
 def test_domain_verdicts_carry_evidence():

@@ -41,6 +41,14 @@ def test_power_log_moment():
     assert seq(PowerLog(2)).moment(3) == Fraction(1, 16)
 
 
+@pytest.mark.parametrize("c", [0.3, Fraction(1, 2), 1, 1.5, 2, 3, Fraction(7, 3)], ids=str)
+def test_power_log_f64_moments_equal_the_float_array(c):
+    # one f64 path: the scalar moments are the vectorized pow's doubles
+    count = 20_000
+    ms = seq(PowerLog(c), F64_BACKEND)
+    assert ms.moments(count) == ms.float_array(count).tolist()
+
+
 def test_gegenbauer_even_moment():
     # (1/2)_2 / (3/2)_2 = (3/4) / (15/4)
     assert seq(Gegenbauer(Fraction(1, 2))).moment(4) == Fraction(1, 5)
