@@ -20,12 +20,19 @@ built from an unreduced integer accumulation instead of a reduction per
 operation.  On any other operand type they evaluate the in-order expression
 an accumulate loop would, with the same operands, so float results keep
 their bits.
+
+Numbers cross the JSON boundary by one rule each way.  :func:`parse_number`
+reads every number of a config: ``p/q`` and integer strings and JSON
+integers become ``Fraction``s, decimal strings floats.  :func:`to_json`
+encodes every report: exact numbers as ``p/q`` strings, big floats as
+decimal strings with enough digits to round-trip, counts and machine floats
+as JSON numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -117,7 +124,7 @@ class Backend:
             return Fraction(value)
         if self.kind == F64:
             if isinstance(value, str):
-                value = parse_rational_string(value)
+                value = parse_number(value)
             return float(value)
         with self.context():
             if isinstance(value, str):
@@ -165,20 +172,33 @@ def bigfloat(bits: int) -> Backend:
 # -- scalar formatting -------------------------------------------------------
 
 
-def parse_rational_string(text: str):
-    """Parse ``p/q`` or integer/decimal strings; returns Fraction or float."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def parse_number(value):
+    """Read a number from a config: the one rule for every config value.
+
+    ``"p/q"`` and integer strings, and JSON integers, become ``Fraction``s;
+    decimal strings become floats.  Bools and anything else (floats,
+    ``Fraction``s, mpf) are returned as given.
+    """
+    if isinstance(value, str):
+        text = value.strip()
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(text))
+        except ValueError:
+            return float(text)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    return value
 
 
 def scalar_to_json(x):
-    """Encode a scalar for JSON: rationals as ``p/q`` strings, floats as-is."""
+    """Encode a scalar for JSON: rationals as ``p/q`` strings, floats as-is.
+
+    Big floats are decimal strings with enough digits to round-trip their
+    mantissa.
+    """
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return f"{x.numerator}"
@@ -197,6 +217,27 @@ def scalar_to_json(x):
     raise TypeError(f"cannot serialize scalar of type {type(x).__name__}")
 
 
+def to_json(obj):
+    """Encode a report value for JSON; every report is written through it.
+
+    A dataclass becomes an object of its fields, a list or tuple a list and
+    a dict a dict of encoded values.  ``Fraction`` and mpf scalars go
+    through :func:`scalar_to_json`; ints, floats, strings, bools and None
+    pass as they are.
+    """
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (Fraction, mpf)):
+        return scalar_to_json(obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_json(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
+
+
 def to_float(x) -> float:
     """Lossy conversion to a machine double (for display and f64 views).
 
@@ -211,14 +252,6 @@ def to_float(x) -> float:
 
 
 # -- small vector helpers (backend-generic) -----------------------------------
-
-
-def norm_sq(v):
-    acc = None
-    for a in v:
-        term = a * a
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else 0
 
 
 def sup_norm(v):

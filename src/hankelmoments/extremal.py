@@ -17,7 +17,7 @@ from .backends import (
     RATIONAL_BACKEND,
     Backend,
     HankelError,
-    norm_sq,
+    dot,
     to_float,
 )
 from .hankel import row_actions
@@ -77,7 +77,7 @@ def _check_removal_indices(mu: DiscreteMeasure, indices):
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    removed: list  # (point, weight) pairs
+    removed: list  # {"point": x, "weight": c} per removed mass
     n: int
     deviation: object  # max abs entry of H(mu) - [H(mu~) + correction]
     exact: bool
@@ -85,25 +85,6 @@ class PerturbationReport:
     correction: list  # the rank-|removed| matrix, for audit
     index_of_determinacy: int | None  # bookkeeping only: removals - 1
     banner: str = FINITE_SURROGATE_BANNER
-
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "removed": [
-                {"point": scalar_to_json(x), "weight": scalar_to_json(c)}
-                for x, c in self.removed
-            ],
-            "n": self.n,
-            "deviation": scalar_to_json(self.deviation),
-            "exact": self.exact,
-            "correction_coefficients": [
-                scalar_to_json(c) for c in self.correction_coefficients
-            ],
-            "correction": [[scalar_to_json(v) for v in row] for row in self.correction],
-            "index_of_determinacy": self.index_of_determinacy,
-            "banner": self.banner,
-        }
 
 
 def perturbation_check(
@@ -123,7 +104,7 @@ def perturbation_check(
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     _check_removal_indices(mu, indices)
-    removed = [(mu.points[i], mu.weights[i]) for i in indices]
+    removed = [{"point": mu.points[i], "weight": mu.weights[i]} for i in indices]
     mu_t = remove_masses(mu, indices) if indices else mu
 
     full = MomentSequence(Discrete(mu), backend)
@@ -132,9 +113,9 @@ def perturbation_check(
         one = backend.one()
         coeffs = []
         directions = []
-        for x, c in removed:
-            xv = backend.convert(x)
-            cv = backend.convert(c)
+        for i in indices:
+            xv = backend.convert(mu.points[i])
+            cv = backend.convert(mu.weights[i])
             unit_sq = one - xv * xv  # squared normalization of v_j
             coeffs.append(cv / unit_sq)
             directions.append(([xv**k for k in range(n)], unit_sq))
@@ -209,18 +190,6 @@ class KernelResidualReport:
     exact_zero: bool
     banner: str = FINITE_SURROGATE_BANNER
 
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "removed_points": [scalar_to_json(x) for x in self.removed_points],
-            "n": self.n,
-            "embedding_length": self.embedding_length,
-            "residual_norms": self.residual_norms,
-            "exact_zero": self.exact_zero,
-            "banner": self.banner,
-        }
-
 
 def kernel_vector_check(
     mu: DiscreteMeasure,
@@ -261,7 +230,8 @@ def kernel_vector_check(
     with backend.context():
         for x in removed_points or []:
             xi = _xi_and_image(tp, x)[0][:emb]
-            ns = norm_sq(row_actions(trimmed, xi, 0, n))
+            image = row_actions(trimmed, xi, 0, n)
+            ns = dot(image, image)
             if ns != 0:
                 all_zero = False
             norms.append(math.sqrt(to_float(ns)))

@@ -17,7 +17,7 @@ return lists of Python floats.  numpy converts each element with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -203,25 +203,13 @@ class TrendVerdict:
     slope: float
     grid: list
     values: list
-    heuristic: bool = True
-
-    def to_json(self):
-        return {
-            "label": self.label,
-            "slope": self.slope,
-            "grid": list(self.grid),
-            "values": list(self.values),
-            "heuristic": self.heuristic,
-        }
+    heuristic: bool = field(default=True, init=False)
 
 
 @dataclass(frozen=True)
 class DomainVerdict:
     in_V_mu: TrendVerdict
     in_D_H: TrendVerdict
-
-    def to_json(self):
-        return {"in_V_mu": self.in_V_mu.to_json(), "in_D_H": self.in_D_H.to_json()}
 
 
 def _trend_label(slope: float) -> str:

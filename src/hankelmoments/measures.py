@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backends import HankelError, parse_rational_string, scalar_to_json
+from .backends import HankelError, parse_number, to_json
 
 
 class EmptyMeasureError(HankelError):
@@ -37,9 +37,8 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_lists(points, weights) -> "DiscreteMeasure":
-        conv = lambda x: parse_rational_string(x) if isinstance(x, str) else x
-        pts = [conv(x) for x in points]
-        wts = [conv(w) for w in weights]
+        pts = [parse_number(x) for x in points]
+        wts = [parse_number(w) for w in weights]
         order = sorted(range(len(pts)), key=lambda i: pts[i])
         return DiscreteMeasure(
             tuple(pts[i] for i in order), tuple(wts[i] for i in order)
@@ -50,10 +49,7 @@ class DiscreteMeasure:
         return len(self.points)
 
     def to_json(self) -> dict:
-        return {
-            "points": [scalar_to_json(x) for x in self.points],
-            "weights": [scalar_to_json(w) for w in self.weights],
-        }
+        return to_json(self)
 
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":

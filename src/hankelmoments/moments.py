@@ -30,7 +30,7 @@ from .backends import (
     BackendError,
     HankelError,
     PrecisionError,
-    parse_rational_string,
+    parse_number,
     to_float,
 )
 from .measures import DiscreteMeasure
@@ -287,8 +287,7 @@ class Explicit(MomentFamily):
 
     @staticmethod
     def from_list(values) -> "Explicit":
-        conv = lambda x: parse_rational_string(x) if isinstance(x, str) else x
-        return Explicit(tuple(conv(v) for v in values))
+        return Explicit(tuple(parse_number(v) for v in values))
 
     def moment(self, n, backend, known=None):
         _require_index(n)
@@ -300,9 +299,7 @@ class Explicit(MomentFamily):
         return backend.convert(self.values[n])
 
     def params_json(self):
-        from .backends import scalar_to_json
-
-        return {"values": [scalar_to_json(v) for v in self.values]}
+        return {"values": self.values}
 
 
 @dataclass(frozen=True)
@@ -419,9 +416,6 @@ class Verdict:
     def __bool__(self):
         return bool(self.value)
 
-    def to_json(self):
-        return {"value": self.value, "basis": self.basis, "evidence": self.evidence}
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -431,19 +425,6 @@ class Classification:
     is_ell1: Verdict
     trace_partial: object
     trace_terms: int
-
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        trace = self.trace_partial
-        return {
-            "positive_definite_up_to": self.positive_definite_up_to,
-            "is_o1": self.is_o1.to_json(),
-            "is_O_1_over_n": self.is_O_1_over_n.to_json(),
-            "is_ell1": self.is_ell1.to_json(),
-            "trace_partial": None if trace is None else scalar_to_json(trace),
-            "trace_terms": self.trace_terms,
-        }
 
 
 HEURISTIC_WINDOW = 64  # moments read as evidence for a tabulated sequence

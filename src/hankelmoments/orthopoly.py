@@ -234,14 +234,6 @@ class RecurrenceCoeffs:
     alpha: list
     beta: list
 
-    def to_json(self):
-        from .backends import scalar_to_json
-
-        return {
-            "alpha": [scalar_to_json(a) for a in self.alpha],
-            "beta": [scalar_to_json(b) for b in self.beta],
-        }
-
 
 def recurrence(tp: TriangularPair) -> RecurrenceCoeffs:
     """Read the orthonormal recurrence coefficients off the factorization, in O(N).

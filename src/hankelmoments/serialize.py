@@ -1,8 +1,13 @@
 """JSON and CSV wire formats.
 
-Moment families travel as ``{"family": ..., "params": {...}, "backend": ...}``
-with rationals encoded as ``p/q`` strings and floats as shortest round-trip
-decimals.  Profiles export as CSV with one row per truncation size.
+Every value written here follows the one encoding rule of
+:func:`~.backends.to_json`: exact numbers as ``p/q`` strings, big floats as
+decimal strings with enough digits to round-trip, counts and machine floats
+as JSON numbers (floats as shortest round-trip decimals), report records as
+objects of their fields.  Config numbers are read back by
+:func:`~.backends.parse_number`.  Moment families travel as ``{"family":
+..., "params": {...}, "backend": ...}``; profiles export as CSV with one row
+per truncation size.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 
-from .backends import parse_rational_string, scalar_to_json
+from .backends import parse_number, scalar_to_json, to_json
 from .measures import DiscreteMeasure
 from .moments import (
     Discrete,
@@ -26,33 +31,21 @@ from .moments import (
 FAMILY_NAMES = ("power_log", "gegenbauer", "discrete", "log_normal", "gaussian", "explicit")
 
 
-def _num(value):
-    if isinstance(value, str):
-        return parse_rational_string(value)
-    return value
-
-
 def family_to_json(family: MomentFamily) -> dict:
-    params = {}
-    for key, val in family.params_json().items():
-        if isinstance(val, (list, dict, str)):
-            params[key] = val
-        else:
-            params[key] = scalar_to_json(val)
-    return {"family": family.name, "params": params}
+    return {"family": family.name, "params": to_json(family.params_json())}
 
 
 def family_from_json(obj: dict) -> MomentFamily:
     name = obj.get("family")
     params = obj.get("params", {})
     if name == "power_log":
-        return PowerLog(_num(params["c"]))
+        return PowerLog(parse_number(params["c"]))
     if name == "gegenbauer":
-        return Gegenbauer(_num(params["lambda"]))
+        return Gegenbauer(parse_number(params["lambda"]))
     if name == "gaussian":
         return Gaussian()
     if name == "log_normal":
-        return LogNormal(_num(params["sigma"]))
+        return LogNormal(parse_number(params["sigma"]))
     if name == "discrete":
         return Discrete(DiscreteMeasure.from_json(params))
     if name == "explicit":
@@ -68,14 +61,14 @@ def sequence_to_json(ms: MomentSequence) -> dict:
 
 def triangular_pair_to_json(tp) -> dict:
     """Square-root-free factorization data with the usual scalar coding."""
-    return {
+    return to_json({
         "n": tp.n,
         "backend": tp.backend.tag(),
         "precision_bits": tp.precision_bits,
-        "unit_upper": matrix_to_json(tp.unit_upper),
-        "pivots": vector_to_json(tp.pivots),
-        "unit_upper_inv": matrix_to_json(tp.unit_upper_inv),
-    }
+        "unit_upper": tp.unit_upper,
+        "pivots": tp.pivots,
+        "unit_upper_inv": tp.unit_upper_inv,
+    })
 
 
 def recurrence_to_csv(rc, path) -> None:
@@ -87,17 +80,10 @@ def recurrence_to_csv(rc, path) -> None:
             writer.writerow([n, _csv_cell(a), _csv_cell(b)])
 
 
-def vector_to_json(vec) -> list:
-    return [scalar_to_json(x) for x in vec]
-
-
-def matrix_to_json(rows) -> list:
-    return [[scalar_to_json(x) for x in row] for row in rows]
-
-
 def dump_json(obj, path) -> None:
+    """Write ``obj``, report records and exact scalars included, by :func:`to_json`."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(to_json(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -74,7 +74,6 @@ from .backends import (
     PrecisionError,
     bigfloat,
     dot,
-    norm_sq,
     sup_norm,
     to_float,
 )
@@ -312,17 +311,6 @@ class ProfileEntry:
     precision_bits: int | None
     status: str  # "ok" | "lambda-min-unresolved" | "error:<...>"
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "hs_norm_b": self.hs_norm_b,
-            "trace_partial": self.trace_partial,
-            "precision_bits": self.precision_bits,
-            "status": self.status,
-        }
-
 
 class SpectralInvariantError(HankelError):
     """A computed result broke an invariant that holds by construction.
@@ -335,7 +323,7 @@ class SpectralInvariantError(HankelError):
 @dataclass(frozen=True)
 class SpectralProfile:
     family: str
-    backend_tag: str
+    backend: str  # the tag
     entries: list
     quantities: tuple
 
@@ -350,14 +338,6 @@ class SpectralProfile:
                 continue
             out.append((e.n, value))
         return out
-
-    def to_json(self):
-        return {
-            "family": self.family,
-            "backend": self.backend_tag,
-            "quantities": list(self.quantities),
-            "entries": [e.to_json() for e in self.entries],
-        }
 
 
 def _check_interlacing(profile: SpectralProfile):
@@ -407,7 +387,7 @@ def lambda_profile(
         entries.append(_profile_entry(ms, n, quantities))
     profile = SpectralProfile(
         family=ms.family.name,
-        backend_tag=ms.backend.tag(),
+        backend=ms.backend.tag(),
         entries=entries,
         quantities=tuple(quantities),
     )
@@ -536,17 +516,7 @@ class PlateauVerdict:
     threshold: float
     grid: list = field(default_factory=list)
     lambda_min: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "label": self.label,
-            "ratio": self.ratio,
-            "window": self.window,
-            "threshold": self.threshold,
-            "grid": self.grid,
-            "lambda_min": self.lambda_min,
-            "heuristic": True,
-        }
+    heuristic: bool = field(default=True, init=False)
 
 
 def plateau_verdict(
@@ -651,6 +621,6 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
         return ResidualReport(
             residuals=residuals,
             sup=to_float(sup_norm(residuals)),
-            l2=math.sqrt(to_float(norm_sq(residuals))),
+            l2=math.sqrt(to_float(dot(residuals, residuals))),
             exact_zero=backend.kind == RATIONAL and all(r == 0 for r in residuals),
         )

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -11,11 +12,12 @@ from hankelmoments.backends import (
     F64_BACKEND,
     RATIONAL_BACKEND,
     dot,
-    norm_sq,
+    parse_number,
     scalar_to_json,
     sup_norm,
     three_term,
     to_float,
+    to_json,
 )
 
 
@@ -117,9 +119,77 @@ def test_scalar_json_forms():
     assert RATIONAL_BACKEND.convert(scalar_to_json(Fraction(-7, 9))) == Fraction(-7, 9)
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("3", Fraction(3)),
+        (3, Fraction(3)),
+        ("-7", Fraction(-7)),
+        ("1/2", Fraction(1, 2)),
+        (" -2/6 ", Fraction(-1, 3)),
+        ("0.5", 0.5),
+        (0.5, 0.5),
+        ("1e-3", 0.001),
+    ],
+)
+def test_parse_number_table(value, expected):
+    parsed = parse_number(value)
+    assert parsed == expected
+    assert type(parsed) is type(expected)
+
+
+def test_parse_number_leaves_bools_and_exact_values():
+    assert parse_number(True) is True
+    x = Fraction(2, 3)
+    assert parse_number(x) is x
+    y = mpmath.mpf(2) ** 0.5
+    assert parse_number(y) is y
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    x: object
+    label: str
+
+
+@dataclass(frozen=True)
+class _Node:
+    leaves: tuple
+    extra: dict
+    count: int
+    flag: bool
+    missing: object = None
+
+
+def test_to_json_encodes_nested_records():
+    with mpmath.workprec(64):
+        third = mpmath.mpf(1) / 3
+    node = _Node(
+        leaves=(_Leaf(Fraction(1, 3), "a"), _Leaf(0.25, "b")),
+        extra={"grid": [1, 2], "pair": (Fraction(4), third), "name": "x"},
+        count=7,
+        flag=True,
+    )
+    assert to_json(node) == {
+        "leaves": [{"x": "1/3", "label": "a"}, {"x": 0.25, "label": "b"}],
+        "extra": {"grid": [1, 2], "pair": ["4", "0.3333333333333333333424"], "name": "x"},
+        "count": 7,
+        "flag": True,
+        "missing": None,
+    }
+    # encoding is idempotent: an encoded report passes through unchanged
+    assert to_json(to_json(node)) == to_json(node)
+
+
+@pytest.mark.parametrize("value", [1j, {1, 2}, b"1/2", [Fraction(1), 2 + 0j]])
+def test_to_json_rejects_unsupported_values(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
 def test_vector_helpers():
     v = [Fraction(3), Fraction(-4)]
-    assert norm_sq(v) == 25
+    assert dot(v, v) == 25
     assert sup_norm(v) == 4
     assert to_float(Fraction(1, 2)) == 0.5
 

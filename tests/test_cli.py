@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from jsonschema.validators import validator_for
@@ -207,6 +208,27 @@ def test_extremal_demo_exact(tmp_path, run):
     assert checks["trimmed_operator_kernel_vectors"]["exact_zero"] is True
 
 
+def test_extremal_integer_inputs_write_exact_strings(tmp_path, run):
+    # JSON integers are exact numbers: a weight 2 and the point "0" are
+    # written as "2" and "0", as their p/q strings would be
+    cfg = write(
+        tmp_path / "e.json",
+        {
+            "measure": {"points": ["-1/2", "0", "1/2"], "weights": [1, 2, 1]},
+            "remove": [1],
+        },
+    )
+    code, _, _ = run("extremal", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "extremal_report.json").read_text())
+    checks = report["results"]["checks"]
+    correction = checks["rank_one_mass_removal_correction"]
+    assert correction["removed"] == [{"point": "0", "weight": "2"}]
+    assert correction["correction_coefficients"] == ["2"]
+    assert correction["deviation"] == "0"
+    assert checks["trimmed_operator_kernel_vectors"]["removed_points"] == ["0"]
+
+
 def test_extremal_index_out_of_range_exits_2(tmp_path, run):
     cfg = write(tmp_path / "e.json", {"measure": demo_measure(), "remove": [7]})
     code, _, err = run("extremal", "--config", cfg)
@@ -245,6 +267,26 @@ def test_bench_small_grid(tmp_path, run):
     report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
     assert report["results"]["all_agree"] is True
     assert all(r["max_rel_dev"] < 1e-10 for r in report["results"]["rows"])
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, float("nan"), 0.5, 0.25, 0.2, 0.1], [0.0] * 6], ids=["nan", "zero"]
+)
+def test_bench_fails_on_nan_deviation(tmp_path, run, values):
+    # a NaN moment makes both products NaN, an all-zero sequence makes the
+    # deviation 0/0: neither row may read as agreeing
+    cfg = write(
+        tmp_path / "b.json",
+        {"family": {"family": "explicit", "params": {"values": values}}, "n_grid": [3]},
+    )
+    code, _, err = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "agreement check FAILED" in err
+    report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
+    assert report["results"]["all_agree"] is False
+    [row] = report["results"]["rows"]
+    assert row["agrees"] is False
+    assert math.isnan(row["max_rel_dev"])
 
 
 def test_bench_refuses_rational_backend(tmp_path, run):

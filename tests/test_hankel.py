@@ -27,7 +27,7 @@ from hankelmoments import (
     matvec_naive,
     power_decay,
 )
-from hankelmoments.backends import norm_sq, to_float
+from hankelmoments.backends import to_float, to_json
 from hankelmoments.hankel import _fast_len, default_k_grid
 from hankelmoments.moments import LogNormal
 
@@ -323,6 +323,13 @@ def per_stage_series(ms, g, n, stages):
         return terms
 
 
+def in_order_sum_of_squares(v):
+    acc = v[0] * v[0]
+    for a in v[1:]:
+        acc = acc + a * a
+    return acc
+
+
 @pytest.mark.parametrize(
     "backend", [RAT, F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag()
 )
@@ -336,7 +343,7 @@ def test_series_terms_equal_per_stage_sums(backend):
     # squares and sums at the backend's precision, not mpmath's default
     with backend.context():
         assert report.partial_norm_deltas == [
-            math.sqrt(to_float(norm_sq(t))) for t in terms
+            math.sqrt(to_float(in_order_sum_of_squares(t))) for t in terms
         ]
         partial = [backend.zero()] * n
         for t in terms:
@@ -398,7 +405,7 @@ def test_domain_fraction_generator_equals_its_float_twin():
     grid = default_k_grid(2_000, 5)
     exact = domain_diagnostic(ms, lambda k: F(2, 3 * k + 1), grid)
     twin = domain_diagnostic(ms, lambda k: 2 / (3 * k + 1), grid)
-    assert exact.to_json() == twin.to_json()
+    assert to_json(exact) == to_json(twin)
     assert [v.hex() for v in exact.in_D_H.values] == [v.hex() for v in twin.in_D_H.values]
 
 

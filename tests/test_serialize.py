@@ -18,15 +18,13 @@ from hankelmoments import (
     RATIONAL_BACKEND,
     lambda_profile,
 )
-from hankelmoments.backends import scalar_to_json
+from hankelmoments.backends import scalar_to_json, to_json
 from hankelmoments.serialize import (
     family_from_json,
     family_to_json,
-    matrix_to_json,
     profile_to_csv,
     sequence_to_json,
     series_to_csv,
-    vector_to_json,
 )
 
 F = Fraction
@@ -79,14 +77,14 @@ def test_sequence_round_trip_with_backend():
 
 def test_vector_round_trip():
     vec = [F(1, 3), F(-2), F(0)]
-    encoded = vector_to_json(vec)
+    encoded = to_json(vec)
     assert encoded == ["1/3", "-2", "0"]
     assert [RATIONAL_BACKEND.convert(x) for x in encoded] == vec
 
 
 def test_matrix_json_floats_round_trip():
     rows = [[0.1, 0.25], [1 / 3, 2.0]]
-    encoded = matrix_to_json(rows)
+    encoded = to_json(rows)
     assert encoded[0][0] == 0.1  # shortest round-trip decimal by construction
     assert json.loads(json.dumps(encoded)) == encoded
 
