@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Each subcommand reads a JSON experiment config (validated against the
-published schema; unknown keys are rejected), prints a human-readable table,
-and writes machine-readable JSON/CSV artifacts next to it.  Numeric output is
-deterministic given (config, backend); wall-clock timings live in a separate
-report section so the rest of the bytes are reproducible.
+Each subcommand is one entry of :data:`SUBCOMMANDS`: its runner, its required
+config keys and its own config keys.  The schemas of :data:`CONFIG_SCHEMAS`
+add ``command``, ``backend`` and ``out`` and reject unknown keys; they and
+the argument parser are built from the table.  :func:`run_pipeline` runs
+every subcommand: it validates the config, applies ``--backend`` and
+``--out`` and calls the runner, which fills in the report (timings in their
+own section, so the other bytes are reproducible given config and backend),
+prints a table and returns its exit code and CSV tables; the pipeline writes
+those and ``<command>_report.json`` under ``out``.
 
-Exit codes: 0 success, 1 internal or precision failure, 2 config error.
+Exit codes: 0 success; 1 computation failure, ``bench`` disagreement
+included; 2 config error, explicit data shorter than the truncation included.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -25,7 +31,7 @@ from . import __version__
 from .backends import Backend, BackendError, HankelError, to_float
 from .hankel import default_k_grid, domain_diagnostic, matvec_fft, matvec_naive, power_decay
 from .measures import DiscreteMeasure
-from .moments import MomentSequence, classify
+from .moments import MissingMomentError, MomentSequence, classify
 from .orthopoly import factor, recurrence
 from .serialize import (
     FAMILY_NAMES,
@@ -43,7 +49,6 @@ from .extremal import (
     kernel_vector_check,
     perturbation_check,
 )
-from .triangular import PositivityError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -71,120 +76,11 @@ _MEASURE_SCHEMA = {
 
 _BACKEND_SCHEMA = {"type": "string", "pattern": r"^(rational|f64|bigfloat:[0-9]+)$"}
 
-CONFIG_SCHEMAS = {
-    "classify": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "classify"},
-            "family": _FAMILY_SCHEMA,
-            "backend": _BACKEND_SCHEMA,
-            "n": {"type": "integer", "minimum": 2},
-            "trace_terms": {"type": "integer", "minimum": 1},
-            "out": {"type": "string"},
-        },
-        "required": ["family"],
-        "additionalProperties": False,
-    },
-    "spectrum": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "spectrum"},
-            "family": _FAMILY_SCHEMA,
-            "backend": _BACKEND_SCHEMA,
-            "n_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "window": {"type": "integer", "minimum": 1},
-            "ratio_threshold": {"type": "number", "exclusiveMinimum": 0},
-            "quantities": {
-                "type": "array",
-                "items": {"enum": ["lambda_min", "lambda_max", "hs_norm_b", "trace_partial"]},
-                "minItems": 1,
-            },
-            "out": {"type": "string"},
-        },
-        "required": ["family", "n_grid"],
-        "additionalProperties": False,
-    },
-    "extremal": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "extremal"},
-            "measure": _MEASURE_SCHEMA,
-            "remove": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            "n": {"type": "integer", "minimum": 1},
-            "k_tail": {"type": "integer", "minimum": 1},
-            "backend": _BACKEND_SCHEMA,
-            "out": {"type": "string"},
-        },
-        "required": ["measure", "remove"],
-        "additionalProperties": False,
-    },
-    "bench": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "bench"},
-            "family": _FAMILY_SCHEMA,
-            "backend": _BACKEND_SCHEMA,
-            "n_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "vectors": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "out": {"type": "string"},
-        },
-        "required": ["family", "n_grid"],
-        "additionalProperties": False,
-    },
-    "domain": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "domain"},
-            "family": _FAMILY_SCHEMA,
-            "backend": _BACKEND_SCHEMA,
-            "decay": {"type": "number", "exclusiveMinimum": 0.5},
-            "k_max": {"type": "integer", "minimum": 100},
-            "out": {"type": "string"},
-        },
-        "required": ["family", "decay"],
-        "additionalProperties": False,
-    },
-    "recurrence": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "recurrence"},
-            "family": _FAMILY_SCHEMA,
-            "backend": _BACKEND_SCHEMA,
-            "n": {"type": "integer", "minimum": 3},
-            "out": {"type": "string"},
-        },
-        "required": ["family"],
-        "additionalProperties": False,
-    },
-}
+_N_GRID_SCHEMA = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1}
 
 
 class ConfigError(Exception):
     pass
-
-
-def _load_config(args, command: str) -> dict:
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    try:
-        # the schemas are constants, checked once by the test suite rather
-        # than on every run as jsonschema.validate would
-        schema = CONFIG_SCHEMAS[command]
-        validator_for(schema)(schema).validate(config)
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config rejected by schema: {err.message}") from None
-    if args.backend:
-        config["backend"] = args.backend
-    if args.out:
-        config["out"] = args.out
-    return config
 
 
 def _sequence_from_config(config: dict) -> MomentSequence:
@@ -193,42 +89,20 @@ def _sequence_from_config(config: dict) -> MomentSequence:
     return MomentSequence(family, backend)
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "results": {},
-        "precision": {},
-        "timings": {},
-    }
-
-
-def _emit(report: dict, config: dict, default_name: str) -> None:
-    out = config.get("out")
-    if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dump_json(report, out_dir / default_name)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# runners: (config, report) -> (exit code, {CSV file name: writer(path)})
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
-    config = _load_config(args, "classify")
+def run_classify(config: dict, report: dict):
     ms = _sequence_from_config(config)
     n = config.get("n", 12)
     t0 = time.perf_counter()
     result = classify(ms, n, trace_terms=config.get("trace_terms"))
     elapsed = time.perf_counter() - t0
 
-    report = _report_skeleton("classify", config)
     report["results"] = {"classification": result, "sequence": sequence_to_json(ms)}
     report["timings"] = {"classify_s": elapsed}
-    _emit(report, config, "classify_report.json")
 
     print(f"family            : {ms.family.name} [{ms.backend.tag()}]")
     print(f"pd up to          : {result.positive_definite_up_to} (probed to {n})")
@@ -237,11 +111,10 @@ def cmd_classify(args) -> int:
         print(f"{key:<18}: {verdict.value} ({verdict.basis})")
     trace = result.trace_partial
     print(f"trace partial     : {'' if trace is None else to_float(trace)} (K={result.trace_terms})")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_spectrum(args) -> int:
-    config = _load_config(args, "spectrum")
+def run_spectrum(config: dict, report: dict):
     ms = _sequence_from_config(config)
     quantities = tuple(config.get("quantities", ["lambda_min", "lambda_max", "hs_norm_b", "trace_partial"]))
     window = config.get("window", 4)
@@ -250,14 +123,11 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     profile = lambda_profile(ms, config["n_grid"], quantities)
     elapsed = time.perf_counter() - t0
-    verdict = None
-    if "lambda_min" in quantities:
-        try:
-            verdict = plateau_verdict(profile, window, threshold)
-        except ValueError:
-            verdict = None
+    try:
+        verdict = plateau_verdict(profile, window, threshold)
+    except ValueError:  # fewer than window + 1 reliable lambda_min values
+        verdict = None
 
-    report = _report_skeleton("spectrum", config)
     report["results"] = {
         "profile": profile,
         "plateau": verdict,
@@ -266,10 +136,6 @@ def cmd_spectrum(args) -> int:
         str(e.n): e.precision_bits for e in profile.entries if e.precision_bits
     }
     report["timings"] = {"profile_s": elapsed}
-    _emit(report, config, "spectrum_report.json")
-    out = config.get("out")
-    if out:
-        profile_to_csv(profile, Path(out) / "spectrum_profile.csv")
 
     print(f"family   : {ms.family.name} [{ms.backend.tag()}]")
     print(f"{'N':>5} {'lambda_min':>14} {'lambda_max':>14} {'hs_norm_B':>12} {'bits':>6} status")
@@ -280,11 +146,10 @@ def cmd_spectrum(args) -> int:
         print(f"{e.n:>5} {lmin:>14} {lmax:>14} {hs:>12} {e.precision_bits or '-':>6} {e.status}")
     if verdict:
         print(f"plateau verdict: {verdict.label} (ratio={verdict.ratio}, window={verdict.window}, threshold={verdict.threshold})")
-    return EXIT_OK
+    return EXIT_OK, {"spectrum_profile.csv": lambda path: profile_to_csv(profile, path)}
 
 
-def cmd_extremal(args) -> int:
-    config = _load_config(args, "extremal")
+def run_extremal(config: dict, report: dict):
     measure = DiscreteMeasure.from_json(config["measure"])
     remove = config["remove"]
     for idx in remove:
@@ -300,7 +165,6 @@ def cmd_extremal(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    report = _report_skeleton("extremal", config)
     report["results"] = {
         "checks": {
             "rank_one_mass_removal_correction": pert,
@@ -308,22 +172,18 @@ def cmd_extremal(args) -> int:
         }
     }
     report["timings"] = {"extremal_s": elapsed}
-    _emit(report, config, "extremal_report.json")
 
     print(f"measure            : {measure.size} point masses")
     print(f"removed indices    : {remove}")
     print(f"correction deviation: {to_float(pert.deviation)} (exact zero: {pert.exact})")
     print(f"kernel residuals   : {kern.residual_norms} (exact zero: {kern.exact_zero})")
     print(kern.banner)
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_bench(args) -> int:
-    config = _load_config(args, "bench")
-    backend_tag = config.get("backend", "f64")
-    if backend_tag != "f64":
+def run_bench(config: dict, report: dict):
+    if config.setdefault("backend", "f64") != "f64":
         raise ConfigError("bench requires the f64 backend (the fast product is float-only)")
-    config["backend"] = backend_tag
     ms = _sequence_from_config(config)
     n_grid = sorted(set(config["n_grid"]))
     vectors = config.get("vectors", 5)
@@ -343,9 +203,10 @@ def cmd_bench(args) -> int:
             fast = matvec_fft(ms, g, n)
             t_fft += time.perf_counter() - t0
             ref, fast = np.asarray(ref), np.asarray(fast)
-            devs.append(np.max(np.abs(ref - fast)) / np.max(np.abs(ref)))
-        # np.max, unlike max(), carries a NaN deviation (NaN data, or 0/0 on
-        # an identically zero product) into the row, which then fails
+            with np.errstate(divide="ignore", invalid="ignore"):
+                devs.append(np.max(np.abs(ref - fast)) / np.max(np.abs(ref)))
+        # a NaN deviation (NaN data, or 0/0 on an identically zero product)
+        # or an inf one (x/0) fails the row; np.max, unlike max(), keeps NaN
         worst = float(np.max(devs))
         rows.append({
             "n": n,
@@ -356,33 +217,24 @@ def cmd_bench(args) -> int:
         })
 
     ok = all(r["agrees"] for r in rows)
-    report = _report_skeleton("bench", config)
     report["results"] = {
         "agreement_tolerance": tolerance,
         "rows": [{k: r[k] for k in ("n", "max_rel_dev", "agrees")} for r in rows],
         "all_agree": ok,
     }
     report["timings"] = {str(r["n"]): {"naive_s": r["naive_s"], "fft_s": r["fft_s"]} for r in rows}
-    _emit(report, config, "bench_report.json")
-    out = config.get("out")
-    if out:
-        series_to_csv(
-            Path(out) / "bench_deviation.csv",
-            [(r["n"], r["max_rel_dev"]) for r in rows],
-            header=("N", "max_rel_dev"),
-        )
 
     print(f"{'N':>6} {'max rel dev':>14} {'naive s':>10} {'fft s':>10} agree")
     for r in rows:
         print(f"{r['n']:>6} {r['max_rel_dev']:>14.3e} {r['naive_s']:>10.4f} {r['fft_s']:>10.4f} {r['agrees']}")
     if not ok:
         print("agreement check FAILED", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    deviations = [(r["n"], r["max_rel_dev"]) for r in rows]
+    csv = {"bench_deviation.csv": lambda path: series_to_csv(path, deviations, header=("N", "max_rel_dev"))}
+    return (EXIT_OK if ok else EXIT_INTERNAL), csv
 
 
-def cmd_domain(args) -> int:
-    config = _load_config(args, "domain")
+def run_domain(config: dict, report: dict):
     config.setdefault("backend", "f64")
     ms = _sequence_from_config(config)
     d = config["decay"]
@@ -392,26 +244,18 @@ def cmd_domain(args) -> int:
     verdict = domain_diagnostic(ms, power_decay(d), default_k_grid(k_max))
     elapsed = time.perf_counter() - t0
 
-    report = _report_skeleton("domain", config)
     report["results"] = {"diagnostic": verdict, "heuristic": True}
     report["timings"] = {"domain_s": elapsed}
-    _emit(report, config, "domain_report.json")
-    out = config.get("out")
-    if out:
-        series_to_csv(
-            Path(out) / "domain_form_profile.csv",
-            list(zip(verdict.in_V_mu.grid, verdict.in_V_mu.values)),
-        )
 
     print(f"coefficient decay d : {d}")
     print(f"form-domain trend   : {verdict.in_V_mu.label} (slope {verdict.in_V_mu.slope:.4f})")
     print(f"operator-domain trend: {verdict.in_D_H.label} (slope {verdict.in_D_H.slope:.4f})")
     print("heuristic evidence only; verdicts carry their grids in the report")
-    return EXIT_OK
+    form = verdict.in_V_mu
+    return EXIT_OK, {"domain_form_profile.csv": lambda path: series_to_csv(path, zip(form.grid, form.values))}
 
 
-def cmd_recurrence(args) -> int:
-    config = _load_config(args, "recurrence")
+def run_recurrence(config: dict, report: dict):
     ms = _sequence_from_config(config)
     n = config.get("n", 8)
 
@@ -420,37 +264,133 @@ def cmd_recurrence(args) -> int:
     rc = recurrence(tp)
     elapsed = time.perf_counter() - t0
 
-    report = _report_skeleton("recurrence", config)
     report["results"] = {
         "recurrence": rc,
         "factorization": triangular_pair_to_json(tp),
     }
     report["precision"] = {"bits": tp.precision_bits}
     report["timings"] = {"recurrence_s": elapsed}
-    _emit(report, config, "recurrence_report.json")
-    out = config.get("out")
-    if out:
-        recurrence_to_csv(rc, Path(out) / "recurrence.csv")
 
     print(f"family : {ms.family.name} [{ms.backend.tag()}], N={n}")
     print(f"{'n':>3} {'alpha':>22} {'beta_next':>22}")
     for i, (a, b) in enumerate(zip(rc.alpha, rc.beta)):
         print(f"{i:>3} {to_float(a):>22.15g} {to_float(b):>22.15g}")
-    return EXIT_OK
+    return EXIT_OK, {"recurrence.csv": lambda path: recurrence_to_csv(rc, path)}
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table and the pipeline
+# ---------------------------------------------------------------------------
+
+
+class Subcommand(NamedTuple):
+    run: Callable[[dict, dict], tuple]
+    required: list
+    keys: dict  # config keys besides command, backend and out
+
+
+SUBCOMMANDS = {
+    "classify": Subcommand(run_classify, ["family"], {
+        "family": _FAMILY_SCHEMA,
+        "n": {"type": "integer", "minimum": 2},
+        "trace_terms": {"type": "integer", "minimum": 1},
+    }),
+    "spectrum": Subcommand(run_spectrum, ["family", "n_grid"], {
+        "family": _FAMILY_SCHEMA,
+        "n_grid": _N_GRID_SCHEMA,
+        "window": {"type": "integer", "minimum": 1},
+        "ratio_threshold": {"type": "number", "exclusiveMinimum": 0},
+        "quantities": {
+            "type": "array",
+            "items": {"enum": ["lambda_min", "lambda_max", "hs_norm_b", "trace_partial"]},
+            "minItems": 1,
+        },
+    }),
+    "extremal": Subcommand(run_extremal, ["measure", "remove"], {
+        "measure": _MEASURE_SCHEMA,
+        "remove": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "n": {"type": "integer", "minimum": 1},
+        "k_tail": {"type": "integer", "minimum": 1},
+    }),
+    "bench": Subcommand(run_bench, ["family", "n_grid"], {
+        "family": _FAMILY_SCHEMA,
+        "n_grid": _N_GRID_SCHEMA,
+        "vectors": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0},
+    }),
+    "domain": Subcommand(run_domain, ["family", "decay"], {
+        "family": _FAMILY_SCHEMA,
+        "decay": {"type": "number", "exclusiveMinimum": 0.5},
+        "k_max": {"type": "integer", "minimum": 100},
+    }),
+    "recurrence": Subcommand(run_recurrence, ["family"], {
+        "family": _FAMILY_SCHEMA,
+        "n": {"type": "integer", "minimum": 3},
+    }),
+}
+
+
+def _config_schema(command: str, sub: Subcommand) -> dict:
+    return {
+        "type": "object",
+        "properties": {
+            "command": {"const": command},
+            **sub.keys,
+            "backend": _BACKEND_SCHEMA,
+            "out": {"type": "string"},
+        },
+        "required": sub.required,
+        "additionalProperties": False,
+    }
+
+
+CONFIG_SCHEMAS = {command: _config_schema(command, sub) for command, sub in SUBCOMMANDS.items()}
+
+
+def run_pipeline(args) -> int:
+    """Config, report skeleton, runner, then the artifacts under ``out``."""
+    command = args.command
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config is not valid JSON: {err}") from None
+    try:
+        # the schemas are constants, checked once by the test suite rather
+        # than on every run as jsonschema.validate would
+        schema = CONFIG_SCHEMAS[command]
+        validator_for(schema)(schema).validate(config)
+    except jsonschema.ValidationError as err:
+        raise ConfigError(f"config rejected by schema: {err.message}") from None
+    if args.backend:
+        config["backend"] = args.backend
+    if args.out:
+        config["out"] = args.out
+    # every runner sets results and timings; two of them set precision
+    report = {"command": command, "config": config, "version": __version__, "precision": {}}
+    code, tables = SUBCOMMANDS[command].run(config, report)
+    out = config.get("out")
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump_json(report, out_dir / f"{command}_report.json")
+        for name, write in tables.items():
+            write(out_dir / name)
+    return code
 
 
 def cmd_schema(args) -> int:
+    schema = CONFIG_SCHEMAS
     if args.command_name:
         if args.command_name not in CONFIG_SCHEMAS:
             print(f"unknown command {args.command_name!r}", file=sys.stderr)
             return EXIT_CONFIG
-        print(json.dumps(CONFIG_SCHEMAS[args.command_name], indent=2, sort_keys=True))
-    else:
-        print(json.dumps(CONFIG_SCHEMAS, indent=2, sort_keys=True))
+        schema = CONFIG_SCHEMAS[args.command_name]
+    print(json.dumps(schema, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,22 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for command in SUBCOMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", help="output directory for JSON/CSV artifacts")
         p.add_argument("--backend", help="override the config backend (rational|bigfloat:<bits>|f64)")
-
-    for name, fn in (
-        ("classify", cmd_classify),
-        ("spectrum", cmd_spectrum),
-        ("extremal", cmd_extremal),
-        ("bench", cmd_bench),
-        ("domain", cmd_domain),
-        ("recurrence", cmd_recurrence),
-    ):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=run_pipeline)
 
     p = sub.add_parser("schema", help="print the published config schema")
     p.add_argument("command_name", nargs="?")
@@ -489,16 +419,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, HypothesisViolationError) as err:
+    except (ConfigError, HypothesisViolationError, BackendError, MissingMomentError,
+            ValueError, IndexError, KeyError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except jsonschema.ValidationError as err:
-        print(f"config error: {err.message}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BackendError, ValueError, IndexError, KeyError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PositivityError, HankelError, ArithmeticError) as err:
+    except (HankelError, ArithmeticError) as err:
         print(f"computation failed: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

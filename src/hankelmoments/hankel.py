@@ -62,9 +62,9 @@ def matvec_naive(ms: MomentSequence, g, n: int):
     if len(g) > n:
         raise ValueError("len(g) must be <= n")
     if f64:
-        m = ms.float_array(n + len(g))
-        # rows i of the dense product are m[i : i + len(g)]; the strided view
-        # avoids materializing the n x len(g) block
+        # rows i of the dense product are m[i : i + len(g)], up to m_{n+len(g)-2};
+        # the strided view avoids materializing the n x len(g) block
+        m = ms.float_array(n + len(g) - 1)
         rows = np.lib.stride_tricks.sliding_window_view(m, len(g))[:n]
         return (rows @ g).tolist()
     return row_actions(ms, g, 0, n)

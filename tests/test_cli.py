@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema.validators import validator_for
 
+import hankelmoments
 from hankelmoments.cli import CONFIG_SCHEMAS, main
 
 
@@ -269,24 +274,72 @@ def test_bench_small_grid(tmp_path, run):
     assert all(r["max_rel_dev"] < 1e-10 for r in report["results"]["rows"])
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "values", [[1.0, float("nan"), 0.5, 0.25, 0.2, 0.1], [0.0] * 6], ids=["nan", "zero"]
 )
 def test_bench_fails_on_nan_deviation(tmp_path, run, values):
     # a NaN moment makes both products NaN, an all-zero sequence makes the
-    # deviation 0/0: neither row may read as agreeing
+    # deviation 0/0: neither row may read as agreeing, and the 0/0 that the
+    # check handles raises no numpy warning
     cfg = write(
         tmp_path / "b.json",
         {"family": {"family": "explicit", "params": {"values": values}}, "n_grid": [3]},
     )
     code, _, err = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 1
-    assert "agreement check FAILED" in err
+    assert err.splitlines() == ["agreement check FAILED"]
     report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
     assert report["results"]["all_agree"] is False
     [row] = report["results"]["rows"]
     assert row["agrees"] is False
     assert math.isnan(row["max_rel_dev"])
+
+
+def test_bench_reads_exactly_the_moments_of_the_truncation(tmp_path, run):
+    # the N x N products use m_0..m_{2N-2}: five values suffice at N = 3
+    values = [1.0, 0.5, 0.3, 0.25, 0.2]
+    cfg = write(
+        tmp_path / "b.json",
+        {"family": {"family": "explicit", "params": {"values": values}}, "n_grid": [3]},
+    )
+    code, _, err = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
+    assert report["results"]["all_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "command, count, size, index",
+    [
+        ("spectrum", 3, {"n_grid": [4]}, 4),
+        ("recurrence", 3, {"n": 4}, 3),
+        ("bench", 4, {"n_grid": [3]}, 4),
+    ],
+    ids=["spectrum", "recurrence", "bench"],
+)
+def test_explicit_data_shorter_than_the_truncation_exits_2(tmp_path, run, command, count, size, index):
+    values = [1.0, 0.5, 0.3, 0.25][:count]
+    cfg = write(
+        tmp_path / "x.json",
+        {"family": {"family": "explicit", "params": {"values": values}}, "backend": "f64", **size},
+    )
+    code, out, err = run(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: explicit sequence stores {count} moments, index {index} requested"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+def test_classify_clamps_its_probe_to_short_explicit_data(tmp_path, run):
+    cfg = write(
+        tmp_path / "c.json",
+        {"family": {"family": "explicit", "params": {"values": [1, 0.5, 0.3]}}, "backend": "f64"},
+    )
+    code, _, _ = run("classify", "--config", cfg)
+    assert code == 0
 
 
 def test_bench_refuses_rational_backend(tmp_path, run):
@@ -317,9 +370,15 @@ def test_domain_command(tmp_path, run):
             "k_max": 3000,
         },
     )
-    code, out, _ = run("domain", "--config", cfg)
+    code, out, _ = run("domain", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     assert "bounded-trend" in out
+    report = json.loads((tmp_path / "o" / "domain_report.json").read_text())
+    assert report["config"]["backend"] == "f64"
+    assert report["results"]["heuristic"] is True
+    csv_lines = (tmp_path / "o" / "domain_form_profile.csv").read_text().splitlines()
+    assert csv_lines[0] == "K,value"
+    assert len(csv_lines) > 1
 
 
 def test_domain_gegenbauer_default_grid(tmp_path, run):
@@ -382,13 +441,26 @@ def test_config_schema_is_a_valid_schema(command):
     validator_for(schema).check_schema(schema)
 
 
-def test_spectrum_schema_lists_exactly_its_keys(run):
-    code, out, _ = run("schema", "spectrum")
+SCHEMA_KEYS = {
+    "classify": ({"family", "n", "trace_terms"}, ["family"]),
+    "spectrum": ({"family", "n_grid", "window", "ratio_threshold", "quantities"}, ["family", "n_grid"]),
+    "extremal": ({"measure", "remove", "n", "k_tail"}, ["measure", "remove"]),
+    "bench": ({"family", "n_grid", "vectors", "seed", "tolerance"}, ["family", "n_grid"]),
+    "domain": ({"family", "decay", "k_max"}, ["family", "decay"]),
+    "recurrence": ({"family", "n"}, ["family"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA_KEYS))
+def test_schema_lists_exactly_its_keys(run, command):
+    keys, required = SCHEMA_KEYS[command]
+    code, out, _ = run("schema", command)
     assert code == 0
-    assert set(json.loads(out)["properties"]) == {
-        "command", "family", "backend", "n_grid", "window", "ratio_threshold",
-        "quantities", "out",
-    }
+    schema = json.loads(out)
+    assert set(schema["properties"]) == keys | {"command", "backend", "out"}
+    assert schema["properties"]["command"] == {"const": command}
+    assert schema["required"] == required
+    assert schema["additionalProperties"] is False
 
 
 def test_reports_are_deterministic_modulo_timings(tmp_path, run):
@@ -418,3 +490,47 @@ def test_backend_flag_overrides_config(tmp_path, run):
     code, out, _ = run("classify", "--config", cfg, "--backend", "f64")
     assert code == 0
     assert "[f64]" in out
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: python -m hankelmoments.cli
+# ---------------------------------------------------------------------------
+
+
+def run_module(*argv):
+    src = str(Path(hankelmoments.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "hankelmoments.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_process_missing_config_exits_2(tmp_path):
+    proc = run_module("classify", "--config", str(tmp_path / "absent.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: cannot read config")
+
+
+def test_process_short_explicit_spectrum_exits_2(tmp_path):
+    cfg = write(
+        tmp_path / "s.json",
+        {
+            "family": {"family": "explicit", "params": {"values": [1, 0.5, 0.3]}},
+            "backend": "f64",
+            "n_grid": [4],
+        },
+    )
+    proc = run_module("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: explicit sequence stores 3 moments")
+    assert not (tmp_path / "o").exists()
+
+
+def test_process_schema_exits_0():
+    proc = run_module("schema")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert set(json.loads(proc.stdout)) == set(SCHEMA_KEYS)

@@ -154,6 +154,16 @@ def test_matvec_fft_matches_naive_small():
     assert out[1] == pytest.approx(5 / 6, abs=1e-12)
 
 
+def test_f64_products_need_only_the_moments_of_the_truncation():
+    # the 3 x 3 product reads m_0..m_4: five stored values suffice for both
+    ms = MomentSequence(Explicit.from_list([1.0, 0.5, 0.3, 0.25, 0.2]), F64_BACKEND)
+    g = [1.0, -2.0, 0.5]
+    naive = matvec_naive(ms, g, 3)
+    assert naive == pytest.approx(matvec_fft(ms, g, 3), abs=1e-14)
+    assert naive == [1.0 - 1.0 + 0.15, 0.5 - 0.6 + 0.125, 0.3 - 0.5 + 0.1]
+    assert matvec_naive(ms, [], 3) == [0.0, 0.0, 0.0]
+
+
 def test_fast_len_is_the_next_5_smooth_number():
     smooth = sorted(
         2**a * 3**b * 5**c
