@@ -83,7 +83,6 @@ class PerturbationReport:
     exact: bool
     correction_coefficients: list  # weight / (1 - x^2) per removed point
     correction: list  # the rank-|removed| matrix, for audit
-    index_of_determinacy: int | None  # bookkeeping only: removals - 1
     banner: str = FINITE_SURROGATE_BANNER
 
 
@@ -112,21 +111,23 @@ def perturbation_check(
     with backend.context():
         one = backend.one()
         coeffs = []
-        directions = []
+        scaled = []  # coef_j (1 - x_j^2): the weight of x_j^(k+l) in entry (k, l)
+        points = []
         for i in indices:
             xv = backend.convert(mu.points[i])
             cv = backend.convert(mu.weights[i])
             unit_sq = one - xv * xv  # squared normalization of v_j
             coeffs.append(cv / unit_sq)
-            directions.append(([xv**k for k in range(n)], unit_sq))
+            scaled.append(coeffs[-1] * unit_sq)
+            points.append(xv)
 
-        correction = [[backend.zero()] * n for _ in range(n)]
-        for (powers, unit_sq), coef in zip(directions, coeffs):
-            for k in range(n):
-                for l in range(n):
-                    correction[k][l] = correction[k][l] + coef * (
-                        unit_sq * powers[k] * powers[l]
-                    )
+        # the correction is Hankel: its 2n - 1 antidiagonals, each one dot
+        # over the removed points
+        zero = backend.zero()
+        diagonals = [
+            dot(scaled, [xv**s for xv in points]) if points else zero for s in range(2 * n - 1)
+        ]
+        correction = [diagonals[k : k + n] for k in range(n)]
 
         deviation = backend.zero()
         for lhs_row, rhs_row, corr_row in zip(
@@ -143,7 +144,6 @@ def perturbation_check(
         exact=backend.kind == RATIONAL and deviation == 0,
         correction_coefficients=coeffs,
         correction=correction,
-        index_of_determinacy=len(removed) - 1 if removed else None,
     )
 
 

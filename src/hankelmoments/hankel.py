@@ -229,7 +229,8 @@ def _fit_tail_slope(grid, values):
 
 
 def default_k_grid(k_max: int = 100_000, points: int = 10) -> list[int]:
-    return sorted(set(np.round(np.logspace(2, math.log10(k_max), points)).astype(int)))
+    """``points`` log-spaced sizes from 100 to ``k_max``, as Python ints."""
+    return sorted({int(k) for k in np.round(np.logspace(2, math.log10(k_max), points))})
 
 
 def power_decay(d: float):

@@ -351,16 +351,17 @@ class MomentSequence:
     def moments(self, count: int) -> list:
         return [self.moment(n) for n in range(count)]
 
-    def float_array(self, count: int) -> np.ndarray:
-        """First ``count`` moments as a dense f64 array (fast numeric paths).
+    def float_array(self, count: int, step: int = 1) -> np.ndarray:
+        """m_0, m_step, ..., m_{(count-1) step} as a dense f64 array (fast
+        numeric paths).
 
         PowerLog takes one vectorized pow, whose values its f64 ``moment``
-        repeats; any other family reads its moments in index order.
+        repeats; any other family reads those moments in index order.
         """
         if isinstance(self.family, PowerLog):
             c = to_float(self.family.c)
-            return (np.arange(count, dtype=float) + 1.0) ** (-c)
-        return np.fromiter(map(self.moment, range(count)), float, count)
+            return (np.arange(0, count * step, step, dtype=float) + 1.0) ** (-c)
+        return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)
 
     def nu(self) -> "MomentSequence":
         """The sequence m_n - m_{n+2} (moments after damping by 1 - x^2)."""
@@ -392,7 +393,17 @@ def hankel_rows(ms: MomentSequence, n: int) -> list[list]:
 
 
 def partial_trace(ms: MomentSequence, terms: int):
-    """m_0 + m_2 + ... + m_{2(terms-1)}, summed in order in the backend."""
+    """m_0 + m_2 + ... + m_{2(terms-1)}, summed in order in the backend.
+
+    Under f64 the even moments are read as one block and summed left to
+    right in a plain loop (``sum`` compensates from Python 3.12, ``np.sum``
+    is pairwise), so the result has the bits of the per-moment sum.
+    """
+    if ms.backend.kind == F64:
+        acc = 0.0
+        for value in ms.float_array(terms, step=2).tolist():
+            acc += value
+        return acc
     with ms.backend.context():
         acc = ms.backend.zero()
         for k in range(terms):

@@ -53,6 +53,63 @@ relative to the value:
 An entry with lambda^_max > 0 and eps <= LAMBDA_MAX_TOL reports it at 53 bits
 without touching the big-float ladder; 1e-12 is the relative agreement the
 ``eigsy`` checks hold the big-float path to.
+
+An entry that asks for lambda_min but not lambda_max first tries the graded
+path, whose precision follows the condition of A in H = S A S, S diagonal,
+not that of H (Demmel and Veselic, *Jacobi's method is more accurate than
+QR*, SIAM J. Matrix Anal. Appl. 13, 1992).  It reads the moment block at v =
+2^-GRADED_BITS, each moment within 2N v of its exact value, relative (the
+count above).  With p = GRADED_BITS + 2 ceil(log2 N) + 8, S^-1 = diag(r_k),
+r_k = 1/sqrt(m~_2k) rounded to p bits (two roundings, |rho_k| <= 2^(1-p)).
+S is this computed scaling, so H = S A' S holds exactly for A' = S^-1 H
+S^-1.  The rest runs in fixed point at 2^-p on Python ints:
+
+* A~: A~_jk = r_j m~_{j+k} r_k is rounded once, half a unit, and A~_jj = 1,
+  off A'_jj = r_j^2 m_2j by at most 2N v + 2 |rho_j|.  Every entry of A~ -
+  A' is below 2N v + 4 units, so ||A~ - A'||_2 <= N (2N v + 4 2^-p).
+  (|A'_jk| <= 1 to first order: L~ L~^t below is a Gram matrix with
+  diagonal at most 1, within two units of A~.)
+* Cholesky: L~_jk = round((A~_jk - sum_{l<k} L~_jl L~_kl) / L~_kk), the sum
+  exact, and L~_jj = isqrt of the pivot, which leaves below 2 L~_jj <= 2
+  units.  So L~ L~^t - A~ is below half a unit off the diagonal and two on
+  it, at most 2N units in the 2-norm.  A pivot <= 0 declines.
+* Inverse: X~ solves x L~ = e_i row by row, each entry rounded once, so
+  X~ L~ = I + R with R lower triangular, |R_ik| <= L~_kk / 2 units and
+  ||R||_2 <= N 2^(-p-1).  The residual sits next to L~, in the frame of A:
+  X~ = (I + R) L~^-1 is exactly the inverse factor of A^ = L~ (I + R)^-1
+  (I + R)^-t L~^t, and R never meets S^-1, whose entries run to 2^1000 and
+  beyond.  ||A^ - L~ L~^t||_2 <= ||L~||_2^2 (2 ||R|| + ||R||^2) / (1 -
+  ||R||)^2 <= N^2 2^-p to first order, as ||L~||_2^2 <= tr(L~ L~^t) <= N.
+
+In all, dA = A^ - A' has ||dA||_2 <= 2N^2 v + (N^2 + 6N) 2^-p <= (2N^2 + 1)
+v, since 2^-p <= v / (256 N^2).  Now (S A^ S)^-1 = S^-1 X~^t X~ S^-1, so
+lambda_min(S A^ S) = 1/||X~ S^-1||_2^2 exactly, and H = Z (I - G) Z^t with
+Z = S A^(1/2) and G = A^(-1/2) dA A^(-1/2).  By Ostrowski's theorem every
+eigenvalue of H is that of S A^ S times a factor in [1 - theta, 1 + theta],
+theta = ||G||_2 <= ||dA||_2 ||X~||_2^2 <= (2N^2 + 1) v ||X~||_F^2, where
+||X~||_F^2 is summed exactly from the ints; theta < 1 also proves H
+positive definite.  ||X~||_F^2 is about tr A^-1 <= N kappa(A): 200 for
+LogNormal(1) at N = 40 (kappa 67.5), 7.5e16 for the Gaussian (kappa 5.3e17),
+and for Hilbert, whose A is as ill-conditioned as H, enough to decline it
+from N = 19 on.
+
+The f64 steps: Y = X~ S^-1 is rounded entrywise once (an int division), so
+|dY_jk| <= u |Y_jk| + 2^-1075; the absolute part covers the entries that
+underflow (LogNormal(1) columns k >= 27, r_k = e^(-k^2)), and sigma =
+||X~ S^-1||_2 moves by at most ||dY||_F <= sqrt(N) u sigma + N 2^-1075.
+LAPACK's SVD is backward stable (Demmel, sec. 5.4): sigma^ is the largest
+singular value of Y + E with ||E||_2 <= N u ||Y||_2.  lambda^ = (1/sigma^)^2
+takes two roundings more.  To first order lambda^ is then within 2(N +
+sqrt(N) + 1) u + N 2^-1074 / sigma^ of lambda_min(S A^ S), relative; the
+bound takes 4(N + 1) u for the first term, the rest being spare for the
+second order, and reads
+
+    eps = (theta + 4 (N + 1) u + N 2^-1074 / sigma^) / (1 - theta).
+
+An entry with eps <= LAMBDA_MAX_TOL reports lambda^ at GRADED_BITS without
+touching the ladder.  The path declines (and the entry runs as before) when
+an even moment or a pivot is not positive, or X~ S^-1 or lambda^ leaves the
+normal f64 range.
 """
 
 from __future__ import annotations
@@ -60,6 +117,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,7 +140,8 @@ from .orthopoly import TriangularPair, eval_polys, factor, ladder
 from .triangular import PositivityError
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
-LAMBDA_MAX_TOL = 1e-12  # relative bound under which f64 lambda_max is reported
+LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
+GRADED_BITS = 128  # moment precision and fixed-point base of the graded lambda_min
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +309,17 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     return (lo + hi) >> 1
 
 
-def _to_fixed(x, shift):
-    """round(x * 2^shift) for an mpf ``x``, exactly (halves rounded up)."""
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    exp += shift
+def _round_shift(man, exp):
+    """round(man * 2^exp) for ints ``man`` and ``exp`` (halves rounded up)."""
     if exp >= 0:
         return man << exp
     return (man + (1 << (-exp - 1))) >> -exp
+
+
+def _to_fixed(x, shift):
+    """round(x * 2^shift) for an mpf ``x``, exactly (halves rounded up)."""
+    sign, man, exp, _ = x._mpf_
+    return _round_shift(-man if sign else man, exp + shift)
 
 
 def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max")):
@@ -287,6 +348,79 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max"
         )
 
 
+def _round_div(num, den):
+    """round(num / den) for ints, den > 0 (halves rounded up)."""
+    return (2 * num + den) // (2 * den)
+
+
+def _scaled_float(num, exp):
+    """num * 2^exp for ints, correctly rounded to f64 (int true division
+    rounds once, into the subnormals too); OverflowError above the range."""
+    return num / (1 << -exp) if exp < 0 else float(num << exp)
+
+
+def _graded_lambda_min(ms: MomentSequence, n: int):
+    """(lambda_min, eps) of the truncation by the graded path, or None.
+
+    H = S A S with S^-1 = diag(r_k), r_k = 1/sqrt(m_2k), from the moment
+    block at ``GRADED_BITS``; A is rounded to p = GRADED_BITS + 2 ceil(log2
+    N) + 8 fractional bits with unit diagonal, factored A = L L^t and
+    inverted row by row (X L = I + R) on Python ints, and lambda_min =
+    1/||X S^-1||_2^2, the norm by LAPACK on the f64 rounding of X S^-1.
+    ``eps`` is the relative bound of the module docstring.  None when an
+    even moment or a pivot is not positive, or X S^-1 or lambda_min leaves
+    the normal f64 range.
+    """
+    with mpmath.workprec(GRADED_BITS):
+        block = ms.with_backend(bigfloat(GRADED_BITS)).moments(2 * n - 1)
+    if not all(m > 0 for m in block[::2]):
+        return None
+    frac = GRADED_BITS + _guard_bits(n) + 8
+    with mpmath.workprec(frac):
+        scale = [(1 / mpmath.sqrt(m))._mpf_[1:3] for m in block[::2]]
+    mul = operator.mul
+    one_sq = 1 << (2 * frac)  # 1 at the scale of a product of two entries
+    chol = []
+    for j, (mj, ej) in enumerate(scale):
+        row = []
+        for k, (mk, ek) in enumerate(scale[:j]):
+            sign, man, exp, _ = block[j + k]._mpf_
+            man *= mj * mk
+            a = _round_shift(-man if sign else man, exp + ej + ek + frac)
+            row.append(_round_div((a << frac) - sum(map(mul, row, chol[k])), chol[k][k]))
+        pivot = one_sq - sum(t * t for t in row)
+        if pivot <= 0:
+            return None
+        row.append(math.isqrt(pivot))
+        chol.append(row)
+    cols = [[chol[l][k] for l in range(k, n)] for k in range(n)]
+    inv = []
+    for i in range(n):
+        x = [0] * (i + 1)
+        x[i] = _round_div(one_sq, chol[i][i])
+        for k in range(i - 1, -1, -1):
+            x[k] = _round_div(-sum(map(mul, x[k + 1 :], cols[k][1:])), cols[k][0])
+        inv.append(x)
+    try:
+        # theta = (2 N^2 + 1) 2^-GRADED_BITS ||X||_F^2
+        theta = (2 * n * n + 1) * sum(t * t for x in inv for t in x) / (
+            1 << (2 * frac + GRADED_BITS)
+        )
+        y = np.zeros((n, n))
+        for i, x in enumerate(inv):
+            y[i, : i + 1] = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
+    except OverflowError:
+        return None
+    sigma = float(np.linalg.norm(y, 2))
+    if not (0 < sigma < math.inf and theta < 1):
+        return None
+    lam = (1 / sigma) ** 2
+    if lam < sys.float_info.min:
+        return None
+    eps = (theta + 4 * (n + 1) * 2.0**-53 + n * 2.0**-1074 / sigma) / (1 - theta)
+    return lam, eps
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -298,9 +432,11 @@ class ProfileEntry:
 
     ``precision_bits`` names the path the eigenvalues came from: 53 for
     LAPACK on the f64 truncation, otherwise the big-float rung of the last
-    ladder step.  An entry without eigenvalue quantities reports the
-    precision of the factor behind ``hs_norm_b``; None means no such path
-    ran.
+    ladder step.  For an entry with lambda_min but without lambda_max, 128
+    (``GRADED_BITS``) means the graded path, taken whenever its bound holds
+    (only a declined entry whose ladder stops at a 128-bit rung reads the
+    same).  An entry without eigenvalue quantities reports the precision of
+    the factor behind ``hs_norm_b``; None means no such path ran.
     """
 
     n: int
@@ -366,7 +502,10 @@ def lambda_profile(
     that asks for lambda_max without lambda_min takes the LAPACK value of
     the f64 truncation when it is positive and its relative bound eps = 4 N
     u ||H||_F / lambda_max (u = 2^-53, derived in the module docstring) is at
-    most ``LAMBDA_MAX_TOL`` = 1e-12.  Any other entry takes LAPACK at f64
+    most ``LAMBDA_MAX_TOL`` = 1e-12.  An entry that asks for lambda_min
+    without lambda_max takes the graded value of the scaled 128-bit Cholesky
+    when its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL``.
+    Any other entry takes LAPACK at f64
     while the machine Cholesky of the truncation still succeeds, otherwise
     the rungs of :func:`~.orthopoly.ladder` (the same ladder ``factor``
     walks) until lambda_min comes out positive.  The walk also stops once
@@ -436,8 +575,14 @@ def _profile_entry(ms, n, quantities) -> ProfileEntry:
             except (OverflowError, PrecisionError):
                 trace = float("inf")
 
+        # the graded lambda_min, tried first for an entry without lambda_max
+        graded = None
+        if want_min and not want_max and n <= ESCALATE_MAX_N:
+            graded = _graded_lambda_min(ms, n)
+            if graded is not None and not graded[1] <= LAMBDA_MAX_TOL:
+                graded = None
         h64 = None
-        if ms.backend.kind != BIGFLOAT:
+        if graded is None and ms.backend.kind != BIGFLOAT:
             try:
                 ms.check_truncation(n)
                 cand = np.array(hankel_rows(ms, n), dtype=float)
@@ -452,7 +597,9 @@ def _profile_entry(ms, n, quantities) -> ProfileEntry:
         certified = eig is not None and _lambda_max_bound(h64, eig[-1]) <= LAMBDA_MAX_TOL
         use_f64 = h64 is not None and (certified or _f64_cholesky_ok(h64))
 
-        if use_f64:
+        if graded is not None:
+            lam_min, bits_used = graded[0], GRADED_BITS
+        elif use_f64:
             if eig is None:
                 eig = np.linalg.eigvalsh(h64)
             lam_min = float(eig[0]) if want_min else None

@@ -94,7 +94,6 @@ def test_perturbation_three_point_frozen(three_point_measure):
     assert report.deviation == 0
     assert report.exact
     assert report.correction_coefficients == [F(1, 3)]
-    assert report.index_of_determinacy == 0
     assert "finite-surrogate" in report.banner
 
 
@@ -102,7 +101,6 @@ def test_perturbation_empty_removal(three_point_measure):
     report = perturbation_check(three_point_measure, [], 3)
     assert report.deviation == 0
     assert report.correction == [[0] * 3 for _ in range(3)]
-    assert report.index_of_determinacy is None
 
 
 def test_perturbation_rank_two(three_point_measure):

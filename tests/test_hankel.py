@@ -398,6 +398,15 @@ def test_domain_trends_bracket_the_cutoff():
     )
 
 
+def test_domain_default_grid():
+    # the default grid holds Python ints, which the 5-smooth FFT lengths need
+    assert all(type(k) is int for k in default_k_grid())
+    ms = MomentSequence(PowerLog(0.5), F64_BACKEND)
+    verdict = domain_diagnostic(ms, power_decay(0.8))
+    assert verdict.in_V_mu.grid == default_k_grid()
+    assert to_json(verdict) == to_json(domain_diagnostic(ms, power_decay(0.8), default_k_grid()))
+
+
 def test_domain_finite_support_is_bounded():
     ms = hilbert(F64_BACKEND)
 

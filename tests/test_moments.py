@@ -23,6 +23,7 @@ from hankelmoments import (
     bigfloat,
     classify,
 )
+from hankelmoments.moments import partial_trace
 
 RAT = RATIONAL_BACKEND
 
@@ -47,6 +48,25 @@ def test_power_log_f64_moments_equal_the_float_array(c):
     count = 20_000
     ms = seq(PowerLog(c), F64_BACKEND)
     assert ms.moments(count) == ms.float_array(count).tolist()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PowerLog(2), PowerLog(Fraction(1, 3)), Gegenbauer(Fraction(1, 2)), Gegenbauer(0.3)],
+    ids=str,
+)
+def test_f64_partial_trace_is_the_in_order_sum(family):
+    # one block read, every even moment and no odd one, summed left to right:
+    # the bits of the per-moment loop
+    terms = 3_000
+    ms = seq(family, F64_BACKEND)
+    assert ms.float_array(terms, step=2).tolist() == [ms.moment(2 * k) for k in range(terms)]
+    acc = 0.0
+    for k in range(terms):
+        acc = acc + ms.moment(2 * k)
+    fresh = seq(family, F64_BACKEND)
+    assert partial_trace(fresh, terms).hex() == acc.hex()
+    assert all(n % 2 == 0 for n in fresh._cache)
 
 
 def test_gegenbauer_even_moment():

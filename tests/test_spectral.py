@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -449,16 +450,18 @@ def test_profile_entry_with_empty_ladder_is_unresolved():
 
 def test_profile_computes_only_the_requested_extremes(monkeypatch):
     steps = _count_steps(monkeypatch)
+    # Hilbert N >= 20: the graded path declines, so lambda_min is bisected
     profile = lambda_profile(
-        MomentSequence(Gaussian(), bigfloat(256)), [8, 12], quantities=("lambda_min",)
+        MomentSequence(PowerLog(1), bigfloat(256)), [20, 24], quantities=("lambda_min",)
     )
     assert all(e.status == "ok" and e.lambda_max is None for e in profile.entries)
     assert [which for which, _ in steps] == ["min", "min"]
 
 
-def _eigsy_extremes(family, n):
-    with mpmath.workprec(1200):
-        ms = MomentSequence(family, bigfloat(1200))
+@functools.lru_cache(maxsize=None)
+def _eigsy_extremes(family, n, bits=1200):
+    with mpmath.workprec(bits):
+        ms = MomentSequence(family, bigfloat(bits))
         h = mpmath.matrix([[ms.moment(i + j) for j in range(n)] for i in range(n)])
         eig = mpmath.eigsy(h, eigvals_only=True)
         return float(min(eig)), float(max(eig))
@@ -497,6 +500,79 @@ def _no_ladder(monkeypatch):
 
     monkeypatch.setattr(spectral, "ladder", refuse)
     monkeypatch.setattr(spectral, "bigfloat_extremes", refuse)
+
+
+# eigsy needs the bits of the largest moment on top of the 1200 it keeps for
+# the other families: LogNormal(1) reaches m_46 ~ 2^1526 at N = 24
+@pytest.mark.parametrize(
+    "family, backend, grid, bits",
+    [
+        (LogNormal(1.0), bigfloat(256), [4, 12, 24], 2800),
+        (Gaussian(), bigfloat(256), [8, 24, 40], 1200),
+        (PowerLog(1), F64_BACKEND, [12], 1200),
+    ],
+    ids=["lognormal", "gaussian", "hilbert-f64"],
+)
+def test_graded_lambda_min_matches_eigsy(monkeypatch, family, backend, grid, bits):
+    # LAPACK on the f64 Hilbert truncation puts lambda_min(12) 3.9 % off;
+    # the graded path takes the moment growth out and keeps 1e-12
+    _no_ladder(monkeypatch)
+    ms = MomentSequence(family, backend)
+    for entry in lambda_profile(ms, grid, quantities=("lambda_min",)).entries:
+        assert entry.status == "ok" and entry.precision_bits == spectral.GRADED_BITS
+        lam_min = _eigsy_extremes(family, entry.n, bits)[0]
+        assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0), entry.n
+
+
+@pytest.mark.parametrize(
+    "family, grid, bits, accepted",
+    [
+        (LogNormal(1.0), [4, 12, 24], 2800, True),
+        (Gaussian(), [8, 24, 40], 1200, True),
+        (PowerLog(1), [12, 16, 18], 1200, True),
+        (PowerLog(1), [20, 24], 1200, False),
+    ],
+    ids=["lognormal", "gaussian", "hilbert", "hilbert-declined"],
+)
+def test_graded_bound_covers_its_error(family, grid, bits, accepted):
+    # accepted entries state eps <= 1e-12; Hilbert from N = 19 on states
+    # more and is declined, but its bound still covers the error
+    ms = MomentSequence(family, F64_BACKEND)
+    for n in grid:
+        lam, eps = spectral._graded_lambda_min(ms, n)
+        assert (eps <= spectral.LAMBDA_MAX_TOL) == accepted, (n, eps)
+        assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
+
+
+def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
+    _no_ladder(monkeypatch)
+    profile = lambda_profile(
+        MomentSequence(LogNormal(1.0), bigfloat(256)), range(4, 41, 4), quantities=("lambda_min",)
+    )
+    for entry in profile.entries:
+        assert entry.status == "ok" and entry.precision_bits == spectral.GRADED_BITS
+    assert plateau_verdict(profile, 4, 0.5).label == "indeterminate-like"
+
+
+def test_graded_path_declines_to_the_ladder(monkeypatch):
+    hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
+    assert spectral._graded_lambda_min(hilbert, 24)[1] > spectral.LAMBDA_MAX_TOL
+    indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
+    assert spectral._graded_lambda_min(indefinite, 3) is None  # m_4 < 0
+    crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
+    assert spectral._graded_lambda_min(crossed, 2) is None  # pivot 1 - 2^2 < 0
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    entry = lambda_profile(hilbert, [24], quantities=("lambda_min",)).entries[0]
+    assert seen == ladder(hilbert, 24)[:1]
+    assert entry.status == "ok" and entry.precision_bits == seen[0]
+    # the indefinite truncation stops on two agreeing negative rungs, as it
+    # does when lambda_max is asked for too
+    seen.clear()
+    entry = lambda_profile(indefinite, [3], quantities=("lambda_min",)).entries[0]
+    assert seen == [78, 156]
+    assert entry.status == "lambda-min-unresolved" and entry.precision_bits == 156
+    ref_lo = _eigsy_on_block(indefinite.with_backend(bigfloat(128)), 3, 128)[0]
+    assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
 
 
 def test_f64_lambda_max_is_certified_at_53_bits(monkeypatch):
@@ -545,7 +621,9 @@ def test_profile_grid_computes_each_probe_moment_once():
     family = _CountingHilbert()
     ms = MomentSequence(family, F64_BACKEND)
     profile = lambda_profile(ms, [16, 20, 24], quantities=("lambda_min",))
-    assert all(e.precision_bits > 53 for e in profile.entries)  # every entry laddered
+    # N = 16 is graded at 128 bits, N = 20 and 24 climb the ladder
+    assert [e.precision_bits for e in profile.entries][0] == spectral.GRADED_BITS
+    assert all(e.precision_bits > 53 for e in profile.entries)
     probe = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(64)}
     assert sorted(probe) == list(range(2 * 24 - 1))
     assert set(family.calls.values()) == {1}
@@ -554,26 +632,28 @@ def test_profile_grid_computes_each_probe_moment_once():
 def test_hs_norm_entry_computes_its_rung_block_once():
     family = _CountingHilbert()
     ms = MomentSequence(family, F64_BACKEND)
-    entry = lambda_profile(ms, [16], quantities=("lambda_min", "hs_norm_b")).entries[0]
+    # N = 20: the graded path declines, so lambda_min comes from the rung
+    entry = lambda_profile(ms, [20], quantities=("lambda_min", "hs_norm_b")).entries[0]
     rung = entry.precision_bits
-    assert entry.status == "ok" and rung == ladder(ms, 16)[0] > 53
+    assert entry.status == "ok" and rung == ladder(ms, 20)[0] > 53
     block = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(rung)}
-    assert block == {j: 1 for j in range(2 * 16 - 1)}
+    assert block == {j: 1 for j in range(2 * 20 - 1)}
     assert entry.hs_norm_b > 0
 
 
 def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
-    # at 64 bits Hilbert lambda_min(16) ~ 9.2e-23 sits below the resolution
+    # at 64 bits Hilbert lambda_min(19) ~ 2.6e-27 sits below the resolution
     # floor 2^-64 * |H|; the entry must move up the ladder, not report "ok"
+    # (from N = 19 on the graded path declines Hilbert: its bound exceeds 1e-12)
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
     monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
     monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
-    assert ladder(ms, 16)[:2] == [64, 128]
-    entry = lambda_profile(ms, [16], quantities=("lambda_min",)).entries[0]
+    assert ladder(ms, 19)[:2] == [64, 128]
+    entry = lambda_profile(ms, [19], quantities=("lambda_min",)).entries[0]
     assert seen == [64, 128]
     assert entry.status == "ok" and entry.precision_bits == 128
-    lam_min = _eigsy_extremes(PowerLog(1), 16)[0]
+    lam_min = _eigsy_extremes(PowerLog(1), 19)[0]
     assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
 
 
