@@ -22,7 +22,7 @@ from .backends import (
 )
 from .hankel import row_actions
 from .measures import DiscreteMeasure, EmptyMeasureError
-from .moments import Discrete, MomentSequence, hankel_rows
+from .moments import Discrete, MomentSequence
 from .orthopoly import TriangularPair, factor
 from .spectral import _xi_and_image
 
@@ -129,14 +129,14 @@ def perturbation_check(
         ]
         correction = [diagonals[k : k + n] for k in range(n)]
 
+        # all three matrices are Hankel: compare them antidiagonal by antidiagonal
         deviation = backend.zero()
-        for lhs_row, rhs_row, corr_row in zip(
-            hankel_rows(full, n), hankel_rows(trimmed, n), correction
+        for lhs, rhs, corr in zip(
+            full.moments(2 * n - 1), trimmed.moments(2 * n - 1), diagonals
         ):
-            for lhs, rhs, corr in zip(lhs_row, rhs_row, corr_row):
-                diff = abs(lhs - (rhs + corr))
-                if diff > deviation:
-                    deviation = diff
+            diff = abs(lhs - (rhs + corr))
+            if diff > deviation:
+                deviation = diff
     return PerturbationReport(
         removed=removed,
         n=n,
@@ -170,10 +170,7 @@ def cd_kernel(
     pix = tp.monic_values(x)
     piy = pix if y == x else tp.monic_values(y)
     with tp.backend.context():
-        acc = tp.backend.zero()
-        for k in range(tp.n):
-            acc = acc + pix[k] * piy[k] / tp.pivots[k]
-        return acc
+        return dot(pix, [p / d for p, d in zip(piy, tp.pivots)])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .backends import (
     F64_BACKEND,
     bigfloat,
     dot,
+    three_term,
 )
 from .moments import MomentSequence
 from .triangular import (
@@ -130,23 +131,32 @@ class TriangularPair:
         """
         alpha, beta = self.monic_recurrence
         x = self.backend.convert(x)
+        zero = self.backend.zero()
         with self.backend.context():
             values = [self.backend.one()]
             for k in range(self.n - 1):
-                nxt = (x - alpha[k]) * values[k]
-                if k:
-                    nxt = nxt - beta[k - 1] * values[k - 1]
-                values.append(nxt)
+                # 0 - (alpha_k - x) pi_k - beta_k pi_{k-1}, with beta_k = beta[k - 1]
+                b, c = (beta[k - 1], values[k - 1]) if k else (zero, zero)
+                values.append(three_term(zero, alpha[k] - x, values[k], b, c))
             return values
 
     def hs_norm_sq_b(self):
-        """Squared Frobenius norm of B (exact for rational pairs)."""
+        """Squared Frobenius norms of B_M for M = 1..N (exact for rational pairs).
+
+        Entry M - 1 is ||B_M||_F^2 = tr(H_M^-1) = sum_{j<M} ||col_j(U^-1)||^2
+        / d_j, the running sum in order of j; the last entry is ||B||_F^2.
+        The leading M x M blocks of U^-1 and D come from the same operations
+        as the M x M factor at this precision (:mod:`.triangular`), so every
+        entry is that factor's own weight, bit for bit.
+        """
         with self.backend.context():
             acc = self.backend.zero()
+            sums = []
             for j in range(self.n):
                 col = [self.unit_upper_inv[k][j] for k in range(j + 1)]
                 acc = acc + dot(col, col) / self.pivots[j]
-            return acc
+                sums.append(acc)
+            return sums
 
 
 def factor(ms: MomentSequence, n: int) -> TriangularPair:

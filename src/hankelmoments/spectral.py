@@ -110,6 +110,32 @@ An entry with eps <= LAMBDA_MAX_TOL reports lambda^ at GRADED_BITS without
 touching the ladder.  The path declines (and the entry runs as before) when
 an even moment or a pivot is not positive, or X~ S^-1 or lambda^ leaves the
 normal f64 range.
+
+A profile runs the graded path once per grid, at the largest size N it
+asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <= j,
+and the rows of L~ above it; row j of X~ reads only rows 0..j of L~.  So the
+leading M x M blocks of A~, L~, X~ and Y are exactly those of a run at size
+M with the same p, and the derivation above holds for every M <= N, since
+2^-p <= v / (256 N^2) <= v / (256 M^2).  Size M takes theta_M = (2M^2 + 1) v
+||X~_M||_F^2 from the running sum of the row norms of X~ and sigma from
+LAPACK on the leading M x M block of Y; its value can differ from that of a
+single-size run in the last bits, as p does.  theta_M only grows with M
+and eps >= theta_M, so the run stops at the first M whose theta_M exceeds
+LAMBDA_MAX_TOL: every larger size declines, with no further rows and no SVD.
+
+The Hilbert-Schmidt weights nest the same way.  The Chebyshev algorithm of
+:mod:`.triangular` forms sigma_{k,l}, d_k, alpha_k, beta_k and the columns
+of U^-1 of a leading block by the same operations whatever N is, so at one
+precision the leading M x M blocks of the N x N factor are the M x M
+factor, bit for bit, and tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
+||col_j(U^-1)||^2 / d_j is a running sum over its columns.  A profile
+factors its largest size once and reads every smaller size off that factor;
+a size whose own factor fails keeps its error, and the next smaller size
+factors anew.  So hs_norm_b depends on the grid's top N: an f64 grid that
+reaches past MACHINE_MAX_N reads its small sizes off the ladder factor of
+its top size, not off a machine-precision one (Hilbert N = 12 moves from
+1.2e-2 to 2e-17 off the exact weight).  The partial traces are one running
+sum too, in order, so each keeps the bits of its own sum.
 """
 
 from __future__ import annotations
@@ -135,13 +161,14 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import MissingMomentError, MomentSequence, hankel_rows, partial_trace
+from .moments import MissingMomentError, MomentSequence, hankel_rows
 from .orthopoly import TriangularPair, eval_polys, factor, ladder
 from .triangular import PositivityError
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
 GRADED_BITS = 128  # moment precision and fixed-point base of the graded lambda_min
+_ENTRY_ERRORS = (PositivityError, BackendError, PrecisionError)  # reported as a status
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +288,13 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     lambda_min geometrically (midpoint ``isqrt(lo * hi)``) on (floor, min
     diag], lambda_max arithmetically on [max diag, Gershgorin hi] (every
     diagonal entry is a Rayleigh quotient).  The floor is 2^-bits times
-    max(|Gershgorin lo|, |Gershgorin hi|); a lambda_min below it cannot be
-    resolved at this precision and comes back as 0.  A negative lambda_min
-    (and a lambda_max with max diag <= 0) is found by plain bisection to
-    2^-(bits/2) relative to the larger bracket end.  The off-diagonals are
-    squared once, and every inertia count is exact for the matrix with its
-    diagonal moved by less than two units (:func:`eigen_count_below`).
+    max(|Gershgorin lo|, |Gershgorin hi|); a lambda_min below it in
+    magnitude, of either sign, cannot be resolved at this precision and
+    comes back as 0.  A negative lambda_min beyond it (and a lambda_max with
+    max diag <= 0) is found by plain bisection to 2^-(bits/2) relative to
+    the larger bracket end.  The off-diagonals are squared once, and every
+    inertia count is exact for the matrix with its diagonal moved by less
+    than two units (:func:`eigen_count_below`).
     """
     n = len(diag)
     if n == 1:
@@ -281,9 +309,9 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     off_sq = [e * e for e in off]
     r = _resolution(bits)
     if which == "min":
-        if eigen_count_below(diag, off_sq, 0) >= 1:
-            return _bisect(diag, off_sq, g_lo, 0, 1, bits)
         lo = max(abs(g_lo), abs(g_hi)) >> bits
+        if eigen_count_below(diag, off_sq, -lo) >= 1:
+            return _bisect(diag, off_sq, g_lo, 0, 1, bits)
         if eigen_count_below(diag, off_sq, lo) >= 1:
             return 0
         lo = max(lo, 1)
@@ -359,29 +387,49 @@ def _scaled_float(num, exp):
     return num / (1 << -exp) if exp < 0 else float(num << exp)
 
 
-def _graded_lambda_min(ms: MomentSequence, n: int):
-    """(lambda_min, eps) of the truncation by the graded path, or None.
+def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
+    """Graded lambda_min of every truncation size in ``grid``, from one run.
 
     H = S A S with S^-1 = diag(r_k), r_k = 1/sqrt(m_2k), from the moment
     block at ``GRADED_BITS``; A is rounded to p = GRADED_BITS + 2 ceil(log2
-    N) + 8 fractional bits with unit diagonal, factored A = L L^t and
-    inverted row by row (X L = I + R) on Python ints, and lambda_min =
-    1/||X S^-1||_2^2, the norm by LAPACK on the f64 rounding of X S^-1.
-    ``eps`` is the relative bound of the module docstring.  None when an
-    even moment or a pivot is not positive, or X S^-1 or lambda_min leaves
-    the normal f64 range.
+    N) + 8 fractional bits with unit diagonal, N the largest size, factored
+    A = L L^t and inverted row by row (X L = I + R) on Python ints, row j of
+    X right after row j of L.  Size M reads the leading blocks (module
+    docstring): theta_M from the running sum of ||X||_F^2 and lambda_min =
+    1/||Y_M||_2^2, the norm by LAPACK on the leading M x M block of the f64
+    rounding Y of X S^-1.
+
+    Returns one item per size: (lambda_min, eps), ``eps`` the relative
+    bound of the module docstring; None where the path declines; or the
+    BackendError or PrecisionError raised reading that size's moments.  An
+    even moment or a pivot that is not positive, or a row of Y that
+    overflows, ends the prefix, and so does the first theta_M >= ``tol``
+    (at most 1): theta_M grows with M and eps >= theta_M, so every larger
+    size declines, with no further rows and no SVD.
     """
-    with mpmath.workprec(GRADED_BITS):
-        block = ms.with_backend(bigfloat(GRADED_BITS)).moments(2 * n - 1)
-    if not all(m > 0 for m in block[::2]):
-        return None
-    frac = GRADED_BITS + _guard_bits(n) + 8
-    with mpmath.workprec(frac):
-        scale = [(1 / mpmath.sqrt(m))._mpf_[1:3] for m in block[::2]]
+    top = max(grid)
+    work = ms.with_backend(bigfloat(GRADED_BITS))
+    frac = GRADED_BITS + _guard_bits(top) + 8
     mul = operator.mul
     one_sq = 1 << (2 * frac)  # 1 at the scale of a product of two entries
-    chol = []
-    for j, (mj, ej) in enumerate(scale):
+    theta_unit = 1 << (2 * frac + GRADED_BITS)
+    block, scale, chol, cols = [], [], [], []
+    y = np.zeros((top, top))
+    norm_sq = 0  # ||X||_F^2 of the rows so far, at 2^(-2 frac)
+    thetas = []  # theta_M of the prefix, M = 1, 2, ...
+    beyond = None  # what a size past the prefix gets
+    for j in range(top):
+        try:
+            with mpmath.workprec(GRADED_BITS):
+                block += [work.moment(i) for i in range(len(block), 2 * j + 1)]
+        except (BackendError, PrecisionError) as err:
+            beyond = err
+            break
+        if not block[2 * j] > 0:
+            break
+        with mpmath.workprec(frac):
+            scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
+        mj, ej = scale[j]
         row = []
         for k, (mk, ek) in enumerate(scale[:j]):
             sign, man, exp, _ = block[j + k]._mpf_
@@ -390,35 +438,40 @@ def _graded_lambda_min(ms: MomentSequence, n: int):
             row.append(_round_div((a << frac) - sum(map(mul, row, chol[k])), chol[k][k]))
         pivot = one_sq - sum(t * t for t in row)
         if pivot <= 0:
-            return None
+            break
         row.append(math.isqrt(pivot))
         chol.append(row)
-    cols = [[chol[l][k] for l in range(k, n)] for k in range(n)]
-    inv = []
-    for i in range(n):
-        x = [0] * (i + 1)
-        x[i] = _round_div(one_sq, chol[i][i])
-        for k in range(i - 1, -1, -1):
+        for col, t in zip(cols, row):
+            col.append(t)
+        cols.append([row[j]])
+        x = [0] * (j + 1)
+        x[j] = _round_div(one_sq, row[j])
+        for k in range(j - 1, -1, -1):
             x[k] = _round_div(-sum(map(mul, x[k + 1 :], cols[k][1:])), cols[k][0])
-        inv.append(x)
-    try:
-        # theta = (2 N^2 + 1) 2^-GRADED_BITS ||X||_F^2
-        theta = (2 * n * n + 1) * sum(t * t for x in inv for t in x) / (
-            1 << (2 * frac + GRADED_BITS)
-        )
-        y = np.zeros((n, n))
-        for i, x in enumerate(inv):
-            y[i, : i + 1] = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
-    except OverflowError:
-        return None
-    sigma = float(np.linalg.norm(y, 2))
-    if not (0 < sigma < math.inf and theta < 1):
-        return None
-    lam = (1 / sigma) ** 2
-    if lam < sys.float_info.min:
-        return None
-    eps = (theta + 4 * (n + 1) * 2.0**-53 + n * 2.0**-1074 / sigma) / (1 - theta)
-    return lam, eps
+        try:
+            y[j, : j + 1] = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
+            norm_sq += sum(t * t for t in x)
+            # theta_M = (2 M^2 + 1) 2^-GRADED_BITS ||X_M||_F^2
+            theta = (2 * (j + 1) ** 2 + 1) * norm_sq / theta_unit
+        except OverflowError:
+            break
+        if not theta < tol:
+            break
+        thetas.append(theta)
+    out = []
+    for m in grid:
+        if m > len(thetas):
+            out.append(beyond)
+            continue
+        theta = thetas[m - 1]
+        sigma = float(np.linalg.norm(y[:m, :m], 2))
+        lam = (1 / sigma) ** 2 if 0 < sigma < math.inf else 0.0
+        if lam < sys.float_info.min:
+            out.append(None)
+            continue
+        eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
+        out.append((lam, eps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +490,12 @@ class ProfileEntry:
     (only a declined entry whose ladder stops at a 128-bit rung reads the
     same).  An entry without eigenvalue quantities reports the precision of
     the factor behind ``hs_norm_b``; None means no such path ran.
+
+    ``hs_norm_b`` is read off one factor per profile: that of the largest
+    grid size up to ``ESCALATE_MAX_N`` whose own factor succeeds.  Every
+    size above it reports the error of its own factor, and every size below
+    it reads its leading block (module docstring), so its precision is that
+    of the factor at the larger size.
     """
 
     n: int
@@ -515,15 +574,29 @@ def lambda_profile(
     entry left without a positive lambda_min (its ladder run out at
     ``RETRY_CAP_BITS``, stopped on a negative value, or its size above
     ``ESCALATE_MAX_N``) is marked unresolved rather than silently degraded;
-    it reports the last rung tried.  Interlacing of the reliable extremes is
-    enforced as a postcondition.
+    it reports the last rung tried.  The partial traces, the graded
+    lambda_min and hs_norm_b nest, so each is computed once per grid, at its
+    largest size, and every entry reads its leading block (module
+    docstring).  Interlacing of the reliable extremes is enforced as a
+    postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid must contain positive sizes")
-    entries = []
-    for n in n_grid:
-        entries.append(_profile_entry(ms, n, quantities))
+    # the quantities that nest are computed once per grid, in the order an
+    # entry reads them; each entry then takes its own item
+    traces, graded, hs = {}, {}, {}
+    eligible = [n for n in n_grid if n <= ESCALATE_MAX_N]
+    if "trace_partial" in quantities:
+        traces = _partial_traces(ms, n_grid)
+    if "lambda_min" in quantities and "lambda_max" not in quantities and eligible:
+        graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
+    if "hs_norm_b" in quantities:
+        hs = _hs_norms(ms, eligible)
+    entries = [
+        _profile_entry(ms, n, quantities, traces.get(n), graded.get(n), hs.get(n))
+        for n in n_grid
+    ]
     profile = SpectralProfile(
         family=ms.family.name,
         backend=ms.backend.tag(),
@@ -559,28 +632,75 @@ def _repeats_negative(prev, lo, prev_bits) -> bool:
         return abs(lo - prev) <= mpmath.ldexp(abs(prev), -_resolution(prev_bits))
 
 
-def _profile_entry(ms, n, quantities) -> ProfileEntry:
+def _partial_traces(ms, grid):
+    """{n: float(m_0 + m_2 + ... + m_{2n-2}) or the error of its moments}.
+
+    One running sum in order, in the backend: each size reads the bits
+    :func:`~.moments.partial_trace` gives it.  A size whose moments overflow
+    or leave the backend's range reads inf, as does every larger size.
+    """
+    out = {}
+    acc, k = ms.backend.zero(), 0
+    with ms.backend.context():
+        for n in grid:
+            try:
+                while k < n:
+                    acc = acc + ms.moment(2 * k)
+                    k += 1
+                out[n] = to_float(acc)
+            except (OverflowError, PrecisionError):
+                out[n] = math.inf
+            except _ENTRY_ERRORS as err:
+                out[n] = err
+    return out
+
+
+def _hs_norms(ms, grid):
+    """{n: (hs_norm_b, precision_bits) or the error of its factor} over ``grid``.
+
+    Walks the grid from the largest size down and factors only a size that
+    no successful factor covers yet; every other size reads its running sum
+    of :meth:`~.orthopoly.TriangularPair.hs_norm_sq_b` off the covering
+    factor.  A size whose own factor fails keeps that error, and the next
+    smaller size tries its own factor.
+    """
+    out = {}
+    sums = bits = None
+    for n in reversed(grid):
+        if sums is None:
+            try:
+                tp = factor(ms, n)
+            except _ENTRY_ERRORS as err:
+                out[n] = err
+                continue
+            sums, bits = tp.hs_norm_sq_b(), tp.precision_bits
+        out[n] = math.sqrt(to_float(sums[n - 1])), bits
+    return out
+
+
+def _read(item):
+    """A grid item for one entry, raising the error it holds."""
+    if isinstance(item, _ENTRY_ERRORS):
+        raise item
+    return item
+
+
+def _profile_entry(ms, n, quantities, trace_item, graded_item, hs_item) -> ProfileEntry:
+    """One grid point; ``trace_item``, ``graded_item`` and ``hs_item`` are
+    its items from :func:`_partial_traces`, :func:`_graded_lambda_min` and
+    :func:`_hs_norms` (None where the grid function did not run)."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
     want_min = "lambda_min" in quantities
     want_max = "lambda_max" in quantities
-    want_hs = "hs_norm_b" in quantities
-    want_trace = "trace_partial" in quantities
 
     try:
-        if want_trace:
-            try:
-                trace = to_float(partial_trace(ms, n))
-            except (OverflowError, PrecisionError):
-                trace = float("inf")
-
+        trace = _read(trace_item)
         # the graded lambda_min, tried first for an entry without lambda_max
-        graded = None
-        if want_min and not want_max and n <= ESCALATE_MAX_N:
-            graded = _graded_lambda_min(ms, n)
-            if graded is not None and not graded[1] <= LAMBDA_MAX_TOL:
-                graded = None
+        graded = _read(graded_item)
+        if graded is not None and not graded[1] <= LAMBDA_MAX_TOL:
+            graded = None
         h64 = None
         if graded is None and ms.backend.kind != BIGFLOAT:
             try:
@@ -632,12 +752,12 @@ def _profile_entry(ms, n, quantities) -> ProfileEntry:
             lam_min = None
             status = "lambda-min-unresolved" if want_min else "ok"
 
-        if want_hs and n <= ESCALATE_MAX_N:
-            tp = factor(ms, n)
-            hs = math.sqrt(to_float(tp.hs_norm_sq_b()))
+        hs_item = _read(hs_item)
+        if hs_item is not None:
+            hs, hs_bits = hs_item
             if bits_used is None:
-                bits_used = tp.precision_bits
-    except (PositivityError, BackendError, PrecisionError) as err:
+                bits_used = hs_bits
+    except _ENTRY_ERRORS as err:
         status = f"error:{type(err).__name__}"
     return ProfileEntry(
         n=n,

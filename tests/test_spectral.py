@@ -269,6 +269,17 @@ def test_lambda_min_below_the_resolution_floor_is_not_positive():
     assert extreme_eigenvalue(d, o, "min", 128) <= 0
 
 
+def test_negative_lambda_min_below_the_resolution_floor_is_unresolved():
+    # the floor holds for either sign: -1e-60 at 128 bits has no trusted sign
+    d, o = [_fixed(1.0, 256), _fixed(-1e-60, 256)], [0]
+    assert extreme_eigenvalue(d, o, "min", 128) == 0
+    # LogNormal(1) at N = 24: at 1024 bits the floor is ~1e152, and the
+    # bisected noise below it (-1.08e127) must not come back as a value
+    ms = MomentSequence(LogNormal(1), bigfloat(256))
+    lo, hi = bigfloat_extremes(ms, 24, 1024, which=("min",))
+    assert lo == 0 and hi is None
+
+
 def _count_steps(monkeypatch):
     """Spy on the Sturm counts made by each extreme_eigenvalue call."""
     steps = []
@@ -537,9 +548,10 @@ def test_graded_lambda_min_matches_eigsy(monkeypatch, family, backend, grid, bit
 def test_graded_bound_covers_its_error(family, grid, bits, accepted):
     # accepted entries state eps <= 1e-12; Hilbert from N = 19 on states
     # more and is declined, but its bound still covers the error
+    # single-size runs; tol=1 lets a declined size report its bound too
     ms = MomentSequence(family, F64_BACKEND)
     for n in grid:
-        lam, eps = spectral._graded_lambda_min(ms, n)
+        lam, eps = spectral._graded_lambda_min(ms, [n], tol=1)[0]
         assert (eps <= spectral.LAMBDA_MAX_TOL) == accepted, (n, eps)
         assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
 
@@ -556,11 +568,11 @@ def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
 
 def test_graded_path_declines_to_the_ladder(monkeypatch):
     hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
-    assert spectral._graded_lambda_min(hilbert, 24)[1] > spectral.LAMBDA_MAX_TOL
+    assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0][1] > spectral.LAMBDA_MAX_TOL
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral._graded_lambda_min(indefinite, 3) is None  # m_4 < 0
+    assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # m_4 < 0
     crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
-    assert spectral._graded_lambda_min(crossed, 2) is None  # pivot 1 - 2^2 < 0
+    assert spectral._graded_lambda_min(crossed, [2])[0] is None  # pivot 1 - 2^2 < 0
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
     entry = lambda_profile(hilbert, [24], quantities=("lambda_min",)).entries[0]
     assert seen == ladder(hilbert, 24)[:1]
@@ -675,6 +687,94 @@ def test_profile_does_not_swallow_bugs_in_the_f64_assembly():
     ms = MomentSequence(_BrokenAtF64(), F64_BACKEND)
     with pytest.raises(TypeError, match="f64 moment branch"):
         lambda_profile(ms, [4, 8], quantities=("lambda_min", "lambda_max"))
+
+
+def test_hilbert_hs_norm_grid_matches_the_exact_trace():
+    # every size reads the factor at the top of the grid (N = 32, on the
+    # ladder); an f64 factor would put N = 8 and 12 5e-9 and 1.2e-2 off
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    profile = lambda_profile(ms, range(4, 33, 4))
+    exact = factor(MomentSequence(PowerLog(1), RAT), 32).hs_norm_sq_b()
+    for entry in profile.entries:
+        assert entry.status == "ok"
+        ref = math.sqrt(exact[entry.n - 1])
+        assert entry.hs_norm_b == pytest.approx(ref, rel=1e-14, abs=0), entry.n
+
+
+def test_hs_norm_grid_keeps_the_single_size_statuses():
+    # a 4-point measure: H_N is singular from N = 5 on, so each of those
+    # sizes fails its own factor and the walk moves down to N = 4
+    mu = DiscreteMeasure((F(-1, 2), F(0), F(1, 3), F(3, 4)), (F(1), F(2), F(1, 2), F(1, 4)))
+    ms = MomentSequence(Discrete(mu), RAT)
+    grid = list(range(2, 7))
+    entries = lambda_profile(ms, grid, quantities=("hs_norm_b",)).entries
+    singles = [lambda_profile(ms, [n], quantities=("hs_norm_b",)).entries[0] for n in grid]
+    assert entries == singles
+    assert [e.status for e in entries] == ["ok"] * 3 + ["error:PositivityError"] * 2
+    assert all(e.hs_norm_b > 0 for e in entries[:3])
+
+
+@pytest.mark.parametrize(
+    "family, grid, bits",
+    [(LogNormal(1.0), [4, 12, 24], 2800), (Gaussian(), [8, 24, 40], 1200)],
+    ids=["lognormal", "gaussian"],
+)
+def test_graded_grid_agrees_with_single_size_runs(family, grid, bits):
+    # the grid run rounds at the top size's p; each size's bound still covers
+    # its error, and the value is the single-size one to 1e-12
+    ms = MomentSequence(family, bigfloat(256))
+    for n, (lam, eps) in zip(grid, spectral._graded_lambda_min(ms, grid)):
+        single, _ = spectral._graded_lambda_min(ms, [n])[0]
+        assert lam == pytest.approx(single, rel=1e-12, abs=0), n
+        assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
+
+
+def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
+    # Hilbert's theta_M passes 1e-12 at M = 19: no row from the 20th on, no
+    # SVD, and both sizes climb the ladder as before
+    family = _CountingHilbert()
+    ms = MomentSequence(family, F64_BACKEND)
+    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the graded path took a norm")
+
+    monkeypatch.setattr(spectral.np.linalg, "norm", no_svd)
+    entries = lambda_profile(ms, [20, 24], quantities=("lambda_min",)).entries
+    graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
+    assert max(graded) < 2 * 19  # row 20 (index 19) would read m_37 and m_38
+    assert seen == [ladder(ms, 20)[0], ladder(ms, 24)[0]]
+    assert all(e.status == "ok" and e.precision_bits > 53 for e in entries)
+
+
+def test_profile_factors_once_and_grades_once(monkeypatch):
+    # a grid whose entries all succeed: one factor (at the top size) behind
+    # every hs_norm_b, and one graded run behind every lambda_min
+    calls = {"factor": [], "graded": []}
+    real_factor, real_graded = spectral.factor, spectral._graded_lambda_min
+
+    def spy_factor(ms, n):
+        calls["factor"].append(n)
+        return real_factor(ms, n)
+
+    def spy_graded(ms, grid, **kwargs):
+        calls["graded"].append(list(grid))
+        return real_graded(ms, grid, **kwargs)
+
+    monkeypatch.setattr(spectral, "factor", spy_factor)
+    monkeypatch.setattr(spectral, "_graded_lambda_min", spy_graded)
+    hilbert = lambda_profile(MomentSequence(PowerLog(1), F64_BACKEND), range(4, 33, 4))
+    assert all(e.status == "ok" for e in hilbert.entries)
+    assert calls == {"factor": [32], "graded": []}
+    calls["factor"].clear()
+    gaussian = lambda_profile(
+        MomentSequence(Gaussian(), bigfloat(256)), range(8, 41, 8),
+        quantities=("lambda_min", "hs_norm_b"),
+    )
+    assert all(
+        e.status == "ok" and e.precision_bits == spectral.GRADED_BITS for e in gaussian.entries
+    )
+    assert calls == {"factor": [40], "graded": [[8, 16, 24, 32, 40]]}
 
 
 # ---------------------------------------------------------------------------
