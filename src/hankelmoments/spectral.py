@@ -134,8 +134,7 @@ a size whose own factor fails keeps its error, and the next smaller size
 factors anew.  So hs_norm_b depends on the grid's top N: an f64 grid that
 reaches past MACHINE_MAX_N reads its small sizes off the ladder factor of
 its top size, not off a machine-precision one (Hilbert N = 12 moves from
-1.2e-2 to 2e-17 off the exact weight).  The partial traces are one running
-sum too, in order, so each keeps the bits of its own sum.
+1.2e-2 to 2e-17 off the exact weight).
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import MissingMomentError, MomentSequence, hankel_rows
+from .moments import MissingMomentError, MomentSequence, hankel_rows, partial_trace
 from .orthopoly import TriangularPair, eval_polys, factor, ladder
 from .triangular import PositivityError
 
@@ -401,11 +400,13 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
 
     Returns one item per size: (lambda_min, eps), ``eps`` the relative
     bound of the module docstring; None where the path declines; or the
-    BackendError or PrecisionError raised reading that size's moments.  An
-    even moment or a pivot that is not positive, or a row of Y that
-    overflows, ends the prefix, and so does the first theta_M >= ``tol``
-    (at most 1): theta_M grows with M and eps >= theta_M, so every larger
-    size declines, with no further rows and no SVD.
+    error raised reading that size's moments.  An even moment or a pivot
+    that is not positive, or a row of Y that overflows, ends the prefix,
+    and so does the first theta_M >= ``tol`` (at most 1): theta_M grows
+    with M and eps >= theta_M, so every larger size declines, with no
+    further rows and no SVD.  ``tol`` is a test seam: the profile keeps the
+    default, the bound it accepts, and the tests pass 1 to read the value
+    and bound of a size it declines.
     """
     top = max(grid)
     work = ms.with_backend(bigfloat(GRADED_BITS))
@@ -422,7 +423,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
         try:
             with mpmath.workprec(GRADED_BITS):
                 block += [work.moment(i) for i in range(len(block), 2 * j + 1)]
-        except (BackendError, PrecisionError) as err:
+        except (BackendError, PrecisionError, MissingMomentError) as err:
             beyond = err
             break
         if not block[2 * j] > 0:
@@ -574,27 +575,24 @@ def lambda_profile(
     entry left without a positive lambda_min (its ladder run out at
     ``RETRY_CAP_BITS``, stopped on a negative value, or its size above
     ``ESCALATE_MAX_N``) is marked unresolved rather than silently degraded;
-    it reports the last rung tried.  The partial traces, the graded
-    lambda_min and hs_norm_b nest, so each is computed once per grid, at its
-    largest size, and every entry reads its leading block (module
-    docstring).  Interlacing of the reliable extremes is enforced as a
-    postcondition.
+    it reports the last rung tried.  The graded lambda_min and hs_norm_b
+    nest, so each is computed once per grid, at its largest size, and every
+    entry reads its leading block (module docstring).  Interlacing of the
+    reliable extremes is enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid must contain positive sizes")
-    # the quantities that nest are computed once per grid, in the order an
-    # entry reads them; each entry then takes its own item
-    traces, graded, hs = {}, {}, {}
+    # the quantities that nest are computed once per grid; each entry then
+    # takes its own item
+    graded, hs = {}, {}
     eligible = [n for n in n_grid if n <= ESCALATE_MAX_N]
-    if "trace_partial" in quantities:
-        traces = _partial_traces(ms, n_grid)
     if "lambda_min" in quantities and "lambda_max" not in quantities and eligible:
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
     if "hs_norm_b" in quantities:
         hs = _hs_norms(ms, eligible)
     entries = [
-        _profile_entry(ms, n, quantities, traces.get(n), graded.get(n), hs.get(n))
+        _profile_entry(ms, n, quantities, graded.get(n), hs.get(n))
         for n in n_grid
     ]
     profile = SpectralProfile(
@@ -632,29 +630,6 @@ def _repeats_negative(prev, lo, prev_bits) -> bool:
         return abs(lo - prev) <= mpmath.ldexp(abs(prev), -_resolution(prev_bits))
 
 
-def _partial_traces(ms, grid):
-    """{n: float(m_0 + m_2 + ... + m_{2n-2}) or the error of its moments}.
-
-    One running sum in order, in the backend: each size reads the bits
-    :func:`~.moments.partial_trace` gives it.  A size whose moments overflow
-    or leave the backend's range reads inf, as does every larger size.
-    """
-    out = {}
-    acc, k = ms.backend.zero(), 0
-    with ms.backend.context():
-        for n in grid:
-            try:
-                while k < n:
-                    acc = acc + ms.moment(2 * k)
-                    k += 1
-                out[n] = to_float(acc)
-            except (OverflowError, PrecisionError):
-                out[n] = math.inf
-            except _ENTRY_ERRORS as err:
-                out[n] = err
-    return out
-
-
 def _hs_norms(ms, grid):
     """{n: (hs_norm_b, precision_bits) or the error of its factor} over ``grid``.
 
@@ -670,7 +645,7 @@ def _hs_norms(ms, grid):
         if sums is None:
             try:
                 tp = factor(ms, n)
-            except _ENTRY_ERRORS as err:
+            except (*_ENTRY_ERRORS, MissingMomentError) as err:
                 out[n] = err
                 continue
             sums, bits = tp.hs_norm_sq_b(), tp.precision_bits
@@ -679,24 +654,36 @@ def _hs_norms(ms, grid):
 
 
 def _read(item):
-    """A grid item for one entry, raising the error it holds."""
-    if isinstance(item, _ENTRY_ERRORS):
+    """A grid item for one entry, raising the error it holds.
+
+    The entry raises it where a single-size run would: the entry reports
+    an ``_ENTRY_ERRORS`` error as its status, and a missing moment of short
+    explicit data leaves the profile at the same entry, with the same
+    index, as a run at that size alone.
+    """
+    if isinstance(item, Exception):
         raise item
     return item
 
 
-def _profile_entry(ms, n, quantities, trace_item, graded_item, hs_item) -> ProfileEntry:
-    """One grid point; ``trace_item``, ``graded_item`` and ``hs_item`` are
-    its items from :func:`_partial_traces`, :func:`_graded_lambda_min` and
-    :func:`_hs_norms` (None where the grid function did not run)."""
+def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
+    """One grid point; ``graded_item`` and ``hs_item`` are its items from
+    :func:`_graded_lambda_min` and :func:`_hs_norms` (None where the grid
+    function did not run)."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
     want_min = "lambda_min" in quantities
     want_max = "lambda_max" in quantities
+    want_trace = "trace_partial" in quantities
 
     try:
-        trace = _read(trace_item)
+        if want_trace:
+            try:
+                trace = to_float(partial_trace(ms, n))
+            except (OverflowError, PrecisionError):
+                trace = float("inf")
+
         # the graded lambda_min, tried first for an entry without lambda_max
         graded = _read(graded_item)
         if graded is not None and not graded[1] <= LAMBDA_MAX_TOL:

@@ -28,7 +28,7 @@ from hankelmoments import (
     xi_vector,
 )
 from hankelmoments import orthopoly, spectral
-from hankelmoments.moments import LogNormal
+from hankelmoments.moments import LogNormal, MissingMomentError
 from hankelmoments.orthopoly import ladder
 from hankelmoments.spectral import (
     PlateauVerdict,
@@ -687,6 +687,20 @@ def test_profile_does_not_swallow_bugs_in_the_f64_assembly():
     ms = MomentSequence(_BrokenAtF64(), F64_BACKEND)
     with pytest.raises(TypeError, match="f64 moment branch"):
         lambda_profile(ms, [4, 8], quantities=("lambda_min", "lambda_max"))
+
+
+@pytest.mark.parametrize(
+    "quantities, index",
+    [(("lambda_min",), 5), (("hs_norm_b",), 5), (("lambda_min", "hs_norm_b", "trace_partial"), 6)],
+    ids=["graded", "hs", "trace-first"],
+)
+def test_short_explicit_data_names_the_index_of_a_single_size_run(quantities, index):
+    # the grid functions hold a missing moment until the entry that needs
+    # it, so the profile stops where a run of that size alone stops
+    ms = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
+    for grid in ([2, 3, 5], [5]):
+        with pytest.raises(MissingMomentError, match=f"index {index} requested"):
+            lambda_profile(ms, grid, quantities=quantities)
 
 
 def test_hilbert_hs_norm_grid_matches_the_exact_trace():
