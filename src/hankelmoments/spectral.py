@@ -30,8 +30,11 @@ the walk (:func:`lambda_profile`).  That floor is at least 2^(e-1-bits), so
 the kernel error lies r + 6 bits below it: it moves a resolved lambda_min by
 less than 2^-(r+6) relative, a 64th of the bracket.
 
-At machine precision a profile entry that asks for lambda_max but not
-lambda_min takes lambda_max from LAPACK whenever a bound certifies it.
+A profile entry takes each extreme by one rule, whatever else it asks for:
+lambda_max from LAPACK on the f64 truncation where a bound certifies it,
+lambda_min from the graded path below where its bound holds, and whichever
+of the two is still missing from the ladder (:func:`lambda_profile`).  Only
+a sequence that is not big-float has an f64 truncation to hand to LAPACK.
 ``eigvalsh`` is backward stable (Demmel, *Applied Numerical Linear Algebra*,
 1997, sec. 5.2): its values are the exact eigenvalues of H~ + E, with
 ||E||_2 <= N u ||H~||_2 and u = 2^-53, where H~ is the f64 truncation.  H~
@@ -50,12 +53,11 @@ relative to the value:
 
     eps = 4 N u ||H~||_F / lambda^_max.
 
-An entry with lambda^_max > 0 and eps <= LAMBDA_MAX_TOL reports it at 53 bits
-without touching the big-float ladder; 1e-12 is the relative agreement the
-``eigsy`` checks hold the big-float path to.
+A lambda^_max > 0 with eps <= LAMBDA_MAX_TOL is reported without the
+big-float ladder; 1e-12 is the relative agreement the ``eigsy`` checks hold
+the big-float path to.
 
-An entry that asks for lambda_min but not lambda_max first tries the graded
-path, whose precision follows the condition of A in H = S A S, S diagonal,
+lambda_min comes from the graded path, whose precision follows the condition of A in H = S A S, S diagonal,
 not that of H (Demmel and Veselic, *Jacobi's method is more accurate than
 QR*, SIAM J. Matrix Anal. Appl. 13, 1992).  It reads the moment block at v =
 2^-GRADED_BITS, each moment within 2N v of its exact value, relative (the
@@ -106,10 +108,10 @@ second order, and reads
 
     eps = (theta + 4 (N + 1) u + N 2^-1074 / sigma^) / (1 - theta).
 
-An entry with eps <= LAMBDA_MAX_TOL reports lambda^ at GRADED_BITS without
-touching the ladder.  The path declines (and the entry runs as before) when
-an even moment or a pivot is not positive, or X~ S^-1 or lambda^ leaves the
-normal f64 range.
+A lambda^ with eps <= LAMBDA_MAX_TOL is reported without the ladder.  The
+path declines, and the ladder computes lambda_min, when an even moment or a
+pivot is not positive, when X~ S^-1 or lambda^ leaves the normal f64 range,
+or when the bound exceeds LAMBDA_MAX_TOL.
 
 A profile runs the graded path once per grid, at the largest size N it
 asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <= j,
@@ -484,13 +486,12 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
 class ProfileEntry:
     """One grid point of a :class:`SpectralProfile`.
 
-    ``precision_bits`` names the path the eigenvalues came from: 53 for
-    LAPACK on the f64 truncation, otherwise the big-float rung of the last
-    ladder step.  For an entry with lambda_min but without lambda_max, 128
-    (``GRADED_BITS``) means the graded path, taken whenever its bound holds
-    (only a declined entry whose ladder stops at a 128-bit rung reads the
-    same).  An entry without eigenvalue quantities reports the precision of
-    the factor behind ``hs_norm_b``; None means no such path ran.
+    ``precision_bits`` names the path the eigenvalues came from: the rung
+    of the last ladder step when the ladder ran, else 128 (``GRADED_BITS``)
+    when lambda_min is graded, else 53 when lambda_max is LAPACK's, else the
+    precision of the factor behind ``hs_norm_b``; None means no such path
+    ran.  A 128 can thus also be a ladder rung, and a ladder rung can sit
+    next to a graded lambda_min, which the ladder does not replace.
 
     ``hs_norm_b`` is read off one factor per profile: that of the largest
     grid size up to ``ESCALATE_MAX_N`` whose own factor succeeds.  Every
@@ -558,27 +559,27 @@ def lambda_profile(
 ) -> SpectralProfile:
     """Extreme-eigenvalue (and related) profile over a truncation grid.
 
-    Per grid point the cheapest adequate precision is chosen.  An entry
-    that asks for lambda_max without lambda_min takes the LAPACK value of
-    the f64 truncation when it is positive and its relative bound eps = 4 N
-    u ||H||_F / lambda_max (u = 2^-53, derived in the module docstring) is at
-    most ``LAMBDA_MAX_TOL`` = 1e-12.  An entry that asks for lambda_min
-    without lambda_max takes the graded value of the scaled 128-bit Cholesky
-    when its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL``.
-    Any other entry takes LAPACK at f64
-    while the machine Cholesky of the truncation still succeeds, otherwise
-    the rungs of :func:`~.orthopoly.ladder` (the same ladder ``factor``
-    walks) until lambda_min comes out positive.  The walk also stops once
-    two consecutive rungs give negative lambda_min values that agree to
-    2^-r relative (r the lower rung's resolution): the truncation is then
+    Each extreme follows one rule, whatever else the entry asks for.
+    lambda_min is the graded value of the scaled 128-bit Cholesky when its
+    relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` = 1e-12.
+    lambda_max is the LAPACK value of the f64 truncation when it is positive
+    and its relative bound eps = 4 N u ||H||_F / lambda_max (u = 2^-53) is at
+    most ``LAMBDA_MAX_TOL``.  An extreme still missing comes from the rungs
+    of :func:`~.orthopoly.ladder` (the same ladder ``factor`` walks), which
+    bisect the missing extremes and always lambda_min, a graded value being
+    kept: the walk stops when lambda_min comes out positive, or once two
+    consecutive rungs give negative lambda_min values that agree to 2^-r
+    relative (r the lower rung's resolution): the truncation is then
     indefinite, and a higher precision would only repeat the value.  An
-    entry left without a positive lambda_min (its ladder run out at
-    ``RETRY_CAP_BITS``, stopped on a negative value, or its size above
-    ``ESCALATE_MAX_N``) is marked unresolved rather than silently degraded;
-    it reports the last rung tried.  The graded lambda_min and hs_norm_b
-    nest, so each is computed once per grid, at its largest size, and every
-    entry reads its leading block (module docstring).  Interlacing of the
-    reliable extremes is enforced as a postcondition.
+    entry whose walk ends without a positive lambda_min (its ladder run out
+    at ``RETRY_CAP_BITS``, or stopped on a negative value) is marked
+    unresolved rather than silently degraded and reports the last rung
+    tried.  Above ``ESCALATE_MAX_N`` there is no graded run and no ladder:
+    an entry reports a certified lambda_max only, and is unresolved when it
+    asks for an extreme it cannot certify.  The graded lambda_min and
+    hs_norm_b nest, so each is computed once per grid, at its largest size,
+    and every entry reads its leading block (module docstring).  Interlacing
+    of the reliable extremes is enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -587,7 +588,7 @@ def lambda_profile(
     # takes its own item
     graded, hs = {}, {}
     eligible = [n for n in n_grid if n <= ESCALATE_MAX_N]
-    if "lambda_min" in quantities and "lambda_max" not in quantities and eligible:
+    if "lambda_min" in quantities and eligible:
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
     if "hs_norm_b" in quantities:
         hs = _hs_norms(ms, eligible)
@@ -605,20 +606,29 @@ def lambda_profile(
     return profile
 
 
-def _f64_cholesky_ok(h: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(h)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _lambda_max_bound(h64: np.ndarray, lam_max: float) -> float:
     """eps = 4 N u ||H||_F / lambda_max, the relative error bound of an f64
     lambda_max (module docstring); infinite unless lambda_max > 0."""
     if not lam_max > 0:
         return math.inf
     return 4 * len(h64) * 2.0**-53 * float(np.linalg.norm(h64)) / lam_max
+
+
+def _certified_lambda_max(ms, n):
+    """The LAPACK lambda_max of the f64 truncation where
+    :func:`_lambda_max_bound` is at most ``LAMBDA_MAX_TOL``, else None (also
+    for a big-float sequence and a truncation with no finite f64 form)."""
+    if ms.backend.kind == BIGFLOAT:
+        return None
+    try:
+        ms.check_truncation(n)
+        h64 = np.array(hankel_rows(ms, n), dtype=float)
+    except (PrecisionError, BackendError, MissingMomentError, OverflowError):
+        return None
+    if not np.all(np.isfinite(h64)):
+        return None
+    lam = float(np.linalg.eigvalsh(h64)[-1])
+    return lam if _lambda_max_bound(h64, lam) <= LAMBDA_MAX_TOL else None
 
 
 def _repeats_negative(prev, lo, prev_bits) -> bool:
@@ -669,58 +679,40 @@ def _read(item):
 def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
     """One grid point; ``graded_item`` and ``hs_item`` are its items from
     :func:`_graded_lambda_min` and :func:`_hs_norms` (None where the grid
-    function did not run)."""
+    function did not run).  lambda_min is the graded value and lambda_max
+    the LAPACK one where their bounds hold; the ladder computes whichever
+    extreme is still missing."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
-    want_min = "lambda_min" in quantities
-    want_max = "lambda_max" in quantities
-    want_trace = "trace_partial" in quantities
 
     try:
-        if want_trace:
+        if "trace_partial" in quantities:
             try:
                 trace = to_float(partial_trace(ms, n))
             except (OverflowError, PrecisionError):
                 trace = float("inf")
 
-        # the graded lambda_min, tried first for an entry without lambda_max
         graded = _read(graded_item)
-        if graded is not None and not graded[1] <= LAMBDA_MAX_TOL:
-            graded = None
-        h64 = None
-        if graded is None and ms.backend.kind != BIGFLOAT:
-            try:
-                ms.check_truncation(n)
-                cand = np.array(hankel_rows(ms, n), dtype=float)
-                if np.all(np.isfinite(cand)):
-                    h64 = cand
-            except (PrecisionError, BackendError, MissingMomentError, OverflowError):
-                h64 = None
-        # the f64 eigenvalues, computed at most once per entry
-        eig = None
-        if h64 is not None and want_max and not want_min:
-            eig = np.linalg.eigvalsh(h64)
-        certified = eig is not None and _lambda_max_bound(h64, eig[-1]) <= LAMBDA_MAX_TOL
-        use_f64 = h64 is not None and (certified or _f64_cholesky_ok(h64))
-
-        if graded is not None:
+        if graded is not None and graded[1] <= LAMBDA_MAX_TOL:
             lam_min, bits_used = graded[0], GRADED_BITS
-        elif use_f64:
-            if eig is None:
-                eig = np.linalg.eigvalsh(h64)
-            lam_min = float(eig[0]) if want_min else None
-            lam_max = float(eig[-1]) if want_max else None
-            bits_used = 53
-        elif (want_min or want_max) and n <= ESCALATE_MAX_N:
+        if "lambda_max" in quantities:
+            lam_max = _certified_lambda_max(ms, n)
+            if lam_max is not None and bits_used is None:
+                bits_used = 53
+        need_min = "lambda_min" in quantities and lam_min is None
+        need_max = "lambda_max" in quantities and lam_max is None
+        if need_min or need_max:
             status = "lambda-min-unresolved"
-            # lambda_min is always computed: the status below is read off it
-            which = ("min", "max") if want_max else ("min",)
+            # lambda_min is always bisected: the status below is read off it
+            which = ("min", "max") if need_max else ("min",)
             prev = prev_bits = None
-            for bits in ladder(ms, n):
+            for bits in ladder(ms, n) if n <= ESCALATE_MAX_N else ():
                 lo, hi = bigfloat_extremes(ms, n, bits, which=which)
-                lam_min = to_float(lo) if want_min else None
-                lam_max = to_float(hi) if want_max else None
+                if need_min:
+                    lam_min = to_float(lo)
+                if need_max:
+                    lam_max = to_float(hi)
                 bits_used = bits
                 if lo > 0:
                     status = "ok"
@@ -728,16 +720,6 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
                 if _repeats_negative(prev, lo, prev_bits):
                     break
                 prev, prev_bits = lo, bits
-        elif want_min or want_max:
-            # out of escalation range: keep what f64 can still say (lambda_max
-            # of a bounded family is stable even when lambda_min is hopeless)
-            if h64 is not None:
-                if eig is None:
-                    eig = np.linalg.eigvalsh(h64)
-                lam_max = float(eig[-1]) if want_max else None
-                bits_used = 53
-            lam_min = None
-            status = "lambda-min-unresolved" if want_min else "ok"
 
         hs_item = _read(hs_item)
         if hs_item is not None:

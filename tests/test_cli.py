@@ -117,6 +117,21 @@ def test_spectrum_hilbert_profile(tmp_path, run):
     assert all(v < 3.1416 for v in maxima)
 
 
+def test_spectrum_gaussian_f64_prints_no_negative_lambda_min(tmp_path, run):
+    # LAPACK's lambda_min of the f64 truncation is negative at N = 16..24
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": {"family": "gaussian"}, "backend": "f64", "n_grid": list(range(4, 25, 4))},
+    )
+    code, out, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.lstrip()[:1].isdigit()]
+    assert [int(row[0]) for row in rows] == list(range(4, 25, 4))
+    assert all(float(row[1]) > 0 and row[-1] == "ok" for row in rows)
+    report = json.loads((tmp_path / "o" / "spectrum_report.json").read_text())
+    assert all(e["lambda_min"] > 0 for e in report["results"]["profile"]["entries"])
+
+
 def test_spectrum_empty_grid_exits_2(tmp_path, run):
     cfg = write(
         tmp_path / "s.json",
