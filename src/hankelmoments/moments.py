@@ -355,10 +355,11 @@ class MomentSequence:
         """m_0, m_step, ..., m_{(count-1) step} as a dense f64 array (fast
         numeric paths).
 
-        PowerLog takes one vectorized pow, whose values its f64 ``moment``
-        repeats; any other family reads those moments in index order.
+        PowerLog at f64 takes one vectorized pow, whose values its f64
+        ``moment`` repeats; any other sequence reads its moments in index
+        order and rounds each to f64 (a Fraction correctly).
         """
-        if isinstance(self.family, PowerLog):
+        if isinstance(self.family, PowerLog) and self.backend.kind == F64:
             c = to_float(self.family.c)
             return (np.arange(0, count * step, step, dtype=float) + 1.0) ** (-c)
         return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)

@@ -38,6 +38,7 @@ from .backends import (
     RATIONAL,
     Backend,
     F64_BACKEND,
+    PrecisionError,
     bigfloat,
     dot,
     three_term,
@@ -87,6 +88,16 @@ def _max_moment_log2(ms: MomentSequence, count: int) -> int:
         if top <= 1:
             return 0
         return int(mpmath.ceil(mpmath.log(top, 2)))
+
+
+def _f64_accepts(ms: MomentSequence, n: int) -> bool:
+    """Whether the family takes the N x N truncation at f64 (its
+    ``check_truncation``)."""
+    try:
+        ms.check_truncation(n)
+    except PrecisionError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -164,19 +175,20 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
 
     Each attempt runs :func:`ldl_decompose` on the moment block and then
     :func:`invert_unit_upper`, both O(N^2).  Rational input stays exact.  f64
-    input is factored at machine precision up to ``MACHINE_MAX_N``; beyond
-    that, and for big-float input, each rung of :func:`ladder` is tried in
-    turn until the pivots come out positive.  Failure on every rung raises
-    :class:`PositivityError`, flagged ``precision_suspect`` unless the input
-    was exact; an empty ladder names ``RETRY_CAP_BITS``.
+    input is factored at machine precision up to ``MACHINE_MAX_N`` where the
+    family accepts its f64 truncation (``check_truncation``); beyond that, a
+    truncation the family refuses at f64, and big-float input try each rung
+    of :func:`ladder` in turn until the pivots come out positive.  Failure
+    on every rung raises :class:`PositivityError`, flagged
+    ``precision_suspect`` unless the input was exact; an empty ladder names
+    ``RETRY_CAP_BITS``.
     """
     if n < 1:
         raise ValueError("factorization size must be >= 1")
-    ms.check_truncation(n)
 
     if ms.backend.kind == RATIONAL:
         rungs = [(ms, None)]
-    elif ms.backend.kind == F64 and n <= MACHINE_MAX_N:
+    elif ms.backend.kind == F64 and n <= MACHINE_MAX_N and _f64_accepts(ms, n):
         rungs = [(ms, 53)]
     else:
         rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in ladder(ms, n)]

@@ -13,22 +13,24 @@ deterministic at any fixed precision; the f64 path uses LAPACK.  At precision
 2^-e, where e is the exponent of the largest |m_j| (so every entry is below 1
 in magnitude), and rounded to ints with
 
-    p = bits + r + 2 ceil(log2 N) + 8
+    p = bits + 64 + 2 ceil(log2 N) + 8
 
-fractional bits, r = min(64, bits/2) being the bisection resolution.  The
-kernels then move an eigenvalue by at most (N^2 + 1) 2^(e-p): the rounding of
-the block (N/2 units of 2^-p), the Householder steps (exactly orthogonal
-integer reflectors; (N-2)(N+18)/4 units in all) and the inertia counts (exact
-for a diagonal moved by less than two units) add up to (N^2 + 18N - 28)/4 <=
-N^2 + 1 units (Weyl).  Only the requested extremes are bisected, each
-positive one to a bracket 2^-r wide relative to its own size (geometric
-bisection for lambda_min, whose size can be far below 1).  A lambda_min below
-the resolution floor, 2^(-bits) times the Gershgorin bound on the spectrum,
-comes back as 0, so the profile moves to the next precision rung instead of
-reporting it; a negative lambda_min that two consecutive rungs repeat ends
-the walk (:func:`lambda_profile`).  That floor is at least 2^(e-1-bits), so
-the kernel error lies r + 6 bits below it: it moves a resolved lambda_min by
-less than 2^-(r+6) relative, a 64th of the bracket.
+fractional bits, 64 being the bisection resolution of a positive extreme.
+The kernels then move an eigenvalue by at most (N^2 + 1) 2^(e-p): the
+rounding of the block (N/2 units of 2^-p), the Householder steps (exactly
+orthogonal integer reflectors; (N-2)(N+18)/4 units in all) and the inertia
+counts (exact for a diagonal moved by less than two units) add up to (N^2 +
+18N - 28)/4 <= N^2 + 1 units (Weyl).  Only the requested extremes are
+bisected, each positive one to a bracket 2^-64 wide relative to its own size
+at every rung (geometric bisection for lambda_min, whose size can be far
+below 1).  A lambda_min below the resolution floor, 2^(-bits) times the
+Gershgorin bound on the spectrum, comes back as 0, so the profile moves to
+the next precision rung instead of reporting it; a negative lambda_min is
+bisected to 2^-(bits/2) relative to the larger bracket end, and one that two
+consecutive rungs repeat to 2^-r, r = min(64, bits/2) at the lower rung,
+ends the walk (:func:`lambda_profile`).  The floor is at least
+2^(e-1-bits), so the kernel error lies 70 bits below it: it moves a resolved
+lambda_min by less than 2^-70 relative, a 64th of the bracket.
 
 A profile entry takes each extreme by one rule, whatever else it asks for:
 lambda_max from LAPACK on the f64 truncation where a bound certifies it,
@@ -57,14 +59,14 @@ A lambda^_max > 0 with eps <= LAMBDA_MAX_TOL is reported without the
 big-float ladder; 1e-12 is the relative agreement the ``eigsy`` checks hold
 the big-float path to.
 
-lambda_min comes from the graded path, whose precision follows the condition of A in H = S A S, S diagonal,
-not that of H (Demmel and Veselic, *Jacobi's method is more accurate than
-QR*, SIAM J. Matrix Anal. Appl. 13, 1992).  It reads the moment block at v =
-2^-GRADED_BITS, each moment within 2N v of its exact value, relative (the
-count above).  With p = GRADED_BITS + 2 ceil(log2 N) + 8, S^-1 = diag(r_k),
-r_k = 1/sqrt(m~_2k) rounded to p bits (two roundings, |rho_k| <= 2^(1-p)).
-S is this computed scaling, so H = S A' S holds exactly for A' = S^-1 H
-S^-1.  The rest runs in fixed point at 2^-p on Python ints:
+lambda_min comes from the graded path, whose precision follows the condition
+of A in H = S A S, S diagonal, not that of H (Demmel and Veselic, *Jacobi's
+method is more accurate than QR*, SIAM J. Matrix Anal. Appl. 13, 1992).  A
+run at rung b reads the moment block at v = 2^-b, each moment within 2N v of
+its exact value, relative (the count above).  With p = b + 2 ceil(log2 N) +
+8, S^-1 = diag(r_k), r_k = 1/sqrt(m~_2k) rounded to p bits (two roundings,
+|rho_k| <= 2^(1-p)).  S is this computed scaling, so H = S A' S holds exactly
+for A' = S^-1 H S^-1.  The rest runs in fixed point at 2^-p on Python ints:
 
 * A~: A~_jk = r_j m~_{j+k} r_k is rounded once, half a unit, and A~_jj = 1,
   off A'_jj = r_j^2 m_2j by at most 2N v + 2 |rho_j|.  Every entry of A~ -
@@ -92,8 +94,8 @@ theta = ||G||_2 <= ||dA||_2 ||X~||_2^2 <= (2N^2 + 1) v ||X~||_F^2, where
 ||X~||_F^2 is summed exactly from the ints; theta < 1 also proves H
 positive definite.  ||X~||_F^2 is about tr A^-1 <= N kappa(A): 200 for
 LogNormal(1) at N = 40 (kappa 67.5), 7.5e16 for the Gaussian (kappa 5.3e17),
-and for Hilbert, whose A is as ill-conditioned as H, enough to decline it
-from N = 19 on.
+and for Hilbert, whose A is as ill-conditioned as H, enough to pass 1e-12 at
+128 bits from N = 19 on.
 
 The f64 steps: Y = X~ S^-1 is rounded entrywise once (an int division), so
 |dY_jk| <= u |Y_jk| + 2^-1075; the absolute part covers the entries that
@@ -111,19 +113,33 @@ second order, and reads
 A lambda^ with eps <= LAMBDA_MAX_TOL is reported without the ladder.  The
 path declines, and the ladder computes lambda_min, when an even moment or a
 pivot is not positive, when X~ S^-1 or lambda^ leaves the normal f64 range,
-or when the bound exceeds LAMBDA_MAX_TOL.
+or when the bound exceeds LAMBDA_MAX_TOL at every rung it runs.
 
-A profile runs the graded path once per grid, at the largest size N it
-asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <= j,
-and the rows of L~ above it; row j of X~ reads only rows 0..j of L~.  So the
-leading M x M blocks of A~, L~, X~ and Y are exactly those of a run at size
-M with the same p, and the derivation above holds for every M <= N, since
-2^-p <= v / (256 N^2) <= v / (256 M^2).  Size M takes theta_M = (2M^2 + 1) v
-||X~_M||_F^2 from the running sum of the row norms of X~ and sigma from
-LAPACK on the leading M x M block of Y; its value can differ from that of a
-single-size run in the last bits, as p does.  theta_M only grows with M
-and eps >= theta_M, so the run stops at the first M whose theta_M exceeds
-LAMBDA_MAX_TOL: every larger size declines, with no further rows and no SVD.
+A profile runs the graded path once per grid and rung, at the largest size N
+it asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <=
+j, and the rows of L~ above it; row j of X~ reads only rows 0..j of L~.  So
+the leading M x M blocks of A~, L~, X~ and Y are exactly those of a run at
+size M with the same p, and the derivation above holds for every M <= N,
+since 2^-p <= v / (256 N^2) <= v / (256 M^2).  Size M takes theta_M = (2M^2
++ 1) v ||X~_M||_F^2 from the running sum of the row norms of X~ and sigma
+from LAPACK on the leading M x M block of Y; its value can differ from that
+of a single-size run in the last bits, as p does.  theta_M only grows with
+M and eps >= theta_M, so the run stops at the first M whose theta_M exceeds
+LAMBDA_MAX_TOL: every larger size declines at this rung, with no further
+rows and no SVD.
+
+The run then climbs.  A stop on LAMBDA_MAX_TOL <= theta_M < 1 proves the
+leading M x M block positive definite, and ||X~_M||_F^2 = tr A^_M^-1 lies
+within a factor (1 -+ theta_M)^-1 of tr A'_M^-1 (Ostrowski again), which
+depends on the moments, not on b.  So at 2b, theta_M = (2M^2 + 1) 2^-2b
+||X~_M||_F^2 is about 2^-b theta_M, far below LAMBDA_MAX_TOL, and the sizes
+from M on run again at 2b, up to RETRY_CAP_BITS; each size reports the rung
+that certified it.  A stop on a
+moment error, a non-positive moment or pivot, an overflow or theta_M >= 1
+is final: no rung is predicted to certify it, and a singular truncation
+(theta_M >= 1 or a pivot <= 0 at every rung) must not climb to the cap.
+Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits
+for N = 44..64.
 
 The Hilbert-Schmidt weights nest the same way.  The Chebyshev algorithm of
 :mod:`.triangular` forms sigma_{k,l}, d_k, alpha_k, beta_k and the columns
@@ -141,6 +157,7 @@ its top size, not off a machine-precision one (Hilbert N = 12 moves from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -150,10 +167,12 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .backends import (
     BIGFLOAT,
     RATIONAL,
+    RATIONAL_BACKEND,
     BackendError,
     HankelError,
     PrecisionError,
@@ -162,13 +181,14 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import MissingMomentError, MomentSequence, hankel_rows, partial_trace
-from .orthopoly import TriangularPair, eval_polys, factor, ladder
-from .triangular import PositivityError
+from .moments import MissingMomentError, MomentSequence, partial_trace
+from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor, ladder
+from .triangular import PositivityError, ldl_decompose
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
-GRADED_BITS = 128  # moment precision and fixed-point base of the graded lambda_min
+GRADED_BITS = 128  # first rung of the graded lambda_min
+_BRACKET_BITS = 64  # a positive extreme is bisected to 2^-64 relative at every rung
 _ENTRY_ERRORS = (PositivityError, BackendError, PrecisionError)  # reported as a status
 
 
@@ -177,19 +197,14 @@ _ENTRY_ERRORS = (PositivityError, BackendError, PrecisionError)  # reported as a
 # ---------------------------------------------------------------------------
 
 
-def _resolution(bits):
-    """r: the relative bracket width 2^-r of a positive extreme at ``bits``."""
-    return min(64, bits // 2)
-
-
 def _guard_bits(n):
     """2 ceil(log2 N): the headroom of the N x N kernels' rounding errors."""
     return 2 * (n - 1).bit_length()
 
 
 def _frac_bits(bits, n):
-    """p = bits + r + 2 ceil(log2 N) + 8, the fixed-point format of the block."""
-    return bits + _resolution(bits) + _guard_bits(n) + 8
+    """p = bits + 64 + 2 ceil(log2 N) + 8, the fixed-point format of the block."""
+    return bits + _BRACKET_BITS + _guard_bits(n) + 8
 
 
 def householder_tridiagonalize(rows, n, frac_bits):
@@ -285,7 +300,7 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
 
     ``diag`` and ``off`` are ints at one scale 2^p, and so is the result;
     ``bits`` is the precision the matrix stands for.  A positive extreme is
-    bracketed to 2^-r relative to its own size, r = min(64, bits/2):
+    bracketed to 2^-64 relative to its own size at every precision:
     lambda_min geometrically (midpoint ``isqrt(lo * hi)``) on (floor, min
     diag], lambda_max arithmetically on [max diag, Gershgorin hi] (every
     diagonal entry is a Rayleigh quotient).  The floor is 2^-bits times
@@ -308,7 +323,7 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     g_lo = min(d - r for d, r in zip(diag, rad))
     g_hi = max(d + r for d, r in zip(diag, rad))
     off_sq = [e * e for e in off]
-    r = _resolution(bits)
+    r = _BRACKET_BITS
     if which == "min":
         lo = max(abs(g_lo), abs(g_hi)) >> bits
         if eigen_count_below(diag, off_sq, -lo) >= 1:
@@ -388,42 +403,48 @@ def _scaled_float(num, exp):
     return num / (1 << -exp) if exp < 0 else float(num << exp)
 
 
-def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
-    """Graded lambda_min of every truncation size in ``grid``, from one run.
+def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS):
+    """Graded lambda_min of every truncation size in ``grid``, from one run
+    per rung, the first at ``bits``.
 
     H = S A S with S^-1 = diag(r_k), r_k = 1/sqrt(m_2k), from the moment
-    block at ``GRADED_BITS``; A is rounded to p = GRADED_BITS + 2 ceil(log2
-    N) + 8 fractional bits with unit diagonal, N the largest size, factored
-    A = L L^t and inverted row by row (X L = I + R) on Python ints, row j of
-    X right after row j of L.  Size M reads the leading blocks (module
+    block at ``bits``; A is rounded to p = bits + 2 ceil(log2 N) + 8
+    fractional bits with unit diagonal, N the largest size, factored A = L
+    L^t and inverted row by row (X L = I + R) on Python ints, row j of X
+    right after row j of L.  Size M reads the leading blocks (module
     docstring): theta_M from the running sum of ||X||_F^2 and lambda_min =
     1/||Y_M||_2^2, the norm by LAPACK on the leading M x M block of the f64
     rounding Y of X S^-1.
 
-    Returns one item per size: (lambda_min, eps), ``eps`` the relative
-    bound of the module docstring; None where the path declines; or the
-    error raised reading that size's moments.  An even moment or a pivot
-    that is not positive, or a row of Y that overflows, ends the prefix,
-    and so does the first theta_M >= ``tol`` (at most 1): theta_M grows
-    with M and eps >= theta_M, so every larger size declines, with no
-    further rows and no SVD.  ``tol`` is a test seam: the profile keeps the
-    default, the bound it accepts, and the tests pass 1 to read the value
-    and bound of a size it declines.
+    Returns one item per size: (lambda_min, eps, bits), ``eps`` the relative
+    bound of the module docstring and ``bits`` the rung of the run that gave
+    it; None where the path declines; or the error raised reading that
+    size's moments.  An even moment or a pivot that is not positive, or a
+    row of Y that overflows, ends the prefix, and so does the first theta_M
+    >= ``tol`` (at most 1): theta_M grows with M and eps >= theta_M, so
+    every larger size declines at this rung, with no further rows and no
+    SVD.  When the prefix ends on tol <= theta_M < 1, the leading M x M
+    block is proven positive definite and theta_M at 2 ``bits`` is about
+    2^-bits theta_M, so the sizes from M on are run again at 2 ``bits``, up
+    to ``RETRY_CAP_BITS``; any other end is final.  ``tol`` is a test seam:
+    the profile keeps the default, the bound it accepts, and the tests pass
+    1 to read the value and bound of a size it declines at ``bits``.
     """
     top = max(grid)
-    work = ms.with_backend(bigfloat(GRADED_BITS))
-    frac = GRADED_BITS + _guard_bits(top) + 8
+    work = ms.with_backend(bigfloat(bits))
+    frac = bits + _guard_bits(top) + 8
     mul = operator.mul
     one_sq = 1 << (2 * frac)  # 1 at the scale of a product of two entries
-    theta_unit = 1 << (2 * frac + GRADED_BITS)
+    theta_unit = 1 << (2 * frac + bits)
     block, scale, chol, cols = [], [], [], []
     y = np.zeros((top, top))
     norm_sq = 0  # ||X||_F^2 of the rows so far, at 2^(-2 frac)
     thetas = []  # theta_M of the prefix, M = 1, 2, ...
     beyond = None  # what a size past the prefix gets
+    climb = False  # whether the sizes past the prefix run again at 2 bits
     for j in range(top):
         try:
-            with mpmath.workprec(GRADED_BITS):
+            with mpmath.workprec(bits):
                 block += [work.moment(i) for i in range(len(block), 2 * j + 1)]
         except (BackendError, PrecisionError, MissingMomentError) as err:
             beyond = err
@@ -454,11 +475,12 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
         try:
             y[j, : j + 1] = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
             norm_sq += sum(t * t for t in x)
-            # theta_M = (2 M^2 + 1) 2^-GRADED_BITS ||X_M||_F^2
+            # theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2
             theta = (2 * (j + 1) ** 2 + 1) * norm_sq / theta_unit
         except OverflowError:
             break
         if not theta < tol:
+            climb = theta < 1
             break
         thetas.append(theta)
     out = []
@@ -473,8 +495,35 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
             out.append(None)
             continue
         eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
-        out.append((lam, eps))
+        out.append((lam, eps, bits))
+    if climb and 2 * bits <= RETRY_CAP_BITS:
+        rest = [i for i, m in enumerate(grid) if m > len(thetas)]
+        items = _graded_lambda_min(ms, [grid[i] for i in rest], tol=tol, bits=2 * bits)
+        for i, item in zip(rest, items):
+            out[i] = item
     return out
+
+
+def _singular_limit(ms: MomentSequence, n: int) -> int:
+    """The largest M <= n whose exact leading block is positive definite
+    when the pivot after it is 0, else n.
+
+    A zero pivot makes the leading (M+1) x (M+1) block singular, so every
+    truncation past M has lambda_min <= 0 (exactly 0 for a measure), which
+    no precision rung resolves.  A negative pivot proves lambda_min < 0, a
+    value the ladder ends on by the agreement rule, so it leaves the limit
+    at n; so does a family without rational moments or with fewer than 2n
+    - 1 of them.
+    """
+    try:
+        block = ms.with_backend(RATIONAL_BACKEND).moments(2 * n - 1)
+        ldl_decompose(block, n, RATIONAL_BACKEND.zero())
+    except PositivityError as err:
+        if err.pivot == 0:
+            return err.dimension - 1
+    except (BackendError, MissingMomentError):
+        pass
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +536,13 @@ class ProfileEntry:
     """One grid point of a :class:`SpectralProfile`.
 
     ``precision_bits`` names the path the eigenvalues came from: the rung
-    of the last ladder step when the ladder ran, else 128 (``GRADED_BITS``)
-    when lambda_min is graded, else 53 when lambda_max is LAPACK's, else the
-    precision of the factor behind ``hs_norm_b``; None means no such path
-    ran.  A 128 can thus also be a ladder rung, and a ladder rung can sit
-    next to a graded lambda_min, which the ladder does not replace.
+    of the last ladder step when the ladder ran, else the rung of the graded
+    run that certified lambda_min (128, ``GRADED_BITS``, or a climb to 256,
+    512, ...), else 53 when lambda_max is LAPACK's, else the precision of
+    the factor behind ``hs_norm_b``; None means no such path ran (an entry
+    past the singular limit that asks for lambda_min only).  A graded rung
+    can thus also be a ladder rung, and a ladder rung can sit next to a
+    graded lambda_min, which the ladder does not replace.
 
     ``hs_norm_b`` is read off one factor per profile: that of the largest
     grid size up to ``ESCALATE_MAX_N`` whose own factor succeeds.  Every
@@ -560,8 +611,9 @@ def lambda_profile(
     """Extreme-eigenvalue (and related) profile over a truncation grid.
 
     Each extreme follows one rule, whatever else the entry asks for.
-    lambda_min is the graded value of the scaled 128-bit Cholesky when its
-    relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` = 1e-12.
+    lambda_min is the graded value of the scaled fixed-point Cholesky when
+    its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` =
+    1e-12 at 128 bits or at a rung the graded run climbs to.
     lambda_max is the LAPACK value of the f64 truncation when it is positive
     and its relative bound eps = 4 N u ||H||_F / lambda_max (u = 2^-53) is at
     most ``LAMBDA_MAX_TOL``.  An extreme still missing comes from the rungs
@@ -569,17 +621,21 @@ def lambda_profile(
     bisect the missing extremes and always lambda_min, a graded value being
     kept: the walk stops when lambda_min comes out positive, or once two
     consecutive rungs give negative lambda_min values that agree to 2^-r
-    relative (r the lower rung's resolution): the truncation is then
+    relative (r = min(64, bits/2) at the lower rung): the truncation is then
     indefinite, and a higher precision would only repeat the value.  An
     entry whose walk ends without a positive lambda_min (its ladder run out
     at ``RETRY_CAP_BITS``, or stopped on a negative value) is marked
     unresolved rather than silently degraded and reports the last rung
     tried.  Above ``ESCALATE_MAX_N`` there is no graded run and no ladder:
     an entry reports a certified lambda_max only, and is unresolved when it
-    asks for an extreme it cannot certify.  The graded lambda_min and
-    hs_norm_b nest, so each is computed once per grid, at its largest size,
-    and every entry reads its leading block (module docstring).  Interlacing
-    of the reliable extremes is enforced as a postcondition.
+    asks for an extreme it cannot certify.  The same holds for an entry that
+    would enter the ladder for lambda_min above the singular limit of the
+    exact truncation (:func:`_singular_limit`, read once per profile and
+    only when such an entry comes up): its lambda_min is at most 0, which no
+    rung resolves.  The graded lambda_min and hs_norm_b nest, so each is
+    computed once per grid, at its largest size, and every entry reads its
+    leading block (module docstring).  Interlacing of the reliable extremes
+    is enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -592,8 +648,10 @@ def lambda_profile(
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
     if "hs_norm_b" in quantities:
         hs = _hs_norms(ms, eligible)
+    # read only once an entry is about to enter the ladder for lambda_min
+    singular_limit = functools.cache(lambda: _singular_limit(ms, eligible[-1]))
     entries = [
-        _profile_entry(ms, n, quantities, graded.get(n), hs.get(n))
+        _profile_entry(ms, n, quantities, graded.get(n), hs.get(n), singular_limit)
         for n in n_grid
     ]
     profile = SpectralProfile(
@@ -622,7 +680,7 @@ def _certified_lambda_max(ms, n):
         return None
     try:
         ms.check_truncation(n)
-        h64 = np.array(hankel_rows(ms, n), dtype=float)
+        h64 = sliding_window_view(ms.float_array(2 * n - 1), n)
     except (PrecisionError, BackendError, MissingMomentError, OverflowError):
         return None
     if not np.all(np.isfinite(h64)):
@@ -633,11 +691,13 @@ def _certified_lambda_max(ms, n):
 
 def _repeats_negative(prev, lo, prev_bits) -> bool:
     """Whether ``lo`` and the previous rung's lambda_min ``prev`` are both
-    negative and agree to 2^-r relative, r the resolution at ``prev_bits``."""
+    negative and agree to 2^-r relative, r = min(64, prev_bits/2): a negative
+    value at ``prev_bits`` is bisected to 2^-(prev_bits/2) of its bracket."""
     if prev is None or not (prev < 0 and lo < 0):
         return False
+    r = min(_BRACKET_BITS, prev_bits // 2)
     with mpmath.workprec(prev_bits):
-        return abs(lo - prev) <= mpmath.ldexp(abs(prev), -_resolution(prev_bits))
+        return abs(lo - prev) <= mpmath.ldexp(abs(prev), -r)
 
 
 def _hs_norms(ms, grid):
@@ -676,12 +736,14 @@ def _read(item):
     return item
 
 
-def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
+def _profile_entry(ms, n, quantities, graded_item, hs_item, singular_limit) -> ProfileEntry:
     """One grid point; ``graded_item`` and ``hs_item`` are its items from
     :func:`_graded_lambda_min` and :func:`_hs_norms` (None where the grid
-    function did not run).  lambda_min is the graded value and lambda_max
+    function did not run), and ``singular_limit()`` the profile's
+    :func:`_singular_limit`.  lambda_min is the graded value and lambda_max
     the LAPACK one where their bounds hold; the ladder computes whichever
-    extreme is still missing."""
+    extreme is still missing, except past ``ESCALATE_MAX_N`` and, when
+    lambda_min is missing, past the singular limit."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
@@ -695,7 +757,7 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
 
         graded = _read(graded_item)
         if graded is not None and graded[1] <= LAMBDA_MAX_TOL:
-            lam_min, bits_used = graded[0], GRADED_BITS
+            lam_min, _, bits_used = graded
         if "lambda_max" in quantities:
             lam_max = _certified_lambda_max(ms, n)
             if lam_max is not None and bits_used is None:
@@ -706,8 +768,9 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
             status = "lambda-min-unresolved"
             # lambda_min is always bisected: the status below is read off it
             which = ("min", "max") if need_max else ("min",)
+            climbs = n <= ESCALATE_MAX_N and not (need_min and n > singular_limit())
             prev = prev_bits = None
-            for bits in ladder(ms, n) if n <= ESCALATE_MAX_N else ():
+            for bits in ladder(ms, n) if climbs else ():
                 lo, hi = bigfloat_extremes(ms, n, bits, which=which)
                 if need_min:
                     lam_min = to_float(lo)

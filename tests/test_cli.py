@@ -439,6 +439,23 @@ def test_recurrence_command_dumps_csv(tmp_path, run):
     assert len(lines) == 5  # alpha_0..alpha_3 with beta_1..beta_4
 
 
+def test_recurrence_of_a_truncation_f64_refuses_runs_on_the_ladder(tmp_path, run):
+    # log-normal refuses f64 truncations past N = 8; the factor walks the
+    # big-float ladder, so the command succeeds instead of exiting 1
+    cfg = write(
+        tmp_path / "r.json",
+        {
+            "family": {"family": "log_normal", "params": {"sigma": 1.0}},
+            "backend": "f64",
+            "n": 10,
+        },
+    )
+    code, out, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    lines = (tmp_path / "o" / "recurrence.csv").read_text().splitlines()
+    assert len(lines) == 10
+
+
 def test_schema_is_published(run):
     code, out, _ = run("schema", "classify")
     assert code == 0

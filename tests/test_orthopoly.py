@@ -207,6 +207,19 @@ def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
     assert tp.backend == bigfloat(208)
 
 
+def test_factor_takes_the_ladder_for_a_truncation_f64_refuses():
+    # log-normal refuses f64 truncations past N = 8: within MACHINE_MAX_N the
+    # factor walks the big-float ladder instead of raising PrecisionError
+    ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
+    assert factor(ms, 8).precision_bits == 53
+    tp = factor(ms, 10)
+    assert tp.precision_bits == ladder(ms, 10)[0] and tp.backend == bigfloat(tp.precision_bits)
+    exact = factor(MomentSequence(LogNormal(1.0), bigfloat(512)), 10)
+    with mpmath.workprec(512):
+        for d, ref in zip(tp.pivots, exact.pivots):
+            assert abs(d / ref - 1) < mpmath.mpf(2) ** -200
+
+
 def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap(monkeypatch):
     ms = MomentSequence(PowerLog(1), bigfloat(200))
     monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 1000)

@@ -23,6 +23,7 @@ from hankelmoments import (
     bigfloat,
     factor,
     h_xi_identity,
+    hankel_rows,
     lambda_profile,
     plateau_verdict,
     xi_vector,
@@ -54,6 +55,24 @@ HILBERT_64_LAMBDA_MIN = 6.07200368296270307882392095089e-96
 
 def uniform(backend=RAT):
     return MomentSequence(Gegenbauer(F(1, 2)), backend)
+
+
+# four points of weight 1/4 and two spikes, of weight 2^-130 at 1/2 and
+# 2^-180 at -1/4: lambda_min(H_5) ~ 2.2e-43 and lambda_min(H_6) ~ 2.2e-58.
+# The graded path certifies H_4 and declines from H_5 on (theta >= 1 at 128
+# bits, so it does not climb); the ladder resolves both at 256 bits, and H_5
+# is unresolved below it
+SPIKED = Discrete(
+    DiscreteMeasure(
+        (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1, 2), F(3, 4)),
+        (F(1, 4), F(1, 2**180), F(1, 4), F(1, 4), F(1, 2**130), F(1, 4)),
+    )
+)
+
+# a 4-point measure: H_N is singular from N = 5 on
+FOUR_POINTS = Discrete(
+    DiscreteMeasure((F(-1, 2), F(0), F(1, 3), F(3, 4)), (F(1, 4),) * 4)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +454,17 @@ def test_profile_stops_at_the_ladder_cap(monkeypatch):
 
 
 def test_profile_climbs_past_negative_rungs_that_disagree(monkeypatch):
-    # Hilbert lambda_min(32) ~ 4.2e-47 comes out as -5.7e-21 at 64 bits and
-    # -1.7e-41 at 128: negative values that do not repeat are rounding, not
+    # lambda_min(H_5) ~ 2.2e-43 of the spiked measure has no trusted sign at
+    # 64 and 128 bits: values that do not repeat are rounding, not
     # indefiniteness, so the walk goes on to the rung that resolves it
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    ms = MomentSequence(PowerLog(1), bigfloat(64))
+    ms = MomentSequence(SPIKED, bigfloat(64))
     monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
     monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
-    entry = lambda_profile(ms, [32], quantities=("lambda_min",)).entries[0]
-    assert seen == ladder(ms, 32)[:3] == [64, 128, 256]
+    entry = lambda_profile(ms, [5], quantities=("lambda_min",)).entries[0]
+    assert seen == ladder(ms, 5)[:3] == [64, 128, 256]
     assert entry.status == "ok" and entry.precision_bits == 256
-    assert entry.lambda_min == pytest.approx(4.21e-47, rel=1e-3)
+    assert entry.lambda_min == pytest.approx(_eigsy_extremes(SPIKED, 5)[0], rel=1e-3)
 
 
 def test_profile_entry_with_empty_ladder_is_unresolved():
@@ -464,9 +483,9 @@ def test_profile_entry_with_empty_ladder_is_unresolved():
 
 def test_profile_computes_only_the_requested_extremes(monkeypatch):
     steps = _count_steps(monkeypatch)
-    # Hilbert N >= 20: the graded path declines, so lambda_min is bisected
+    # the spiked N = 5 and 6: the graded path declines, so lambda_min is bisected
     profile = lambda_profile(
-        MomentSequence(PowerLog(1), bigfloat(256)), [20, 24], quantities=("lambda_min",)
+        MomentSequence(SPIKED, bigfloat(256)), [5, 6], quantities=("lambda_min",)
     )
     assert all(e.status == "ok" and e.lambda_max is None for e in profile.entries)
     assert [which for which, _ in steps] == ["min", "min"]
@@ -541,18 +560,68 @@ def test_extreme_columns_do_not_depend_on_the_other_quantities(family, backend):
                     assert getattr(a, name) == getattr(b, name), (name, quantities, a.n)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Hilbert N=64 lambda_min is labelled ok at 320 bits, ~2 bits above the "
-    "resolution floor, where the moment rounding leaves it 3.7e-4 off eigsy",
-)
-def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy():
+def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy(monkeypatch):
+    # the ladder put it "ok" at 320 bits, ~2 bits above the resolution floor
+    # and 3.7e-4 off; the graded path climbs 128 -> 256 -> 512 bits instead
+    _no_ladder(monkeypatch)
     entry = lambda_profile(
         MomentSequence(PowerLog(1), F64_BACKEND), [64], quantities=("lambda_min",)
     ).entries[0]
     assert entry.status != "ok" or entry.lambda_min == pytest.approx(
         HILBERT_64_LAMBDA_MIN, rel=1e-12, abs=0
     )
+    assert entry.status == "ok" and entry.precision_bits == 512
+
+
+def _list_built_lambda_max(ms, n):
+    """The certified lambda_max as computed from a truncation of row lists."""
+    h64 = np.array(hankel_rows(ms, n), dtype=float)
+    lam = float(np.linalg.eigvalsh(h64)[-1])
+    return lam if spectral._lambda_max_bound(h64, lam) <= spectral.LAMBDA_MAX_TOL else None
+
+
+@pytest.mark.parametrize(
+    "family, backend",
+    [(PowerLog(1), F64_BACKEND), (PowerLog(2), RAT), (PowerLog(F(1, 2)), F64_BACKEND),
+     (Gegenbauer(F(1, 2)), F64_BACKEND), (Gegenbauer(F(1, 2)), RAT),
+     (Gegenbauer(F(3, 10)), F64_BACKEND), (Gegenbauer(F(3, 10)), RAT)],
+    ids=["hilbert-f64", "powerlog2-rational", "powerlog-half-f64", "legendre-f64",
+         "legendre-rational", "gegenbauer-f64", "gegenbauer-rational"],
+)
+def test_lambda_max_of_the_window_view_is_bit_equal_to_the_row_lists(family, backend):
+    # the f64 truncation is a sliding-window view of one moment array; its
+    # certified lambda_max has the bits of the one built from row lists
+    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 256, 512):
+        ms = MomentSequence(family, backend)
+        assert spectral._certified_lambda_max(ms, n) == _list_built_lambda_max(ms, n), n
+
+
+def test_rational_power_log_float_array_rounds_each_fraction():
+    # the vectorized pow is the f64 sequence's; a rational one rounds its Fractions
+    ms = MomentSequence(PowerLog(2), RAT)
+    assert ms.float_array(600).tolist() == [float(F(1, (j + 1) ** 2)) for j in range(600)]
+
+
+def test_low_rungs_bisect_positive_extremes_to_2_pow_minus_64():
+    # the ladder of this bigfloat:64 sequence starts at 74 bits, where a
+    # bracket of 2^-(74/2) put lambda_max 2.07e-12 off eigsy under "ok"
+    ms = MomentSequence(_DISCRETE_25, bigfloat(64))
+    entry = lambda_profile(ms, [2], quantities=("lambda_max",)).entries[0]
+    assert entry.status == "ok" and entry.precision_bits == ladder(ms, 2)[0] == 74
+    lam_max = _eigsy_extremes(_DISCRETE_25, 2)[1]
+    assert entry.lambda_max == pytest.approx(lam_max, rel=1e-14, abs=0)
+
+
+def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
+    # f64 refuses log-normal truncations past N = 8, so the factor behind
+    # hs_norm_b takes the big-float ladder instead of failing the entry
+    grid = [8, 12, 16]
+    f64 = lambda_profile(MomentSequence(LogNormal(1.0), F64_BACKEND), grid).entries
+    big = lambda_profile(MomentSequence(LogNormal(1.0), bigfloat(256)), grid).entries
+    for a, b in zip(f64, big):
+        assert a.status == "ok", a
+        assert a.lambda_min > 0 and a.lambda_max > 0
+        assert a.hs_norm_b == pytest.approx(b.hs_norm_b, rel=1e-12, abs=0), a.n
 
 
 def _no_ladder(monkeypatch):
@@ -601,7 +670,8 @@ def test_graded_bound_covers_its_error(family, grid, bits, accepted):
     # single-size runs; tol=1 lets a declined size report its bound too
     ms = MomentSequence(family, F64_BACKEND)
     for n in grid:
-        lam, eps = spectral._graded_lambda_min(ms, [n], tol=1)[0]
+        lam, eps, bits_used = spectral._graded_lambda_min(ms, [n], tol=1)[0]
+        assert bits_used == spectral.GRADED_BITS
         assert (eps <= spectral.LAMBDA_MAX_TOL) == accepted, (n, eps)
         assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
 
@@ -616,6 +686,74 @@ def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
     assert plateau_verdict(profile, 4, 0.5).label == "indeterminate-like"
 
 
+def _spy_graded(monkeypatch):
+    """Record the grid and rung of every graded run, the climbs included."""
+    runs = []
+    real = spectral._graded_lambda_min
+
+    def spy(ms, grid, **kwargs):
+        runs.append((list(grid), kwargs.get("bits", spectral.GRADED_BITS)))
+        return real(ms, grid, **kwargs)
+
+    monkeypatch.setattr(spectral, "_graded_lambda_min", spy)
+    return runs
+
+
+def test_graded_path_climbs_its_own_rungs_on_hilbert(monkeypatch):
+    # theta passes 1e-12 at M = 19 at 128 bits, below 1: the sizes from 19 on
+    # run again at 256 bits, and no entry reaches Householder
+    def refuse(*args, **kwargs):
+        raise AssertionError("householder_tridiagonalize ran")
+
+    monkeypatch.setattr(spectral, "householder_tridiagonalize", refuse)
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    grid = list(range(4, 33, 4))
+    items = spectral._graded_lambda_min(ms, grid)
+    runs = _spy_graded(monkeypatch)
+    profile = lambda_profile(ms, grid)
+    assert runs == [(grid, 128), ([20, 24, 28, 32], 256)]
+    for entry, (lam, eps, bits) in zip(profile.entries, items):
+        assert entry.status == "ok" and entry.lambda_min == lam
+        assert entry.precision_bits == bits == (128 if entry.n < 19 else 256)
+        err = abs(lam / _eigsy_extremes(PowerLog(1), entry.n)[0] - 1)
+        assert err <= eps, entry.n
+        if bits == 256:
+            assert err <= 1e-15, entry.n
+
+
+def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
+    # H_N of the 4-point measure is singular from N = 5 on: the graded run
+    # declines there even with tol=1 and does not climb, and the exact pivot
+    # 0 at N = 5 leaves every larger size unresolved with no rung; the ladder
+    # would return lambda_min = 0 at every rung up to RETRY_CAP_BITS
+    ms = MomentSequence(FOUR_POINTS, F64_BACKEND)
+    assert spectral._graded_lambda_min(ms, [4, 5], tol=1)[1] is None
+    assert spectral._singular_limit(ms, 16) == 4
+    _no_ladder(monkeypatch)
+    runs = _spy_graded(monkeypatch)
+    entries = lambda_profile(ms, [4, 8, 12, 16], quantities=("lambda_min",)).entries
+    assert runs == [([4, 8, 12, 16], 128)]
+    assert entries[0].status == "ok" and entries[0].precision_bits == 128
+    for entry in entries[1:]:
+        assert entry.status == "lambda-min-unresolved"
+        assert entry.lambda_min is None and entry.precision_bits is None
+    # a certified lambda_max still comes from LAPACK
+    entries = lambda_profile(ms, [8], quantities=("lambda_min", "lambda_max")).entries
+    assert entries[0].status == "lambda-min-unresolved" and entries[0].precision_bits == 53
+    assert entries[0].lambda_max == pytest.approx(_eigsy_extremes(FOUR_POINTS, 8)[1], rel=1e-12)
+
+
+def test_singular_limit_reads_only_a_zero_pivot():
+    # a negative pivot proves lambda_min < 0, which the ladder reports; a
+    # family without rational moments or short data has no exact limit
+    indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
+    assert spectral._singular_limit(indefinite, 3) == 3
+    assert spectral._singular_limit(MomentSequence(LogNormal(1.0), F64_BACKEND), 8) == 8
+    assert spectral._singular_limit(MomentSequence(FOUR_POINTS, RAT), 4) == 4
+    short = MomentSequence(Explicit.from_list([1, 0, 1]), F64_BACKEND)
+    assert spectral._singular_limit(short, 3) == 3
+
+
 def test_graded_path_declines_to_the_ladder(monkeypatch):
     hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
     assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0][1] > spectral.LAMBDA_MAX_TOL
@@ -623,9 +761,13 @@ def test_graded_path_declines_to_the_ladder(monkeypatch):
     assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # m_4 < 0
     crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
     assert spectral._graded_lambda_min(crossed, [2])[0] is None  # pivot 1 - 2^2 < 0
+    # the spiked H_5 declines too: its theta passes 1 at 128 bits, so the
+    # run does not climb (Hilbert N = 24 passes 1e-12 there and climbs)
+    spiked = MomentSequence(SPIKED, bigfloat(256))
+    assert spectral._graded_lambda_min(spiked, [5], tol=1)[0] is None
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    entry = lambda_profile(hilbert, [24], quantities=("lambda_min",)).entries[0]
-    assert seen == ladder(hilbert, 24)[:1]
+    entry = lambda_profile(spiked, [5], quantities=("lambda_min",)).entries[0]
+    assert seen == ladder(spiked, 5)[:1]
     assert entry.status == "ok" and entry.precision_bits == seen[0]
     # the indefinite truncation stops on two agreeing negative rungs, as it
     # does when lambda_max is asked for too
@@ -666,56 +808,57 @@ def test_uncertified_lambda_max_falls_back_to_the_ladder():
     assert entry.lambda_max < 0
 
 
-class _CountingHilbert(MomentFamily):
-    """Hilbert moments that count how often each (backend, index) is computed."""
+class _Counting(MomentFamily):
+    """Moments of ``base`` that count how often each (backend, index) is computed."""
 
-    name = "counting_hilbert"
+    name = "counting"
 
-    def __init__(self):
+    def __init__(self, base):
+        self.base = base
         self.calls = {}
 
     def moment(self, n, backend, known=None):
         self.calls[backend, n] = self.calls.get((backend, n), 0) + 1
-        return PowerLog(1).moment(n, backend)
+        return self.base.moment(n, backend)
 
 
 def test_profile_grid_computes_each_probe_moment_once():
-    family = _CountingHilbert()
+    family = _Counting(SPIKED)
     ms = MomentSequence(family, F64_BACKEND)
-    profile = lambda_profile(ms, [16, 20, 24], quantities=("lambda_min",))
-    # N = 16 is graded at 128 bits, N = 20 and 24 climb the ladder
+    profile = lambda_profile(ms, [4, 5, 6], quantities=("lambda_min",))
+    # N = 4 is graded at 128 bits, N = 5 and 6 climb the ladder
     assert [e.precision_bits for e in profile.entries][0] == spectral.GRADED_BITS
     assert all(e.precision_bits > 53 for e in profile.entries)
     probe = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(64)}
-    assert sorted(probe) == list(range(2 * 24 - 1))
+    assert sorted(probe) == list(range(2 * 6 - 1))
     assert set(family.calls.values()) == {1}
 
 
 def test_hs_norm_entry_computes_its_rung_block_once():
-    family = _CountingHilbert()
-    ms = MomentSequence(family, F64_BACKEND)
-    # N = 20: the graded path declines, so lambda_min comes from the rung
-    entry = lambda_profile(ms, [20], quantities=("lambda_min", "hs_norm_b")).entries[0]
+    family = _Counting(SPIKED)
+    ms = MomentSequence(family, bigfloat(256))
+    # N = 5: the graded path declines, so lambda_min comes from the rung
+    entry = lambda_profile(ms, [5], quantities=("lambda_min", "hs_norm_b")).entries[0]
     rung = entry.precision_bits
-    assert entry.status == "ok" and rung == ladder(ms, 20)[0] > 53
+    assert entry.status == "ok" and rung == ladder(ms, 5)[0] > 53
     block = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(rung)}
-    assert block == {j: 1 for j in range(2 * 20 - 1)}
+    assert block == {j: 1 for j in range(2 * 5 - 1)}
     assert entry.hs_norm_b > 0
 
 
 def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
-    # at 64 bits Hilbert lambda_min(19) ~ 2.6e-27 sits below the resolution
-    # floor 2^-64 * |H|; the entry must move up the ladder, not report "ok"
-    # (from N = 19 on the graded path declines Hilbert: its bound exceeds 1e-12)
+    # at 128 bits the spiked lambda_min(H_5) ~ 2.2e-43 sits below the
+    # resolution floor 2^-128 * |H|; the entry must move up the ladder, not
+    # report "ok" (the graded path declines H_5: theta passes 1 at 128 bits)
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    ms = MomentSequence(PowerLog(1), bigfloat(64))
-    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
-    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
-    assert ladder(ms, 19)[:2] == [64, 128]
-    entry = lambda_profile(ms, [19], quantities=("lambda_min",)).entries[0]
-    assert seen == [64, 128]
-    assert entry.status == "ok" and entry.precision_bits == 128
-    lam_min = _eigsy_extremes(PowerLog(1), 19)[0]
+    ms = MomentSequence(SPIKED, bigfloat(64))
+    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 0)
+    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 128)
+    assert ladder(ms, 5)[:2] == [128, 256]
+    entry = lambda_profile(ms, [5], quantities=("lambda_min",)).entries[0]
+    assert seen == [128, 256]
+    assert entry.status == "ok" and entry.precision_bits == 256
+    lam_min = _eigsy_extremes(SPIKED, 5)[0]
     assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
 
 
@@ -787,27 +930,27 @@ def test_graded_grid_agrees_with_single_size_runs(family, grid, bits):
     # the grid run rounds at the top size's p; each size's bound still covers
     # its error, and the value is the single-size one to 1e-12
     ms = MomentSequence(family, bigfloat(256))
-    for n, (lam, eps) in zip(grid, spectral._graded_lambda_min(ms, grid)):
-        single, _ = spectral._graded_lambda_min(ms, [n])[0]
+    for n, (lam, eps, _) in zip(grid, spectral._graded_lambda_min(ms, grid)):
+        single, _, _ = spectral._graded_lambda_min(ms, [n])[0]
         assert lam == pytest.approx(single, rel=1e-12, abs=0), n
         assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
 
 
 def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
-    # Hilbert's theta_M passes 1e-12 at M = 19: no row from the 20th on, no
-    # SVD, and both sizes climb the ladder as before
-    family = _CountingHilbert()
-    ms = MomentSequence(family, F64_BACKEND)
+    # the spiked theta_M passes 1 at M = 5: no row from the 6th on, no SVD,
+    # no climb, and both sizes climb the ladder as before
+    family = _Counting(SPIKED)
+    ms = MomentSequence(family, bigfloat(256))
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("the graded path took a norm")
 
     monkeypatch.setattr(spectral.np.linalg, "norm", no_svd)
-    entries = lambda_profile(ms, [20, 24], quantities=("lambda_min",)).entries
+    entries = lambda_profile(ms, [5, 6], quantities=("lambda_min",)).entries
     graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
-    assert max(graded) < 2 * 19  # row 20 (index 19) would read m_37 and m_38
-    assert seen == [ladder(ms, 20)[0], ladder(ms, 24)[0]]
+    assert max(graded) < 2 * 5  # row 6 (index 5) would read m_9 and m_10
+    assert seen == [ladder(ms, 5)[0], ladder(ms, 6)[0]]
     assert all(e.status == "ok" and e.precision_bits > 53 for e in entries)
 
 
@@ -827,9 +970,10 @@ def test_profile_factors_once_and_grades_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "factor", spy_factor)
     monkeypatch.setattr(spectral, "_graded_lambda_min", spy_graded)
-    hilbert = lambda_profile(MomentSequence(PowerLog(1), F64_BACKEND), range(4, 33, 4))
+    # (up to N = 18, where the graded path certifies Hilbert at its first rung)
+    hilbert = lambda_profile(MomentSequence(PowerLog(1), F64_BACKEND), range(4, 17, 4))
     assert all(e.status == "ok" for e in hilbert.entries)
-    assert calls == {"factor": [32], "graded": [list(range(4, 33, 4))]}
+    assert calls == {"factor": [16], "graded": [list(range(4, 17, 4))]}
     calls["graded"].clear()
     calls["factor"].clear()
     gaussian = lambda_profile(
