@@ -31,7 +31,7 @@ from . import __version__
 from .backends import Backend, BackendError, HankelError, to_float
 from .hankel import default_k_grid, domain_diagnostic, matvec_fft, matvec_naive, power_decay
 from .measures import DiscreteMeasure
-from .moments import MissingMomentError, MomentSequence, classify
+from .moments import Explicit, MissingMomentError, MomentSequence, classify
 from .orthopoly import factor, recurrence
 from .serialize import (
     FAMILY_NAMES,
@@ -84,9 +84,26 @@ class ConfigError(Exception):
 
 
 def _sequence_from_config(config: dict) -> MomentSequence:
+    """The configured sequence, once its family has moments at its backend.
+
+    m_0 is read and every ``explicit`` value converted, so a family the
+    backend cannot represent (log-normal or float data at ``rational``) is a
+    config error here rather than per-entry errors or big-float values
+    under a ``rational`` tag later.
+    """
     family = family_from_json(config["family"])
     backend = Backend.parse(config.get("backend", "rational"))
-    return MomentSequence(family, backend)
+    ms = MomentSequence(family, backend)
+    try:
+        ms.moment(0)
+        if isinstance(family, Explicit):
+            for value in family.values:
+                backend.convert(value)
+    except BackendError as err:
+        raise ConfigError(
+            f"family {family.name} has no moments at backend {backend.tag()}: {err}"
+        ) from None
+    return ms
 
 
 # ---------------------------------------------------------------------------

@@ -33,28 +33,42 @@ ends the walk (:func:`lambda_profile`).  The floor is at least
 lambda_min by less than 2^-70 relative, a 64th of the bracket.
 
 A profile entry takes each extreme by one rule, whatever else it asks for:
-lambda_max from LAPACK on the f64 truncation where a bound certifies it,
-lambda_min from the graded path below where its bound holds, and whichever
-of the two is still missing from the ladder (:func:`lambda_profile`).  Only
-a sequence that is not big-float has an f64 truncation to hand to LAPACK.
-``eigvalsh`` is backward stable (Demmel, *Applied Numerical Linear Algebra*,
-1997, sec. 5.2): its values are the exact eigenvalues of H~ + E, with
-||E||_2 <= N u ||H~||_2 and u = 2^-53, where H~ is the f64 truncation.  H~
-differs from the exact truncation H by the rounding of its moments: a moment
-formed in at most 2N roundings lies within 2N u of its exact value, relative,
-so ||H~ - H||_2 <= ||H~ - H||_F <= 2N u ||H||_F.  The closed forms take one
-to a few roundings per moment (a power, an exponential, a conversion), and
-Gegenbauer two per step of its product, at most j for m_j.  A Gegenbauer
-lambda for which lambda + 1 + i rounds takes two more per step, up to 2j;
-that case is covered only to the extent that its decreasing moments put
-little of ||H||_F on the large indices.  By Weyl's inequality, with ||.||_2
-<= ||.||_F, the computed lambda^_max then lies within 3N u ||H||_F of the
-exact lambda_max to first order.  The bound takes N u more, for the
-second-order terms and for ||H~||_F standing in for ||H||_F, and is read
-relative to the value:
+lambda_max from LAPACK on the scaled f64 truncation where a bound certifies
+it, lambda_min from the graded path below where its bound holds, and
+whichever of the two is still missing from the ladder (:func:`lambda_profile`).
+The moment block m_0 .. m_{2N-2} is read at the sequence's own precision, or
+at 128 bits where the family refuses it there (no rational moments, an f64
+truncation limit, an f64 overflow), scaled by 2^-e, where 2^e <= max |m_j| <
+2^(e+1), and rounded to f64: no entry overflows, and an entry that
+underflows is off by at most 2^-1075 besides its relative rounding.  A
+block that is f64 before it is scaled (an f64 sequence's, or a rational one
+rounded entrywise) is only scaled down, e >= 0, so an entry that
+underflowed in its own rounding is off by at most 2^-1075 at the new scale
+too; one whose largest entry is below 2, Hilbert's m_0 = 1 among them, is
+not scaled at all.  ``eigvalsh`` is backward stable (Demmel, *Applied
+Numerical Linear Algebra*, 1997, sec. 5.2): its values are the exact
+eigenvalues of H~ + E, with ||E||_2 <= N u ||H~||_2 and u = 2^-53, where H~
+is the scaled f64 truncation.  H~ differs from the exact scaled truncation H
+by the rounding of its moments: a moment formed in at most 2N roundings lies
+within 2N u of its exact value, relative, so ||H~ - H||_2 <= ||H~ - H||_F <=
+2N u ||H||_F + N 2^-1075.  The closed forms take one to a few roundings per
+moment (a power, an exponential, a conversion), and Gegenbauer two per step
+of its product, at most j for m_j.  A Gegenbauer lambda for which lambda + 1
++ i rounds takes two more per step, up to 2j; that case is covered only to
+the extent that its decreasing moments put little of ||H||_F on the large
+indices.  By Weyl's inequality, with ||.||_2 <= ||.||_F, the computed
+lambda^_max then lies within 3N u ||H||_F of the exact lambda_max to first
+order.  The bound takes N u more, for the second-order terms and for
+||H~||_F standing in for ||H||_F, and N^2 2^-1074 for the entries that
+underflow (N 2^-1075 in the block, and as much again for the underflow
+inside LAPACK, with room to spare), and is read relative to the value:
 
-    eps = 4 N u ||H~||_F / lambda^_max.
+    eps = (4 N u ||H~||_F + N^2 2^-1074) / lambda^_max,
 
+both at the scale 2^-e; the reported lambda_max is lambda^_max 2^e, which
+rounds to inf past the f64 range as a big-float value does.  For a
+positive semidefinite H, ||H||_F <= sqrt(N) lambda_max, so eps is at most
+about 4 N^(3/2) u: 2.3e-13 at N = 64.
 A lambda^_max > 0 with eps <= LAMBDA_MAX_TOL is reported without the
 big-float ladder; 1e-12 is the relative agreement the ``eigsy`` checks hold
 the big-float path to.
@@ -141,18 +155,36 @@ is final: no rung is predicted to certify it, and a singular truncation
 Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits
 for N = 44..64.
 
-The Hilbert-Schmidt weights nest the same way.  The Chebyshev algorithm of
-:mod:`.triangular` forms sigma_{k,l}, d_k, alpha_k, beta_k and the columns
-of U^-1 of a leading block by the same operations whatever N is, so at one
-precision the leading M x M blocks of the N x N factor are the M x M
-factor, bit for bit, and tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
-||col_j(U^-1)||^2 / d_j is a running sum over its columns.  A profile
-factors its largest size once and reads every smaller size off that factor;
-a size whose own factor fails keeps its error, and the next smaller size
-factors anew.  So hs_norm_b depends on the grid's top N: an f64 grid that
-reaches past MACHINE_MAX_N reads its small sizes off the ladder factor of
-its top size, not off a machine-precision one (Hilbert N = 12 moves from
-1.2e-2 to 2e-17 off the exact weight).
+hs_norm_b = ||B_M||_F = sqrt(tr H_M^-1) comes from the same run.  With
+Y^ = X~ S^-1, (S A^ S)^-1 = (Y^)^t Y^ exactly, so ||Y^_M||_F^2 =
+tr (S A^ S)_M^-1.  By Ostrowski every eigenvalue of H_M^-1 is one of
+(S A^ S)_M^-1 times a factor in [(1 + theta_M)^-1, (1 - theta_M)^-1];
+summing them, sqrt(tr H_M^-1) lies within a factor [1 - theta_M / 2,
+1 + theta_M / (2 (1 - theta_M))] of ||Y^_M||_F.  The f64 Y is off Y^ by at
+most u |Y^_jk| + 2^-1075 per entry (as above), which moves the norm by at
+most u ||Y^_M||_F + M 2^-1075.  The norm nu is the ``math.hypot`` of the
+norms of the rows of Y_M, each the ``math.hypot`` of its entries, formed
+once as the row is written.  Python documents hypot as within 1 ulp (2u),
+so nu is within 4u of ||Y_M||_F.  hypot scales by its largest argument, so
+nothing overflows where the result does not, and ||Y_M||_F <= sqrt(M)
+sigma <= 2^514 wherever lambda^ is a normal number; scaled entries that
+underflow move nu by at most M^2 2^-1074 relative, far below u.  So
+
+    eps_hs = (theta_M / 2 + 6 u + M 2^-1074 / nu) / (1 - theta_M),
+
+the 6u leaving u spare for the second order and the underflows.  nu is
+hs_norm_b wherever eps_hs <= LAMBDA_MAX_TOL; eps_hs never exceeds the
+lambda_min bound, as nu >= sigma, so a size with a certified lambda_min has
+a certified weight.  A profile runs the graded path for hs_norm_b even when
+it does not ask for lambda_min.  Only a rational sequence, whose weight
+stays the correctly rounded exact one, and a size the graded path declines
+read the weight off a factor (:func:`_hs_norms`).  The Chebyshev algorithm
+of :mod:`.triangular` forms the leading M x M block of the N x N factor by
+the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
+||col_j(U^-1)||^2 / d_j is a running sum over its columns: the largest such
+size is factored once, and each smaller one reads its leading block.  A
+size whose own factor fails keeps its error, and the next smaller size
+factors anew.
 """
 
 from __future__ import annotations
@@ -403,6 +435,18 @@ def _scaled_float(num, exp):
     return num / (1 << -exp) if exp < 0 else float(num << exp)
 
 
+@dataclass(frozen=True)
+class GradedItem:
+    """One size of a graded run: lambda_min and ||Y_M||_F = hs_norm_b, each
+    with its relative bound (module docstring), and the rung of the run."""
+
+    lambda_min: float
+    eps: float
+    bits: int
+    hs_norm_b: float
+    hs_eps: float
+
+
 def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS):
     """Graded lambda_min of every truncation size in ``grid``, from one run
     per rung, the first at ``bits``.
@@ -416,10 +460,10 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     1/||Y_M||_2^2, the norm by LAPACK on the leading M x M block of the f64
     rounding Y of X S^-1.
 
-    Returns one item per size: (lambda_min, eps, bits), ``eps`` the relative
-    bound of the module docstring and ``bits`` the rung of the run that gave
-    it; None where the path declines; or the error raised reading that
-    size's moments.  An even moment or a pivot that is not positive, or a
+    Returns one item per size: a :class:`GradedItem`, whose ``bits`` is the
+    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; None
+    where the path declines; or the error raised reading that size's
+    moments.  An even moment or a pivot that is not positive, or a
     row of Y that overflows, ends the prefix, and so does the first theta_M
     >= ``tol`` (at most 1): theta_M grows with M and eps >= theta_M, so
     every larger size declines at this rung, with no further rows and no
@@ -439,6 +483,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     block, scale, chol, cols = [], [], [], []
     y = np.zeros((top, top))
     norm_sq = 0  # ||X||_F^2 of the rows so far, at 2^(-2 frac)
+    row_norms = []  # ||row_j(Y)||_2 in f64
     thetas = []  # theta_M of the prefix, M = 1, 2, ...
     beyond = None  # what a size past the prefix gets
     climb = False  # whether the sizes past the prefix run again at 2 bits
@@ -473,7 +518,8 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         for k in range(j - 1, -1, -1):
             x[k] = _round_div(-sum(map(mul, x[k + 1 :], cols[k][1:])), cols[k][0])
         try:
-            y[j, : j + 1] = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
+            y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
+            row_norms.append(math.hypot(*y_row))
             norm_sq += sum(t * t for t in x)
             # theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2
             theta = (2 * (j + 1) ** 2 + 1) * norm_sq / theta_unit
@@ -495,7 +541,9 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             out.append(None)
             continue
         eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
-        out.append((lam, eps, bits))
+        hs = math.hypot(*row_norms[:m])
+        hs_eps = (theta / 2 + 6 * 2.0**-53 + m * 2.0**-1074 / hs) / (1 - theta)
+        out.append(GradedItem(lam, eps, bits, hs, hs_eps))
     if climb and 2 * bits <= RETRY_CAP_BITS:
         rest = [i for i, m in enumerate(grid) if m > len(thetas)]
         items = _graded_lambda_min(ms, [grid[i] for i in rest], tol=tol, bits=2 * bits)
@@ -535,20 +583,23 @@ def _singular_limit(ms: MomentSequence, n: int) -> int:
 class ProfileEntry:
     """One grid point of a :class:`SpectralProfile`.
 
-    ``precision_bits`` names the path the eigenvalues came from: the rung
-    of the last ladder step when the ladder ran, else the rung of the graded
-    run that certified lambda_min (128, ``GRADED_BITS``, or a climb to 256,
-    512, ...), else 53 when lambda_max is LAPACK's, else the precision of
-    the factor behind ``hs_norm_b``; None means no such path ran (an entry
-    past the singular limit that asks for lambda_min only).  A graded rung
-    can thus also be a ladder rung, and a ladder rung can sit next to a
-    graded lambda_min, which the ladder does not replace.
+    ``precision_bits`` names one path per entry: the rung of the last
+    ladder step when the ladder ran, else the rung of the graded run that
+    certified lambda_min (128, ``GRADED_BITS``, or a climb to 256, 512,
+    ...), else 53 when lambda_max is LAPACK's, else the precision behind
+    ``hs_norm_b``; None means no such path ran (an entry past the singular
+    limit that asks for lambda_min only).  A graded rung can thus also be a
+    ladder rung, and a ladder rung can sit next to a graded lambda_min,
+    which the ladder does not replace.
 
-    ``hs_norm_b`` is read off one factor per profile: that of the largest
-    grid size up to ``ESCALATE_MAX_N`` whose own factor succeeds.  Every
-    size above it reports the error of its own factor, and every size below
-    it reads its leading block (module docstring), so its precision is that
-    of the factor at the larger size.
+    ``hs_norm_b`` of an f64 or big-float sequence is ||Y_M||_F of the graded
+    run, at the rung that certified it (the rung lambda_min reports when
+    both are asked for), wherever its bound is at most ``LAMBDA_MAX_TOL``.
+    That of a rational sequence, and of a size the graded path declines, is
+    read off one factor: that of the largest such size up to
+    ``ESCALATE_MAX_N`` whose own factor succeeds.  Every such size above it
+    reports the error of its own factor, and every one below it reads its
+    leading block (module docstring), at the precision of that factor.
     """
 
     n: int
@@ -614,10 +665,11 @@ def lambda_profile(
     lambda_min is the graded value of the scaled fixed-point Cholesky when
     its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` =
     1e-12 at 128 bits or at a rung the graded run climbs to.
-    lambda_max is the LAPACK value of the f64 truncation when it is positive
-    and its relative bound eps = 4 N u ||H||_F / lambda_max (u = 2^-53) is at
-    most ``LAMBDA_MAX_TOL``.  An extreme still missing comes from the rungs
-    of :func:`~.orthopoly.ladder` (the same ladder ``factor`` walks), which
+    lambda_max is the LAPACK value of the scaled f64 truncation when it is
+    positive and its relative bound eps = (4 N u ||H||_F + N^2 2^-1074) /
+    lambda_max (u = 2^-53) is at most ``LAMBDA_MAX_TOL``.  An extreme still
+    missing comes from the rungs of :func:`~.orthopoly.ladder` (the same
+    ladder ``factor`` walks), which
     bisect the missing extremes and always lambda_min, a graded value being
     kept: the walk stops when lambda_min comes out positive, or once two
     consecutive rungs give negative lambda_min values that agree to 2^-r
@@ -632,10 +684,11 @@ def lambda_profile(
     would enter the ladder for lambda_min above the singular limit of the
     exact truncation (:func:`_singular_limit`, read once per profile and
     only when such an entry comes up): its lambda_min is at most 0, which no
-    rung resolves.  The graded lambda_min and hs_norm_b nest, so each is
-    computed once per grid, at its largest size, and every entry reads its
-    leading block (module docstring).  Interlacing of the reliable extremes
-    is enforced as a postcondition.
+    rung resolves.  The graded run, behind lambda_min and, for a sequence
+    that is not rational, hs_norm_b, nests, so it runs once per grid, at
+    its largest size, and every entry reads its leading block (module
+    docstring); so does the factor behind any other hs_norm_b.  Interlacing
+    of the reliable extremes is enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -644,14 +697,23 @@ def lambda_profile(
     # takes its own item
     graded, hs = {}, {}
     eligible = [n for n in n_grid if n <= ESCALATE_MAX_N]
-    if "lambda_min" in quantities and eligible:
+    graded_hs = "hs_norm_b" in quantities and ms.backend.kind != RATIONAL
+    if eligible and ("lambda_min" in quantities or graded_hs):
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
     if "hs_norm_b" in quantities:
-        hs = _hs_norms(ms, eligible)
+        if graded_hs:
+            hs = {
+                n: (item.hs_norm_b, item.bits)
+                for n, item in graded.items()
+                if isinstance(item, GradedItem) and item.hs_eps <= LAMBDA_MAX_TOL
+            }
+        hs |= _hs_norms(ms, [n for n in eligible if n not in hs])
+    # an entry reports no lambda_min it did not ask for
+    min_items = graded if "lambda_min" in quantities else {}
     # read only once an entry is about to enter the ladder for lambda_min
     singular_limit = functools.cache(lambda: _singular_limit(ms, eligible[-1]))
     entries = [
-        _profile_entry(ms, n, quantities, graded.get(n), hs.get(n), singular_limit)
+        _profile_entry(ms, n, quantities, min_items.get(n), hs.get(n), singular_limit)
         for n in n_grid
     ]
     profile = SpectralProfile(
@@ -665,28 +727,61 @@ def lambda_profile(
 
 
 def _lambda_max_bound(h64: np.ndarray, lam_max: float) -> float:
-    """eps = 4 N u ||H||_F / lambda_max, the relative error bound of an f64
-    lambda_max (module docstring); infinite unless lambda_max > 0."""
+    """eps = (4 N u ||H||_F + N^2 2^-1074) / lambda_max, the relative error
+    bound of an f64 lambda_max of the scaled truncation ``h64`` (module
+    docstring); infinite unless lambda_max > 0."""
     if not lam_max > 0:
         return math.inf
-    return 4 * len(h64) * 2.0**-53 * float(np.linalg.norm(h64)) / lam_max
+    n = len(h64)
+    return (4 * n * 2.0**-53 * float(np.linalg.norm(h64)) + n * n * 2.0**-1074) / lam_max
+
+
+def _scaled_truncation(ms, n):
+    """(H, e): the N x N truncation times 2^-e, rounded to f64, as a
+    sliding-window view of one array of 2N - 1 moments, where 2^e <= max
+    |m_j| < 2^(e+1) (e = 0 for a zero block).
+
+    The moments are read at the sequence's own precision, or at
+    ``GRADED_BITS`` where the family refuses them there: no rational value,
+    an f64 truncation limit, or a moment that overflows f64.  A big-float
+    block rounds each scaled moment once.  An f64 block (a rational one is
+    rounded entrywise first) is only scaled down, e >= 0, exactly but for
+    entries that underflow.
+    """
+    if ms.backend.kind != BIGFLOAT:
+        try:
+            ms.check_truncation(n)
+            block = ms.float_array(2 * n - 1)
+        except (PrecisionError, BackendError, OverflowError):
+            block = None
+        if block is not None and np.all(np.isfinite(block)):
+            # only scaled down: an entry that underflowed in its own
+            # rounding stays within 2^-1075 at the scale of the bound
+            e = max(math.frexp(float(np.max(np.abs(block))))[1] - 1, 0)
+            return sliding_window_view(np.ldexp(block, -e), n), e
+        ms = ms.with_backend(bigfloat(GRADED_BITS))
+    with mpmath.workprec(ms.backend.precision):
+        block = [m._mpf_ for m in ms.moments(2 * n - 1)]
+    e = max((exp + bc - 1 for _, man, exp, bc in block if man), default=0)
+    block = [_scaled_float(-man if sign else man, exp - e) for sign, man, exp, _ in block]
+    return sliding_window_view(np.array(block), n), e
 
 
 def _certified_lambda_max(ms, n):
-    """The LAPACK lambda_max of the f64 truncation where
-    :func:`_lambda_max_bound` is at most ``LAMBDA_MAX_TOL``, else None (also
-    for a big-float sequence and a truncation with no finite f64 form)."""
-    if ms.backend.kind == BIGFLOAT:
-        return None
+    """The LAPACK lambda_max of the scaled f64 truncation
+    (:func:`_scaled_truncation`) where :func:`_lambda_max_bound` is at most
+    ``LAMBDA_MAX_TOL``, else None (also for explicit data too short)."""
     try:
-        ms.check_truncation(n)
-        h64 = sliding_window_view(ms.float_array(2 * n - 1), n)
-    except (PrecisionError, BackendError, MissingMomentError, OverflowError):
-        return None
-    if not np.all(np.isfinite(h64)):
+        h64, e = _scaled_truncation(ms, n)
+    except MissingMomentError:
         return None
     lam = float(np.linalg.eigvalsh(h64)[-1])
-    return lam if _lambda_max_bound(h64, lam) <= LAMBDA_MAX_TOL else None
+    if _lambda_max_bound(h64, lam) > LAMBDA_MAX_TOL:
+        return None
+    try:
+        return math.ldexp(lam, e)
+    except OverflowError:
+        return math.inf
 
 
 def _repeats_negative(prev, lo, prev_bits) -> bool:
@@ -737,9 +832,11 @@ def _read(item):
 
 
 def _profile_entry(ms, n, quantities, graded_item, hs_item, singular_limit) -> ProfileEntry:
-    """One grid point; ``graded_item`` and ``hs_item`` are its items from
-    :func:`_graded_lambda_min` and :func:`_hs_norms` (None where the grid
-    function did not run), and ``singular_limit()`` the profile's
+    """One grid point; ``graded_item`` is its item from
+    :func:`_graded_lambda_min` when the entry asks for lambda_min, and
+    ``hs_item`` its (hs_norm_b, bits) from the graded run or
+    :func:`_hs_norms`, or the error of its factor (None where no grid
+    function ran for it), and ``singular_limit()`` the profile's
     :func:`_singular_limit`.  lambda_min is the graded value and lambda_max
     the LAPACK one where their bounds hold; the ladder computes whichever
     extreme is still missing, except past ``ESCALATE_MAX_N`` and, when
@@ -756,8 +853,8 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item, singular_limit) -> P
                 trace = float("inf")
 
         graded = _read(graded_item)
-        if graded is not None and graded[1] <= LAMBDA_MAX_TOL:
-            lam_min, _, bits_used = graded
+        if graded is not None and graded.eps <= LAMBDA_MAX_TOL:
+            lam_min, bits_used = graded.lambda_min, graded.bits
         if "lambda_max" in quantities:
             lam_max = _certified_lambda_max(ms, n)
             if lam_max is not None and bits_used is None:

@@ -158,6 +158,33 @@ def test_spectrum_policy_key_is_a_config_error(tmp_path, run):
     assert not (tmp_path / "o").exists()
 
 
+_README_LOGNORMAL = {
+    "family": {"family": "log_normal", "params": {"sigma": 1.0}},
+    "n_grid": [4, 8, 12, 16, 20, 24, 28, 32, 36, 40],
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _README_LOGNORMAL,
+        {**_README_LOGNORMAL, "quantities": ["lambda_min"]},
+        {"family": {"family": "explicit", "params": {"values": [1, 0.5, 0.3]}},
+         "backend": "rational", "n_grid": [2]},
+    ],
+    ids=["lognormal-default-backend", "lognormal-lambda-min", "explicit-floats-rational"],
+)
+def test_spectrum_family_without_moments_at_its_backend_exits_2(tmp_path, run, config):
+    # a family without moments at the configured backend (here rational, the
+    # default) is a config error, not a run of error entries or of big-float
+    # values under a rational tag
+    cfg = write(tmp_path / "s.json", config)
+    code, out, err = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert not (tmp_path / "o").exists()
+
+
 def test_spectrum_invariant_violation_exits_1(tmp_path, run, monkeypatch):
     from hankelmoments import cli
     from hankelmoments.spectral import SpectralInvariantError

@@ -389,7 +389,7 @@ def test_profile_marks_unresolved_beyond_escalation_cap():
 
 def test_profile_lognormal_f64_escalates_instead_of_crashing():
     # the f64 moment path overflows early for this family; the profile must
-    # escalate eigenvalues onto the big-float ladder and mark the trace
+    # take the eigenvalues from big-float moments and mark the trace
     profile = lambda_profile(
         MomentSequence(LogNormal(1.0), F64_BACKEND),
         [4, 20],
@@ -397,7 +397,8 @@ def test_profile_lognormal_f64_escalates_instead_of_crashing():
     )
     for entry in profile.entries:
         assert entry.lambda_min is not None and entry.lambda_min > 0
-    assert profile.entries[1].precision_bits > 1000  # scale-aware ladder bits
+    # the graded run and the scaled 128-bit block, not the ladder
+    assert profile.entries[1].precision_bits == spectral.GRADED_BITS
     assert profile.entries[1].trace_partial == float("inf")  # f64 overflow marker
 
 
@@ -431,7 +432,14 @@ def _fake_extremes(monkeypatch, nonpositive_rungs):
     return seen
 
 
+def _uncertified_lambda_max(monkeypatch):
+    """Decline every LAPACK lambda_max, so lambda_max takes the ladder as an
+    uncertified one does (the scaled f64 path certifies these inputs)."""
+    monkeypatch.setattr(spectral, "_certified_lambda_max", lambda ms, n: None)
+
+
 def test_profile_walks_the_factor_ladder(monkeypatch):
+    _uncertified_lambda_max(monkeypatch)
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=2)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
     profile = lambda_profile(ms, [6], quantities=("lambda_min", "lambda_max"))
@@ -443,6 +451,7 @@ def test_profile_walks_the_factor_ladder(monkeypatch):
 
 
 def test_profile_stops_at_the_ladder_cap(monkeypatch):
+    _uncertified_lambda_max(monkeypatch)
     seen = _fake_extremes(monkeypatch, nonpositive_rungs=100)
     ms = MomentSequence(PowerLog(1), bigfloat(64))
     monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 400)
@@ -467,11 +476,12 @@ def test_profile_climbs_past_negative_rungs_that_disagree(monkeypatch):
     assert entry.lambda_min == pytest.approx(_eigsy_extremes(SPIKED, 5)[0], rel=1e-3)
 
 
-def test_profile_entry_with_empty_ladder_is_unresolved():
+def test_profile_entry_with_empty_ladder_is_unresolved(monkeypatch):
     # the largest moment of LogNormal(30) at N=10 is e^{18^2 30^2 / 2} ~
     # 2^210345, so the ladder would start beyond RETRY_CAP_BITS; the graded
-    # lambda_min still holds (A is the identity to 128 bits), lambda_max has
-    # no path
+    # lambda_min still holds (A is the identity to 128 bits), an uncertified
+    # lambda_max has no path
+    _uncertified_lambda_max(monkeypatch)
     ms = MomentSequence(LogNormal(30), bigfloat(64))
     assert ladder(ms, 10) == []
     profile = lambda_profile(ms, [10], quantities=("lambda_min", "lambda_max"))
@@ -560,6 +570,22 @@ def test_extreme_columns_do_not_depend_on_the_other_quantities(family, backend):
                     assert getattr(a, name) == getattr(b, name), (name, quantities, a.n)
 
 
+@pytest.mark.parametrize("backend", [F64_BACKEND, RAT, bigfloat(64)], ids=lambda b: b.tag())
+@pytest.mark.parametrize(
+    "family",
+    [PowerLog(1), PowerLog(2), Gegenbauer(F(1, 2)), Gegenbauer(F(3, 10)), Gaussian(),
+     LogNormal(1.0), _DISCRETE_25],
+    ids=["hilbert", "powerlog2", "legendre", "gegenbauer", "gaussian", "lognormal", "discrete25"],
+)
+def test_lambda_max_never_reaches_the_ladder(monkeypatch, family, backend):
+    # the scaled f64 block serves big-float sequences, f64-refused sizes
+    # (log-normal past N = 8) and families without rational moments alike
+    _no_ladder(monkeypatch)
+    profile = lambda_profile(MomentSequence(family, backend), range(4, 25, 4), ("lambda_max",))
+    for entry in profile.entries:
+        assert entry.status == "ok" and entry.precision_bits == 53, entry
+
+
 def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy(monkeypatch):
     # the ladder put it "ok" at 320 bits, ~2 bits above the resolution floor
     # and 3.7e-4 off; the graded path climbs 128 -> 256 -> 512 bits instead
@@ -602,9 +628,10 @@ def test_rational_power_log_float_array_rounds_each_fraction():
     assert ms.float_array(600).tolist() == [float(F(1, (j + 1) ** 2)) for j in range(600)]
 
 
-def test_low_rungs_bisect_positive_extremes_to_2_pow_minus_64():
+def test_low_rungs_bisect_positive_extremes_to_2_pow_minus_64(monkeypatch):
     # the ladder of this bigfloat:64 sequence starts at 74 bits, where a
     # bracket of 2^-(74/2) put lambda_max 2.07e-12 off eigsy under "ok"
+    _uncertified_lambda_max(monkeypatch)
     ms = MomentSequence(_DISCRETE_25, bigfloat(64))
     entry = lambda_profile(ms, [2], quantities=("lambda_max",)).entries[0]
     assert entry.status == "ok" and entry.precision_bits == ladder(ms, 2)[0] == 74
@@ -613,8 +640,8 @@ def test_low_rungs_bisect_positive_extremes_to_2_pow_minus_64():
 
 
 def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
-    # f64 refuses log-normal truncations past N = 8, so the factor behind
-    # hs_norm_b takes the big-float ladder instead of failing the entry
+    # f64 refuses log-normal truncations past N = 8; hs_norm_b and both
+    # extremes come from 128-bit moments instead of failing the entry
     grid = [8, 12, 16]
     f64 = lambda_profile(MomentSequence(LogNormal(1.0), F64_BACKEND), grid).entries
     big = lambda_profile(MomentSequence(LogNormal(1.0), bigfloat(256)), grid).entries
@@ -670,10 +697,10 @@ def test_graded_bound_covers_its_error(family, grid, bits, accepted):
     # single-size runs; tol=1 lets a declined size report its bound too
     ms = MomentSequence(family, F64_BACKEND)
     for n in grid:
-        lam, eps, bits_used = spectral._graded_lambda_min(ms, [n], tol=1)[0]
-        assert bits_used == spectral.GRADED_BITS
-        assert (eps <= spectral.LAMBDA_MAX_TOL) == accepted, (n, eps)
-        assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
+        item = spectral._graded_lambda_min(ms, [n], tol=1)[0]
+        assert item.bits == spectral.GRADED_BITS
+        assert (item.eps <= spectral.LAMBDA_MAX_TOL) == accepted, (n, item.eps)
+        assert abs(item.lambda_min / _eigsy_extremes(family, n, bits)[0] - 1) <= item.eps, n
 
 
 def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
@@ -712,12 +739,12 @@ def test_graded_path_climbs_its_own_rungs_on_hilbert(monkeypatch):
     runs = _spy_graded(monkeypatch)
     profile = lambda_profile(ms, grid)
     assert runs == [(grid, 128), ([20, 24, 28, 32], 256)]
-    for entry, (lam, eps, bits) in zip(profile.entries, items):
-        assert entry.status == "ok" and entry.lambda_min == lam
-        assert entry.precision_bits == bits == (128 if entry.n < 19 else 256)
-        err = abs(lam / _eigsy_extremes(PowerLog(1), entry.n)[0] - 1)
-        assert err <= eps, entry.n
-        if bits == 256:
+    for entry, item in zip(profile.entries, items):
+        assert entry.status == "ok" and entry.lambda_min == item.lambda_min
+        assert entry.precision_bits == item.bits == (128 if entry.n < 19 else 256)
+        err = abs(item.lambda_min / _eigsy_extremes(PowerLog(1), entry.n)[0] - 1)
+        assert err <= item.eps, entry.n
+        if item.bits == 256:
             assert err <= 1e-15, entry.n
 
 
@@ -756,7 +783,7 @@ def test_singular_limit_reads_only_a_zero_pivot():
 
 def test_graded_path_declines_to_the_ladder(monkeypatch):
     hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
-    assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0][1] > spectral.LAMBDA_MAX_TOL
+    assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0].eps > spectral.LAMBDA_MAX_TOL
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
     assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # m_4 < 0
     crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
@@ -806,6 +833,22 @@ def test_uncertified_lambda_max_falls_back_to_the_ladder():
     assert entry.precision_bits != 53
     assert entry.precision_bits in ladder(ms, n)
     assert entry.lambda_max < 0
+
+
+@pytest.mark.parametrize("backend", [F64_BACKEND, RAT], ids=lambda b: b.tag())
+def test_subnormal_block_is_not_certified_at_53_bits(backend):
+    # Hilbert moments times 2^-1060 round to subnormals with about 14 bits;
+    # LAPACK on them put lambda_max 3.3e-5 off under "ok" at 53 bits.  The
+    # underflow term declines it, and the ladder gives the rounded value
+    n = 4
+    values = tuple(F(1, (j + 1) * 2**1060) for j in range(2 * n - 1))
+    ms = MomentSequence(Explicit(values), backend)
+    entry = lambda_profile(ms, [n], quantities=("lambda_max",)).entries[0]
+    assert entry.status == "ok" and entry.precision_bits in ladder(ms, n)
+    with mpmath.workprec(400):
+        h = mpmath.matrix([[values[i + j].numerator / mpmath.mpf(values[i + j].denominator)
+                            for j in range(n)] for i in range(n)])
+        assert entry.lambda_max == float(max(mpmath.eigsy(h, eigvals_only=True)))
 
 
 class _Counting(MomentFamily):
@@ -897,8 +940,8 @@ def test_short_explicit_data_names_the_index_of_a_single_size_run(quantities, in
 
 
 def test_hilbert_hs_norm_grid_matches_the_exact_trace():
-    # every size reads the factor at the top of the grid (N = 32, on the
-    # ladder); an f64 factor would put N = 8 and 12 5e-9 and 1.2e-2 off
+    # every size reads ||Y_M||_F off the graded run (128 and 256 bits); an
+    # f64 factor would put N = 8 and 12 5e-9 and 1.2e-2 off
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     profile = lambda_profile(ms, range(4, 33, 4))
     exact = factor(MomentSequence(PowerLog(1), RAT), 32).hs_norm_sq_b()
@@ -906,6 +949,49 @@ def test_hilbert_hs_norm_grid_matches_the_exact_trace():
         assert entry.status == "ok"
         ref = math.sqrt(exact[entry.n - 1])
         assert entry.hs_norm_b == pytest.approx(ref, rel=1e-14, abs=0), entry.n
+
+
+@pytest.mark.parametrize("grid", [[12], [4, 8, 12]], ids=["n12", "n4-12"])
+def test_small_f64_hilbert_grid_hs_norm_is_the_exact_weight(grid):
+    # a grid whose top size is MACHINE_MAX_N read hs_norm_b off a 53-bit
+    # factor, 1.2 % off at N = 12; the graded run needs no factor
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    entry = lambda_profile(ms, grid, quantities=("hs_norm_b",)).entries[-1]
+    ref = math.sqrt(factor(MomentSequence(PowerLog(1), RAT), 12).hs_norm_sq_b()[11])
+    assert entry.status == "ok" and entry.n == 12
+    assert entry.hs_norm_b == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "family, backend, grid, ref_backend",
+    [
+        (PowerLog(1), F64_BACKEND, list(range(2, 65)), RAT),
+        (Gegenbauer(F(1, 2)), F64_BACKEND, list(range(4, 41, 4)), RAT),
+        (Gaussian(), F64_BACKEND, list(range(4, 41, 4)), RAT),
+        (Gaussian(), bigfloat(256), list(range(4, 41, 4)), RAT),
+        (LogNormal(1.0), F64_BACKEND, list(range(4, 29, 4)), bigfloat(1024)),
+    ],
+    ids=["hilbert", "legendre", "gaussian-f64", "gaussian", "lognormal"],
+)
+def test_graded_hs_norm_bound_covers_its_error(family, backend, grid, ref_backend):
+    # ||Y_M||_F against the weight of the exact (or 1024-bit) factor, every
+    # size certified; Hilbert climbs to 256 and 512 bits
+    items = spectral._graded_lambda_min(MomentSequence(family, backend), grid)
+    exact = factor(MomentSequence(family, ref_backend), grid[-1]).hs_norm_sq_b()
+    for n, item in zip(grid, items):
+        assert item.hs_eps <= spectral.LAMBDA_MAX_TOL, n
+        ref = math.sqrt(float(exact[n - 1]))
+        assert abs(item.hs_norm_b / ref - 1) <= item.hs_eps, n
+
+
+def test_declined_hs_norm_bound_still_covers_its_error():
+    # Hilbert N = 20 and 24 at 128 bits state more than 1e-12, and hold it
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    exact = factor(MomentSequence(PowerLog(1), RAT), 24).hs_norm_sq_b()
+    for n in (20, 24):
+        item = spectral._graded_lambda_min(ms, [n], tol=1)[0]
+        assert item.bits == 128 and item.hs_eps > spectral.LAMBDA_MAX_TOL
+        assert abs(item.hs_norm_b / math.sqrt(exact[n - 1]) - 1) <= item.hs_eps, n
 
 
 def test_hs_norm_grid_keeps_the_single_size_statuses():
@@ -930,10 +1016,10 @@ def test_graded_grid_agrees_with_single_size_runs(family, grid, bits):
     # the grid run rounds at the top size's p; each size's bound still covers
     # its error, and the value is the single-size one to 1e-12
     ms = MomentSequence(family, bigfloat(256))
-    for n, (lam, eps, _) in zip(grid, spectral._graded_lambda_min(ms, grid)):
-        single, _, _ = spectral._graded_lambda_min(ms, [n])[0]
-        assert lam == pytest.approx(single, rel=1e-12, abs=0), n
-        assert abs(lam / _eigsy_extremes(family, n, bits)[0] - 1) <= eps, n
+    for n, item in zip(grid, spectral._graded_lambda_min(ms, grid)):
+        single = spectral._graded_lambda_min(ms, [n])[0].lambda_min
+        assert item.lambda_min == pytest.approx(single, rel=1e-12, abs=0), n
+        assert abs(item.lambda_min / _eigsy_extremes(family, n, bits)[0] - 1) <= item.eps, n
 
 
 def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
@@ -955,8 +1041,8 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
 
 
 def test_profile_factors_once_and_grades_once(monkeypatch):
-    # a grid whose entries all succeed: one factor (at the top size) behind
-    # every hs_norm_b, and one graded run behind every lambda_min
+    # a grid whose entries all succeed: one graded run behind every
+    # lambda_min and every hs_norm_b, and no factor
     calls = {"factor": [], "graded": []}
     real_factor, real_graded = spectral.factor, spectral._graded_lambda_min
 
@@ -973,7 +1059,7 @@ def test_profile_factors_once_and_grades_once(monkeypatch):
     # (up to N = 18, where the graded path certifies Hilbert at its first rung)
     hilbert = lambda_profile(MomentSequence(PowerLog(1), F64_BACKEND), range(4, 17, 4))
     assert all(e.status == "ok" for e in hilbert.entries)
-    assert calls == {"factor": [16], "graded": [list(range(4, 17, 4))]}
+    assert calls == {"factor": [], "graded": [list(range(4, 17, 4))]}
     calls["graded"].clear()
     calls["factor"].clear()
     gaussian = lambda_profile(
@@ -983,7 +1069,7 @@ def test_profile_factors_once_and_grades_once(monkeypatch):
     assert all(
         e.status == "ok" and e.precision_bits == spectral.GRADED_BITS for e in gaussian.entries
     )
-    assert calls == {"factor": [40], "graded": [[8, 16, 24, 32, 40]]}
+    assert calls == {"factor": [], "graded": [[8, 16, 24, 32, 40]]}
 
 
 # ---------------------------------------------------------------------------
