@@ -17,12 +17,14 @@ are checked in that form.
 Hankel truncations of bounded-support families are notoriously ill
 conditioned (Hilbert-type condition numbers grow like e^{3.5 N}), so float
 factorizations run on a precision ladder: machine floats up to
-``MACHINE_MAX_N``, then big floats.  :func:`ladder` is the one list of
-big-float precisions that both ``factor`` and the spectral profiles walk: it
-starts at ``BITS_PER_DIM`` bits per dimension plus ``BASE_MARGIN_BITS`` plus
-the exponent of the largest moment (raised to an explicit big-float backend's
-own precision) and doubles while it stays at or below ``RETRY_CAP_BITS``; a
-caller stops at the first rung that succeeds.
+``MACHINE_MAX_N``, then big floats.  :func:`ladder` is the list of
+big-float precisions that ``factor`` walks; only ``factor`` walks it (the
+spectral profiles climb the rungs of their own graded run and factor only
+exact rational sequences).  It starts at ``BITS_PER_DIM`` bits per dimension
+plus ``BASE_MARGIN_BITS`` plus the exponent of the largest moment (raised to
+an explicit big-float backend's own precision) and doubles while it stays at
+or below ``RETRY_CAP_BITS``; ``factor`` stops at the first rung that
+succeeds.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def ladder(ms: MomentSequence, n: int) -> list[int]:
 def _max_moment_log2(ms: MomentSequence, count: int) -> int:
     """ceil(log2 max |m_j|) over j < count (0 when at most 1), probed at 64 bits.
 
-    The probe reads the sequence's one 64-bit sibling, so the ladders of a
-    whole profile grid compute each probe moment once.
+    The probe reads the sequence's one 64-bit sibling, so the ladders of
+    every factor of one sequence compute each probe moment once.
     """
     probe = ms.with_backend(bigfloat(64))
     with mpmath.workprec(64):

@@ -6,9 +6,10 @@ calibrated plateau heuristic on the smallest eigenvalue separates
 determinate-like from indeterminate-like moment data.  Nothing here claims a
 limit: every verdict ships with the profile that produced it.
 
-Big-float eigenvalue extremes use Householder tridiagonalization followed by
-bisection with inertia counts, both in fixed point on Python ints, which is
-deterministic at any fixed precision; the f64 path uses LAPACK.  At precision
+:func:`bigfloat_extremes` gives both extremes of a truncation at a fixed
+precision, from Householder tridiagonalization followed by bisection with
+inertia counts, both in fixed point on Python ints, which is deterministic
+at any fixed precision; no profile calls it.  At precision
 ``bits`` the moment block m_0 .. m_{2N-2} is taken at ``bits``, scaled by
 2^-e, where e is the exponent of the largest |m_j| (so every entry is below 1
 in magnitude), and rounded to ints with
@@ -24,54 +25,55 @@ counts (exact for a diagonal moved by less than two units) add up to (N^2 +
 bisected, each positive one to a bracket 2^-64 wide relative to its own size
 at every rung (geometric bisection for lambda_min, whose size can be far
 below 1).  A lambda_min below the resolution floor, 2^(-bits) times the
-Gershgorin bound on the spectrum, comes back as 0, so the profile moves to
-the next precision rung instead of reporting it; a negative lambda_min is
-bisected to 2^-(bits/2) relative to the larger bracket end, and one that two
-consecutive rungs repeat to 2^-r, r = min(64, bits/2) at the lower rung,
-ends the walk (:func:`lambda_profile`).  The floor is at least
+Gershgorin bound on the spectrum, comes back as 0: no value of it is
+resolved at this precision.  A negative lambda_min is bisected to
+2^-(bits/2) relative to the larger bracket end.  The floor is at least
 2^(e-1-bits), so the kernel error lies 70 bits below it: it moves a resolved
 lambda_min by less than 2^-70 relative, a 64th of the bracket.
 
 A profile entry takes each extreme by one rule, whatever else it asks for:
-lambda_max from LAPACK on the scaled f64 truncation where a bound certifies
-it, lambda_min from the graded path below where its bound holds, and
-whichever of the two is still missing from the ladder (:func:`lambda_profile`).
-The moment block m_0 .. m_{2N-2} is read at the sequence's own precision, or
-at 128 bits where the family refuses it there (no rational moments, an f64
-truncation limit, an f64 overflow), scaled by 2^-e, where 2^e <= max |m_j| <
-2^(e+1), and rounded to f64: no entry overflows, and an entry that
-underflows is off by at most 2^-1075 besides its relative rounding.  A
-block that is f64 before it is scaled (an f64 sequence's, or a rational one
-rounded entrywise) is only scaled down, e >= 0, so an entry that
-underflowed in its own rounding is off by at most 2^-1075 at the new scale
-too; one whose largest entry is below 2, Hilbert's m_0 = 1 among them, is
-not scaled at all.  ``eigvalsh`` is backward stable (Demmel, *Applied
-Numerical Linear Algebra*, 1997, sec. 5.2): its values are the exact
-eigenvalues of H~ + E, with ||E||_2 <= N u ||H~||_2 and u = 2^-53, where H~
-is the scaled f64 truncation.  H~ differs from the exact scaled truncation H
-by the rounding of its moments: a moment formed in at most 2N roundings lies
-within 2N u of its exact value, relative, so ||H~ - H||_2 <= ||H~ - H||_F <=
-2N u ||H||_F + N 2^-1075.  The closed forms take one to a few roundings per
-moment (a power, an exponential, a conversion), and Gegenbauer two per step
-of its product, at most j for m_j.  A Gegenbauer lambda for which lambda + 1
-+ i rounds takes two more per step, up to 2j; that case is covered only to
-the extent that its decreasing moments put little of ||H||_F on the large
-indices.  By Weyl's inequality, with ||.||_2 <= ||.||_F, the computed
-lambda^_max then lies within 3N u ||H||_F of the exact lambda_max to first
-order.  The bound takes N u more, for the second-order terms and for
-||H~||_F standing in for ||H||_F, and N^2 2^-1074 for the entries that
-underflow (N 2^-1075 in the block, and as much again for the underflow
-inside LAPACK, with room to spare), and is read relative to the value:
+lambda_min from the graded path below where its bound holds, and otherwise,
+like lambda_max, from one LAPACK ``eigvalsh`` of the scaled f64 truncation
+where a bound certifies it (:func:`lambda_profile`).  The moment block m_0
+.. m_{2N-2} is read at the sequence's own precision, or at 128 bits where
+the family refuses it there (no rational moments, an f64 truncation limit,
+an f64 overflow), scaled by 2^-e, where 2^e <= max |m_j| < 2^(e+1), and
+rounded to f64: no entry overflows, and an entry that underflows is off by
+at most 2^-1075 besides its relative rounding.  A block that is f64 before
+it is scaled (an f64 sequence's, or a rational one rounded entrywise) is
+only scaled down, e >= 0, so an entry that underflowed in its own rounding
+is off by at most 2^-1075 at the new scale too; one whose largest entry is
+below 2, Hilbert's m_0 = 1 among them, is not scaled at all.  ``eigvalsh``
+is backward stable (Demmel, *Applied Numerical Linear Algebra*, 1997, sec.
+5.2): its values are the exact eigenvalues of H~ + E, with ||E||_2 <= N u
+||H~||_2 and u = 2^-53, where H~ is the scaled f64 truncation.  H~ differs
+from the exact scaled truncation H by the rounding of its moments: a moment
+formed in at most 2N roundings lies within 2N u of its exact value,
+relative, so ||H~ - H||_2 <= ||H~ - H||_F <= 2N u ||H||_F + N 2^-1075.  The
+closed forms take one to a few roundings per moment (a power, an
+exponential, a conversion), and Gegenbauer two per step of its product, at
+most j for m_j.  A Gegenbauer lambda for which lambda + 1 + i rounds takes
+two more per step, up to 2j; that case is covered only to the extent that
+its decreasing moments put little of ||H||_F on the large indices.  By
+Weyl's inequality, with ||.||_2 <= ||.||_F, each computed eigenvalue lambda^
+then lies within 3N u ||H||_F of the exact one to first order.  The bound
+takes N u more, for the second-order terms and for ||H~||_F standing in for
+||H||_F, and N^2 2^-1074 for the entries that underflow (N 2^-1075 in the
+block, and as much again for the underflow inside LAPACK, with room to
+spare), and is read relative to the value:
 
-    eps = (4 N u ||H~||_F + N^2 2^-1074) / lambda^_max,
+    eps = (4 N u ||H~||_F + N^2 2^-1074) / |lambda^|,
 
-both at the scale 2^-e; the reported lambda_max is lambda^_max 2^e, which
-rounds to inf past the f64 range as a big-float value does.  For a
-positive semidefinite H, ||H||_F <= sqrt(N) lambda_max, so eps is at most
-about 4 N^(3/2) u: 2.3e-13 at N = 64.
-A lambda^_max > 0 with eps <= LAMBDA_MAX_TOL is reported without the
-big-float ladder; 1e-12 is the relative agreement the ``eigsy`` checks hold
-the big-float path to.
+both at the scale 2^-e; the reported value is lambda^ 2^e.  For a positive
+semidefinite H, ||H||_F <= sqrt(N) lambda_max, so eps of lambda_max is at
+most about 4 N^(3/2) u: 2.3e-13 at N = 64.  The smallest and the largest
+eigenvalue of the one ``eigvalsh`` are each reported where eps <=
+LAMBDA_MAX_TOL and lambda^ 2^e is a normal f64 number (a lambda_max past
+the f64 range is declined, not written as inf); 1e-12 is the relative
+agreement the ``eigsy`` checks hold the graded path to.  lambda_min takes
+this value only where the graded path declines: an indefinite truncation
+reports its negative lambda_min this way, and a lambda_min near 0 of a
+singular or ill-conditioned one stays unresolved.
 
 lambda_min comes from the graded path, whose precision follows the condition
 of A in H = S A S, S diagonal, not that of H (Demmel and Veselic, *Jacobi's
@@ -124,10 +126,10 @@ second order, and reads
 
     eps = (theta + 4 (N + 1) u + N 2^-1074 / sigma^) / (1 - theta).
 
-A lambda^ with eps <= LAMBDA_MAX_TOL is reported without the ladder.  The
-path declines, and the ladder computes lambda_min, when an even moment or a
-pivot is not positive, when X~ S^-1 or lambda^ leaves the normal f64 range,
-or when the bound exceeds LAMBDA_MAX_TOL at every rung it runs.
+A lambda^ with eps <= LAMBDA_MAX_TOL is reported.  The path declines, and
+lambda_min falls to ``eigvalsh`` above, when an even moment is not positive,
+when X~ S^-1 or lambda^ leaves the normal f64 range, or when a pivot is not
+positive or the bound exceeds LAMBDA_MAX_TOL at every rung it runs.
 
 A profile runs the graded path once per grid and rung, at the largest size N
 it asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <=
@@ -148,10 +150,19 @@ within a factor (1 -+ theta_M)^-1 of tr A'_M^-1 (Ostrowski again), which
 depends on the moments, not on b.  So at 2b, theta_M = (2M^2 + 1) 2^-2b
 ||X~_M||_F^2 is about 2^-b theta_M, far below LAMBDA_MAX_TOL, and the sizes
 from M on run again at 2b, up to RETRY_CAP_BITS; each size reports the rung
-that certified it.  A stop on a
-moment error, a non-positive moment or pivot, an overflow or theta_M >= 1
-is final: no rung is predicted to certify it, and a singular truncation
-(theta_M >= 1 or a pivot <= 0 at every rung) must not climb to the cap.
+that certified it.  A stop on theta_M >= 1 or on a pivot <= 0 climbs the
+same way where the exact leading M x M block is positive definite: a
+positive definite A' has a positive lambda_min of its own, which the
+rounding at 2^-b hid and a finer rung brings out.  The exact test is the
+rational LDL (:func:`~.triangular.ldl_positive_definite_limit`) of the
+moments the rungs approach, the rational sibling or the values of explicit
+data (:func:`_exact_sibling`), made once per run and only on such a stop.
+A family without rational moments (log-normal, and power_log with
+non-integer c) is a measure with infinite support, every truncation of
+which is positive definite, so it climbs.  A stop on a block the exact test
+finds not positive definite is final, as a singular truncation stops on
+theta_M >= 1 or a pivot <= 0 at every rung and must not climb to the cap;
+so is a stop on a moment error, a non-positive even moment or an overflow.
 Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits
 for N = 44..64.
 
@@ -178,24 +189,26 @@ lambda_min bound, as nu >= sigma, so a size with a certified lambda_min has
 a certified weight.  A profile runs the graded path for hs_norm_b even when
 it does not ask for lambda_min.  Only a rational sequence, whose weight
 stays the correctly rounded exact one, and a size the graded path declines
-read the weight off a factor (:func:`_hs_norms`).  The Chebyshev algorithm
-of :mod:`.triangular` forms the leading M x M block of the N x N factor by
-the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
-||col_j(U^-1)||^2 / d_j is a running sum over its columns: the largest such
-size is factored once, and each smaller one reads its leading block.  A
-size whose own factor fails keeps its error, and the next smaller size
-factors anew.
+read the weight off the exact factor of :func:`_exact_sibling`
+(:func:`_hs_norms`), which reports a size past the exact positive-definite
+limit as its :class:`~.triangular.PositivityError` at once.  The Chebyshev
+algorithm of :mod:`.triangular` forms the leading M x M block of the N x N
+factor by the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 =
+sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running sum over its columns: the
+largest such size is factored once, and each smaller one reads its leading
+block.  A size whose own factor fails keeps its error, and the next smaller
+size factors anew.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -213,9 +226,9 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import MissingMomentError, MomentSequence, partial_trace
-from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor, ladder
-from .triangular import PositivityError, ldl_decompose
+from .moments import Explicit, MissingMomentError, MomentSequence, partial_trace
+from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor
+from .triangular import PositivityError, ldl_positive_definite_limit
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
@@ -467,12 +480,14 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     row of Y that overflows, ends the prefix, and so does the first theta_M
     >= ``tol`` (at most 1): theta_M grows with M and eps >= theta_M, so
     every larger size declines at this rung, with no further rows and no
-    SVD.  When the prefix ends on tol <= theta_M < 1, the leading M x M
-    block is proven positive definite and theta_M at 2 ``bits`` is about
-    2^-bits theta_M, so the sizes from M on are run again at 2 ``bits``, up
-    to ``RETRY_CAP_BITS``; any other end is final.  ``tol`` is a test seam:
-    the profile keeps the default, the bound it accepts, and the tests pass
-    1 to read the value and bound of a size it declines at ``bits``.
+    SVD.  The sizes from M on are run again at 2 ``bits``, up to
+    ``RETRY_CAP_BITS``, when the prefix ends on tol <= theta_M < 1 (the
+    leading M x M block is then proven positive definite, and theta_M at 2
+    ``bits`` is about 2^-bits theta_M), or on theta_M >= 1 or a pivot <= 0
+    where :func:`_exact_block_positive_definite` holds for M; any other end
+    is final.  ``tol`` is a test seam: the profile keeps the default, the
+    bound it accepts, and the tests pass 1 to read the value and bound of a
+    size it declines at ``bits``.
     """
     top = max(grid)
     work = ms.with_backend(bigfloat(bits))
@@ -507,6 +522,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             row.append(_round_div((a << frac) - sum(map(mul, row, chol[k])), chol[k][k]))
         pivot = one_sq - sum(t * t for t in row)
         if pivot <= 0:
+            climb = _exact_block_positive_definite(ms, j + 1)
             break
         row.append(math.isqrt(pivot))
         chol.append(row)
@@ -526,7 +542,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         except OverflowError:
             break
         if not theta < tol:
-            climb = theta < 1
+            climb = theta < 1 or _exact_block_positive_definite(ms, j + 1)
             break
         thetas.append(theta)
     out = []
@@ -552,26 +568,32 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     return out
 
 
-def _singular_limit(ms: MomentSequence, n: int) -> int:
-    """The largest M <= n whose exact leading block is positive definite
-    when the pivot after it is 0, else n.
+def _exact_sibling(ms: MomentSequence) -> MomentSequence:
+    """The exact moments that the big-float siblings of ``ms`` approach: its
+    rational sibling, or for explicit data its values as Fractions (a float
+    value is a dyadic rational, which the rational backend refuses as
+    input).  A family without rational moments raises BackendError when a
+    moment is read."""
+    if isinstance(ms.family, Explicit):
+        family = Explicit(tuple(map(Fraction, ms.family.values)))
+        return MomentSequence(family, RATIONAL_BACKEND)
+    return ms.with_backend(RATIONAL_BACKEND)
 
-    A zero pivot makes the leading (M+1) x (M+1) block singular, so every
-    truncation past M has lambda_min <= 0 (exactly 0 for a measure), which
-    no precision rung resolves.  A negative pivot proves lambda_min < 0, a
-    value the ladder ends on by the agreement rule, so it leaves the limit
-    at n; so does a family without rational moments or with fewer than 2n
-    - 1 of them.
+
+def _exact_block_positive_definite(ms: MomentSequence, m: int) -> bool:
+    """Whether the exact leading m x m block is positive definite, by the
+    rational LDL of :func:`_exact_sibling`
+    (:func:`~.triangular.ldl_positive_definite_limit`).
+
+    A family without rational moments counts as positive definite: today
+    that is log-normal and power_log with non-integer c, measures with
+    infinite support, every truncation of which is.
     """
     try:
-        block = ms.with_backend(RATIONAL_BACKEND).moments(2 * n - 1)
-        ldl_decompose(block, n, RATIONAL_BACKEND.zero())
-    except PositivityError as err:
-        if err.pivot == 0:
-            return err.dimension - 1
-    except (BackendError, MissingMomentError):
-        pass
-    return n
+        block = _exact_sibling(ms).moments(2 * m - 1)
+    except BackendError:
+        return True
+    return ldl_positive_definite_limit(block, m, RATIONAL_BACKEND.zero()) == m
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +605,21 @@ def _singular_limit(ms: MomentSequence, n: int) -> int:
 class ProfileEntry:
     """One grid point of a :class:`SpectralProfile`.
 
-    ``precision_bits`` names one path per entry: the rung of the last
-    ladder step when the ladder ran, else the rung of the graded run that
-    certified lambda_min (128, ``GRADED_BITS``, or a climb to 256, 512,
-    ...), else 53 when lambda_max is LAPACK's, else the precision behind
-    ``hs_norm_b``; None means no such path ran (an entry past the singular
-    limit that asks for lambda_min only).  A graded rung can thus also be a
-    ladder rung, and a ladder rung can sit next to a graded lambda_min,
-    which the ladder does not replace.
+    ``precision_bits`` names one path per entry: the rung of the graded run
+    that certified lambda_min (128, ``GRADED_BITS``, or a climb to 256, 512,
+    ...), else 53 when an extreme is LAPACK's, else the rung of the graded
+    run behind ``hs_norm_b``; None means the exact factor gave
+    ``hs_norm_b``, or no path gave a value (an unresolved lambda_min).
 
     ``hs_norm_b`` of an f64 or big-float sequence is ||Y_M||_F of the graded
     run, at the rung that certified it (the rung lambda_min reports when
     both are asked for), wherever its bound is at most ``LAMBDA_MAX_TOL``.
     That of a rational sequence, and of a size the graded path declines, is
-    read off one factor: that of the largest such size up to
-    ``ESCALATE_MAX_N`` whose own factor succeeds.  Every such size above it
-    reports the error of its own factor, and every one below it reads its
-    leading block (module docstring), at the precision of that factor.
+    the exact weight of :func:`_exact_sibling`, read off one exact factor:
+    that of the largest such size up to ``ESCALATE_MAX_N`` whose own factor
+    succeeds.  Every such size above it reports the error of its own factor
+    (a :class:`PositivityError` past the exact positive-definite limit),
+    and every one below it reads its leading block (module docstring).
     """
 
     n: int
@@ -664,31 +684,20 @@ def lambda_profile(
     Each extreme follows one rule, whatever else the entry asks for.
     lambda_min is the graded value of the scaled fixed-point Cholesky when
     its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` =
-    1e-12 at 128 bits or at a rung the graded run climbs to.
-    lambda_max is the LAPACK value of the scaled f64 truncation when it is
-    positive and its relative bound eps = (4 N u ||H||_F + N^2 2^-1074) /
-    lambda_max (u = 2^-53) is at most ``LAMBDA_MAX_TOL``.  An extreme still
-    missing comes from the rungs of :func:`~.orthopoly.ladder` (the same
-    ladder ``factor`` walks), which
-    bisect the missing extremes and always lambda_min, a graded value being
-    kept: the walk stops when lambda_min comes out positive, or once two
-    consecutive rungs give negative lambda_min values that agree to 2^-r
-    relative (r = min(64, bits/2) at the lower rung): the truncation is then
-    indefinite, and a higher precision would only repeat the value.  An
-    entry whose walk ends without a positive lambda_min (its ladder run out
-    at ``RETRY_CAP_BITS``, or stopped on a negative value) is marked
-    unresolved rather than silently degraded and reports the last rung
-    tried.  Above ``ESCALATE_MAX_N`` there is no graded run and no ladder:
-    an entry reports a certified lambda_max only, and is unresolved when it
-    asks for an extreme it cannot certify.  The same holds for an entry that
-    would enter the ladder for lambda_min above the singular limit of the
-    exact truncation (:func:`_singular_limit`, read once per profile and
-    only when such an entry comes up): its lambda_min is at most 0, which no
-    rung resolves.  The graded run, behind lambda_min and, for a sequence
-    that is not rational, hs_norm_b, nests, so it runs once per grid, at
-    its largest size, and every entry reads its leading block (module
-    docstring); so does the factor behind any other hs_norm_b.  Interlacing
-    of the reliable extremes is enforced as a postcondition.
+    1e-12 at 128 bits or at a rung the graded run climbs to.  Both extremes
+    otherwise come from one LAPACK ``eigvalsh`` of the scaled f64
+    truncation, each where its relative bound eps = (4 N u ||H||_F + N^2
+    2^-1074) / |lambda| (u = 2^-53) is at most ``LAMBDA_MAX_TOL``
+    (:func:`_certified_extremes`); so an indefinite truncation reports its
+    negative lambda_min.  An entry that asks for an extreme it cannot
+    certify, or whose lambda_min is negative, is marked unresolved rather
+    than silently degraded.  Above ``ESCALATE_MAX_N`` there is no graded
+    run and no factor.  The graded run, behind lambda_min and, for a
+    sequence that is not rational, hs_norm_b, nests, so it runs once per
+    grid, at its largest size, and every entry reads its leading block
+    (module docstring); so does the exact factor behind any other
+    hs_norm_b (:func:`_hs_norms`).  Interlacing of the reliable extremes is
+    enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -707,14 +716,11 @@ def lambda_profile(
                 for n, item in graded.items()
                 if isinstance(item, GradedItem) and item.hs_eps <= LAMBDA_MAX_TOL
             }
-        hs |= _hs_norms(ms, [n for n in eligible if n not in hs])
+        hs |= _hs_norms(_exact_sibling(ms), [n for n in eligible if n not in hs])
     # an entry reports no lambda_min it did not ask for
     min_items = graded if "lambda_min" in quantities else {}
-    # read only once an entry is about to enter the ladder for lambda_min
-    singular_limit = functools.cache(lambda: _singular_limit(ms, eligible[-1]))
     entries = [
-        _profile_entry(ms, n, quantities, min_items.get(n), hs.get(n), singular_limit)
-        for n in n_grid
+        _profile_entry(ms, n, quantities, min_items.get(n), hs.get(n)) for n in n_grid
     ]
     profile = SpectralProfile(
         family=ms.family.name,
@@ -726,14 +732,11 @@ def lambda_profile(
     return profile
 
 
-def _lambda_max_bound(h64: np.ndarray, lam_max: float) -> float:
-    """eps = (4 N u ||H||_F + N^2 2^-1074) / lambda_max, the relative error
-    bound of an f64 lambda_max of the scaled truncation ``h64`` (module
-    docstring); infinite unless lambda_max > 0."""
-    if not lam_max > 0:
-        return math.inf
+def _eigvalsh_error(h64: np.ndarray) -> float:
+    """4 N u ||H||_F + N^2 2^-1074: how far any f64 eigenvalue of the scaled
+    truncation ``h64`` can lie from the exact one (module docstring)."""
     n = len(h64)
-    return (4 * n * 2.0**-53 * float(np.linalg.norm(h64)) + n * n * 2.0**-1074) / lam_max
+    return 4 * n * 2.0**-53 * float(np.linalg.norm(h64)) + n * n * 2.0**-1074
 
 
 def _scaled_truncation(ms, n):
@@ -767,54 +770,47 @@ def _scaled_truncation(ms, n):
     return sliding_window_view(np.array(block), n), e
 
 
-def _certified_lambda_max(ms, n):
-    """The LAPACK lambda_max of the scaled f64 truncation
-    (:func:`_scaled_truncation`) where :func:`_lambda_max_bound` is at most
-    ``LAMBDA_MAX_TOL``, else None (also for explicit data too short)."""
-    try:
-        h64, e = _scaled_truncation(ms, n)
-    except MissingMomentError:
-        return None
-    lam = float(np.linalg.eigvalsh(h64)[-1])
-    if _lambda_max_bound(h64, lam) > LAMBDA_MAX_TOL:
-        return None
-    try:
-        return math.ldexp(lam, e)
-    except OverflowError:
-        return math.inf
-
-
-def _repeats_negative(prev, lo, prev_bits) -> bool:
-    """Whether ``lo`` and the previous rung's lambda_min ``prev`` are both
-    negative and agree to 2^-r relative, r = min(64, prev_bits/2): a negative
-    value at ``prev_bits`` is bisected to 2^-(prev_bits/2) of its bracket."""
-    if prev is None or not (prev < 0 and lo < 0):
-        return False
-    r = min(_BRACKET_BITS, prev_bits // 2)
-    with mpmath.workprec(prev_bits):
-        return abs(lo - prev) <= mpmath.ldexp(abs(prev), -r)
+def _certified_extremes(ms, n):
+    """(lambda_min, lambda_max): eigenvalues [0] and [-1] of one LAPACK
+    ``eigvalsh`` of the scaled f64 truncation (:func:`_scaled_truncation`),
+    each where :func:`_eigvalsh_error` is at most ``LAMBDA_MAX_TOL`` times
+    its size and its value lambda 2^e is a normal f64 number, else None.
+    A missing moment of explicit data propagates."""
+    h64, e = _scaled_truncation(ms, n)
+    err = _eigvalsh_error(h64)
+    eig = np.linalg.eigvalsh(h64)
+    return tuple(
+        math.ldexp(lam, e)
+        if err <= LAMBDA_MAX_TOL * abs(lam)
+        and sys.float_info.min_exp <= math.frexp(lam)[1] + e <= sys.float_info.max_exp
+        else None
+        for lam in (float(eig[0]), float(eig[-1]))
+    )
 
 
 def _hs_norms(ms, grid):
-    """{n: (hs_norm_b, precision_bits) or the error of its factor} over ``grid``.
+    """{n: (hs_norm_b, None) or the error of its factor} over ``grid``.
 
-    Walks the grid from the largest size down and factors only a size that
-    no successful factor covers yet; every other size reads its running sum
-    of :meth:`~.orthopoly.TriangularPair.hs_norm_sq_b` off the covering
+    ``ms`` is a rational sequence, whose :func:`~.orthopoly.factor` is exact
+    (no precision bits): a size past the exact positive-definite limit
+    reports its :class:`PositivityError`, and a family without rational
+    moments a :class:`BackendError`.  Walks the grid from the largest size
+    down and factors only a size that no successful factor covers yet;
+    every other size reads its running sum of
+    :meth:`~.orthopoly.TriangularPair.hs_norm_sq_b` off the covering
     factor.  A size whose own factor fails keeps that error, and the next
     smaller size tries its own factor.
     """
     out = {}
-    sums = bits = None
+    sums = None
     for n in reversed(grid):
         if sums is None:
             try:
-                tp = factor(ms, n)
+                sums = factor(ms, n).hs_norm_sq_b()
             except (*_ENTRY_ERRORS, MissingMomentError) as err:
                 out[n] = err
                 continue
-            sums, bits = tp.hs_norm_sq_b(), tp.precision_bits
-        out[n] = math.sqrt(to_float(sums[n - 1])), bits
+        out[n] = math.sqrt(to_float(sums[n - 1])), None
     return out
 
 
@@ -831,16 +827,15 @@ def _read(item):
     return item
 
 
-def _profile_entry(ms, n, quantities, graded_item, hs_item, singular_limit) -> ProfileEntry:
+def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
     """One grid point; ``graded_item`` is its item from
     :func:`_graded_lambda_min` when the entry asks for lambda_min, and
     ``hs_item`` its (hs_norm_b, bits) from the graded run or
     :func:`_hs_norms`, or the error of its factor (None where no grid
-    function ran for it), and ``singular_limit()`` the profile's
-    :func:`_singular_limit`.  lambda_min is the graded value and lambda_max
-    the LAPACK one where their bounds hold; the ladder computes whichever
-    extreme is still missing, except past ``ESCALATE_MAX_N`` and, when
-    lambda_min is missing, past the singular limit."""
+    function ran for it).  lambda_min is the graded value where its bound
+    holds, and otherwise, like lambda_max, the certified ``eigvalsh`` value
+    (:func:`_certified_extremes`); an extreme asked for and still missing,
+    or a negative lambda_min, leaves the entry unresolved."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
@@ -855,31 +850,18 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item, singular_limit) -> P
         graded = _read(graded_item)
         if graded is not None and graded.eps <= LAMBDA_MAX_TOL:
             lam_min, bits_used = graded.lambda_min, graded.bits
-        if "lambda_max" in quantities:
-            lam_max = _certified_lambda_max(ms, n)
-            if lam_max is not None and bits_used is None:
-                bits_used = 53
         need_min = "lambda_min" in quantities and lam_min is None
-        need_max = "lambda_max" in quantities and lam_max is None
+        need_max = "lambda_max" in quantities
         if need_min or need_max:
+            lo, hi = _certified_extremes(ms, n)
+            if need_min:
+                lam_min = lo
+            if need_max:
+                lam_max = hi
+            if bits_used is None and (lam_min is not None or lam_max is not None):
+                bits_used = 53
+        if (need_min and not (lam_min or 0) > 0) or (need_max and lam_max is None):
             status = "lambda-min-unresolved"
-            # lambda_min is always bisected: the status below is read off it
-            which = ("min", "max") if need_max else ("min",)
-            climbs = n <= ESCALATE_MAX_N and not (need_min and n > singular_limit())
-            prev = prev_bits = None
-            for bits in ladder(ms, n) if climbs else ():
-                lo, hi = bigfloat_extremes(ms, n, bits, which=which)
-                if need_min:
-                    lam_min = to_float(lo)
-                if need_max:
-                    lam_max = to_float(hi)
-                bits_used = bits
-                if lo > 0:
-                    status = "ok"
-                    break
-                if _repeats_negative(prev, lo, prev_bits):
-                    break
-                prev, prev_bits = lo, bits
 
         hs_item = _read(hs_item)
         if hs_item is not None:

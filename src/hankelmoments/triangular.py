@@ -36,16 +36,13 @@ class PositivityError(HankelError):
 
     ``dimension`` is the first failing leading dimension (1-based); at float
     precision this may reflect precision exhaustion rather than true
-    indefiniteness, which ``precision_suspect`` flags.  ``pivot`` is the
-    nonpositive pivot that failed, where one did (0 for a singular block).
+    indefiniteness, which ``precision_suspect`` flags.
     """
 
-    def __init__(self, dimension: int, message: str, precision_suspect: bool = False,
-                 pivot=None):
+    def __init__(self, dimension: int, message: str, precision_suspect: bool = False):
         super().__init__(message)
         self.dimension = dimension
         self.precision_suspect = precision_suspect
-        self.pivot = pivot
 
 
 def monic_alpha(unit_upper, k):
@@ -82,7 +79,6 @@ def ldl_decompose(moments, n, zero, *, precision_suspect=False):
                 f"leading {k + 1}x{k + 1} block is not positive definite "
                 f"(pivot {d!r})",
                 precision_suspect=precision_suspect,
-                pivot=d,
             )
         pivots.append(d)
         row = unit_upper[k]

@@ -132,6 +132,28 @@ def test_spectrum_gaussian_f64_prints_no_negative_lambda_min(tmp_path, run):
     assert all(e["lambda_min"] > 0 for e in report["results"]["profile"]["entries"])
 
 
+def test_spectrum_lambda_max_past_the_f64_range_is_declined(tmp_path, run):
+    # m_38 ~ e^722 of LogNormal(1) alone is past 1.8e308, so lambda_max(H_20)
+    # has no f64 value; it used to be written as the bare token Infinity
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": {"family": "log_normal", "params": {"sigma": 1.0}},
+         "backend": "bigfloat:256", "n_grid": [16, 20], "quantities": ["lambda_max"]},
+    )
+    code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "o" / "spectrum_report.json").read_text()
+    entries = json.loads(text, parse_constant=refuse)["results"]["profile"]["entries"]
+    assert [(e["n"], e["lambda_max"], e["status"]) for e in entries] == [
+        (16, 2.7071782767869993e195, "ok"),
+        (20, None, "lambda-min-unresolved"),
+    ]
+
+
 def test_spectrum_empty_grid_exits_2(tmp_path, run):
     cfg = write(
         tmp_path / "s.json",

@@ -59,9 +59,9 @@ def uniform(backend=RAT):
 
 # four points of weight 1/4 and two spikes, of weight 2^-130 at 1/2 and
 # 2^-180 at -1/4: lambda_min(H_5) ~ 2.2e-43 and lambda_min(H_6) ~ 2.2e-58.
-# The graded path certifies H_4 and declines from H_5 on (theta >= 1 at 128
-# bits, so it does not climb); the ladder resolves both at 256 bits, and H_5
-# is unresolved below it
+# The graded path certifies H_4 at 128 bits and stops at H_5 (theta >= 1);
+# the exact H_5 is positive definite, so it climbs and certifies H_5 and
+# H_6 at 256 bits
 SPIKED = Discrete(
     DiscreteMeasure(
         (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1, 2), F(3, 4)),
@@ -194,14 +194,15 @@ def test_indefinite_explicit_sequence_reports_its_negative_lambda_min(monkeypatc
     assert ref_lo < 0
     lo, hi = bigfloat_extremes(ms, 3, 128)
     assert abs(lo / ref_lo - 1) < 1e-12 and abs(hi / ref_hi - 1) < 1e-12
-    # the first two rungs find the same lambda_min < 0 (to 2^-39 relative at
-    # 78 bits), which proves the truncation indefinite: the walk stops there
-    # instead of climbing to RETRY_CAP_BITS
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    # the graded run stops on the pivot 1 - 2^2 < 0 of the exact H_2, which
+    # is indefinite, so it does not climb; one eigvalsh certifies both
+    # extremes, and the negative lambda_min leaves the entry unresolved
+    _no_ladder(monkeypatch)
+    runs = _spy_graded(monkeypatch)
     entry = lambda_profile(ms, [3], quantities=("lambda_min", "lambda_max")).entries[0]
-    assert seen == ladder(ms, 3)[:2] == [78, 156]
+    assert runs == [([3], spectral.GRADED_BITS)]
     assert entry.status == "lambda-min-unresolved"
-    assert entry.precision_bits == 156
+    assert entry.precision_bits == 53
     assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
     assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
@@ -415,72 +416,18 @@ def test_profile_trace_partial_column():
     assert profile.entries[1].trace_partial == pytest.approx(1 + 1 / 3 + 1 / 5)
 
 
-def _fake_extremes(monkeypatch, nonpositive_rungs):
-    """Patch bigfloat_extremes so its first rungs report lambda_min = 0.
-
-    0 is what the kernel returns for a lambda_min below the resolution
-    floor, so those rungs read as unresolved, not as indefinite.
-    """
-    seen = []
-
-    def fake(ms, n, bits, **kwargs):
-        seen.append(bits)
-        lo, hi = bigfloat_extremes(ms, n, bits, **kwargs)
-        return (mpmath.mpf(0) if len(seen) <= nonpositive_rungs else lo), hi
-
-    monkeypatch.setattr(spectral, "bigfloat_extremes", fake)
-    return seen
-
-
 def _uncertified_lambda_max(monkeypatch):
-    """Decline every LAPACK lambda_max, so lambda_max takes the ladder as an
-    uncertified one does (the scaled f64 path certifies these inputs)."""
-    monkeypatch.setattr(spectral, "_certified_lambda_max", lambda ms, n: None)
-
-
-def test_profile_walks_the_factor_ladder(monkeypatch):
-    _uncertified_lambda_max(monkeypatch)
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=2)
-    ms = MomentSequence(PowerLog(1), bigfloat(64))
-    profile = lambda_profile(ms, [6], quantities=("lambda_min", "lambda_max"))
-    assert seen == ladder(ms, 6)[:3]
-    entry = profile.entries[0]
-    assert entry.status == "ok"
-    assert entry.precision_bits == seen[-1]
-    assert entry.lambda_min > 0
-
-
-def test_profile_stops_at_the_ladder_cap(monkeypatch):
-    _uncertified_lambda_max(monkeypatch)
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=100)
-    ms = MomentSequence(PowerLog(1), bigfloat(64))
-    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 400)
-    profile = lambda_profile(ms, [6], quantities=("lambda_min", "lambda_max"))
-    assert seen == ladder(ms, 6) == [88, 176, 352]
-    entry = profile.entries[0]
-    assert entry.status == "lambda-min-unresolved"
-    assert entry.precision_bits == 352
-
-
-def test_profile_climbs_past_negative_rungs_that_disagree(monkeypatch):
-    # lambda_min(H_5) ~ 2.2e-43 of the spiked measure has no trusted sign at
-    # 64 and 128 bits: values that do not repeat are rounding, not
-    # indefiniteness, so the walk goes on to the rung that resolves it
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    ms = MomentSequence(SPIKED, bigfloat(64))
-    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
-    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 0)
-    entry = lambda_profile(ms, [5], quantities=("lambda_min",)).entries[0]
-    assert seen == ladder(ms, 5)[:3] == [64, 128, 256]
-    assert entry.status == "ok" and entry.precision_bits == 256
-    assert entry.lambda_min == pytest.approx(_eigsy_extremes(SPIKED, 5)[0], rel=1e-3)
+    """Decline every LAPACK lambda_max, as an uncertified one is declined
+    (the scaled f64 path certifies these inputs)."""
+    real = spectral._certified_extremes
+    monkeypatch.setattr(spectral, "_certified_extremes", lambda ms, n: (real(ms, n)[0], None))
 
 
 def test_profile_entry_with_empty_ladder_is_unresolved(monkeypatch):
     # the largest moment of LogNormal(30) at N=10 is e^{18^2 30^2 / 2} ~
-    # 2^210345, so the ladder would start beyond RETRY_CAP_BITS; the graded
-    # lambda_min still holds (A is the identity to 128 bits), an uncertified
-    # lambda_max has no path
+    # 2^210345, so the factor ladder would start beyond RETRY_CAP_BITS; the
+    # graded lambda_min still holds (A is the identity to 128 bits), and an
+    # uncertified lambda_max is missing
     _uncertified_lambda_max(monkeypatch)
     ms = MomentSequence(LogNormal(30), bigfloat(64))
     assert ladder(ms, 10) == []
@@ -492,13 +439,22 @@ def test_profile_entry_with_empty_ladder_is_unresolved(monkeypatch):
 
 
 def test_profile_computes_only_the_requested_extremes(monkeypatch):
-    steps = _count_steps(monkeypatch)
-    # the spiked N = 5 and 6: the graded path declines, so lambda_min is bisected
-    profile = lambda_profile(
-        MomentSequence(SPIKED, bigfloat(256)), [5, 6], quantities=("lambda_min",)
-    )
+    # the spiked N = 5 and 6: the graded run climbs to 256 bits and certifies
+    # lambda_min, so no eigvalsh runs; lambda_max alone runs no graded run
+    ms = MomentSequence(SPIKED, bigfloat(256))
+    real = spectral._certified_extremes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(spectral, "_certified_extremes", refuse)
+    profile = lambda_profile(ms, [5, 6], quantities=("lambda_min",))
     assert all(e.status == "ok" and e.lambda_max is None for e in profile.entries)
-    assert [which for which, _ in steps] == ["min", "min"]
+    monkeypatch.setattr(spectral, "_certified_extremes", real)
+    runs = _spy_graded(monkeypatch)
+    profile = lambda_profile(ms, [5, 6], quantities=("lambda_max",))
+    assert all(e.status == "ok" and e.lambda_min is None for e in profile.entries)
+    assert runs == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -548,6 +504,19 @@ _DISCRETE_25 = Discrete(
 )
 
 
+def _spy_factor(monkeypatch):
+    """Record the backend of every sequence the profile factors."""
+    seen = []
+    real = spectral.factor
+
+    def spy(ms, n):
+        seen.append(ms.backend)
+        return real(ms, n)
+
+    monkeypatch.setattr(spectral, "factor", spy)
+    return seen
+
+
 @pytest.mark.parametrize("backend", [F64_BACKEND, RAT, bigfloat(64)], ids=lambda b: b.tag())
 @pytest.mark.parametrize(
     "family",
@@ -555,14 +524,18 @@ _DISCRETE_25 = Discrete(
      LogNormal(1.0), _DISCRETE_25],
     ids=["hilbert", "powerlog2", "legendre", "gegenbauer", "gaussian", "lognormal", "discrete25"],
 )
-def test_extreme_columns_do_not_depend_on_the_other_quantities(family, backend):
+def test_extreme_columns_do_not_depend_on_the_other_quantities(monkeypatch, family, backend):
     # one path per extreme: asking for other quantities never changes a value.
     # An entry that fails on another quantity reports an error status (the
-    # log-normal trace has no rational value); its eigenvalues are not compared
+    # log-normal trace has no rational value); its eigenvalues are not compared.
+    # A weight the graded run does not certify is the exact one: the profile
+    # factors only rational sequences
+    seen = _spy_factor(monkeypatch)
     ms = MomentSequence(family, backend)
     grid = list(range(4, 25, 4))
     sets = [("lambda_min",), ("lambda_max",), _BOTH, _DEFAULT_QUANTITIES]
     profiles = {q: lambda_profile(ms, grid, q).entries for q in sets}
+    assert set(seen) <= {RAT}
     for name, alone in [("lambda_min", sets[0]), ("lambda_max", sets[1])]:
         for quantities in sets[2:]:
             for a, b in zip(profiles[alone], profiles[quantities]):
@@ -579,11 +552,17 @@ def test_extreme_columns_do_not_depend_on_the_other_quantities(family, backend):
 )
 def test_lambda_max_never_reaches_the_ladder(monkeypatch, family, backend):
     # the scaled f64 block serves big-float sequences, f64-refused sizes
-    # (log-normal past N = 8) and families without rational moments alike
+    # (log-normal past N = 8) and families without rational moments alike.
+    # The log-normal lambda_max from N = 20 on is past the f64 range, so it
+    # is declined instead of written as inf
     _no_ladder(monkeypatch)
     profile = lambda_profile(MomentSequence(family, backend), range(4, 25, 4), ("lambda_max",))
     for entry in profile.entries:
-        assert entry.status == "ok" and entry.precision_bits == 53, entry
+        if family == LogNormal(1.0) and entry.n >= 20:
+            assert entry.status == "lambda-min-unresolved" and entry.lambda_max is None, entry
+            assert entry.precision_bits is None
+        else:
+            assert entry.status == "ok" and entry.precision_bits == 53, entry
 
 
 def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy(monkeypatch):
@@ -603,7 +582,7 @@ def _list_built_lambda_max(ms, n):
     """The certified lambda_max as computed from a truncation of row lists."""
     h64 = np.array(hankel_rows(ms, n), dtype=float)
     lam = float(np.linalg.eigvalsh(h64)[-1])
-    return lam if spectral._lambda_max_bound(h64, lam) <= spectral.LAMBDA_MAX_TOL else None
+    return lam if spectral._eigvalsh_error(h64) <= spectral.LAMBDA_MAX_TOL * abs(lam) else None
 
 
 @pytest.mark.parametrize(
@@ -619,24 +598,13 @@ def test_lambda_max_of_the_window_view_is_bit_equal_to_the_row_lists(family, bac
     # certified lambda_max has the bits of the one built from row lists
     for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 256, 512):
         ms = MomentSequence(family, backend)
-        assert spectral._certified_lambda_max(ms, n) == _list_built_lambda_max(ms, n), n
+        assert spectral._certified_extremes(ms, n)[1] == _list_built_lambda_max(ms, n), n
 
 
 def test_rational_power_log_float_array_rounds_each_fraction():
     # the vectorized pow is the f64 sequence's; a rational one rounds its Fractions
     ms = MomentSequence(PowerLog(2), RAT)
     assert ms.float_array(600).tolist() == [float(F(1, (j + 1) ** 2)) for j in range(600)]
-
-
-def test_low_rungs_bisect_positive_extremes_to_2_pow_minus_64(monkeypatch):
-    # the ladder of this bigfloat:64 sequence starts at 74 bits, where a
-    # bracket of 2^-(74/2) put lambda_max 2.07e-12 off eigsy under "ok"
-    _uncertified_lambda_max(monkeypatch)
-    ms = MomentSequence(_DISCRETE_25, bigfloat(64))
-    entry = lambda_profile(ms, [2], quantities=("lambda_max",)).entries[0]
-    assert entry.status == "ok" and entry.precision_bits == ladder(ms, 2)[0] == 74
-    lam_max = _eigsy_extremes(_DISCRETE_25, 2)[1]
-    assert entry.lambda_max == pytest.approx(lam_max, rel=1e-14, abs=0)
 
 
 def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
@@ -652,10 +620,12 @@ def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
 
 
 def _no_ladder(monkeypatch):
+    """Refuse the factor ladder and the fixed-point eigenvalue kernels."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("the big-float path ran")
 
-    monkeypatch.setattr(spectral, "ladder", refuse)
+    monkeypatch.setattr(orthopoly, "ladder", refuse)
     monkeypatch.setattr(spectral, "bigfloat_extremes", refuse)
 
 
@@ -750,12 +720,11 @@ def test_graded_path_climbs_its_own_rungs_on_hilbert(monkeypatch):
 
 def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
     # H_N of the 4-point measure is singular from N = 5 on: the graded run
-    # declines there even with tol=1 and does not climb, and the exact pivot
-    # 0 at N = 5 leaves every larger size unresolved with no rung; the ladder
-    # would return lambda_min = 0 at every rung up to RETRY_CAP_BITS
+    # stops there even with tol=1, and the exact leading 5 x 5 block is not
+    # positive definite, so it does not climb.  Every larger size is
+    # unresolved with no value: eigvalsh puts lambda_min ~ 0 below its bound
     ms = MomentSequence(FOUR_POINTS, F64_BACKEND)
     assert spectral._graded_lambda_min(ms, [4, 5], tol=1)[1] is None
-    assert spectral._singular_limit(ms, 16) == 4
     _no_ladder(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entries = lambda_profile(ms, [4, 8, 12, 16], quantities=("lambda_min",)).entries
@@ -770,38 +739,74 @@ def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
     assert entries[0].lambda_max == pytest.approx(_eigsy_extremes(FOUR_POINTS, 8)[1], rel=1e-12)
 
 
-def test_singular_limit_reads_only_a_zero_pivot():
-    # a negative pivot proves lambda_min < 0, which the ladder reports; a
-    # family without rational moments or short data has no exact limit
+def test_exact_positive_definiteness_reads_the_rational_ldl():
+    # a zero pivot (the 4-point H_5) and a negative one (H_2 of the
+    # indefinite data) both fail; a family without rational moments is a
+    # measure with infinite support and passes
+    four = MomentSequence(FOUR_POINTS, F64_BACKEND)
+    assert spectral._exact_block_positive_definite(four, 4)
+    assert not spectral._exact_block_positive_definite(four, 5)
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral._singular_limit(indefinite, 3) == 3
-    assert spectral._singular_limit(MomentSequence(LogNormal(1.0), F64_BACKEND), 8) == 8
-    assert spectral._singular_limit(MomentSequence(FOUR_POINTS, RAT), 4) == 4
-    short = MomentSequence(Explicit.from_list([1, 0, 1]), F64_BACKEND)
-    assert spectral._singular_limit(short, 3) == 3
+    assert spectral._exact_block_positive_definite(indefinite, 1)
+    assert not spectral._exact_block_positive_definite(indefinite, 2)
+    spiked = MomentSequence(SPIKED, bigfloat(64))
+    assert spectral._exact_block_positive_definite(spiked, 6)
+    assert not spectral._exact_block_positive_definite(spiked, 7)
+    lognormal = MomentSequence(LogNormal(1.0), F64_BACKEND)
+    assert spectral._exact_block_positive_definite(lognormal, 8)
 
 
-def test_graded_path_declines_to_the_ladder(monkeypatch):
+def test_explicit_float_data_is_tested_exactly(monkeypatch):
+    # f64 explicit data stands for its float values, dyadic rationals that
+    # the rational backend refuses as input, so the exact test reads them as
+    # Fractions.  Rounded to f64, the Hilbert H_N is positive definite up to
+    # N = 13 only: N = 16 reports the exact factor's PositivityError, not a
+    # BackendError of the refused floats, and the graded run does not climb
+    _no_ladder(monkeypatch)
+    runs = _spy_graded(monkeypatch)
+    ms = MomentSequence(Explicit(tuple(1.0 / (j + 1) for j in range(31))), F64_BACKEND)
+    assert spectral._exact_block_positive_definite(ms, 13)
+    assert not spectral._exact_block_positive_definite(ms, 14)
+    entries = lambda_profile(ms, [8, 16]).entries
+    assert [(e.status, e.precision_bits) for e in entries] == [
+        ("ok", 128), ("error:PositivityError", 53)
+    ]
+    assert runs == [([8, 16], 128)]
+
+
+# five points, one of weight 2^-300 at 1/2: the graded run stops on a pivot
+# <= 0 of H_5 at 128 and 256 bits, and certifies it at 512
+FAINT_POINT = Discrete(
+    DiscreteMeasure(
+        (F(-1, 2), F(0), F(1, 3), F(1, 2), F(3, 4)),
+        (F(1, 4), F(1, 4), F(1, 4), F(1, 2**300), F(1, 4)),
+    )
+)
+
+
+def test_graded_path_climbs_unless_the_exact_block_is_not_positive_definite(monkeypatch):
     hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
     assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0].eps > spectral.LAMBDA_MAX_TOL
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # m_4 < 0
+    assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # pivot 1 - 2^2 < 0
     crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
     assert spectral._graded_lambda_min(crossed, [2])[0] is None  # pivot 1 - 2^2 < 0
-    # the spiked H_5 declines too: its theta passes 1 at 128 bits, so the
-    # run does not climb (Hilbert N = 24 passes 1e-12 there and climbs)
-    spiked = MomentSequence(SPIKED, bigfloat(256))
-    assert spectral._graded_lambda_min(spiked, [5], tol=1)[0] is None
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    entry = lambda_profile(spiked, [5], quantities=("lambda_min",)).entries[0]
-    assert seen == ladder(spiked, 5)[:1]
-    assert entry.status == "ok" and entry.precision_bits == seen[0]
-    # the indefinite truncation stops on two agreeing negative rungs, as it
-    # does when lambda_max is asked for too
-    seen.clear()
+    # the spiked theta_5 passes 1 at 128 bits and the faint point's pivot
+    # drops to 0 or below, but both exact H_5 are positive definite: the run
+    # climbs until it certifies them
+    _no_ladder(monkeypatch)
+    for family, bits in [(SPIKED, 256), (FAINT_POINT, 512)]:
+        ms = MomentSequence(family, bigfloat(256))
+        item = spectral._graded_lambda_min(ms, [5], tol=1)[0]
+        assert item.bits == bits and item.eps <= spectral.LAMBDA_MAX_TOL
+        entry = lambda_profile(ms, [5], quantities=("lambda_min",)).entries[0]
+        assert entry.status == "ok" and entry.precision_bits == bits
+        lam_min = _eigsy_extremes(family, 5)[0]
+        assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
+    # the indefinite truncation takes its negative lambda_min from eigvalsh,
+    # as it does when lambda_max is asked for too
     entry = lambda_profile(indefinite, [3], quantities=("lambda_min",)).entries[0]
-    assert seen == [78, 156]
-    assert entry.status == "lambda-min-unresolved" and entry.precision_bits == 156
+    assert entry.status == "lambda-min-unresolved" and entry.precision_bits == 53
     ref_lo = _eigsy_on_block(indefinite.with_backend(bigfloat(128)), 3, 128)[0]
     assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
 
@@ -818,37 +823,35 @@ def test_f64_lambda_max_is_certified_at_53_bits(monkeypatch):
         assert entry.lambda_max == pytest.approx(lam_max, rel=1e-12, abs=0), entry.n
 
 
-def test_uncertified_lambda_max_falls_back_to_the_ladder():
+def test_uncertified_lambda_max_is_unresolved():
     # -H_16: lambda_max = -lambda_min(Hilbert) ~ -1e-22 is far below the
-    # rounding of |H|_F ~ 1.9, so LAPACK's value carries no digits
+    # rounding of |H|_F ~ 1.9, so LAPACK's value carries no digits; the same
+    # eigvalsh certifies lambda_min ~ -1.5, which the entry does not ask for
     n = 16
     ms = MomentSequence(
         Explicit(tuple(F(-1, j + 1) for j in range(2 * n - 1))), F64_BACKEND
     )
     h = np.array(ms.moments(2 * n - 1))
     h = np.array([h[k : k + n] for k in range(n)])
-    lam = np.linalg.eigvalsh(h)[-1]
-    assert spectral._lambda_max_bound(h, lam) > spectral.LAMBDA_MAX_TOL
+    lam = np.linalg.eigvalsh(h)
+    assert spectral._eigvalsh_error(h) > spectral.LAMBDA_MAX_TOL * abs(lam[-1])
+    assert spectral._eigvalsh_error(h) <= spectral.LAMBDA_MAX_TOL * abs(lam[0])
     entry = lambda_profile(ms, [n], quantities=("lambda_max",)).entries[0]
-    assert entry.precision_bits != 53
-    assert entry.precision_bits in ladder(ms, n)
-    assert entry.lambda_max < 0
+    assert entry.status == "lambda-min-unresolved"
+    assert entry.lambda_max is None and entry.precision_bits is None
 
 
 @pytest.mark.parametrize("backend", [F64_BACKEND, RAT], ids=lambda b: b.tag())
 def test_subnormal_block_is_not_certified_at_53_bits(backend):
     # Hilbert moments times 2^-1060 round to subnormals with about 14 bits;
     # LAPACK on them put lambda_max 3.3e-5 off under "ok" at 53 bits.  The
-    # underflow term declines it, and the ladder gives the rounded value
+    # underflow term declines it, and the entry is unresolved with no value
     n = 4
     values = tuple(F(1, (j + 1) * 2**1060) for j in range(2 * n - 1))
     ms = MomentSequence(Explicit(values), backend)
     entry = lambda_profile(ms, [n], quantities=("lambda_max",)).entries[0]
-    assert entry.status == "ok" and entry.precision_bits in ladder(ms, n)
-    with mpmath.workprec(400):
-        h = mpmath.matrix([[values[i + j].numerator / mpmath.mpf(values[i + j].denominator)
-                            for j in range(n)] for i in range(n)])
-        assert entry.lambda_max == float(max(mpmath.eigsy(h, eigvals_only=True)))
+    assert entry.status == "lambda-min-unresolved"
+    assert entry.lambda_max is None and entry.precision_bits is None
 
 
 class _Counting(MomentFamily):
@@ -866,43 +869,28 @@ class _Counting(MomentFamily):
 
 
 def test_profile_grid_computes_each_probe_moment_once():
+    # the profile walks no factor ladder, so it reads no 64-bit probe at
+    # all; N = 4 is graded at 128 bits, and N = 5 and 6 at 256 after one
+    # exact check of H_5, each moment computed once per backend
     family = _Counting(SPIKED)
     ms = MomentSequence(family, F64_BACKEND)
     profile = lambda_profile(ms, [4, 5, 6], quantities=("lambda_min",))
-    # N = 4 is graded at 128 bits, N = 5 and 6 climb the ladder
-    assert [e.precision_bits for e in profile.entries][0] == spectral.GRADED_BITS
-    assert all(e.precision_bits > 53 for e in profile.entries)
-    probe = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(64)}
-    assert sorted(probe) == list(range(2 * 6 - 1))
+    assert [e.precision_bits for e in profile.entries] == [128, 256, 256]
+    assert all(e.status == "ok" for e in profile.entries)
+    assert bigfloat(64) not in {backend for backend, _ in family.calls}
     assert set(family.calls.values()) == {1}
 
 
 def test_hs_norm_entry_computes_its_rung_block_once():
     family = _Counting(SPIKED)
     ms = MomentSequence(family, bigfloat(256))
-    # N = 5: the graded path declines, so lambda_min comes from the rung
+    # N = 5: the graded run climbs to 256 bits, where lambda_min and the
+    # weight come from one block
     entry = lambda_profile(ms, [5], quantities=("lambda_min", "hs_norm_b")).entries[0]
-    rung = entry.precision_bits
-    assert entry.status == "ok" and rung == ladder(ms, 5)[0] > 53
-    block = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(rung)}
+    assert entry.status == "ok" and entry.precision_bits == 256
+    block = {n: c for (backend, n), c in family.calls.items() if backend == bigfloat(256)}
     assert block == {j: 1 for j in range(2 * 5 - 1)}
     assert entry.hs_norm_b > 0
-
-
-def test_profile_climbs_past_an_unresolvable_first_rung(monkeypatch):
-    # at 128 bits the spiked lambda_min(H_5) ~ 2.2e-43 sits below the
-    # resolution floor 2^-128 * |H|; the entry must move up the ladder, not
-    # report "ok" (the graded path declines H_5: theta passes 1 at 128 bits)
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
-    ms = MomentSequence(SPIKED, bigfloat(64))
-    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 0)
-    monkeypatch.setattr(orthopoly, "BASE_MARGIN_BITS", 128)
-    assert ladder(ms, 5)[:2] == [128, 256]
-    entry = lambda_profile(ms, [5], quantities=("lambda_min",)).entries[0]
-    assert seen == [128, 256]
-    assert entry.status == "ok" and entry.precision_bits == 256
-    lam_min = _eigsy_extremes(SPIKED, 5)[0]
-    assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
 
 
 @dataclass(frozen=True)
@@ -919,7 +907,7 @@ class _BrokenAtF64(MomentFamily):
 
 def test_profile_does_not_swallow_bugs_in_the_f64_assembly():
     # only the failures the f64 path expects (precision, backend, missing
-    # moments, overflow) fall back to the ladder; a bug must surface
+    # moments, overflow) fall back to 128-bit moments; a bug must surface
     ms = MomentSequence(_BrokenAtF64(), F64_BACKEND)
     with pytest.raises(TypeError, match="f64 moment branch"):
         lambda_profile(ms, [4, 8], quantities=("lambda_min", "lambda_max"))
@@ -1023,21 +1011,91 @@ def test_graded_grid_agrees_with_single_size_runs(family, grid, bits):
 
 
 def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
-    # the spiked theta_M passes 1 at M = 5: no row from the 6th on, no SVD,
-    # no climb, and both sizes climb the ladder as before
+    # the spiked theta_M passes 1 at M = 5: the 128-bit run reads no row
+    # from the 6th on and takes no SVD, checks the exact H_5 once, and both
+    # sizes run again at 256 bits
     family = _Counting(SPIKED)
     ms = MomentSequence(family, bigfloat(256))
-    seen = _fake_extremes(monkeypatch, nonpositive_rungs=0)
+    runs = _spy_graded(monkeypatch)
+    checks, norms = [], []
+    real_check, real_norm = spectral._exact_block_positive_definite, spectral.np.linalg.norm
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("the graded path took a norm")
+    def spy_check(ms, m):
+        checks.append(m)
+        return real_check(ms, m)
 
-    monkeypatch.setattr(spectral.np.linalg, "norm", no_svd)
+    def spy_norm(a, *args, **kwargs):
+        norms.append((runs[-1][1], len(a)))
+        return real_norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_exact_block_positive_definite", spy_check)
+    monkeypatch.setattr(spectral.np.linalg, "norm", spy_norm)
     entries = lambda_profile(ms, [5, 6], quantities=("lambda_min",)).entries
     graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
     assert max(graded) < 2 * 5  # row 6 (index 5) would read m_9 and m_10
-    assert seen == [ladder(ms, 5)[0], ladder(ms, 6)[0]]
-    assert all(e.status == "ok" and e.precision_bits > 53 for e in entries)
+    assert runs == [([5, 6], 128), ([5, 6], 256)]
+    assert checks == [5]
+    assert norms == [(256, 5), (256, 6)]
+    assert all(e.status == "ok" and e.precision_bits == 256 for e in entries)
+
+
+_FLOAT_BACKENDS = [F64_BACKEND, bigfloat(64), bigfloat(256)]
+
+
+@pytest.mark.parametrize("backend", _FLOAT_BACKENDS, ids=lambda b: b.tag())
+def test_spiked_profile_is_certified_past_the_first_rung(monkeypatch, backend):
+    # the graded run stops at H_5 at 128 bits (theta >= 1); the exact H_5 is
+    # positive definite, so it climbs, and 256 bits certify lambda_min and
+    # the weight of N = 5 and 6.  The eigenvalue ladder put lambda_min(H_5)
+    # 1.7e-10 off under "ok", and the factor ladder put the f64 weight of
+    # N = 5 at 5.99e8 (exact 2.13e21)
+    _no_ladder(monkeypatch)
+    grid = [3, 4, 5, 6]
+    ms = MomentSequence(SPIKED, backend)
+    exact = factor(MomentSequence(SPIKED, RAT), grid[-1]).hs_norm_sq_b()
+    entries = lambda_profile(ms, grid).entries
+    for entry, item in zip(entries, spectral._graded_lambda_min(ms, grid)):
+        assert entry.status == "ok"
+        assert entry.precision_bits == item.bits == (256 if entry.n >= 5 else 128)
+        assert (entry.lambda_min, entry.hs_norm_b) == (item.lambda_min, item.hs_norm_b)
+        lam_err = abs(item.lambda_min / _eigsy_extremes(SPIKED, entry.n)[0] - 1)
+        hs_err = abs(item.hs_norm_b / math.sqrt(exact[entry.n - 1]) - 1)
+        assert lam_err <= 1e-12 and lam_err <= item.eps, entry.n
+        assert hs_err <= 1e-12 and hs_err <= item.hs_eps, entry.n
+
+
+@pytest.mark.parametrize("backend", _FLOAT_BACKENDS, ids=lambda b: b.tag())
+def test_singular_truncation_reports_no_value(monkeypatch, backend):
+    # H_5 of the 4-point measure is singular: its weight is the exact
+    # factor's PositivityError (the factor ladder reported 5.99e8, 1.7e102
+    # and inf under "ok"), and lambda_min past N = 4 is unresolved after a
+    # single 128-bit graded run
+    _no_ladder(monkeypatch)
+    runs = _spy_graded(monkeypatch)
+    ms = MomentSequence(FOUR_POINTS, backend)
+    entry = lambda_profile(ms, [5], quantities=("hs_norm_b",)).entries[0]
+    assert entry.status == "error:PositivityError" and entry.hs_norm_b is None
+    runs.clear()
+    entries = lambda_profile(ms, range(4, 9), quantities=("lambda_min",)).entries
+    assert runs == [([4, 5, 6, 7, 8], 128)]
+    assert entries[0].status == "ok"
+    for entry in entries[1:]:
+        assert entry.status == "lambda-min-unresolved" and entry.lambda_min is None
+
+
+@pytest.mark.parametrize("backend", _FLOAT_BACKENDS + [RAT], ids=lambda b: b.tag())
+def test_discrete_profile_past_its_support_fails_at_once(monkeypatch, backend):
+    # H_26 of the 25-point measure is singular: N = 28 and 32 report the
+    # exact factor's PositivityError, where the factor ladder ran every
+    # rung up to 65536 bits first (28 to 40 s a profile); the statuses and
+    # precisions are those the ladder gave
+    seen = _spy_factor(monkeypatch)
+    ms = MomentSequence(_DISCRETE_25, backend)
+    entries = lambda_profile(ms, [4, 8, 24, 28, 32], _DEFAULT_QUANTITIES).entries
+    assert [(e.status, e.precision_bits) for e in entries] == [("ok", 128)] * 3 + [
+        ("error:PositivityError", 53)
+    ] * 2
+    assert set(seen) == {RAT}
 
 
 def test_profile_factors_once_and_grades_once(monkeypatch):
