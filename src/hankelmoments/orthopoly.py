@@ -7,10 +7,16 @@ holds the monomial coefficients of the n-th orthonormal polynomial.  The
 factorization is the O(N^2) Chebyshev algorithm of :mod:`.triangular`, which
 works on the moment block ``m_0 .. m_{2N-2}`` directly: it yields ``D`` and
 ``U`` from the mixed moments, then ``U^{-1}`` (the monic polynomials) from
-the three-term recurrence.  :func:`recurrence` reads that recurrence off
-``U`` and ``D`` in O(N), and it is the one polynomial evaluator:
-:meth:`TriangularPair.monic_values` runs it in the pair's backend, O(N) per
-point, and :func:`eval_polys` is its orthonormal float view.  Under the
+the three-term recurrence, whose coefficients the factorization forms once
+and the pair keeps (:attr:`TriangularPair.monic_recurrence`).  A factor of
+a symmetric functional skips the entries that vanish by parity
+(:mod:`.triangular`); the pair records that in ``symmetric``.  The
+recurrence is the one polynomial evaluator: :func:`recurrence` reads its
+orthonormal form in O(N), :meth:`TriangularPair.monic_values` runs it in the
+pair's backend, O(N) per point, and :func:`eval_polys` is its orthonormal
+float view.  A pair evaluates each point once: ``monic_values`` keeps the
+vector of every point it was asked for, keyed on the point converted to the
+pair's backend, for the life of the pair, and hands out copies.  Under the
 rational backend everything stays square-root-free and exact; identities
 are checked in that form.
 
@@ -29,8 +35,7 @@ succeeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import mpmath
 
@@ -51,6 +56,7 @@ from .triangular import (
     invert_unit_upper,
     ldl_decompose,
     monic_alpha,
+    parity_holds,
 )
 
 
@@ -108,6 +114,13 @@ class TriangularPair:
 
     ``backend`` is the scalar backend of the stored entries; ``precision_bits``
     records the mantissa actually used (53 for f64, None for exact data).
+    ``symmetric`` records that the factorization skipped the entries that
+    vanish by parity (:mod:`.triangular`); readers of the pair may skip them
+    too.  ``monic_recurrence`` is (alpha_0..alpha_{N-2}, beta_1..beta_{N-1})
+    of the monic recurrence, alpha_k = U[k][k+1] - U[k-1][k] and beta_k =
+    d_k / d_{k-1}, in the pair's scalar backend (exactly for rational
+    pairs): :func:`factor` passes the ones its factorization formed, and a
+    pair built without them forms them from ``U`` and ``D``.
     """
 
     n: int
@@ -116,23 +129,21 @@ class TriangularPair:
     pivots: tuple
     unit_upper_inv: tuple
     precision_bits: int | None
+    symmetric: bool = False
+    monic_recurrence: tuple | None = field(default=None, repr=False, compare=False)
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.monic_recurrence is None:
+            with self.backend.context():
+                alpha = tuple(monic_alpha(self.unit_upper, k) for k in range(self.n - 1))
+                beta = tuple(self.pivots[k] / self.pivots[k - 1] for k in range(1, self.n))
+            object.__setattr__(self, "monic_recurrence", (alpha, beta))
 
     # -- views ---------------------------------------------------------------
 
     def _view_backend(self) -> Backend:
         return F64_BACKEND if self.backend.kind == RATIONAL else self.backend
-
-    @cached_property
-    def monic_recurrence(self):
-        """(alpha_0..alpha_{N-2}, beta_1..beta_{N-1}) of the monic recurrence.
-
-        alpha_k = U[k][k+1] - U[k-1][k] and beta_k = d_k / d_{k-1}, formed
-        once per pair in its scalar backend (exactly for rational pairs).
-        """
-        with self.backend.context():
-            alpha = tuple(monic_alpha(self.unit_upper, k) for k in range(self.n - 1))
-            beta = tuple(self.pivots[k] / self.pivots[k - 1] for k in range(1, self.n))
-        return alpha, beta
 
     def monic_values(self, x):
         """Values pi_0(x), ..., pi_{N-1}(x) of the monic orthogonal polynomials.
@@ -140,18 +151,25 @@ class TriangularPair:
         O(N) by the recurrence pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}
         (:attr:`monic_recurrence`); P_k = pi_k / sqrt(d_k).  Stays in the
         pair's scalar backend (exact for rational pairs, which therefore need
-        a rational ``x``).
+        a rational ``x``).  Each point is evaluated once per pair: the memo
+        is keyed on ``x`` converted to the backend, and every call returns a
+        new list.  (-0.0 reads the vector of 0.0, which has the same bits: x
+        enters only through alpha_k - x, and a zero product leaves the step
+        at +0.0.)
         """
-        alpha, beta = self.monic_recurrence
         x = self.backend.convert(x)
-        zero = self.backend.zero()
-        with self.backend.context():
-            values = [self.backend.one()]
-            for k in range(self.n - 1):
-                # 0 - (alpha_k - x) pi_k - beta_k pi_{k-1}, with beta_k = beta[k - 1]
-                b, c = (beta[k - 1], values[k - 1]) if k else (zero, zero)
-                values.append(three_term(zero, alpha[k] - x, values[k], b, c))
-            return values
+        values = self._values.get(x)
+        if values is None:
+            alpha, beta = self.monic_recurrence
+            zero = self.backend.zero()
+            with self.backend.context():
+                values = [self.backend.one()]
+                for k in range(self.n - 1):
+                    # 0 - (alpha_k - x) pi_k - beta_k pi_{k-1}, with beta_k = beta[k - 1]
+                    b, c = (beta[k - 1], values[k - 1]) if k else (zero, zero)
+                    values.append(three_term(zero, alpha[k] - x, values[k], b, c))
+            self._values[x] = values
+        return list(values)
 
     def hs_norm_sq_b(self):
         """Squared Frobenius norms of B_M for M = 1..N (exact for rational pairs).
@@ -176,7 +194,11 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     """Factor the N x N truncation on the precision ladder.
 
     Each attempt runs :func:`ldl_decompose` on the moment block and then
-    :func:`invert_unit_upper`, both O(N^2).  Rational input stays exact.  f64
+    :func:`invert_unit_upper`, both O(N^2), and hands the recurrence
+    coefficients the first formed to the second and to the pair.  Both skip
+    the parity zeros of a block whose odd moments all vanish
+    (:func:`~.triangular.parity_holds`), except at f64.  Rational input
+    stays exact.  f64
     input is factored at machine precision up to ``MACHINE_MAX_N`` where the
     family accepts its f64 truncation (``check_truncation``); beyond that, a
     truncation the family refuses at f64, and big-float input try each rung
@@ -200,20 +222,25 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
         backend = work.backend
         with backend.context():
             block = work.moments(2 * n - 1)
+            # -0.0 in the full loops' machine-float U^-1 keeps f64 off the skip
+            symmetric = backend.kind != F64 and parity_holds(block, n)
             try:
-                unit_upper, pivots = ldl_decompose(
-                    block, n, backend.zero(), precision_suspect=backend.kind == BIGFLOAT
+                unit_upper, pivots, alpha, beta = ldl_decompose(
+                    block, n, backend.zero(),
+                    precision_suspect=backend.kind == BIGFLOAT, symmetric=symmetric,
                 )
             except PositivityError as err:
                 last_err = err
                 continue
-            inv = invert_unit_upper(unit_upper, pivots, n, backend.zero())
+            inv = invert_unit_upper(alpha, beta, n, backend.zero(), symmetric=symmetric)
         return TriangularPair(
             n, backend,
             tuple(tuple(r) for r in unit_upper),
             tuple(pivots),
             tuple(tuple(r) for r in inv),
             bits,
+            symmetric,
+            (tuple(alpha), tuple(beta)),
         )
     tried = ", ".join("exact" if bits is None else f"{bits} bits" for _, bits in rungs)
     raise PositivityError(

@@ -156,15 +156,23 @@ positive definite A' has a positive lambda_min of its own, which the
 rounding at 2^-b hid and a finer rung brings out.  The exact test is the
 rational LDL (:func:`~.triangular.ldl_positive_definite_limit`) of the
 moments the rungs approach, the rational sibling or the values of explicit
-data (:func:`_exact_sibling`), made once per run and only on such a stop.
-A family without rational moments (log-normal, and power_log with
-non-integer c) is a measure with infinite support, every truncation of
-which is positive definite, so it climbs.  A stop on a block the exact test
-finds not positive definite is final, as a singular truncation stops on
-theta_M >= 1 or a pivot <= 0 at every rung and must not climb to the cap;
-so is a stop on a moment error, a non-positive even moment or an overflow.
-Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits
-for N = 44..64.
+data (:func:`_exact_sibling`), made only on such a stop and once per size:
+the rungs above take a size a climb has proven as positive definite.  A
+family without rational moments (log-normal, and power_log with non-integer
+c) is a measure with infinite support, every truncation of which is
+positive definite, so it climbs.  A stop on a block the exact test finds
+not positive definite is final, as a singular truncation stops on theta_M
+>= 1 or a pivot <= 0 at every rung and must not climb to the cap; so is a
+stop on a moment error, a non-positive even moment or an overflow.  Hilbert
+takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits for N =
+44..64.
+
+Where the moments a row reads are those of a symmetric functional (every
+odd one exactly zero), A~_jk = r_j m~_{j+k} r_k vanishes for odd j + k, and
+so do L~_jk and X~_jk: each is a rounded sum of products one factor of
+which vanishes, and rounds to 0.  The run skips those products and forms
+every other int as the full loops do, so theta, lambda_min, hs_norm_b and
+their bounds keep their bits.
 
 hs_norm_b = ||B_M||_F = sqrt(tr H_M^-1) comes from the same run.  With
 Y^ = X~ S^-1, (S A^ S)^-1 = (Y^)^t Y^ exactly, so ||Y^_M||_F^2 =
@@ -228,7 +236,7 @@ from .backends import (
 )
 from .moments import Explicit, MissingMomentError, MomentSequence, partial_trace
 from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor
-from .triangular import PositivityError, ldl_positive_definite_limit
+from .triangular import PositivityError, ldl_positive_definite_limit, parity_holds
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
@@ -460,7 +468,7 @@ class GradedItem:
     hs_eps: float
 
 
-def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS):
+def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS, proven=0):
     """Graded lambda_min of every truncation size in ``grid``, from one run
     per rung, the first at ``bits``.
 
@@ -484,10 +492,17 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     ``RETRY_CAP_BITS``, when the prefix ends on tol <= theta_M < 1 (the
     leading M x M block is then proven positive definite, and theta_M at 2
     ``bits`` is about 2^-bits theta_M), or on theta_M >= 1 or a pivot <= 0
-    where :func:`_exact_block_positive_definite` holds for M; any other end
-    is final.  ``tol`` is a test seam: the profile keeps the default, the
-    bound it accepts, and the tests pass 1 to read the value and bound of a
-    size it declines at ``bits``.
+    where the leading M x M block is positive definite: M <= ``proven``,
+    the size a lower rung has proven so, or else
+    :func:`_exact_block_positive_definite`, checked once per size; any other
+    end is final.  ``tol`` is a test seam: the profile keeps the default,
+    the bound it accepts, and the tests pass 1 to read the value and bound
+    of a size it declines at ``bits``.
+
+    Where the moments read so far are those of a symmetric functional
+    (:func:`~.triangular.parity_holds`), A~_jk, L~_jk and X~_jk are exact
+    zeros for odd j + k, and row j forms only its entries of the parity of
+    j: the ints, and all that follows from them, are those of the full loops.
     """
     top = max(grid)
     work = ms.with_backend(bigfloat(bits))
@@ -514,15 +529,19 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         with mpmath.workprec(frac):
             scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
         mj, ej = scale[j]
-        row = []
-        for k, (mk, ek) in enumerate(scale[:j]):
+        # entries with j + k odd vanish for a symmetric functional: skip them
+        first, step = (j % 2, 2) if parity_holds(block, j + 1) else (0, 1)
+        row = [0] * j
+        for k in range(first, j, step):
+            mk, ek = scale[k]
             sign, man, exp, _ = block[j + k]._mpf_
             man *= mj * mk
             a = _round_shift(-man if sign else man, exp + ej + ek + frac)
-            row.append(_round_div((a << frac) - sum(map(mul, row, chol[k])), chol[k][k]))
-        pivot = one_sq - sum(t * t for t in row)
+            dots = sum(map(mul, row[first:k:step], chol[k][first:k:step]))
+            row[k] = _round_div((a << frac) - dots, chol[k][k])
+        pivot = one_sq - sum(t * t for t in row[first::step])
         if pivot <= 0:
-            climb = _exact_block_positive_definite(ms, j + 1)
+            climb = j + 1 <= proven or _exact_block_positive_definite(ms, j + 1)
             break
         row.append(math.isqrt(pivot))
         chol.append(row)
@@ -531,8 +550,8 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         cols.append([row[j]])
         x = [0] * (j + 1)
         x[j] = _round_div(one_sq, row[j])
-        for k in range(j - 1, -1, -1):
-            x[k] = _round_div(-sum(map(mul, x[k + 1 :], cols[k][1:])), cols[k][0])
+        for k in range(j - step, -1, -step):
+            x[k] = _round_div(-sum(map(mul, x[k + step :: step], cols[k][step::step])), cols[k][0])
         try:
             y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
             row_norms.append(math.hypot(*y_row))
@@ -542,7 +561,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         except OverflowError:
             break
         if not theta < tol:
-            climb = theta < 1 or _exact_block_positive_definite(ms, j + 1)
+            climb = theta < 1 or j + 1 <= proven or _exact_block_positive_definite(ms, j + 1)
             break
         thetas.append(theta)
     out = []
@@ -562,7 +581,9 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         out.append(GradedItem(lam, eps, bits, hs, hs_eps))
     if climb and 2 * bits <= RETRY_CAP_BITS:
         rest = [i for i, m in enumerate(grid) if m > len(thetas)]
-        items = _graded_lambda_min(ms, [grid[i] for i in rest], tol=tol, bits=2 * bits)
+        proven = max(proven, len(thetas) + 1)  # the size the prefix stopped at
+        items = _graded_lambda_min(ms, [grid[i] for i in rest], tol=tol, bits=2 * bits,
+                                   proven=proven)
         for i, item in zip(rest, items):
             out[i] = item
     return out
@@ -942,7 +963,9 @@ def _xi_and_image(tp: TriangularPair, t):
     With the monic values pi(t) = (U^{-1})^t (t^j)_j, xi = U^{-1} D^{-1}
     pi(t): the two inverse square roots of B cancel, so xi is exact for
     rational pairs.  The image must reproduce pi(t) (the identity C xi = p
-    in square-root-free form); rational pairs check that exactly.
+    in square-root-free form); rational pairs check that exactly.  A
+    symmetric pair's products skip the entries of U^-1 and U that vanish by
+    parity.
     """
     if abs(to_float(t)) >= 1:
         warnings.warn(
@@ -951,11 +974,12 @@ def _xi_and_image(tp: TriangularPair, t):
             stacklevel=3,
         )
     backend = tp.backend
+    step = 2 if tp.symmetric else 1  # skip the parity zeros of U and U^-1
     y = tp.monic_values(t)
     with backend.context():
         z = [y[k] / tp.pivots[k] for k in range(tp.n)]
-        xi = [dot(tp.unit_upper_inv[i][i:], z[i:]) for i in range(tp.n)]
-        image = [dot(tp.unit_upper[k][k:], xi[k:]) * tp.pivots[k] for k in range(tp.n)]
+        xi = [dot(tp.unit_upper_inv[i][i::step], z[i::step]) for i in range(tp.n)]
+        image = [dot(tp.unit_upper[k][k::step], xi[k::step]) * tp.pivots[k] for k in range(tp.n)]
     if backend.kind == RATIONAL and image != y:
         raise SpectralInvariantError("xi construction violated its defining identity")
     return xi, image
@@ -987,6 +1011,7 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
     the roundoff left by the ill-conditioned reconstruction.
     """
     backend = tp.backend
+    step = 2 if tp.symmetric else 1  # U[j][i] vanishes by parity where i + j is odd
     _, image = _xi_and_image(tp, t)
     with backend.context():
         tv = backend.convert(t)
@@ -994,7 +1019,8 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
         residuals = []
         power = backend.one()
         for i, column in enumerate(zip(*tp.unit_upper)):
-            residuals.append(dot(column[: i + 1], image[: i + 1]) - power)
+            part = slice(i % step, i + 1, step)
+            residuals.append(dot(column[part], image[part]) - power)
             power = power * tv
         return ResidualReport(
             residuals=residuals,

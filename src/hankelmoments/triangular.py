@@ -24,6 +24,23 @@ Both recurrences step through :func:`.backends.three_term`: on Fractions
 each new sigma and each coefficient of ``pi_{k+1}`` is one reduced Fraction
 formed from an integer numerator over a common denominator, and on floats
 the step is the expression above, as written.
+
+``alpha_k`` and ``beta_k`` are formed once, in :func:`ldl_decompose`, as the
+Chebyshev algorithm needs them: it returns them with ``U`` and ``D``, and
+:func:`invert_unit_upper` and the pair's monic recurrence
+(:class:`~.orthopoly.TriangularPair`) read them from there.
+
+A symmetric functional, one whose odd moments all vanish, has alpha_k = 0,
+and pi_k has the parity of k (Chihara, *An Introduction to Orthogonal
+Polynomials*, 1978, sec. I.4): sigma_{k,l}, U[k][l] and U^{-1}[k][l] are
+zero wherever k + l is odd.  :func:`parity_holds` reads that off the moment
+block, and with ``symmetric=True`` both routines step by 2 over the
+surviving half, leaving the zeros as they were allocated.  Every surviving
+entry is the same operation on the same operands as in the full loops, so
+the results are the same bit for bit where a computed zero carries no sign:
+on Fractions and on mpmath floats.  The full loops write -0.0 into some
+parity zeros of a machine-float U^{-1} (``-alpha_0`` first), so machine
+floats take them.
 """
 
 from __future__ import annotations
@@ -52,25 +69,34 @@ def monic_alpha(unit_upper, k):
     return unit_upper[k][k + 1] - unit_upper[k - 1][k]
 
 
-def ldl_decompose(moments, n, zero, *, precision_suspect=False):
-    """Return ``(unit_upper, pivots)`` with ``H = U^t diag(pivots) U``.
+def parity_holds(moments, n) -> bool:
+    """Whether m_1, m_3, ..., m_{2n-3} are all exactly zero, so that the
+    N x N truncation is that of a symmetric functional (module docstring)."""
+    return all(m == 0 for m in moments[1 : 2 * n - 2 : 2])
+
+
+def ldl_decompose(moments, n, zero, *, precision_suspect=False, symmetric=False):
+    """Return ``(unit_upper, pivots, alpha, beta)`` with ``H = U^t diag(pivots) U``.
 
     ``moments`` holds ``m_0 .. m_{2n-2}``, the entries of the N x N Hankel
     truncation ``H``.  Runs the Chebyshev algorithm (module docstring) in
-    O(N^2) operations.  Raises :class:`PositivityError` at the first
+    O(N^2) operations, and returns the monic recurrence it forms on the way:
+    ``alpha = (alpha_0, ..., alpha_{n-2})`` and ``beta = (beta_1, ...,
+    beta_{n-1})``.  ``symmetric`` (:func:`parity_holds`) skips the entries
+    with k + l odd.  Raises :class:`PositivityError` at the first
     nonpositive pivot ``sigma_{k,k}``, with ``dimension = k + 1``.
     """
+    step = 2 if symmetric else 1
     unit_upper = [[zero] * n for _ in range(n)]
-    pivots = []
+    pivots, alpha, beta = [], [], []
     older = [zero] * (2 * n - 1)  # sigma_{k-2, .}; sigma_{-1, .} = 0
     sigma = list(moments[: 2 * n - 1])  # sigma_{k, .}, valid for k <= l <= 2n-2-k
     for k in range(n):
         if k:
-            alpha = monic_alpha(unit_upper, k - 1)
-            beta = pivots[k - 1] / pivots[k - 2] if k > 1 else zero
+            a, b = alpha[k - 1], beta[k - 2] if k > 1 else zero
             nxt = [zero] * (2 * n - 1)
-            for l in range(k, 2 * n - 1 - k):
-                nxt[l] = three_term(sigma[l + 1], alpha, sigma[l], beta, older[l])
+            for l in range(k, 2 * n - 1 - k, step):
+                nxt[l] = three_term(sigma[l + 1], a, sigma[l], b, older[l])
             older, sigma = sigma, nxt
         d = sigma[k]
         if not d > 0:
@@ -80,12 +106,16 @@ def ldl_decompose(moments, n, zero, *, precision_suspect=False):
                 f"(pivot {d!r})",
                 precision_suspect=precision_suspect,
             )
+        if k:
+            beta.append(d / pivots[k - 1])
         pivots.append(d)
         row = unit_upper[k]
         row[k] = zero + 1
-        for l in range(k + 1, n):
+        for l in range(k + step, n, step):
             row[l] = sigma[l] / d
-    return unit_upper, pivots
+        if k + 1 < n:
+            alpha.append(monic_alpha(unit_upper, k))
+    return unit_upper, pivots, alpha, beta
 
 
 def ldl_positive_definite_limit(moments, n, zero) -> int:
@@ -95,7 +125,7 @@ def ldl_positive_definite_limit(moments, n, zero) -> int:
     ``sigma_{M,M} <= 0`` in :func:`ldl_decompose` (``n`` if there is none).
     """
     try:
-        ldl_decompose(moments, n, zero)
+        ldl_decompose(moments, n, zero, symmetric=parity_holds(moments, n))
     except PositivityError as err:
         return err.dimension - 1
     except (OverflowError, ZeroDivisionError):
@@ -103,24 +133,27 @@ def ldl_positive_definite_limit(moments, n, zero) -> int:
     return n
 
 
-def invert_unit_upper(unit_upper, pivots, n, zero):
+def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
     """Inverse of the unit upper factor of :func:`ldl_decompose`, in O(N^2).
 
     Column ``k`` of ``U^{-1}`` holds the monomial coefficients of the monic
     orthogonal polynomial ``pi_k``; columns are built by the three-term
-    recurrence from ``alpha_k`` and ``beta_k = pivots[k] / pivots[k-1]``.
-    Exact for rational input.
+    recurrence from ``alpha[k] = alpha_k`` and ``beta[k - 1] = beta_k``, as
+    :func:`ldl_decompose` returns them.  ``symmetric`` skips the entries
+    with j + k odd.  Exact for rational input.
     """
     inv = [[zero] * n for _ in range(n)]
     for k in range(n):
         inv[k][k] = zero + 1
-    if n > 1:
-        inv[0][1] = -monic_alpha(unit_upper, 0)
+    if n > 1 and not symmetric:
+        inv[0][1] = -alpha[0]
     for k in range(1, n - 1):
-        alpha = monic_alpha(unit_upper, k)
-        beta = pivots[k] / pivots[k - 1]
-        inv[0][k + 1] = -alpha * inv[0][k] - beta * inv[0][k - 1]
-        for j in range(1, k):
-            inv[j][k + 1] = three_term(inv[j - 1][k], alpha, inv[j][k], beta, inv[j][k - 1])
-        inv[k][k + 1] = inv[k - 1][k] - alpha
+        a, b = alpha[k], beta[k - 1]
+        if not symmetric or k % 2:
+            inv[0][k + 1] = -a * inv[0][k] - b * inv[0][k - 1]
+        first, step = (1 + k % 2, 2) if symmetric else (1, 1)
+        for j in range(first, k, step):
+            inv[j][k + 1] = three_term(inv[j - 1][k], a, inv[j][k], b, inv[j][k - 1])
+        if not symmetric:
+            inv[k][k + 1] = inv[k - 1][k] - a
     return inv

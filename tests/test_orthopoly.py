@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from hankelmoments import (
+    BackendError,
     Discrete,
+    DiscreteMeasure,
     Explicit,
     F64_BACKEND,
     Gegenbauer,
@@ -16,6 +18,7 @@ from hankelmoments import (
     PowerLog,
     RATIONAL_BACKEND,
     bigfloat,
+    cd_kernel,
     eval_polys,
     factor,
     recurrence,
@@ -294,6 +297,29 @@ def test_discrete_orthonormality_float(three_point_measure):
                 values = eval_polys(tp, x)
                 acc += to_float(w) * values[m] * values[n]
             assert acc == pytest.approx(1.0 if m == n else 0.0, abs=1e-12)
+
+
+def test_monic_values_memo_keeps_the_rational_pair_exact():
+    # the memo is keyed on the converted point: a float still raises after
+    # the equal Fraction was evaluated
+    tp = factor(uniform(), 6)
+    first = tp.monic_values(F(1, 2))
+    with pytest.raises(BackendError):
+        tp.monic_values(0.5)
+    # every call hands out its own list
+    first[2] = F(99)
+    again = tp.monic_values(F(1, 2))
+    assert again == factor(uniform(), 6).monic_values(F(1, 2))
+    assert again[2] != F(99) and again is not tp.monic_values(F(1, 2))
+
+
+def test_cd_kernel_on_a_shared_pair_equals_fresh_pairs():
+    mu = DiscreteMeasure((F(-2, 3), F(-1, 5), F(1, 4), F(5, 6)), (F(1, 3), F(2), F(3, 4), F(1, 2)))
+    ms = MomentSequence(Discrete(mu), RAT)
+    tp = factor(ms, mu.size)
+    pairs = [(x, y) for x in mu.points for y in mu.points] + [(F(1, 7), F(1, 7)), (F(1, 7), F(0))]
+    for x, y in pairs:
+        assert cd_kernel(mu, x, y, tp=tp) == cd_kernel(mu, x, y, tp=factor(ms, mu.size))
 
 
 def test_monomial_reassembly_exact():

@@ -1039,6 +1039,71 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
     assert all(e.status == "ok" and e.precision_bits == 256 for e in entries)
 
 
+def test_climb_checks_each_stopping_size_once(monkeypatch):
+    # the faint point stops on a pivot <= 0 of H_5 at 128 and at 256 bits:
+    # the exact H_5 is checked at the first stop only, and 512 bits certify
+    # it with the value and bounds the run gave when it checked both stops
+    checks = []
+    real_check = spectral._exact_block_positive_definite
+
+    def spy_check(ms, m):
+        checks.append(m)
+        return real_check(ms, m)
+
+    monkeypatch.setattr(spectral, "_exact_block_positive_definite", spy_check)
+    runs = _spy_graded(monkeypatch)
+    item = spectral._graded_lambda_min(MomentSequence(FAINT_POINT, bigfloat(256)), [5], tol=1)[0]
+    assert [bits for _, bits in runs] == [128, 256, 512]
+    assert checks == [5]
+    assert item.bits == 512
+    assert [x.hex() for x in (item.lambda_min, item.eps, item.hs_norm_b, item.hs_eps)] == [
+        "0x1.3bd60d9232954p-312", "0x1.8000000000000p-49",
+        "0x1.ccf49d919a01dp+155", "0x1.8000000000000p-51",
+    ]
+
+
+def _graded_bits(items):
+    return [item if not isinstance(item, spectral.GradedItem) else
+            (item.bits, item.lambda_min.hex(), item.eps.hex(), item.hs_norm_b.hex(),
+             item.hs_eps.hex()) for item in items]
+
+
+# dyadic points and weights: the big-float odd moments cancel exactly
+SYMMETRIC_FIVE = Discrete(DiscreteMeasure(
+    (F(-3, 4), F(-1, 4), F(0), F(1, 4), F(3, 4)), (F(1, 4), F(1, 2), F(1, 8), F(1, 2), F(1, 4))
+))
+
+
+@pytest.mark.parametrize(
+    "family, backend, grid",
+    [
+        (Gaussian(), bigfloat(256), list(range(4, 41, 4))),
+        (Gegenbauer(F(1, 2)), F64_BACKEND, [8, 24, 40]),
+        (Gegenbauer(F(0)), bigfloat(256), [8, 32]),
+        (SYMMETRIC_FIVE, RAT, [3, 5, 6]),
+        (LogNormal(1.0), bigfloat(256), [4, 12]),
+    ],
+    ids=["gaussian", "legendre-f64", "chebyshev", "symmetric-discrete", "lognormal"],
+)
+def test_graded_parity_skip_is_bit_identical(monkeypatch, family, backend, grid):
+    # a symmetric block skips the exact zeros A_jk, L_jk and X_jk at odd j + k;
+    # the unskipped loop (parity never holding) gives the same items, bit for
+    # bit, at every rung (Legendre N = 40 climbs to 256 bits)
+    ms = MomentSequence(family, backend)
+    held = []
+    real = spectral.parity_holds
+
+    def spy(moments, n):
+        held.append(real(moments, n))
+        return held[-1]
+
+    monkeypatch.setattr(spectral, "parity_holds", spy)
+    skipped = _graded_bits(spectral._graded_lambda_min(ms, grid))
+    assert all(held) == (family.name != "log_normal")
+    monkeypatch.setattr(spectral, "parity_holds", lambda moments, n: False)
+    assert skipped == _graded_bits(spectral._graded_lambda_min(ms, grid))
+
+
 _FLOAT_BACKENDS = [F64_BACKEND, bigfloat(64), bigfloat(256)]
 
 

@@ -4,26 +4,43 @@
 and back substitution that the Hankel-structured routines replaced, and
 ``horner_values`` is the O(N^2) evaluation over the columns of U^{-1} that
 the recurrence in ``TriangularPair.monic_values`` replaced; they are kept here
-as the reference the exact results must equal.
+as the reference the exact results must equal.  ``full_ldl``,
+``full_inverse`` and ``full_xi`` are the Chebyshev, inverse and xi loops with
+every entry formed, as they were before the parity skip: the skipped results
+must equal theirs bit for bit.
 """
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmoments import (
     Discrete,
+    DiscreteMeasure,
+    Explicit,
+    F64_BACKEND,
+    Gaussian,
     Gegenbauer,
     MomentSequence,
     PositivityError,
     RATIONAL_BACKEND,
     TriangularPair,
+    bigfloat,
+    factor,
+    h_xi_identity,
 )
+from hankelmoments.backends import F64, dot, three_term
+from hankelmoments.orthopoly import MACHINE_MAX_N
+from hankelmoments.spectral import _xi_and_image
 from hankelmoments.triangular import (
     invert_unit_upper,
     ldl_decompose,
     ldl_positive_definite_limit,
+    monic_alpha,
+    parity_holds,
 )
 
 from conftest import rational_points_and_weights
@@ -89,12 +106,13 @@ def pair_of(unit_upper, pivots, inv):
 
 def assert_matches_dense(block, n, points):
     zero = F(0)
-    unit_upper, pivots = ldl_decompose(block, n, zero)
+    symmetric = parity_holds(block, n)
+    unit_upper, pivots, alpha, beta = ldl_decompose(block, n, zero, symmetric=symmetric)
     ref_upper, ref_pivots = dense_ldl(rows_of(block, n), n, zero)
     assert unit_upper == ref_upper
     assert pivots == ref_pivots
     ref_inv = dense_inverse(ref_upper, n, zero)
-    inv = invert_unit_upper(unit_upper, pivots, n, zero)
+    inv = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
     assert inv == ref_inv
     tp = pair_of(unit_upper, pivots, inv)
     for x in points:
@@ -177,16 +195,38 @@ class _Counted:
     def __gt__(self, other):
         return self.value > self._raw(other)
 
+    def __eq__(self, other):
+        return self.value == self._raw(other)
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def counted_factor(block, n):
+    """(counter, U, pivots, U^-1) of the factorization of ``block``, parity
+    skip included where it holds; counter[0] holds the multiplications and
+    divisions it took."""
+    counter = [0]
+    counted = [_Counted(m, counter) for m in block]
+    zero = _Counted(F(0), counter)
+    symmetric = parity_holds(counted, n)
+    unit_upper, pivots, alpha, beta = ldl_decompose(counted, n, zero, symmetric=symmetric)
+    inv = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
+    return counter, unit_upper, pivots, inv
+
 
 def test_factorization_needs_quadratically_many_multiplications():
     n = 48
-    counter = [0]
     block = MomentSequence(Gegenbauer(F(1)), RATIONAL_BACKEND).moments(2 * n - 1)
-    counted = [_Counted(m, counter) for m in block]
-    zero = _Counted(F(0), counter)
-    unit_upper, pivots = ldl_decompose(counted, n, zero)
-    inv = invert_unit_upper(unit_upper, pivots, n, zero)
-    assert counter[0] <= 4 * n * n
+    # Hilbert moments 1/(j+1) have no parity zeros: every entry is formed
+    hilbert = [F(1, j + 1) for j in range(2 * n - 1)]
+    general = counted_factor(hilbert, n)[0]
+    assert general[0] <= 4 * n * n
+    # a symmetric block forms half of them: the counter read 7755 for the
+    # Hilbert block and 3959 for this one (and for Gaussian moments) when the
+    # parity skip was written, so 1.8 N^2 = 4147 leaves about 5 % margin
+    counter, unit_upper, pivots, inv = counted_factor(block, n)
+    assert counter[0] <= 1.8 * n * n
     # one point of the monic polynomials takes O(N) by the recurrence ...
     counter[0] = 0
     x = F(1, 3)
@@ -199,5 +239,159 @@ def test_factorization_needs_quadratically_many_multiplications():
     assert [_Counted._raw(v) for v in values] == [_Counted._raw(r) for r in reference]
     # the counter does count: dense elimination needs about N^3 / 3
     counter[0] = 0
+    counted = [_Counted(m, counter) for m in block]
+    zero = _Counted(F(0), counter)
     dense_inverse(dense_ldl(rows_of(counted, n), n, zero)[0], n, zero)
     assert counter[0] > n**3 / 3
+
+
+# ---------------------------------------------------------------------------
+# the parity skip against the unskipped loops
+# ---------------------------------------------------------------------------
+
+
+def full_ldl(moments, n, zero):
+    """The Chebyshev loops forming every sigma and every entry of U."""
+    unit_upper = [[zero] * n for _ in range(n)]
+    pivots = []
+    older = [zero] * (2 * n - 1)
+    sigma = list(moments[: 2 * n - 1])
+    for k in range(n):
+        if k:
+            alpha = monic_alpha(unit_upper, k - 1)
+            beta = pivots[k - 1] / pivots[k - 2] if k > 1 else zero
+            nxt = [zero] * (2 * n - 1)
+            for l in range(k, 2 * n - 1 - k):
+                nxt[l] = three_term(sigma[l + 1], alpha, sigma[l], beta, older[l])
+            older, sigma = sigma, nxt
+        d = sigma[k]
+        assert d > 0
+        pivots.append(d)
+        row = unit_upper[k]
+        row[k] = zero + 1
+        for l in range(k + 1, n):
+            row[l] = sigma[l] / d
+    return unit_upper, pivots
+
+
+def full_inverse(unit_upper, pivots, n, zero):
+    """The inverse loops forming every entry of U^-1, alpha and beta anew."""
+    inv = [[zero] * n for _ in range(n)]
+    for k in range(n):
+        inv[k][k] = zero + 1
+    if n > 1:
+        inv[0][1] = -monic_alpha(unit_upper, 0)
+    for k in range(1, n - 1):
+        alpha = monic_alpha(unit_upper, k)
+        beta = pivots[k] / pivots[k - 1]
+        inv[0][k + 1] = -alpha * inv[0][k] - beta * inv[0][k - 1]
+        for j in range(1, k):
+            inv[j][k + 1] = three_term(inv[j - 1][k], alpha, inv[j][k], beta, inv[j][k - 1])
+        inv[k][k + 1] = inv[k - 1][k] - alpha
+    return inv
+
+
+def full_xi(tp, t):
+    """xi(t), its image D U xi and the residuals U^t (D U xi) - (t^i)_i, with
+    every product over the whole row or column."""
+    backend, n = tp.backend, tp.n
+    y = tp.monic_values(t)
+    with backend.context():
+        z = [y[k] / tp.pivots[k] for k in range(n)]
+        xi = [dot(tp.unit_upper_inv[i][i:], z[i:]) for i in range(n)]
+        image = [dot(tp.unit_upper[k][k:], xi[k:]) * tp.pivots[k] for k in range(n)]
+        tv, power, residuals = backend.convert(t), backend.one(), []
+        for i, column in enumerate(zip(*tp.unit_upper)):
+            residuals.append(dot(column[: i + 1], image[: i + 1]) - power)
+            power = power * tv
+    return xi, image, residuals
+
+
+def bits(value):
+    """A key equal for two scalars exactly when their bits are: the Fraction,
+    the hex of a float (signed zeros apart) or the raw tuple of an mpf."""
+    if isinstance(value, float):
+        return "f64", value.hex()
+    if isinstance(value, mpmath.mpf):
+        return "mpf", value._mpf_
+    assert type(value) is Fraction
+    return "rational", value
+
+
+def bits_of(rows):
+    return [[bits(x) for x in row] for row in rows]
+
+
+def assert_parity_skip_is_bit_identical(ms, n, points):
+    """The pair factor() makes, and its xi, image and residuals, against the
+    unskipped loops run on the same moments in the same backend."""
+    tp = factor(ms, n)
+    backend = tp.backend
+    zero = backend.zero()
+    with backend.context():
+        block = ms.with_backend(backend).moments(2 * n - 1)
+        ref_upper, ref_pivots = full_ldl(block, n, zero)
+        ref_inv = full_inverse(ref_upper, ref_pivots, n, zero)
+    ref = TriangularPair(n, backend, tuple(map(tuple, ref_upper)), tuple(ref_pivots),
+                         tuple(map(tuple, ref_inv)), tp.precision_bits)
+    assert bits_of(tp.unit_upper) == bits_of(ref.unit_upper)
+    assert bits_of([tp.pivots]) == bits_of([ref.pivots])
+    assert bits_of(tp.unit_upper_inv) == bits_of(ref.unit_upper_inv)
+    assert bits_of(tp.monic_recurrence) == bits_of(ref.monic_recurrence)
+    for t in points:
+        xi, image = _xi_and_image(tp, t)
+        residuals = h_xi_identity(tp, t).residuals
+        assert bits_of([xi, image, residuals]) == bits_of(full_xi(ref, t))
+    return tp
+
+
+BACKENDS = [RATIONAL_BACKEND, F64_BACKEND, bigfloat(128), bigfloat(256)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.tag())
+@pytest.mark.parametrize("family", [Gegenbauer(F(0)), Gegenbauer(F(1, 2)), Gegenbauer(F(1)),
+                                    Gegenbauer(F(3, 2)), Gaussian()], ids=repr)
+def test_parity_skip_is_bit_identical(family, backend):
+    n = MACHINE_MAX_N if backend.kind == F64 else 24
+    tp = assert_parity_skip_is_bit_identical(
+        MomentSequence(family, backend), n, [F(0), F(1, 3), F(-5, 7)])
+    # f64 takes the full loops: they write -0.0 into some parity zeros of U^-1
+    assert tp.symmetric == (tp.backend.kind != F64)
+
+
+@st.composite
+def symmetric_measures(draw):
+    """Points -x_i and x_i with equal weights, and perhaps a mass at 0."""
+    halves = draw(st.lists(st.fractions(min_value=F(1, 12), max_value=F(9, 10),
+                                        max_denominator=12),
+                           min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.fractions(min_value=F(1, 12), max_value=F(3), max_denominator=12),
+                            min_size=len(halves) + 1, max_size=len(halves) + 1))
+    masses = {x: w for x, w in zip(halves, weights)}
+    masses.update({-x: w for x, w in zip(halves, weights)})
+    if draw(st.booleans()):
+        masses[F(0)] = weights[-1]
+    points = tuple(sorted(masses))
+    return DiscreteMeasure(points, tuple(masses[x] for x in points))
+
+
+@given(mu=symmetric_measures())
+@settings(max_examples=20, deadline=None)
+def test_parity_skip_is_bit_identical_on_symmetric_measures(mu):
+    for backend in (RATIONAL_BACKEND, F64_BACKEND, bigfloat(128)):
+        tp = assert_parity_skip_is_bit_identical(
+            MomentSequence(Discrete(mu), backend), mu.size, [F(0), F(1, 3)])
+        if backend is RATIONAL_BACKEND:
+            assert tp.symmetric
+
+
+def test_one_nonzero_odd_moment_takes_the_full_path():
+    n = 6
+    values = list(MomentSequence(Gegenbauer(F(1, 2)), RATIONAL_BACKEND).moments(2 * n - 1))
+    assert parity_holds(values, n)
+    values[2 * n - 3] = F(1, 1000)  # the last odd moment the truncation reads
+    assert not parity_holds(values, n)
+    for backend in (RATIONAL_BACKEND, bigfloat(128)):
+        tp = assert_parity_skip_is_bit_identical(
+            MomentSequence(Explicit(tuple(values)), backend), n, [F(1, 3)])
+        assert not tp.symmetric
