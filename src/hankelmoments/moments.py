@@ -182,8 +182,9 @@ class LogNormal(MomentFamily):
 
     name = "log_normal"
 
-    # entries outgrow machine range around n ~ 37/sigma; truncations beyond
-    # this size are refused at f64 rather than silently degraded
+    # entries outgrow machine range around n ~ 37/sigma; the f64 truncation
+    # limit of check_truncation, which the spectral profile's scaled block
+    # reads to keep rounded exp arguments within its eigvalsh bound
     F64_MAX_TRUNCATION = 8
 
     def __post_init__(self):
@@ -502,6 +503,12 @@ def classify(
 
     Closed-form families are classified analytically from their known tails;
     explicit sequences get heuristic verdicts over the evidence window.
+    Positive definiteness is the pivot test on the largest leading block
+    whose moments the backend can read: m_0 .. m_{2n-2} are read in order up
+    to the first one that is missing or out of range, so an explicit
+    sequence is probed as far as its values go and an f64 log-normal one as
+    far as its moments stay finite.  A family the backend cannot represent
+    at all gives 0.
     """
     if n < 2:
         raise ValueError("classification needs a truncation of at least 2")
@@ -515,17 +522,17 @@ def classify(
         verdicts = _heuristic_verdicts(ms)
 
     # largest leading block passing the pivot test under this backend
-    n_probe = n
-    if isinstance(ms.family, Explicit):
-        n_probe = min(n, (len(ms.family.values) + 1) // 2)
-    pd_up_to = 0
+    block = []
     try:
-        ms.check_truncation(n_probe)
-        block = ms.moments(2 * n_probe - 1)
-        with ms.backend.context():
-            pd_up_to = ldl_positive_definite_limit(block, n_probe, ms.backend.zero())
-    except (PrecisionError, BackendError, MissingMomentError, OverflowError):
-        pd_up_to = 0
+        for j in range(2 * n - 1):
+            block.append(ms.moment(j))
+    except (PrecisionError, MissingMomentError, OverflowError):
+        pass
+    except BackendError:
+        block = []
+    n_probe = (len(block) + 1) // 2
+    with ms.backend.context():
+        pd_up_to = ldl_positive_definite_limit(block, n_probe, ms.backend.zero())
 
     terms = trace_terms if trace_terms is not None else n
     trace = None

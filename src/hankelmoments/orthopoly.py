@@ -21,16 +21,15 @@ rational backend everything stays square-root-free and exact; identities
 are checked in that form.
 
 Hankel truncations of bounded-support families are notoriously ill
-conditioned (Hilbert-type condition numbers grow like e^{3.5 N}), so float
-factorizations run on a precision ladder: machine floats up to
-``MACHINE_MAX_N``, then big floats.  :func:`ladder` is the list of
-big-float precisions that ``factor`` walks; only ``factor`` walks it (the
-spectral profiles climb the rungs of their own graded run and factor only
-exact rational sequences).  It starts at ``BITS_PER_DIM`` bits per dimension
-plus ``BASE_MARGIN_BITS`` plus the exponent of the largest moment (raised to
-an explicit big-float backend's own precision) and doubles while it stays at
-or below ``RETRY_CAP_BITS``; ``factor`` stops at the first rung that
-succeeds.
+conditioned (for measures on [0, 1], log2 of the condition number grows like
+5.05 N), so every float factorization, f64 input included, runs on a
+big-float precision ladder.  :func:`ladder` is the list of precisions that
+``factor`` walks; only ``factor`` walks it (the spectral profiles climb the
+rungs of their own graded run and factor only exact rational sequences).
+It starts at ``BITS_PER_DIM`` bits per dimension plus ``BASE_MARGIN_BITS``
+plus the exponent of the largest moment (raised to an explicit big-float
+backend's own precision) and doubles while it stays at or below
+``RETRY_CAP_BITS``; ``factor`` stops at the first rung that succeeds.
 """
 
 from __future__ import annotations
@@ -41,11 +40,9 @@ import mpmath
 
 from .backends import (
     BIGFLOAT,
-    F64,
     RATIONAL,
     Backend,
     F64_BACKEND,
-    PrecisionError,
     bigfloat,
     dot,
     three_term,
@@ -60,8 +57,7 @@ from .triangular import (
 )
 
 
-MACHINE_MAX_N = 12  # f64 input is factored at machine precision up to here
-BITS_PER_DIM = 4
+BITS_PER_DIM = 6
 BASE_MARGIN_BITS = 64
 RETRY_CAP_BITS = 65536
 
@@ -98,22 +94,12 @@ def _max_moment_log2(ms: MomentSequence, count: int) -> int:
         return int(mpmath.ceil(mpmath.log(top, 2)))
 
 
-def _f64_accepts(ms: MomentSequence, n: int) -> bool:
-    """Whether the family takes the N x N truncation at f64 (its
-    ``check_truncation``)."""
-    try:
-        ms.check_truncation(n)
-    except PrecisionError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class TriangularPair:
     """Factorization data: matrix = U^t diag(pivots) U, plus the inverse of U.
 
     ``backend`` is the scalar backend of the stored entries; ``precision_bits``
-    records the mantissa actually used (53 for f64, None for exact data).
+    records the mantissa actually used (the ladder rung, None for exact data).
     ``symmetric`` records that the factorization skipped the entries that
     vanish by parity (:mod:`.triangular`); readers of the pair may skip them
     too.  ``monic_recurrence`` is (alpha_0..alpha_{N-2}, beta_1..beta_{N-1})
@@ -197,13 +183,10 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     :func:`invert_unit_upper`, both O(N^2), and hands the recurrence
     coefficients the first formed to the second and to the pair.  Both skip
     the parity zeros of a block whose odd moments all vanish
-    (:func:`~.triangular.parity_holds`), except at f64.  Rational input
-    stays exact.  f64
-    input is factored at machine precision up to ``MACHINE_MAX_N`` where the
-    family accepts its f64 truncation (``check_truncation``); beyond that, a
-    truncation the family refuses at f64, and big-float input try each rung
-    of :func:`ladder` in turn until the pivots come out positive.  Failure
-    on every rung raises :class:`PositivityError`, flagged
+    (:func:`~.triangular.parity_holds`).  Rational input stays exact; f64
+    and big-float input try each rung of :func:`ladder` in turn until the
+    pivots come out positive, and the pair is a big float at that rung.
+    Failure on every rung raises :class:`PositivityError`, flagged
     ``precision_suspect`` unless the input was exact; an empty ladder names
     ``RETRY_CAP_BITS``.
     """
@@ -212,8 +195,6 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
 
     if ms.backend.kind == RATIONAL:
         rungs = [(ms, None)]
-    elif ms.backend.kind == F64 and n <= MACHINE_MAX_N and _f64_accepts(ms, n):
-        rungs = [(ms, 53)]
     else:
         rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in ladder(ms, n)]
 
@@ -222,8 +203,7 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
         backend = work.backend
         with backend.context():
             block = work.moments(2 * n - 1)
-            # -0.0 in the full loops' machine-float U^-1 keeps f64 off the skip
-            symmetric = backend.kind != F64 and parity_holds(block, n)
+            symmetric = parity_holds(block, n)
             try:
                 unit_upper, pivots, alpha, beta = ldl_decompose(
                     block, n, backend.zero(),

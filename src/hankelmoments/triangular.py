@@ -38,9 +38,9 @@ block, and with ``symmetric=True`` both routines step by 2 over the
 surviving half, leaving the zeros as they were allocated.  Every surviving
 entry is the same operation on the same operands as in the full loops, so
 the results are the same bit for bit where a computed zero carries no sign:
-on Fractions and on mpmath floats.  The full loops write -0.0 into some
-parity zeros of a machine-float U^{-1} (``-alpha_0`` first), so machine
-floats take them.
+on Fractions and on mpmath floats, the only data
+:func:`~.orthopoly.factor` hands these loops.  (On machine floats the full
+loops write -0.0 into some parity zeros of U^{-1}, ``-alpha_0`` first.)
 """
 
 from __future__ import annotations

@@ -505,6 +505,28 @@ def test_recurrence_of_a_truncation_f64_refuses_runs_on_the_ladder(tmp_path, run
     assert len(lines) == 10
 
 
+def test_f64_hilbert_recurrence_reports_its_ladder_rung(tmp_path, run):
+    # f64 input is factored on the big-float ladder at every N; Hilbert's
+    # moments are those of Lebesgue measure on [0, 1] (shifted Legendre)
+    from hankelmoments import F64_BACKEND, MomentSequence, PowerLog
+    from hankelmoments.orthopoly import ladder
+
+    cfg = write(
+        tmp_path / "r.json",
+        {"family": {"family": "power_log", "params": {"c": 1}}, "backend": "f64", "n": 12},
+    )
+    code, _, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    report = json.loads((tmp_path / "o" / "recurrence_report.json").read_text())
+    bits = ladder(MomentSequence(PowerLog(1), F64_BACKEND), 12)[0]
+    assert report["precision"]["bits"] == bits
+    assert report["results"]["factorization"]["backend"] == f"bigfloat:{bits}"
+    rc = report["results"]["recurrence"]
+    assert float(rc["alpha"][10]) == 0.5
+    ref = 11 / (2 * math.sqrt(4 * 11**2 - 1))
+    assert abs(float(rc["beta"][10]) - ref) <= 4 * math.ulp(ref)
+
+
 def test_schema_is_published(run):
     code, out, _ = run("schema", "classify")
     assert code == 0

@@ -364,6 +364,14 @@ def test_positive_definite_at_machine_floats(family, n):
     assert result.positive_definite_up_to == n
 
 
+@pytest.mark.parametrize("n, expected", [(9, 9), (12, 12), (40, 19)])
+def test_f64_lognormal_is_probed_as_far_as_its_moments_are_finite(n, expected):
+    # m_j = e^{j^2 / 2} overflows f64 from j = 38 on: the 38 finite moments
+    # fill blocks up to 19 x 19, and every one of them passes the pivot test
+    result = classify(MomentSequence(LogNormal(1.0), F64_BACKEND), n)
+    assert result.positive_definite_up_to == expected
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "family",

