@@ -25,8 +25,10 @@ Numbers cross the JSON boundary by one rule each way.  :func:`parse_number`
 reads every number of a config: ``p/q`` and integer strings and JSON
 integers become ``Fraction``s, decimal strings floats.  :func:`to_json`
 encodes every report: exact numbers as ``p/q`` strings, big floats as
-decimal strings with enough digits to round-trip, counts and machine floats
-as JSON numbers.
+decimal strings with enough digits to round-trip, counts and finite machine
+floats as JSON numbers, and non-finite machine floats as the strings
+``"inf"``, ``"-inf"`` and ``"nan"``, which strict JSON parsers accept and
+:func:`parse_number` reads back.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 import mpmath
 from mpmath import mpf
@@ -144,16 +146,6 @@ class Backend:
         with self.context():
             return mpmath.sqrt(x)
 
-    def exp(self, x):
-        if self.kind == RATIONAL:
-            raise BackendError("exp is not rational; use a float backend")
-        if self.kind == F64:
-            import math
-
-            return math.exp(x)
-        with self.context():
-            return mpmath.exp(x)
-
     def zero(self):
         return self.convert(0)
 
@@ -194,11 +186,15 @@ def parse_number(value):
 
 
 def scalar_to_json(x):
-    """Encode a scalar for JSON: rationals as ``p/q`` strings, floats as-is.
+    """Encode a scalar for JSON: rationals as ``p/q`` strings, finite floats
+    as-is, and inf, -inf and nan as the strings ``"inf"``, ``"-inf"`` and
+    ``"nan"``.
 
     Big floats are decimal strings with enough digits to round-trip their
     mantissa.
     """
+    if isinstance(x, float):
+        return x if isfinite(x) else str(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return f"{x.numerator}"
@@ -207,8 +203,6 @@ def scalar_to_json(x):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, float):
-        return x
     if isinstance(x, mpf):
         # enough decimal digits to round-trip the stored mantissa
         bits = max(x._mpf_[3] if isinstance(x._mpf_[3], int) else 53, 53)
@@ -221,13 +215,13 @@ def to_json(obj):
     """Encode a report value for JSON; every report is written through it.
 
     A dataclass becomes an object of its fields, a list or tuple a list and
-    a dict a dict of encoded values.  ``Fraction`` and mpf scalars go
-    through :func:`scalar_to_json`; ints, floats, strings, bools and None
-    pass as they are.
+    a dict a dict of encoded values.  ``Fraction``, float and mpf scalars
+    go through :func:`scalar_to_json`; ints, strings, bools and None pass
+    as they are.
     """
-    if obj is None or isinstance(obj, (str, int, float)):
+    if obj is None or isinstance(obj, (str, int)):
         return obj
-    if isinstance(obj, (Fraction, mpf)):
+    if isinstance(obj, (float, Fraction, mpf)):
         return scalar_to_json(obj)
     if isinstance(obj, (list, tuple)):
         return [to_json(x) for x in obj]

@@ -22,7 +22,6 @@ import mpmath
 import numpy as np
 
 from .backends import (
-    BIGFLOAT,
     F64,
     RATIONAL,
     RATIONAL_BACKEND,
@@ -64,9 +63,6 @@ class MomentFamily:
     def tail_class(self) -> dict | None:
         """Analytic (is_o1, is_O_1_over_n, is_ell1) verdicts, or None if unknown."""
         return None
-
-    def check_truncation(self, backend: Backend, n: int) -> None:
-        """Hook for families that need a better backend at a given size."""
 
     def params_json(self) -> dict:
         return {}
@@ -174,22 +170,37 @@ class Gaussian(MomentFamily):
         return {"is_o1": False, "is_O_1_over_n": False, "is_ell1": False}
 
 
+_EXP_GUARD_BITS = 20  # beyond the argument's integer bits
+
+
 @dataclass(frozen=True)
 class LogNormal(MomentFamily):
-    """m_n = exp(n^2 sigma^2 / 2); the classical indeterminate example."""
+    """m_n = exp(n^2 sigma^2 / 2); the classical indeterminate example.
+
+    Every float backend takes one rule: exp of the exact argument
+    x = n^2 sigma^2 / 2 (sigma at its exact binary or rational value) at
+    w = p + L + ``_EXP_GUARD_BITS`` bits, x < 2^L, rounded once to the
+    backend's p bits (53 for f64).  Forming x at w bits moves exp(x) by at
+    most 2 x 2^-w < 2^-(p+19), relative, so each moment lies within
+    (1 + 2^-17) 2^-p of its exact value.  An f64 moment past the f64 range
+    (n > 37/sigma or so) raises :class:`PrecisionError` naming a big-float
+    backend.
+    """
 
     sigma: object
 
     name = "log_normal"
 
-    # entries outgrow machine range around n ~ 37/sigma; the f64 truncation
-    # limit of check_truncation, which the spectral profile's scaled block
-    # reads to keep rounded exp arguments within its eigvalsh bound
-    F64_MAX_TRUNCATION = 8
-
     def __post_init__(self):
         if not to_float(self.sigma) > 0:
             raise ValueError("log_normal requires sigma > 0")
+
+    @cached_property
+    def _half_sigma_sq(self) -> Fraction:
+        sigma = self.sigma
+        if isinstance(sigma, mpmath.mpf):
+            sigma = Fraction(*mpmath.libmp.to_rational(sigma._mpf_))
+        return Fraction(sigma) ** 2 / 2
 
     def moment(self, n, backend, known=None):
         _require_index(n)
@@ -197,22 +208,20 @@ class LogNormal(MomentFamily):
             raise BackendError(
                 "log_normal moments are transcendental; use f64 or bigfloat"
             )
-        try:
-            return backend.exp(
-                backend.convert(n) ** 2 * backend.convert(self.sigma) ** 2 / 2
-            )
-        except OverflowError:
+        arg = n * n * self._half_sigma_sq
+        bits = 53 if backend.kind == F64 else backend.precision
+        with mpmath.workprec(bits + int(arg).bit_length() + _EXP_GUARD_BITS):
+            value = mpmath.exp(mpmath.mpf(arg.numerator) / arg.denominator)
+        if backend.kind != F64:
+            with backend.context():
+                return +value
+        value = float(value)  # inf past the range, with no error
+        if value == math.inf:
             raise PrecisionError(
                 f"log_normal moment m_{n} overflows f64; use bigfloat:"
                 f"{suggest_bits_for_lognormal(n, to_float(self.sigma))}"
-            ) from None
-
-    def check_truncation(self, backend, n):
-        if backend.kind == F64 and n > self.F64_MAX_TRUNCATION:
-            raise PrecisionError(
-                f"log_normal truncations beyond N={self.F64_MAX_TRUNCATION} need "
-                f"bigfloat:{suggest_bits_for_lognormal(2 * n - 2, to_float(self.sigma))}"
             )
+        return value
 
     def tail_class(self):
         return {"is_o1": False, "is_O_1_over_n": False, "is_ell1": False}
@@ -383,9 +392,6 @@ class MomentSequence:
         sibling._siblings = self._siblings
         self._siblings[backend] = sibling
         return sibling
-
-    def check_truncation(self, n: int) -> None:
-        self.family.check_truncation(self.backend, n)
 
 
 def hankel_rows(ms: MomentSequence, n: int) -> list[list]:

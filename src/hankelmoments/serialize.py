@@ -2,12 +2,13 @@
 
 Every value written here follows the one encoding rule of
 :func:`~.backends.to_json`: exact numbers as ``p/q`` strings, big floats as
-decimal strings with enough digits to round-trip, counts and machine floats
-as JSON numbers (floats as shortest round-trip decimals), report records as
+decimal strings with enough digits to round-trip, counts and finite machine
+floats as JSON numbers (floats as shortest round-trip decimals), inf, -inf
+and nan as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, report records as
 objects of their fields.  Config numbers are read back by
 :func:`~.backends.parse_number`.  Moment families travel as ``{"family":
 ..., "params": {...}, "backend": ...}``; profiles export as CSV with one row
-per truncation size.
+per truncation size, the entry's status last.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def profile_to_csv(profile, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits"]
+            ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits", "status"]
         )
         for e in profile.entries:
             writer.writerow(
@@ -110,6 +111,7 @@ def profile_to_csv(profile, path) -> None:
                     _csv_cell(e.lambda_max),
                     _csv_cell(e.hs_norm_b),
                     e.precision_bits if e.precision_bits is not None else "",
+                    e.status,
                 ]
             )
 

@@ -36,8 +36,8 @@ lambda_min from the graded path below where its bound holds, and otherwise,
 like lambda_max, from one LAPACK ``eigvalsh`` of the scaled f64 truncation
 where a bound certifies it (:func:`lambda_profile`).  The moment block m_0
 .. m_{2N-2} is read at the sequence's own precision, or at 128 bits where
-the family refuses it there (no rational moments, an f64 truncation limit,
-an f64 overflow), scaled by 2^-e, where 2^e <= max |m_j| < 2^(e+1), and
+the family refuses it there (it has no rational moments, or a moment that
+overflows f64), scaled by 2^-e, where 2^e <= max |m_j| < 2^(e+1), and
 rounded to f64: no entry overflows, and an entry that underflows is off by
 at most 2^-1075 besides its relative rounding.  A block that is f64 before
 it is scaled (an f64 sequence's, or a rational one rounded entrywise) is
@@ -50,8 +50,8 @@ is backward stable (Demmel, *Applied Numerical Linear Algebra*, 1997, sec.
 from the exact scaled truncation H by the rounding of its moments: a moment
 formed in at most 2N roundings lies within 2N u of its exact value,
 relative, so ||H~ - H||_2 <= ||H~ - H||_F <= 2N u ||H||_F + N 2^-1075.  The
-closed forms take one to a few roundings per moment (a power, an
-exponential, a conversion), and Gegenbauer two per step of its product, at
+closed forms take one to a few roundings per moment (one for log-normal,
+whose exp is rounded once), and Gegenbauer two per step of its product, at
 most j for m_j.  A Gegenbauer lambda for which lambda + 1 + i rounds takes
 two more per step, up to 2j; that case is covered only to the extent that
 its decreasing moments put little of ||H||_F on the large indices.  By
@@ -571,8 +571,11 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             continue
         theta = thetas[m - 1]
         sigma = float(np.linalg.norm(y[:m, :m], 2))
-        lam = (1 / sigma) ** 2 if 0 < sigma < math.inf else 0.0
-        if lam < sys.float_info.min:
+        try:
+            lam = (1 / sigma) ** 2 if 0 < sigma < math.inf else 0.0
+        except OverflowError:  # a lambda_min past the f64 range
+            lam = math.inf
+        if not sys.float_info.min <= lam < math.inf:
             out.append(None)
             continue
         eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
@@ -767,14 +770,12 @@ def _scaled_truncation(ms, n):
 
     The moments are read at the sequence's own precision, or at
     ``GRADED_BITS`` where the family refuses them there: no rational value,
-    an f64 truncation limit, or a moment that overflows f64.  A big-float
-    block rounds each scaled moment once.  An f64 block (a rational one is
-    rounded entrywise first) is only scaled down, e >= 0, exactly but for
-    entries that underflow.
+    or a moment that overflows f64.  A big-float block rounds each scaled
+    moment once.  An f64 block (a rational one is rounded entrywise first)
+    is only scaled down, e >= 0, exactly but for entries that underflow.
     """
     if ms.backend.kind != BIGFLOAT:
         try:
-            ms.check_truncation(n)
             block = ms.float_array(2 * n - 1)
         except (PrecisionError, BackendError, OverflowError):
             block = None
@@ -820,7 +821,9 @@ def _hs_norms(ms, grid):
     every other size reads its running sum of
     :meth:`~.orthopoly.TriangularPair.hs_norm_sq_b` off the covering
     factor.  A size whose own factor fails keeps that error, and the next
-    smaller size tries its own factor.
+    smaller size tries its own factor.  The weight is the root of the exact
+    sum, rounded once (:func:`_sqrt_to_float`); one outside the normal f64
+    range reports a :class:`PrecisionError`.
     """
     out = {}
     sums = None
@@ -831,8 +834,24 @@ def _hs_norms(ms, grid):
             except (*_ENTRY_ERRORS, MissingMomentError) as err:
                 out[n] = err
                 continue
-        out[n] = math.sqrt(to_float(sums[n - 1])), None
+        try:
+            out[n] = _sqrt_to_float(sums[n - 1]), None
+        except PrecisionError as err:
+            out[n] = err
     return out
+
+
+def _sqrt_to_float(q: Fraction) -> float:
+    """sqrt(q) of an exact q >= 0, rounded to f64 with no square in between:
+    q is scaled by 4^-k into [1/2, 4), so wherever q is a normal f64 number
+    the result has the bytes of ``math.sqrt(float(q))``.  A root outside the
+    normal f64 range raises PrecisionError."""
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    root = math.sqrt(to_float(q / Fraction(4) ** k))
+    exp = math.frexp(root)[1] + k
+    if not sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
+        raise PrecisionError(f"a weight of about 2^{exp} is outside the normal f64 range")
+    return math.ldexp(root, k)
 
 
 def _read(item):

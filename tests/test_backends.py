@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -179,6 +181,16 @@ def test_to_json_encodes_nested_records():
     }
     # encoding is idempotent: an encoded report passes through unchanged
     assert to_json(to_json(node)) == to_json(node)
+
+
+def test_to_json_writes_non_finite_floats_as_strings():
+    # strict JSON has no Infinity or NaN token; parse_number reads the strings back
+    values = [math.inf, -math.inf, math.nan, np.float64("inf"), 1.5]
+    encoded = to_json({"x": values})["x"]
+    assert encoded == ["inf", "-inf", "nan", "inf", 1.5]
+    text = json.dumps(encoded, allow_nan=False)
+    decoded = [parse_number(v) for v in json.loads(text)]
+    assert decoded[:2] == [math.inf, -math.inf] and math.isnan(decoded[2])
 
 
 @pytest.mark.parametrize("value", [1j, {1, 2}, b"1/2", [Fraction(1), 2 + 0j]])

@@ -17,6 +17,15 @@ def write(path, obj):
     return str(path)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def read_report(path):
+    """A report read strictly: a bare Infinity, -Infinity or NaN token fails."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 @pytest.fixture
 def run(capsys):
     def _run(*argv):
@@ -45,7 +54,7 @@ def test_classify_trace_class_family(tmp_path, run):
     assert code == 0
     assert "is_ell1           : True" in out
     assert "1.2336" in out  # partial trace approaching pi^2/8
-    report = json.loads((tmp_path / "o" / "classify_report.json").read_text())
+    report = read_report(tmp_path / "o" / "classify_report.json")
     assert report["results"]["classification"]["is_ell1"]["value"] is True
 
 
@@ -65,7 +74,7 @@ def test_classify_backend_defaults_to_rational(tmp_path, run):
     code, out, _ = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     assert "[rational]" in out
-    report = json.loads((tmp_path / "o" / "classify_report.json").read_text())
+    report = read_report(tmp_path / "o" / "classify_report.json")
     assert report["results"]["sequence"]["backend"] == "rational"
 
 
@@ -111,7 +120,7 @@ def test_spectrum_hilbert_profile(tmp_path, run):
     code, out, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     csv_lines = (tmp_path / "o" / "spectrum_profile.csv").read_text().splitlines()
-    assert csv_lines[0] == "N,lambda_min,lambda_max,hs_norm_B,precision_bits"
+    assert csv_lines[0] == "N,lambda_min,lambda_max,hs_norm_B,precision_bits,status"
     maxima = [float(line.split(",")[2]) for line in csv_lines[1:]]
     assert maxima == sorted(maxima)
     assert all(v < 3.1416 for v in maxima)
@@ -128,7 +137,7 @@ def test_spectrum_gaussian_f64_prints_no_negative_lambda_min(tmp_path, run):
     rows = [line.split() for line in out.splitlines() if line.lstrip()[:1].isdigit()]
     assert [int(row[0]) for row in rows] == list(range(4, 25, 4))
     assert all(float(row[1]) > 0 and row[-1] == "ok" for row in rows)
-    report = json.loads((tmp_path / "o" / "spectrum_report.json").read_text())
+    report = read_report(tmp_path / "o" / "spectrum_report.json")
     assert all(e["lambda_min"] > 0 for e in report["results"]["profile"]["entries"])
 
 
@@ -142,16 +151,56 @@ def test_spectrum_lambda_max_past_the_f64_range_is_declined(tmp_path, run):
     )
     code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
-
-    def refuse(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    text = (tmp_path / "o" / "spectrum_report.json").read_text()
-    entries = json.loads(text, parse_constant=refuse)["results"]["profile"]["entries"]
+    entries = read_report(tmp_path / "o" / "spectrum_report.json")["results"]["profile"]["entries"]
     assert [(e["n"], e["lambda_max"], e["status"]) for e in entries] == [
         (16, 2.7071782767869993e195, "ok"),
         (20, None, "lambda-min-unresolved"),
     ]
+
+
+_LOGNORMAL_F64 = {"family": "log_normal", "params": {"sigma": 1.0}}
+
+
+def test_spectrum_infinite_trace_is_written_as_a_string(tmp_path, run):
+    # m_38 ~ e^722 overflows f64, so the partial trace of H_20 is inf, for
+    # which strict JSON has no token
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": _LOGNORMAL_F64, "backend": "f64", "n_grid": [16, 20],
+         "quantities": ["trace_partial", "lambda_min"]},
+    )
+    code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    entries = read_report(tmp_path / "o" / "spectrum_report.json")["results"]["profile"]["entries"]
+    assert [(e["n"], e["trace_partial"], e["status"]) for e in entries] == [
+        (16, 2.7071782767869983e195, "ok"),
+        (20, "inf", "ok"),
+    ]
+
+
+def test_classify_infinite_trace_is_written_as_a_string(tmp_path, run):
+    cfg = write(
+        tmp_path / "c.json",
+        {"family": _LOGNORMAL_F64, "backend": "f64", "n": 4, "trace_terms": 30},
+    )
+    code, _, _ = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    result = read_report(tmp_path / "o" / "classify_report.json")["results"]["classification"]
+    assert result["trace_partial"] == "inf" and result["positive_definite_up_to"] == 4
+
+
+def test_spectrum_csv_flags_an_unresolved_entry(tmp_path, run):
+    # H_3 of (1, 2, 1, 0, 1) is indefinite: its negative lambda_min is
+    # LAPACK's, uncertified, and the row says so
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": {"family": "explicit", "params": {"values": ["1", "2", "1", "0", "1"]}},
+         "backend": "rational", "n_grid": [3], "quantities": ["lambda_min"]},
+    )
+    code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    csv_lines = (tmp_path / "o" / "spectrum_profile.csv").read_text().splitlines()
+    assert csv_lines[1] == "3,-1.2360679774997898,,,53,lambda-min-unresolved"
 
 
 def test_spectrum_empty_grid_exits_2(tmp_path, run):
@@ -271,7 +320,7 @@ def test_extremal_demo_exact(tmp_path, run):
     code, out, _ = run("extremal", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     assert "exact zero: True" in out
-    report = json.loads((tmp_path / "o" / "extremal_report.json").read_text())
+    report = read_report(tmp_path / "o" / "extremal_report.json")
     checks = report["results"]["checks"]
     assert checks["rank_one_mass_removal_correction"]["deviation"] == "0"
     assert checks["trimmed_operator_kernel_vectors"]["exact_zero"] is True
@@ -289,7 +338,7 @@ def test_extremal_integer_inputs_write_exact_strings(tmp_path, run):
     )
     code, _, _ = run("extremal", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
-    report = json.loads((tmp_path / "o" / "extremal_report.json").read_text())
+    report = read_report(tmp_path / "o" / "extremal_report.json")
     checks = report["results"]["checks"]
     correction = checks["rank_one_mass_removal_correction"]
     assert correction["removed"] == [{"point": "0", "weight": "2"}]
@@ -333,7 +382,7 @@ def test_bench_small_grid(tmp_path, run):
     )
     code, out, _ = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
-    report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
+    report = read_report(tmp_path / "o" / "bench_report.json")
     assert report["results"]["all_agree"] is True
     assert all(r["max_rel_dev"] < 1e-10 for r in report["results"]["rows"])
 
@@ -353,11 +402,11 @@ def test_bench_fails_on_nan_deviation(tmp_path, run, values):
     code, _, err = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 1
     assert err.splitlines() == ["agreement check FAILED"]
-    report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
+    report = read_report(tmp_path / "o" / "bench_report.json")
     assert report["results"]["all_agree"] is False
     [row] = report["results"]["rows"]
     assert row["agrees"] is False
-    assert math.isnan(row["max_rel_dev"])
+    assert row["max_rel_dev"] == "nan"
 
 
 def test_bench_reads_exactly_the_moments_of_the_truncation(tmp_path, run):
@@ -369,7 +418,7 @@ def test_bench_reads_exactly_the_moments_of_the_truncation(tmp_path, run):
     )
     code, _, err = run("bench", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0 and err == ""
-    report = json.loads((tmp_path / "o" / "bench_report.json").read_text())
+    report = read_report(tmp_path / "o" / "bench_report.json")
     assert report["results"]["all_agree"] is True
 
 
@@ -437,7 +486,7 @@ def test_domain_command(tmp_path, run):
     code, out, _ = run("domain", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     assert "bounded-trend" in out
-    report = json.loads((tmp_path / "o" / "domain_report.json").read_text())
+    report = read_report(tmp_path / "o" / "domain_report.json")
     assert report["config"]["backend"] == "f64"
     assert report["results"]["heuristic"] is True
     csv_lines = (tmp_path / "o" / "domain_form_profile.csv").read_text().splitlines()
@@ -517,7 +566,7 @@ def test_f64_hilbert_recurrence_reports_its_ladder_rung(tmp_path, run):
     )
     code, _, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0, err
-    report = json.loads((tmp_path / "o" / "recurrence_report.json").read_text())
+    report = read_report(tmp_path / "o" / "recurrence_report.json")
     bits = ladder(MomentSequence(PowerLog(1), F64_BACKEND), 12)[0]
     assert report["precision"]["bits"] == bits
     assert report["results"]["factorization"]["backend"] == f"bigfloat:{bits}"
@@ -579,7 +628,7 @@ def test_reports_are_deterministic_modulo_timings(tmp_path, run):
     for _ in range(2):
         code, _, _ = run("classify", "--config", cfg, "--out", str(out_dir))
         assert code == 0
-        report = json.loads((out_dir / "classify_report.json").read_text())
+        report = read_report(out_dir / "classify_report.json")
         report.pop("timings")
         outputs.append(json.dumps(report, sort_keys=True))
     assert outputs[0] == outputs[1]

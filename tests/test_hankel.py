@@ -17,7 +17,6 @@ from hankelmoments import (
     Gegenbauer,
     MomentSequence,
     PowerLog,
-    PrecisionError,
     RATIONAL_BACKEND,
     apply_H_via_series,
     bigfloat,
@@ -29,7 +28,6 @@ from hankelmoments import (
 )
 from hankelmoments.backends import to_float, to_json
 from hankelmoments.hankel import _fast_len, default_k_grid
-from hankelmoments.moments import LogNormal
 
 RAT = RATIONAL_BACKEND
 F = Fraction
@@ -84,12 +82,6 @@ def test_build_symmetry_and_antidiagonals(n):
             if k + 1 < n and l >= 1:
                 assert h[k][l] == h[k + 1][l - 1]
             assert h[k][l] == ms.moment(k + l)
-
-
-def test_build_lognormal_needs_bigfloat():
-    ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    with pytest.raises(PrecisionError, match="bigfloat"):
-        ms.check_truncation(9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

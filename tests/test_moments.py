@@ -154,6 +154,35 @@ def test_log_normal_overflow_names_backend():
         ms.moment(60)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.3, 2.1, Fraction(13, 10)], ids=str)
+@pytest.mark.parametrize(
+    "backend", [F64_BACKEND, bigfloat(128), bigfloat(256)], ids=lambda b: b.tag()
+)
+def test_log_normal_moments_take_one_rounding(sigma, backend):
+    # exp of the exact argument n^2 sigma^2 / 2 rounded once, against a
+    # 1200-bit reference: exp multiplies a rounding of its argument by the
+    # argument, which would put f64 sigma = 1.3 604 roundings off at n = 27
+    # and bigfloat:128 sigma = 13/10 16510 off at n = 126
+    p = 53 if backend == F64_BACKEND else backend.precision
+    ms = seq(LogNormal(sigma), backend)
+    with mpmath.workprec(1200):
+        for n in range(127):
+            arg = Fraction(sigma) ** 2 * n * n / 2
+            exact = mpmath.exp(mpmath.mpf(arg.numerator) / arg.denominator)
+            try:
+                value = ms.moment(n)
+            except PrecisionError:
+                # only past the f64 range, and from there on
+                assert backend == F64_BACKEND and exact > mpmath.mpf(2) ** 1024, n
+                with pytest.raises(PrecisionError, match="bigfloat"):
+                    ms.moment(n + 1)
+                break
+            rel = abs(mpmath.mpf(value) - exact) / exact
+            assert rel <= 1.01 * mpmath.mpf(2) ** -p, (n, float(rel * 2**p))
+        else:
+            assert backend != F64_BACKEND
+
+
 # ---------------------------------------------------------------------------
 # linear-time sequences: a cached step gives the closed form's value
 # ---------------------------------------------------------------------------

@@ -151,6 +151,6 @@ def test_profile_csv(tmp_path):
     path = tmp_path / "profile.csv"
     profile_to_csv(profile, path)
     rows = list(csv.reader(path.open()))
-    assert rows[0] == ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits"]
+    assert rows[0] == ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits", "status"]
     assert [r[0] for r in rows[1:]] == ["2", "4"]
     assert float(rows[1][2]) == pytest.approx(1.2675918792439982)

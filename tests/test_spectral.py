@@ -18,6 +18,7 @@ from hankelmoments import (
     MomentFamily,
     MomentSequence,
     PowerLog,
+    PrecisionError,
     RATIONAL_BACKEND,
     TriangularPair,
     bigfloat,
@@ -607,8 +608,9 @@ def test_rational_power_log_float_array_rounds_each_fraction():
 
 
 def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
-    # f64 refuses log-normal truncations past N = 8; hs_norm_b and both
-    # extremes come from 128-bit moments instead of failing the entry
+    # the graded run reads 128-bit moments and lambda_max the f64 block up to
+    # N = 19, where every f64 moment is finite; hs_norm_b and both extremes
+    # agree with the big-float profile's
     grid = [8, 12, 16]
     f64 = lambda_profile(MomentSequence(LogNormal(1.0), F64_BACKEND), grid).entries
     big = lambda_profile(MomentSequence(LogNormal(1.0), bigfloat(256)), grid).entries
@@ -616,6 +618,38 @@ def test_lognormal_f64_profile_walks_the_factor_ladder_past_n8():
         assert a.status == "ok", a
         assert a.lambda_min > 0 and a.lambda_max > 0
         assert a.hs_norm_b == pytest.approx(b.hs_norm_b, rel=1e-12, abs=0), a.n
+
+
+def _exact_lognormal_lambda_max(sigma, n, bits=1200):
+    """lambda_max of H_N by ``mpmath.eigsy`` on the moments exp(j^2 sigma^2 / 2)
+    of the exact sigma, each argument formed at ``bits``."""
+    with mpmath.workprec(bits):
+        moments = []
+        for j in range(2 * n - 1):
+            arg = F(sigma) ** 2 * j * j / 2
+            moments.append(mpmath.exp(mpmath.mpf(arg.numerator) / arg.denominator))
+        h = mpmath.matrix([[moments[i + k] for k in range(n)] for i in range(n)])
+        return max(mpmath.eigsy(h, eigvals_only=True))
+
+
+@pytest.mark.parametrize("sigma", [1.3, 2.1])
+def test_lognormal_f64_lambda_max_lies_within_its_bound(sigma):
+    # the f64 block is read directly at every size with finite moments (up to
+    # N = 15 and 9); the bound assumes moments within a few roundings, which
+    # an exp argument rounded before exp breaks (sigma = 1.3 at N = 6 would be
+    # 8.2e-15 off against a bound of 2.7e-15, sigma = 2.1 at N = 8 3.0e-14
+    # against 3.6e-15)
+    ms = MomentSequence(LogNormal(sigma), F64_BACKEND)
+    last = {1.3: 15, 2.1: 9}[sigma]
+    ms.float_array(2 * last - 1)  # every moment of H_last is finite
+    with pytest.raises(PrecisionError, match="bigfloat"):
+        ms.moment(2 * last)
+    for n in range(2, last + 1):
+        h64, _ = spectral._scaled_truncation(ms, n)
+        lam_max = spectral._certified_extremes(ms, n)[1]
+        bound = spectral._eigvalsh_error(h64) / float(np.linalg.eigvalsh(h64)[-1])
+        exact = _exact_lognormal_lambda_max(sigma, n)
+        assert float(abs(lam_max - exact) / exact) <= bound, n
 
 
 def _no_ladder(monkeypatch):
@@ -992,6 +1026,49 @@ def test_hs_norm_grid_keeps_the_single_size_statuses():
     assert entries == singles
     assert [e.status for e in entries] == ["ok"] * 3 + ["error:PositivityError"] * 2
     assert all(e.hs_norm_b > 0 for e in entries[:3])
+
+
+def _two_spikes(weight):
+    """Weight ``weight`` at -1/2 and 1/2: H_1 = (2w), H_2 = diag(2w, w/2)."""
+    return Discrete(DiscreteMeasure((F(-1, 2), F(1, 2)), (weight, weight)))
+
+
+_ALL_BACKENDS = [RAT, F64_BACKEND, bigfloat(128)]
+
+
+@pytest.mark.parametrize("backend", _ALL_BACKENDS, ids=lambda b: b.tag())
+def test_lambda_min_past_the_f64_range_is_declined(backend):
+    # lambda_min(H_1) = 2e400 is past the f64 range: 1/sigma^2 of the graded
+    # run declines the size, and the profile goes on
+    ms = MomentSequence(_two_spikes(F(10**400)), backend)
+    entries = lambda_profile(ms, [1, 2], ("lambda_min",)).entries
+    assert [(e.lambda_min, e.status) for e in entries] == [(None, "lambda-min-unresolved")] * 2
+
+
+@pytest.mark.parametrize("backend", _ALL_BACKENDS, ids=lambda b: b.tag())
+@pytest.mark.parametrize("weight", [F(10**400), F(1, 10**400)], ids=["heavy", "light"])
+def test_exact_weight_is_rooted_before_it_is_rounded(weight, backend):
+    # tr(H_1^-1) = 1/(2w) and tr(H_2^-1) = 5/(2w) are outside the f64 range
+    # while their roots are not, so the root is taken before the rounding
+    ms = MomentSequence(_two_spikes(weight), backend)
+    entries = lambda_profile(ms, [1, 2], ("hs_norm_b",)).entries
+    with mpmath.workprec(200):
+        exact = [float(mpmath.sqrt(mpmath.mpf(t) / (2 * weight))) for t in (1, 5)]
+    assert [(e.hs_norm_b, e.status) for e in entries] == [(w, "ok") for w in exact]
+
+
+@pytest.mark.parametrize("backend", _ALL_BACKENDS, ids=lambda b: b.tag())
+@pytest.mark.parametrize("weight", [F(10**700), F(1, 10**700)], ids=["heavy", "light"])
+def test_exact_weight_outside_the_f64_range_is_a_precision_error(weight, backend):
+    ms = MomentSequence(_two_spikes(weight), backend)
+    entries = lambda_profile(ms, [1, 2], ("hs_norm_b",)).entries
+    assert [(e.hs_norm_b, e.status) for e in entries] == [(None, "error:PrecisionError")] * 2
+
+
+def test_exact_weight_keeps_the_bytes_of_the_rounded_trace():
+    # in range, the scaled root is the root of the correctly rounded trace
+    for q in (F(1, 3), F(10**300, 7), F(7, 10**300), F(2) ** -1000, F(5, 2) * F(2) ** 1001):
+        assert spectral._sqrt_to_float(q) == math.sqrt(float(q)), q
 
 
 @pytest.mark.parametrize(
