@@ -46,7 +46,7 @@ class MissingMomentError(HankelError, LookupError):
 
 
 class MomentFamily:
-    """Base class; subclasses provide ``moment(n, backend, known)`` in closed form."""
+    """Base class: ``moment(n, backend, known)`` in closed form, and :meth:`finite_data`."""
 
     name: str = "?"
 
@@ -64,6 +64,12 @@ class MomentFamily:
         """Analytic (is_o1, is_O_1_over_n, is_ell1) verdicts, or None if unknown."""
         return None
 
+    def finite_data(self) -> "MomentFamily | None":
+        """None for a measure with infinite support, whose truncations are all
+        positive definite; finite data, which can be singular, returns itself
+        with every value exact (a float or mpf as its binary fraction)."""
+        return None
+
     def params_json(self) -> dict:
         return {}
 
@@ -71,6 +77,13 @@ class MomentFamily:
 def _require_index(n: int):
     if n < 0:
         raise ValueError(f"moment index must be >= 0, got {n}")
+
+
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction, a float or mpf as its binary fraction."""
+    if isinstance(value, mpmath.mpf):
+        return Fraction(*mpmath.libmp.to_rational(value._mpf_))
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -197,10 +210,7 @@ class LogNormal(MomentFamily):
 
     @cached_property
     def _half_sigma_sq(self) -> Fraction:
-        sigma = self.sigma
-        if isinstance(sigma, mpmath.mpf):
-            sigma = Fraction(*mpmath.libmp.to_rational(sigma._mpf_))
-        return Fraction(sigma) ** 2 / 2
+        return _exact(self.sigma) ** 2 / 2
 
     def moment(self, n, backend, known=None):
         _require_index(n)
@@ -279,6 +289,10 @@ class Discrete(MomentFamily):
         inside = r < 1
         return {"is_o1": inside, "is_O_1_over_n": inside, "is_ell1": inside}
 
+    def finite_data(self):
+        exact = [tuple(map(_exact, xs)) for xs in (self.measure.points, self.measure.weights)]
+        return Discrete(DiscreteMeasure(*exact))
+
     def params_json(self):
         return self.measure.to_json()
 
@@ -308,6 +322,9 @@ class Explicit(MomentFamily):
             )
         return backend.convert(self.values[n])
 
+    def finite_data(self):
+        return Explicit(tuple(map(_exact, self.values)))
+
     def params_json(self):
         return {"values": self.values}
 
@@ -321,8 +338,9 @@ class _Difference(MomentFamily):
     name = "nu_view"
 
     def moment(self, n, backend, known=None):
+        base = self.base.with_backend(backend)
         with backend.context():
-            return self.base.moment(n) - self.base.moment(n + 2)
+            return base.moment(n) - base.moment(n + 2)
 
     def tail_class(self):
         return self.base.family.tail_class()
@@ -379,19 +397,23 @@ class MomentSequence:
         return MomentSequence(_Difference(self), self.backend)
 
     def with_backend(self, backend: Backend) -> "MomentSequence":
-        """The sibling sequence in ``backend``, made on first use and then kept."""
-        try:
-            return self._siblings[backend]
-        except KeyError:
-            pass
-        family = self.family
-        if isinstance(family, _Difference):
-            sibling = family.base.with_backend(backend).nu()
-        else:
-            sibling = MomentSequence(family, backend)
-        sibling._siblings = self._siblings
-        self._siblings[backend] = sibling
+        """The sibling sequence in ``backend``, made on first use and then kept;
+        that of finite data at ``rational`` reads its exact values."""
+        sibling = self._siblings.get(backend)
+        if sibling is None:
+            exact = self.family.finite_data() if backend.kind == RATIONAL else None
+            sibling = self._siblings[backend] = MomentSequence(exact or self.family, backend)
+            sibling._siblings = self._siblings
         return sibling
+
+
+def positive_definite_limit(ms: MomentSequence, n: int) -> int:
+    """Largest M <= n whose exact leading M x M block is positive definite: n
+    for infinite support, else the rational LDL of the exact finite data."""
+    if ms.family.finite_data() is None:
+        return n
+    block = ms.with_backend(RATIONAL_BACKEND).moments(2 * n - 1)
+    return ldl_positive_definite_limit(block, n, Fraction(0))
 
 
 def hankel_rows(ms: MomentSequence, n: int) -> list[list]:
@@ -510,11 +532,12 @@ def classify(
     Closed-form families are classified analytically from their known tails;
     explicit sequences get heuristic verdicts over the evidence window.
     Positive definiteness is the pivot test on the largest leading block
-    whose moments the backend can read: m_0 .. m_{2n-2} are read in order up
-    to the first one that is missing or out of range, so an explicit
-    sequence is probed as far as its values go and an f64 log-normal one as
-    far as its moments stay finite.  A family the backend cannot represent
-    at all gives 0.
+    whose moments the backend can read, capped at a float backend by the
+    exact limit (:func:`positive_definite_limit`): m_0 .. m_{2n-2} are read
+    in order up to the first one that is missing or out of range, so an
+    explicit sequence is probed as far as its values go and an f64
+    log-normal one as far as its moments stay finite.  A family the backend
+    cannot represent at all gives 0.
     """
     if n < 2:
         raise ValueError("classification needs a truncation of at least 2")
@@ -537,6 +560,8 @@ def classify(
     except BackendError:
         block = []
     n_probe = (len(block) + 1) // 2
+    if ms.backend.kind != RATIONAL:
+        n_probe = positive_definite_limit(ms, n_probe)
     with ms.backend.context():
         pd_up_to = ldl_positive_definite_limit(block, n_probe, ms.backend.zero())
 

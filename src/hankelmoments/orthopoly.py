@@ -29,7 +29,9 @@ rungs of their own graded run and factor only exact rational sequences).
 It starts at ``BITS_PER_DIM`` bits per dimension plus ``BASE_MARGIN_BITS``
 plus the exponent of the largest moment (raised to an explicit big-float
 backend's own precision) and doubles while it stays at or below
-``RETRY_CAP_BITS``; ``factor`` stops at the first rung that succeeds.
+``RETRY_CAP_BITS``; ``factor`` stops at the first rung that succeeds.  As
+no rung tells exhausted precision from a block that is not positive
+definite, it first reads the family's exact limit (:mod:`.moments`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .backends import (
     dot,
     three_term,
 )
-from .moments import MomentSequence
+from .moments import MomentSequence, positive_definite_limit
 from .triangular import (
     PositivityError,
     invert_unit_upper,
@@ -183,12 +185,12 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     :func:`invert_unit_upper`, both O(N^2), and hands the recurrence
     coefficients the first formed to the second and to the pair.  Both skip
     the parity zeros of a block whose odd moments all vanish
-    (:func:`~.triangular.parity_holds`).  Rational input stays exact; f64
-    and big-float input try each rung of :func:`ladder` in turn until the
-    pivots come out positive, and the pair is a big float at that rung.
-    Failure on every rung raises :class:`PositivityError`, flagged
-    ``precision_suspect`` unless the input was exact; an empty ladder names
-    ``RETRY_CAP_BITS``.
+    (:func:`~.triangular.parity_holds`).  Rational input stays exact.  Float
+    input past the exact limit (:func:`~.moments.positive_definite_limit`)
+    raises :class:`PositivityError` at its dimension; other float input
+    tries each rung of :func:`ladder` until the pivots come out positive,
+    and the pair is a big float at that rung.  Failure on every rung raises
+    it flagged ``precision_suspect``; an empty ladder names ``RETRY_CAP_BITS``.
     """
     if n < 1:
         raise ValueError("factorization size must be >= 1")
@@ -196,6 +198,9 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     if ms.backend.kind == RATIONAL:
         rungs = [(ms, None)]
     else:
+        d = positive_definite_limit(ms, n) + 1
+        if d <= n:
+            raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
         rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in ladder(ms, n)]
 
     last_err = None

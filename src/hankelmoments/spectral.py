@@ -154,18 +154,16 @@ that certified it.  A stop on theta_M >= 1 or on a pivot <= 0 climbs the
 same way where the exact leading M x M block is positive definite: a
 positive definite A' has a positive lambda_min of its own, which the
 rounding at 2^-b hid and a finer rung brings out.  The exact test is the
-rational LDL (:func:`~.triangular.ldl_positive_definite_limit`) of the
-moments the rungs approach, the rational sibling or the values of explicit
-data (:func:`_exact_sibling`), made only on such a stop and once per size:
-the rungs above take a size a climb has proven as positive definite.  A
-family without rational moments (log-normal, and power_log with non-integer
-c) is a measure with infinite support, every truncation of which is
-positive definite, so it climbs.  A stop on a block the exact test finds
-not positive definite is final, as a singular truncation stops on theta_M
->= 1 or a pivot <= 0 at every rung and must not climb to the cap; so is a
-stop on a moment error, a non-positive even moment or an overflow.  Hilbert
-takes 128 bits up to N = 18, 256 bits for N = 19..43 and 512 bits for N =
-44..64.
+family's (:func:`~.moments.positive_definite_limit`), made only on such a
+stop and once per size: the rungs above take a size a climb has proven as
+positive definite.  A measure with infinite support passes it at once,
+every truncation of it being positive definite; finite data takes the
+rational LDL of the exact values the rungs approach.  A stop on a block the
+exact test finds not positive definite is final, as a singular truncation
+stops on theta_M >= 1 or a pivot <= 0 at every rung and must not climb to
+the cap; so is a stop on a moment error, a non-positive even moment or an
+overflow.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and
+512 bits for N = 44..64.
 
 Where the moments a row reads are those of a symmetric functional (every
 odd one exactly zero), A~_jk = r_j m~_{j+k} r_k vanishes for odd j + k, and
@@ -197,15 +195,15 @@ lambda_min bound, as nu >= sigma, so a size with a certified lambda_min has
 a certified weight.  A profile runs the graded path for hs_norm_b even when
 it does not ask for lambda_min.  Only a rational sequence, whose weight
 stays the correctly rounded exact one, and a size the graded path declines
-read the weight off the exact factor of :func:`_exact_sibling`
-(:func:`_hs_norms`), which reports a size past the exact positive-definite
-limit as its :class:`~.triangular.PositivityError` at once.  The Chebyshev
-algorithm of :mod:`.triangular` forms the leading M x M block of the N x N
-factor by the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 =
-sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running sum over its columns: the
-largest such size is factored once, and each smaller one reads its leading
-block.  A size whose own factor fails keeps its error, and the next smaller
-size factors anew.
+read the weight off the exact factor of the rational sibling, which reads
+finite data exactly (:func:`_hs_norms`) and reports a size past the exact
+positive-definite limit as its :class:`~.triangular.PositivityError` at
+once.  The Chebyshev algorithm of :mod:`.triangular` forms the leading
+M x M block of the N x N factor by the same operations whatever N is, so
+tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running
+sum over its columns: the largest such size is factored once, and each
+smaller one reads its leading block.  A size whose own factor fails keeps
+its error, and the next smaller size factors anew.
 """
 
 from __future__ import annotations
@@ -234,9 +232,9 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import Explicit, MissingMomentError, MomentSequence, partial_trace
+from .moments import MissingMomentError, MomentSequence, partial_trace, positive_definite_limit
 from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor
-from .triangular import PositivityError, ldl_positive_definite_limit, parity_holds
+from .triangular import PositivityError, parity_holds
 
 ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
@@ -494,10 +492,10 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     ``bits`` is about 2^-bits theta_M), or on theta_M >= 1 or a pivot <= 0
     where the leading M x M block is positive definite: M <= ``proven``,
     the size a lower rung has proven so, or else
-    :func:`_exact_block_positive_definite`, checked once per size; any other
-    end is final.  ``tol`` is a test seam: the profile keeps the default,
-    the bound it accepts, and the tests pass 1 to read the value and bound
-    of a size it declines at ``bits``.
+    :func:`~.moments.positive_definite_limit`, checked once per size; any
+    other end is final.  ``tol`` is a test seam: the profile keeps the
+    default, the bound it accepts, and the tests pass 1 to read the value
+    and bound of a size it declines at ``bits``.
 
     Where the moments read so far are those of a symmetric functional
     (:func:`~.triangular.parity_holds`), A~_jk, L~_jk and X~_jk are exact
@@ -541,7 +539,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             row[k] = _round_div((a << frac) - dots, chol[k][k])
         pivot = one_sq - sum(t * t for t in row[first::step])
         if pivot <= 0:
-            climb = j + 1 <= proven or _exact_block_positive_definite(ms, j + 1)
+            climb = j + 1 <= proven or positive_definite_limit(ms, j + 1) > j
             break
         row.append(math.isqrt(pivot))
         chol.append(row)
@@ -561,7 +559,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         except OverflowError:
             break
         if not theta < tol:
-            climb = theta < 1 or j + 1 <= proven or _exact_block_positive_definite(ms, j + 1)
+            climb = theta < 1 or j + 1 <= proven or positive_definite_limit(ms, j + 1) > j
             break
         thetas.append(theta)
     out = []
@@ -592,34 +590,6 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     return out
 
 
-def _exact_sibling(ms: MomentSequence) -> MomentSequence:
-    """The exact moments that the big-float siblings of ``ms`` approach: its
-    rational sibling, or for explicit data its values as Fractions (a float
-    value is a dyadic rational, which the rational backend refuses as
-    input).  A family without rational moments raises BackendError when a
-    moment is read."""
-    if isinstance(ms.family, Explicit):
-        family = Explicit(tuple(map(Fraction, ms.family.values)))
-        return MomentSequence(family, RATIONAL_BACKEND)
-    return ms.with_backend(RATIONAL_BACKEND)
-
-
-def _exact_block_positive_definite(ms: MomentSequence, m: int) -> bool:
-    """Whether the exact leading m x m block is positive definite, by the
-    rational LDL of :func:`_exact_sibling`
-    (:func:`~.triangular.ldl_positive_definite_limit`).
-
-    A family without rational moments counts as positive definite: today
-    that is log-normal and power_log with non-integer c, measures with
-    infinite support, every truncation of which is.
-    """
-    try:
-        block = _exact_sibling(ms).moments(2 * m - 1)
-    except BackendError:
-        return True
-    return ldl_positive_definite_limit(block, m, RATIONAL_BACKEND.zero()) == m
-
-
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -639,7 +609,7 @@ class ProfileEntry:
     run, at the rung that certified it (the rung lambda_min reports when
     both are asked for), wherever its bound is at most ``LAMBDA_MAX_TOL``.
     That of a rational sequence, and of a size the graded path declines, is
-    the exact weight of :func:`_exact_sibling`, read off one exact factor:
+    the exact weight of the rational sibling, read off one exact factor:
     that of the largest such size up to ``ESCALATE_MAX_N`` whose own factor
     succeeds.  Every such size above it reports the error of its own factor
     (a :class:`PositivityError` past the exact positive-definite limit),
@@ -740,7 +710,7 @@ def lambda_profile(
                 for n, item in graded.items()
                 if isinstance(item, GradedItem) and item.hs_eps <= LAMBDA_MAX_TOL
             }
-        hs |= _hs_norms(_exact_sibling(ms), [n for n in eligible if n not in hs])
+        hs |= _hs_norms(ms.with_backend(RATIONAL_BACKEND), [n for n in eligible if n not in hs])
     # an entry reports no lambda_min it did not ask for
     min_items = graded if "lambda_min" in quantities else {}
     entries = [

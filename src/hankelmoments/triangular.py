@@ -51,9 +51,9 @@ from .backends import HankelError, three_term
 class PositivityError(HankelError):
     """A leading principal block failed to be positive definite.
 
-    ``dimension`` is the first failing leading dimension (1-based); at float
-    precision this may reflect precision exhaustion rather than true
-    indefiniteness, which ``precision_suspect`` flags.
+    ``dimension`` is the first failing leading dimension (1-based);
+    ``precision_suspect`` marks a float factor that failed on every rung
+    although its exact block is positive definite (or has no exact data).
     """
 
     def __init__(self, dimension: int, message: str, precision_suspect: bool = False):

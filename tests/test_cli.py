@@ -521,6 +521,19 @@ def test_positivity_failure_exits_1(tmp_path, run):
     assert "positive definite" in err
 
 
+@pytest.mark.parametrize("n", [7, 64])
+def test_recurrence_past_a_finite_support_fails_at_once(tmp_path, run, n):
+    # six points: H_7 is singular, which the exact data prove before any
+    # precision rung, in one short line
+    measure = {"points": ["-9/10", "-1/2", "0", "1/3", "1/2", "4/5"],
+               "weights": ["1", "1/2", "1", "2", "1", "1/3"]}
+    cfg = write(tmp_path / "r.json", {"family": {"family": "discrete", "params": measure}, "n": n})
+    code, out, err = run("recurrence", "--config", cfg, "--backend", "f64")
+    assert code == 1
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "7x7" in err
+
+
 def test_recurrence_command_dumps_csv(tmp_path, run):
     cfg = write(
         tmp_path / "r.json",
@@ -538,8 +551,8 @@ def test_recurrence_command_dumps_csv(tmp_path, run):
 
 
 def test_recurrence_of_a_truncation_f64_refuses_runs_on_the_ladder(tmp_path, run):
-    # log-normal refuses f64 truncations past N = 8; the factor walks the
-    # big-float ladder, so the command succeeds instead of exiting 1
+    # f64 log-normal has no truncation limit: N = 10 factors on the
+    # big-float ladder like any float input, and the command succeeds
     cfg = write(
         tmp_path / "r.json",
         {

@@ -254,7 +254,30 @@ def test_with_backend_keeps_one_sibling_per_backend():
     assert ms.with_backend(F64_BACKEND) is ms
     nu = ms.nu()
     assert nu.with_backend(bigfloat(64)) is nu.with_backend(bigfloat(64))
-    assert nu.with_backend(bigfloat(64)).family.base is big
+    nu.with_backend(bigfloat(64)).moment(0)
+    assert big._cache.keys() == {0, 2}  # the damped sibling reads the shared one
+
+
+@pytest.mark.parametrize("backend", [RAT, F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag())
+@pytest.mark.parametrize("family", [PowerLog(1), Gegenbauer(Fraction(1, 2))], ids=str)
+def test_damped_sibling_is_the_damped_sibling(family, backend):
+    nu = seq(family).nu()
+    sibling = nu.with_backend(backend)
+    assert nu.with_backend(backend) is sibling
+    damped = seq(family).with_backend(backend).nu()
+    for left, right in zip(sibling.moments(40), damped.moments(40), strict=True):
+        assert_identical(left, right)
+
+
+def test_rational_sibling_of_finite_data_reads_it_exactly():
+    # float data are dyadic rationals: the rational sibling reads them as
+    # such, though a rational sequence made from them still refuses them
+    mu = DiscreteMeasure((-0.5, 0.1), (0.25, mpmath.mpf(0.75)))
+    for family, m1 in ((Explicit((1.0, 0.1)), Fraction(0.1)),
+                       (Discrete(mu), Fraction(-1, 8) + Fraction(0.1) * 3 / 4)):
+        assert seq(family, F64_BACKEND).with_backend(RAT).moments(2) == [1, m1]
+        with pytest.raises(BackendError):
+            seq(family).moments(2)
 
 
 def test_nu_first_value():
@@ -329,6 +352,13 @@ def test_classify_positive_definite_limit_explicit():
     ms = seq(Explicit.from_list([1, 0] * 8))
     result = classify(ms, 5)
     assert result.positive_definite_up_to == 2
+
+
+def test_classify_float_data_stops_at_the_exact_limit():
+    # four float points: rounded at 64 bits, the singular H_5 keeps a
+    # positive pivot, which the exact data refute
+    mu = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
+    assert classify(seq(Discrete(mu), bigfloat(64)), 8).positive_definite_up_to == 4
 
 
 def test_classify_explicit_is_heuristic():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -113,7 +114,58 @@ def test_factor_reports_failing_dimension():
     with pytest.raises(PositivityError) as err:
         factor(ms.with_backend(F64_BACKEND), 3)
     assert err.value.dimension == 3
-    assert err.value.precision_suspect
+    assert not err.value.precision_suspect  # the exact data prove it too
+
+
+SIX_POINTS = DiscreteMeasure(
+    (F(-9, 10), F(-1, 2), F(0), F(1, 3), F(1, 2), F(4, 5)),
+    (F(1), F(1, 2), F(1), F(2), F(1), F(1, 3)),
+)
+FOUR_FLOAT_POINTS = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
+
+
+@pytest.mark.parametrize(
+    "family, backend, n, dimension",
+    [(Discrete(SIX_POINTS), backend, n, 7)
+     for backend in (F64_BACKEND, bigfloat(64)) for n in (7, 8, 64)]
+    + [(Explicit((1.0, 2.0, 1.0, 0.0, 1.0)), F64_BACKEND, 3, 2),
+       (Discrete(FOUR_FLOAT_POINTS), F64_BACKEND, 5, 5)],
+    ids=lambda v: v.tag() if hasattr(v, "tag") else getattr(v, "name", None),
+)
+def test_factor_refutes_finite_data_before_the_ladder(family, backend, n, dimension, monkeypatch):
+    # the exact data prove the block indefinite or singular, so no rung runs;
+    # rounding at a rung can leave such a block a tiny positive pivot
+    monkeypatch.setattr(orthopoly, "ladder", lambda *args: pytest.fail("the ladder ran"))
+    with pytest.raises(PositivityError) as err:
+        factor(MomentSequence(family, backend), n)
+    assert err.value.dimension == dimension
+    assert not err.value.precision_suspect
+    assert len(str(err.value)) < 200
+
+
+@given(mu=rational_points_and_weights(max_points=5))
+@settings(deadline=None)
+def test_factor_past_the_support_raises_before_the_ladder(mu):
+    # a measure of M points has a singular H_{M+1}: the exact data, rational
+    # or the same points and weights rounded to floats, say so before any
+    # big-float rung
+    rounded = DiscreteMeasure(tuple(map(float, mu.points)), tuple(map(float, mu.weights)))
+    rungs = []
+    real = orthopoly.ldl_decompose
+
+    def recording(*args, **kwargs):
+        rungs.append(mpmath.mp.prec)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(orthopoly, "ldl_decompose", recording):
+        for data in (mu, rounded):
+            size = len(set(data.points))
+            for backend in (F64_BACKEND, bigfloat(64)):
+                with pytest.raises(PositivityError) as err:
+                    factor(MomentSequence(Discrete(data), backend), size + 1)
+                assert err.value.dimension == size + 1
+                assert not err.value.precision_suspect
+    assert rungs == []
 
 
 def test_factor_rational_round_trips_exact():
@@ -212,8 +264,8 @@ def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
 
 
 def test_factor_takes_the_ladder_for_a_truncation_f64_refuses():
-    # log-normal refuses f64 truncations past N = 8; the factor walks the
-    # big-float ladder on either side of that limit
+    # f64 log-normal has no truncation limit: N = 8 and 10 alike succeed at
+    # the first rung of the big-float ladder, within 2^-200 of a 512-bit factor
     ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
     assert factor(ms, 8).precision_bits == ladder(ms, 8)[0]
     tp = factor(ms, 10)

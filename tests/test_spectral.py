@@ -774,19 +774,18 @@ def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
 
 def test_exact_positive_definiteness_reads_the_rational_ldl():
     # a zero pivot (the 4-point H_5) and a negative one (H_2 of the
-    # indefinite data) both fail; a family without rational moments is a
-    # measure with infinite support and passes
+    # indefinite data) both fail; a measure with infinite support passes
     four = MomentSequence(FOUR_POINTS, F64_BACKEND)
-    assert spectral._exact_block_positive_definite(four, 4)
-    assert not spectral._exact_block_positive_definite(four, 5)
+    assert spectral.positive_definite_limit(four, 4) == 4
+    assert spectral.positive_definite_limit(four, 5) == 4
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral._exact_block_positive_definite(indefinite, 1)
-    assert not spectral._exact_block_positive_definite(indefinite, 2)
+    assert spectral.positive_definite_limit(indefinite, 1) == 1
+    assert spectral.positive_definite_limit(indefinite, 2) == 1
     spiked = MomentSequence(SPIKED, bigfloat(64))
-    assert spectral._exact_block_positive_definite(spiked, 6)
-    assert not spectral._exact_block_positive_definite(spiked, 7)
+    assert spectral.positive_definite_limit(spiked, 6) == 6
+    assert spectral.positive_definite_limit(spiked, 7) == 6
     lognormal = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    assert spectral._exact_block_positive_definite(lognormal, 8)
+    assert spectral.positive_definite_limit(lognormal, 8) == 8
 
 
 def test_explicit_float_data_is_tested_exactly(monkeypatch):
@@ -798,13 +797,25 @@ def test_explicit_float_data_is_tested_exactly(monkeypatch):
     _no_ladder(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(Explicit(tuple(1.0 / (j + 1) for j in range(31))), F64_BACKEND)
-    assert spectral._exact_block_positive_definite(ms, 13)
-    assert not spectral._exact_block_positive_definite(ms, 14)
+    assert spectral.positive_definite_limit(ms, 13) == 13
+    assert spectral.positive_definite_limit(ms, 14) == 13
     entries = lambda_profile(ms, [8, 16]).entries
     assert [(e.status, e.precision_bits) for e in entries] == [
         ("ok", 128), ("error:PositivityError", 53)
     ]
     assert runs == [([8, 16], 128)]
+
+
+def test_float_discrete_data_is_tested_exactly(monkeypatch):
+    # four float points: the exact H_5 is singular, so the 128-bit run stops
+    # there for good, and every larger size reports the exact factor's
+    # PositivityError rather than climbing to the cap
+    _no_ladder(monkeypatch)
+    runs = _spy_graded(monkeypatch)
+    mu = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
+    entries = lambda_profile(MomentSequence(Discrete(mu), F64_BACKEND), [4, 8, 16, 32]).entries
+    assert [e.status for e in entries] == ["ok"] + ["error:PositivityError"] * 3
+    assert runs == [([4, 8, 16, 32], 128)]
 
 
 # five points, one of weight 2^-300 at 1/2: the graded run stops on a pivot
@@ -1094,7 +1105,7 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
     ms = MomentSequence(family, bigfloat(256))
     runs = _spy_graded(monkeypatch)
     checks, norms = [], []
-    real_check, real_norm = spectral._exact_block_positive_definite, spectral.np.linalg.norm
+    real_check, real_norm = spectral.positive_definite_limit, spectral.np.linalg.norm
 
     def spy_check(ms, m):
         checks.append(m)
@@ -1104,7 +1115,7 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
         norms.append((runs[-1][1], len(a)))
         return real_norm(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_exact_block_positive_definite", spy_check)
+    monkeypatch.setattr(spectral, "positive_definite_limit", spy_check)
     monkeypatch.setattr(spectral.np.linalg, "norm", spy_norm)
     entries = lambda_profile(ms, [5, 6], quantities=("lambda_min",)).entries
     graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
@@ -1120,13 +1131,13 @@ def test_climb_checks_each_stopping_size_once(monkeypatch):
     # the exact H_5 is checked at the first stop only, and 512 bits certify
     # it with the value and bounds the run gave when it checked both stops
     checks = []
-    real_check = spectral._exact_block_positive_definite
+    real_check = spectral.positive_definite_limit
 
     def spy_check(ms, m):
         checks.append(m)
         return real_check(ms, m)
 
-    monkeypatch.setattr(spectral, "_exact_block_positive_definite", spy_check)
+    monkeypatch.setattr(spectral, "positive_definite_limit", spy_check)
     runs = _spy_graded(monkeypatch)
     item = spectral._graded_lambda_min(MomentSequence(FAINT_POINT, bigfloat(256)), [5], tol=1)[0]
     assert [bits for _, bits in runs] == [128, 256, 512]
