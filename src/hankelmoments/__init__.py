@@ -40,6 +40,7 @@ from .hankel import (
     matvec_fft,
     matvec_naive,
     power_decay,
+    power_decay_domain,
 )
 from .orthopoly import (
     RecurrenceCoeffs,
@@ -119,6 +120,7 @@ __all__ = [
     "perturbation_check",
     "plateau_verdict",
     "power_decay",
+    "power_decay_domain",
     "recurrence",
     "remove_masses",
     "xi_vector",

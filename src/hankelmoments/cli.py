@@ -11,7 +11,8 @@ prints a table and returns its exit code and CSV tables; the pipeline writes
 those and ``<command>_report.json`` under ``out``.
 
 Exit codes: 0 success; 1 computation failure, ``bench`` disagreement
-included; 2 config error, explicit data shorter than the truncation included.
+included; 2 config error, explicit data shorter than the truncation and nan
+or infinite data included.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from jsonschema.validators import validator_for
 
 from . import __version__
 from .backends import Backend, BackendError, HankelError, to_float
-from .hankel import default_k_grid, domain_diagnostic, matvec_fft, matvec_naive, power_decay
+from .hankel import default_k_grid, matvec_fft, matvec_naive, power_decay_domain
 from .measures import DiscreteMeasure
-from .moments import Explicit, MissingMomentError, MomentSequence, classify
+from .moments import Discrete, Explicit, MissingMomentError, MomentSequence, classify
 from .orthopoly import factor, recurrence
 from .serialize import (
     FAMILY_NAMES,
@@ -83,15 +84,29 @@ class ConfigError(Exception):
     pass
 
 
-def _sequence_from_config(config: dict) -> MomentSequence:
+def _require_finite_data(family) -> None:
+    """A config error for finite data with a nan or infinite value (a decimal
+    string or a JSON ``NaN``/``Infinity`` token), which has no exact value:
+    reading it exactly (:meth:`.moments.MomentFamily.finite_data`) fails."""
+    try:
+        family.finite_data()
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"family {family.name} needs finite values: {err}") from None
+
+
+def _sequence_from_config(config: dict, *, finite: bool = True) -> MomentSequence:
     """The configured sequence, once its family has moments at its backend.
 
-    m_0 is read and every ``explicit`` value converted, so a family the
-    backend cannot represent (log-normal or float data at ``rational``) is a
-    config error here rather than per-entry errors or big-float values
-    under a ``rational`` tag later.
+    Finite data (``explicit``, ``discrete``) may hold no nan or infinite
+    value; ``bench`` passes ``finite=False``, since its agreement gate is
+    what fails on nan data.  m_0 is read and every ``explicit`` value
+    converted, so a family the backend cannot represent (log-normal or float
+    data at ``rational``) is a config error here rather than per-entry
+    errors or big-float values under a ``rational`` tag later.
     """
     family = family_from_json(config["family"])
+    if finite:
+        _require_finite_data(family)
     backend = Backend.parse(config.get("backend", "rational"))
     ms = MomentSequence(family, backend)
     try:
@@ -168,6 +183,7 @@ def run_spectrum(config: dict, report: dict):
 
 def run_extremal(config: dict, report: dict):
     measure = DiscreteMeasure.from_json(config["measure"])
+    _require_finite_data(Discrete(measure))
     remove = config["remove"]
     for idx in remove:
         if idx >= measure.size:
@@ -201,7 +217,7 @@ def run_extremal(config: dict, report: dict):
 def run_bench(config: dict, report: dict):
     if config.setdefault("backend", "f64") != "f64":
         raise ConfigError("bench requires the f64 backend (the fast product is float-only)")
-    ms = _sequence_from_config(config)
+    ms = _sequence_from_config(config, finite=False)
     n_grid = sorted(set(config["n_grid"]))
     vectors = config.get("vectors", 5)
     tolerance = config.get("tolerance", 1e-10)
@@ -258,18 +274,24 @@ def run_domain(config: dict, report: dict):
     k_max = config.get("k_max", 100_000)
 
     t0 = time.perf_counter()
-    verdict = domain_diagnostic(ms, power_decay(d), default_k_grid(k_max))
+    verdict = power_decay_domain(ms, d, default_k_grid(k_max))
     elapsed = time.perf_counter() - t0
+    form, operator = verdict.in_V_mu, verdict.in_D_H
+    heuristic = form.heuristic
 
-    report["results"] = {"diagnostic": verdict, "heuristic": True}
+    report["results"] = {"diagnostic": verdict, "heuristic": heuristic}
     report["timings"] = {"domain_s": elapsed}
 
     print(f"coefficient decay d : {d}")
-    print(f"form-domain trend   : {verdict.in_V_mu.label} (slope {verdict.in_V_mu.slope:.4f})")
-    print(f"operator-domain trend: {verdict.in_D_H.label} (slope {verdict.in_D_H.slope:.4f})")
-    print("heuristic evidence only; verdicts carry their grids in the report")
-    form = verdict.in_V_mu
-    return EXIT_OK, {"domain_form_profile.csv": lambda path: series_to_csv(path, zip(form.grid, form.values))}
+    if heuristic:
+        print(f"form-domain trend   : {form.label} (slope {form.slope:.4f})")
+        print(f"operator-domain trend: {operator.label} (slope {operator.slope:.4f})")
+        print("heuristic evidence only; verdicts carry their grids in the report")
+        return EXIT_OK, {"domain_form_profile.csv": lambda path: series_to_csv(path, zip(form.grid, form.values))}
+    print(f"form domain V_mu    : {form.label} (analytic: 2d + a > 1)")
+    print(f"operator domain D_H : {operator.label} (analytic: 2d + a > 1, min(a+1, a+d) > 1/2)")
+    print(f"analytic basis: edge exponent a = {form.edge_exponent} of {ms.family.name}")
+    return EXIT_OK, {}
 
 
 def run_recurrence(config: dict, report: dict):
@@ -339,7 +361,12 @@ SUBCOMMANDS = {
     "domain": Subcommand(run_domain, ["family", "decay"], {
         "family": _FAMILY_SCHEMA,
         "decay": {"type": "number", "exclusiveMinimum": 0.5},
-        "k_max": {"type": "integer", "minimum": 100},
+        "k_max": {
+            "type": "integer",
+            "minimum": 100,
+            "description": "largest truncation of the heuristic trend; unused "
+            "where the family states an edge exponent and the answer is analytic",
+        },
     }),
     "recurrence": Subcommand(run_recurrence, ["family"], {
         "family": _FAMILY_SCHEMA,

@@ -1,8 +1,11 @@
 """Truncated Hankel matrices and their actions.
 
 An "operator" here is always the pair (moment sequence, truncation size);
-nothing pretends to be the infinite matrix.  Domain membership questions are
-answered with trend evidence over growing truncations, never as theorems.
+nothing pretends to be the infinite matrix.  Domain membership of the power
+vectors g_k = (k+1)^(-d) is a theorem where the family states the edge
+exponent of its measure (:func:`power_decay_domain`); anywhere else, and for
+any other vector, it is answered with trend evidence over growing
+truncations (:func:`domain_diagnostic`), labelled heuristic.
 Every exact product -- ``matvec_naive`` off f64, the shift series and its
 remainder, the kernel-vector images of ``extremal`` -- is one row action,
 :func:`row_actions`.  The fast f64 products (``matvec_fft`` and the form and
@@ -23,7 +26,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .backends import F64, RATIONAL, BackendError, dot, to_float
-from .moments import MomentSequence, classify
+from .moments import _HALF, MomentSequence, _exact, classify
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def apply_H_via_series(
 
 
 # ---------------------------------------------------------------------------
-# domain diagnostics (heuristic by construction)
+# domain membership: the edge-exponent rule, else a heuristic trend
 # ---------------------------------------------------------------------------
 
 BOUNDED_SLOPE = 0.05
@@ -207,9 +210,24 @@ class TrendVerdict:
 
 
 @dataclass(frozen=True)
+class AnalyticVerdict:
+    """Membership decided by the edge-exponent rule of :func:`power_decay_domain`.
+
+    ``label`` keeps the trend vocabulary: "bounded-trend" for a member,
+    "divergent-trend" for a non-member.
+    """
+
+    label: str
+    edge_exponent: object  # a, as the family states it
+    decay: object  # d
+    heuristic: bool = field(default=False, init=False)
+    basis: str = field(default="analytic", init=False)
+
+
+@dataclass(frozen=True)
 class DomainVerdict:
-    in_V_mu: TrendVerdict
-    in_D_H: TrendVerdict
+    in_V_mu: TrendVerdict | AnalyticVerdict
+    in_D_H: TrendVerdict | AnalyticVerdict
 
 
 def _trend_label(slope: float) -> str:
@@ -261,7 +279,9 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
     n_max = N_WINDOW[-1] + 1
 
     gvec = np.fromiter(map(g, range(k_max)), float, k_max)
-    m_all = ms.float_array(2 * k_max - 1)
+    # one read serves the form (m_0 .. m_{2K-2}) and the row action (m_0 .. m_{n+K-1})
+    moments = ms.float_array(max(2 * k_max - 1, n_max + k_max))
+    m_all = moments[: 2 * k_max - 1]
 
     # quadratic form Q_K = sum_j m_j (g*g)_j over the K x K block
     q_values = []
@@ -274,7 +294,7 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
 
     # row action u_i = sum_k m_{i+k} g_k (convolution with reversed g), then
     # the growth of its square sums over the index window
-    m_long = ms.float_array(n_max + k_max)
+    m_long = moments[: n_max + k_max]
     size = _fast_len(n_max + k_max)
     conv = irfft(rfft(m_long, size) * rfft(gvec[::-1], size), size)
     u = conv[k_max - 1 : k_max - 1 + n_max]
@@ -286,3 +306,38 @@ def domain_diagnostic(ms: MomentSequence, g, k_grid=None) -> DomainVerdict:
         label_u = "inconclusive"  # operator domain sits inside the form domain
     in_d = TrendVerdict(label_u, slope_u, list(N_WINDOW), t_values)
     return DomainVerdict(in_V_mu=in_v, in_D_H=in_d)
+
+
+def _member_label(member: bool) -> str:
+    return "bounded-trend" if member else "divergent-trend"
+
+
+def power_decay_domain(ms: MomentSequence, d, k_grid=None) -> DomainVerdict:
+    """Membership of g_k = (k+1)^(-d), d > 1/2, in V_mu and in D_H.
+
+    Where the family states the edge exponent a of its measure
+    (:meth:`.moments.MomentFamily.edge_exponent`) the answer is analytic.
+    G(x) = sum_k g_k x^k = Li_d(x)/x behaves like (1-x)^(d-1) as x -> 1-
+    and is bounded on [-1, 0], so
+
+    - g is in V_mu = {g in l^2 : int |G|^2 dmu < inf} iff 2d + a > 1;
+    - g is in D_H iff also min(a+1, a+d) > 1/2: by Watson's lemma
+      (H g)_i = int x^i G(x) dmu(x) is comparable to i^-min(a+1, a+d) (with
+      a log factor at d = 1, which moves no strict inequality).
+
+    Both inequalities are decided exactly, at the binary value of a float a
+    or d.  ``k_grid`` is unused there.  Any other family gets the trend
+    ``domain_diagnostic(ms, power_decay(d), k_grid)``.
+    """
+    if not d > 0.5:
+        raise ValueError(f"power decay needs d > 1/2 for g in l^2, got {d}")
+    a = ms.family.edge_exponent()
+    if a is None:
+        return domain_diagnostic(ms, power_decay(d), k_grid)
+    a_x, d_x = _exact(a), _exact(d)
+    in_v = 2 * d_x + a_x > 1
+    in_d = in_v and min(a_x + 1, a_x + d_x) > _HALF
+    return DomainVerdict(
+        in_V_mu=AnalyticVerdict(_member_label(in_v), a, d),
+        in_D_H=AnalyticVerdict(_member_label(in_d), a, d),
+    )

@@ -46,7 +46,9 @@ class MissingMomentError(HankelError, LookupError):
 
 
 class MomentFamily:
-    """Base class: ``moment(n, backend, known)`` in closed form, and :meth:`finite_data`."""
+    """Base class: ``moment(n, backend, known)`` in closed form, and what is
+    known of the measure: :meth:`tail_class`, :meth:`edge_exponent` and
+    :meth:`finite_data`."""
 
     name: str = "?"
 
@@ -62,6 +64,12 @@ class MomentFamily:
 
     def tail_class(self) -> dict | None:
         """Analytic (is_o1, is_O_1_over_n, is_ell1) verdicts, or None if unknown."""
+        return None
+
+    def edge_exponent(self):
+        """``a`` for a measure on [-1, 1] whose density is comparable to
+        (1 - |x|)^a at each endpoint it charges, or None if unknown; the
+        domain rule of :func:`.hankel.power_decay_domain` reads it."""
         return None
 
     def finite_data(self) -> "MomentFamily | None":
@@ -119,6 +127,10 @@ class PowerLog(MomentFamily):
         c = to_float(self.c)
         return {"is_o1": True, "is_O_1_over_n": c >= 1, "is_ell1": c > 1}
 
+    def edge_exponent(self):
+        # d mu_c = (-log x)^(c-1) dx / Gamma(c) on (0, 1), and -log x ~ 1 - x at x = 1
+        return self.c - 1
+
     def params_json(self):
         return {"c": self.c}
 
@@ -159,6 +171,9 @@ class Gegenbauer(MomentFamily):
     def tail_class(self):
         lam = to_float(self.lam)
         return {"is_o1": True, "is_O_1_over_n": lam >= 0.5, "is_ell1": lam > 0.5}
+
+    def edge_exponent(self):
+        return self.lam - _HALF
 
     def params_json(self):
         return {"lambda": self.lam}
@@ -407,13 +422,27 @@ class MomentSequence:
         return sibling
 
 
+PD_FIRST_BLOCK = 8  # leading block size positive_definite_limit tries first
+
+
 def positive_definite_limit(ms: MomentSequence, n: int) -> int:
     """Largest M <= n whose exact leading M x M block is positive definite: n
-    for infinite support, else the rational LDL of the exact finite data."""
+    for infinite support, else the rational LDL of the exact finite data.
+
+    The LDL runs on leading blocks of size 8, 16, ... up to n and stops at
+    the first one that is not positive definite.  The blocks nest, so the
+    limit is the whole block's, and finite data, which fail at their support
+    size + 1, pay only for the first block past it.
+    """
     if ms.family.finite_data() is None:
         return n
-    block = ms.with_backend(RATIONAL_BACKEND).moments(2 * n - 1)
-    return ldl_positive_definite_limit(block, n, Fraction(0))
+    exact = ms.with_backend(RATIONAL_BACKEND)
+    size = min(PD_FIRST_BLOCK, n)
+    while True:
+        limit = ldl_positive_definite_limit(exact.moments(2 * size - 1), size, Fraction(0))
+        if limit < size or size == n:
+            return limit
+        size = min(2 * size, n)
 
 
 def hankel_rows(ms: MomentSequence, n: int) -> list[list]:

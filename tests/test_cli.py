@@ -446,6 +446,42 @@ def test_explicit_data_shorter_than_the_truncation_exits_2(tmp_path, run, comman
     assert not (tmp_path / "o").exists()
 
 
+NON_FINITE = {"nan": "NaN", "inf": "Infinity"}
+
+
+@pytest.mark.parametrize("command", ["classify", "recurrence", "domain"])
+@pytest.mark.parametrize("value", list(NON_FINITE))
+def test_non_finite_explicit_values_exit_2(tmp_path, run, command, value):
+    cfg = write(
+        tmp_path / "x.json",
+        {"family": {"family": "explicit", "params": {"values": ["1", value, "1", "0", "1"]}},
+         "backend": "f64", **({"decay": 0.9} if command == "domain" else {})},
+    )
+    code, out, err = run(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"config error: family explicit needs finite values: "
+        f"cannot convert {NON_FINITE[value]} to integer ratio"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where, value", [("points", "nan"), ("points", "inf"), ("weights", "inf")])
+def test_non_finite_discrete_data_exits_2(tmp_path, run, where, value):
+    # one point, so the measure's order and sign checks let the value through
+    # (a nan weight fails the sign check: "weights must be positive")
+    measure = {"points": ["1/2"], "weights": ["1"]}
+    measure[where] = [value]
+    expected = [f"config error: family discrete needs finite values: "
+                f"cannot convert {NON_FINITE[value]} to integer ratio"]
+    family = write(tmp_path / "c.json", {"family": {"family": "discrete", "params": measure},
+                                         "backend": "f64"})
+    extremal = write(tmp_path / "e.json", {"measure": measure, "remove": [], "backend": "f64"})
+    for command, cfg in (("classify", family), ("extremal", extremal)):
+        code, out, err = run(command, "--config", cfg)
+        assert (code, out, err.splitlines()) == (2, "", expected), command
+
+
 def test_classify_clamps_its_probe_to_short_explicit_data(tmp_path, run):
     cfg = write(
         tmp_path / "c.json",
@@ -475,10 +511,12 @@ def test_bench_refuses_rational_backend(tmp_path, run):
 
 
 def test_domain_command(tmp_path, run):
+    # a discrete measure states no edge exponent: the heuristic trend answers
+    measure = {"points": ["-1/2", "0", "3/4"], "weights": ["1", "1", "1"]}
     cfg = write(
         tmp_path / "d.json",
         {
-            "family": {"family": "power_log", "params": {"c": 0.5}},
+            "family": {"family": "discrete", "params": measure},
             "decay": 1.2,
             "k_max": 3000,
         },
@@ -495,17 +533,41 @@ def test_domain_command(tmp_path, run):
 
 
 def test_domain_gegenbauer_default_grid(tmp_path, run):
-    # the default k_max = 10^5 needs 2*10^5 moments, linear along the sequence
+    # a = lambda - 1/2 = 0: 2d + a = 2.4 > 1 and min(a+1, a+d) = 1 > 1/2
     cfg = write(
         tmp_path / "d.json",
         {"family": {"family": "gegenbauer", "params": {"lambda": "1/2"}}, "decay": 1.2},
     )
     code, out, _ = run("domain", "--config", cfg)
     assert code == 0
-    labels = ("bounded-trend", "divergent-trend", "inconclusive")
-    form, operator = (line for line in out.splitlines() if "domain trend" in line)
-    assert form.split(":")[1].split()[0] in labels
-    assert operator.split(":")[1].split()[0] in labels
+    form, operator = (line for line in out.splitlines() if " domain " in line)
+    assert form.split(":")[1].split()[0] == "bounded-trend"
+    assert operator.split(":")[1].split()[0] == "bounded-trend"
+    assert "analytic basis: edge exponent a = 0 of gegenbauer" in out
+
+
+@pytest.mark.parametrize(
+    "decay, labels", [(0.95, ["bounded-trend", "divergent-trend"]),
+                      (0.55, ["divergent-trend", "divergent-trend"])]
+)
+def test_domain_power_log_is_analytic(tmp_path, run, decay, labels):
+    # c = 1/2 puts the form-domain cutoff at decay 3/4 (criterion 9), and a
+    # = -1/2 keeps every power vector out of the operator domain
+    cfg = write(
+        tmp_path / "d.json",
+        {"family": {"family": "power_log", "params": {"c": 0.5}}, "decay": decay},
+    )
+    code, out, _ = run("domain", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "analytic" in out and "heuristic" not in out
+    results = read_report(tmp_path / "o" / "domain_report.json")["results"]
+    assert results["heuristic"] is False
+    verdicts = [results["diagnostic"][key] for key in ("in_V_mu", "in_D_H")]
+    assert [v["label"] for v in verdicts] == labels
+    for v in verdicts:
+        assert v == {"label": v["label"], "heuristic": False, "basis": "analytic",
+                     "edge_exponent": -0.5, "decay": decay}
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["domain_report.json"]
 
 
 def test_positivity_failure_exits_1(tmp_path, run):

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hankelmoments import (
     matvec_fft,
     matvec_naive,
     power_decay,
+    power_decay_domain,
 )
 from hankelmoments.backends import to_float, to_json
 from hankelmoments.hankel import _fast_len, default_k_grid
@@ -425,3 +427,82 @@ def test_domain_verdicts_carry_evidence():
     verdict = domain_diagnostic(ms, power_decay(0.9), default_k_grid(2_000, 5))
     assert len(verdict.in_V_mu.grid) == len(verdict.in_V_mu.values) >= 3
     assert len(verdict.in_D_H.grid) == len(verdict.in_D_H.values)
+
+
+# ---------------------------------------------------------------------------
+# the edge-exponent rule: V_mu iff 2d + a > 1, D_H iff also min(a+1, a+d) > 1/2
+# ---------------------------------------------------------------------------
+
+DECAYS = (0.55, 0.7, 0.75, 0.8, 0.95, 1.2)
+
+
+def members(family, d):
+    verdict = power_decay_domain(MomentSequence(family, F64_BACKEND), d)
+    return tuple(v.label == "bounded-trend" for v in (verdict.in_V_mu, verdict.in_D_H))
+
+
+def test_edge_exponents_of_the_closed_form_families():
+    assert PowerLog(F(1, 2)).edge_exponent() == F(-1, 2)
+    assert PowerLog(2).edge_exponent() == 1
+    assert Gegenbauer(F(1)).edge_exponent() == F(1, 2)
+    assert Gegenbauer(0.25).edge_exponent() == -0.25
+    assert Gaussian().edge_exponent() is None
+    assert Discrete(DiscreteMeasure((F(0),), (F(1),))).edge_exponent() is None
+
+
+def test_power_log_half_sits_on_the_form_domain_cutoff():
+    # 2d + a = 1 exactly at c = 1/2, d = 3/4: not a member (strict inequality)
+    for c in (0.5, F(1, 2)):
+        assert members(PowerLog(c), 0.75) == (False, False)
+        assert members(PowerLog(c), 0.76) == (True, False)
+
+
+def test_hilbert_takes_every_square_summable_power_vector():
+    assert all(members(PowerLog(1), d) == (True, True) for d in DECAYS + (0.501, 3))
+
+
+def test_power_log_half_is_never_in_the_operator_domain():
+    # a = -1/2: the row action decays like i^(-1/2) at best
+    assert all(not members(PowerLog(0.5), d)[1] for d in DECAYS + (2, 10))
+
+
+def test_analytic_verdict_names_its_basis():
+    verdict = power_decay_domain(MomentSequence(Gegenbauer(F(1, 4)), F64_BACKEND), 0.7)
+    for v in (verdict.in_V_mu, verdict.in_D_H):
+        assert (v.heuristic, v.basis, v.edge_exponent, v.decay) == (False, "analytic", F(-1, 4), 0.7)
+    assert (verdict.in_V_mu.label, verdict.in_D_H.label) == ("bounded-trend", "divergent-trend")
+    assert set(to_json(verdict.in_V_mu)) == {"label", "edge_exponent", "decay", "heuristic", "basis"}
+
+
+def test_power_decay_domain_without_an_edge_exponent_is_the_trend():
+    ms = MomentSequence(Discrete(DiscreteMeasure((F(-1, 2), F(1, 3)), (F(1), F(2)))), F64_BACKEND)
+    grid = default_k_grid(2_000, 5)
+    assert to_json(power_decay_domain(ms, 0.9, grid)) == to_json(
+        domain_diagnostic(ms, power_decay(0.9), grid)
+    )
+    with pytest.raises(ValueError, match="1/2"):
+        power_decay_domain(ms, 0.5, grid)
+
+
+@functools.lru_cache(maxsize=1)
+def _f64_sequence(family):
+    # the table runs family by family: each family's 2 x 10^5 moments are
+    # made once, and only the current family's are kept
+    return MomentSequence(family, F64_BACKEND)
+
+
+@pytest.mark.parametrize("d", DECAYS)
+@pytest.mark.parametrize(
+    "family",
+    [PowerLog(0.5), PowerLog(0.8), PowerLog(1), PowerLog(2)]
+    + [Gegenbauer(lam) for lam in (0, 0.25, 0.5, 1)],
+    ids=repr,
+)
+def test_trend_never_contradicts_the_edge_exponent_rule(family, d):
+    # the default grid, as the CLI runs it; an inconclusive trend says nothing
+    ms = _f64_sequence(family)
+    trend = domain_diagnostic(ms, power_decay(d))
+    rule = power_decay_domain(ms, d)
+    for key in ("in_V_mu", "in_D_H"):
+        label = getattr(trend, key).label
+        assert label in ("inconclusive", getattr(rule, key).label), (key, label)

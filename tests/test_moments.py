@@ -23,7 +23,8 @@ from hankelmoments import (
     bigfloat,
     classify,
 )
-from hankelmoments.moments import partial_trace
+from hankelmoments.moments import partial_trace, positive_definite_limit
+from hankelmoments.triangular import ldl_positive_definite_limit
 
 RAT = RATIONAL_BACKEND
 
@@ -359,6 +360,38 @@ def test_classify_float_data_stops_at_the_exact_limit():
     # positive pivot, which the exact data refute
     mu = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
     assert classify(seq(Discrete(mu), bigfloat(64)), 8).positive_definite_up_to == 4
+
+
+SIX_POINTS = DiscreteMeasure(
+    tuple(map(Fraction, ("-9/10", "-1/2", "0", "1/3", "1/2", "4/5"))),
+    tuple(map(Fraction, ("1", "1/2", "1", "2", "1", "1/3"))),
+)
+HILBERT_VALUES = [Fraction(1, k + 1) for k in range(79)]
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (Discrete(SIX_POINTS), [1, 6, 7, 8, 9, 16, 17, 64]),
+        # positive definite at every size
+        (Explicit(tuple(HILBERT_VALUES)), [1, 7, 8, 9, 20, 40]),
+        # m_22 = 0: H_12 fails, inside the second leading block (16)
+        (Explicit(tuple(HILBERT_VALUES[:22] + [Fraction(0)] + HILBERT_VALUES[23:])),
+         [8, 11, 12, 16, 17, 40]),
+    ],
+    ids=["six-points", "hilbert", "hilbert-m22-zero"],
+)
+def test_positive_definite_limit_is_the_full_block_limit(family, sizes):
+    for n in sizes:
+        full = ldl_positive_definite_limit(seq(family).moments(2 * n - 1), n, Fraction(0))
+        assert positive_definite_limit(seq(family, F64_BACKEND), n) == full
+
+
+def test_positive_definite_limit_stops_at_the_first_failing_block():
+    # six points fail at H_7, inside the first block of 8: only m_0 .. m_14 are formed
+    ms = seq(Discrete(SIX_POINTS), F64_BACKEND)
+    assert positive_definite_limit(ms, 64) == 6
+    assert len(ms.with_backend(RAT)._cache) == 15
 
 
 def test_classify_explicit_is_heuristic():
