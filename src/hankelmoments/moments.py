@@ -4,10 +4,12 @@ Each family knows its moments in closed form, so every value is independently
 checkable and exact whenever the data is rational.  Moments walked in index
 order along a sequence are linear-time: the sequence hands its cached moments
 to the family, and Gegenbauer takes one ratio step from m_{n-2} instead of
-the O(n) product, with the same values.  Asymptotic classification
-(decay, boundedness, summability of even moments) is computed analytically
-from the family's known tail behavior; explicitly tabulated sequences only
-ever get window-based heuristic verdicts.
+the O(n) product, with the same values.  A family may also build a whole f64
+block in one call (:meth:`MomentFamily.f64_moments`), with the bits of its
+per-moment values; a sequence keeps each block it has read.  Asymptotic
+classification (decay, boundedness, summability of even moments) is computed
+analytically from the family's known tail behavior; explicitly tabulated
+sequences only ever get window-based heuristic verdicts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 from .backends import (
     F64,
+    F64_BACKEND,
+    MIN_BIGFLOAT_BITS,
     RATIONAL,
     RATIONAL_BACKEND,
     Backend,
@@ -46,8 +50,9 @@ class MissingMomentError(HankelError, LookupError):
 
 
 class MomentFamily:
-    """Base class: ``moment(n, backend, known)`` in closed form, and what is
-    known of the measure: :meth:`tail_class`, :meth:`edge_exponent` and
+    """Base class: ``moment(n, backend, known)`` in closed form, optionally
+    a whole f64 block at once (:meth:`f64_moments`), and what is known of
+    the measure: :meth:`tail_class`, :meth:`edge_exponent` and
     :meth:`finite_data`."""
 
     name: str = "?"
@@ -61,6 +66,13 @@ class MomentFamily:
         ``known`` the closed form is evaluated directly.
         """
         raise NotImplementedError
+
+    def f64_moments(self, count: int, step: int) -> np.ndarray | None:
+        """m_0, m_step, ..., m_{(count-1) step} as an f64 array, each entry
+        with the bits of ``moment(n, F64_BACKEND)``, or None where the family
+        builds no block (:meth:`MomentSequence.float_array` then reads the
+        moments one at a time)."""
+        return None
 
     def tail_class(self) -> dict | None:
         """Analytic (is_o1, is_O_1_over_n, is_ell1) verdicts, or None if unknown."""
@@ -117,11 +129,15 @@ class PowerLog(MomentFamily):
                 )
             return Fraction(1, (n + 1) ** int(c))
         if backend.kind == F64:
-            # numpy's pow, as in MomentSequence.float_array: Python's differs
-            # from it in the last bit at a few percent of the indices
+            # numpy's pow, as in f64_moments: Python's differs from it in the
+            # last bit at a few percent of the indices
             return float(np.power(float(n + 1), -float(c)))
         with backend.context():
             return mpmath.power(n + 1, -backend.convert(c))
+
+    def f64_moments(self, count, step):
+        # one vectorized pow, whose doubles the scalar moment repeats
+        return (np.arange(0, count * step, step, dtype=float) + 1.0) ** -to_float(self.c)
 
     def tail_class(self):
         c = to_float(self.c)
@@ -167,6 +183,18 @@ class Gegenbauer(MomentFamily):
             for i in range(first, k):
                 value = value * (half + i) / (lam + 1 + i)
             return value
+
+    def f64_moments(self, count, step):
+        # the loop of moment on plain floats, with its operands and order:
+        # one ratio step per even index up to the last one the block reads
+        lam = F64_BACKEND.convert(self.lam)
+        half = F64_BACKEND.convert(_HALF)
+        value = 1.0
+        evens = [value]
+        for i in range((count - 1) * step // 2):
+            value = value * (half + i) / (lam + 1 + i)
+            evens.append(value)
+        return np.array([0.0 if n % 2 else evens[n // 2] for n in range(0, count * step, step)])
 
     def tail_class(self):
         lam = to_float(self.lam)
@@ -242,9 +270,9 @@ class LogNormal(MomentFamily):
                 return +value
         value = float(value)  # inf past the range, with no error
         if value == math.inf:
+            # an mpf exponent does not overflow: the smallest big float serves
             raise PrecisionError(
-                f"log_normal moment m_{n} overflows f64; use bigfloat:"
-                f"{suggest_bits_for_lognormal(n, to_float(self.sigma))}"
+                f"log_normal moment m_{n} overflows f64; use bigfloat:{MIN_BIGFLOAT_BITS}"
             )
         return value
 
@@ -253,10 +281,6 @@ class LogNormal(MomentFamily):
 
     def params_json(self):
         return {"sigma": self.sigma}
-
-
-def suggest_bits_for_lognormal(n: int, sigma: float) -> int:
-    return max(64, int(n * n * sigma * sigma / 2 / math.log(2)) + 4 * n + 64)
 
 
 @dataclass(frozen=True)
@@ -298,6 +322,17 @@ class Discrete(MomentFamily):
             for x, c in zip(points, weights):
                 total = total + c * x**n
             return total
+
+    def f64_moments(self, count, step):
+        # the sum of moment, in point order with Python's pow, on points and
+        # weights converted once; numpy adds the per-point terms entrywise,
+        # one IEEE addition each, as the scalar loop does
+        indices = range(0, count * step, step)
+        total = np.zeros(count)
+        for x, c in zip(self.measure.points, self.measure.weights):
+            x, c = F64_BACKEND.convert(x), F64_BACKEND.convert(c)
+            total = total + np.array([c * x**n for n in indices], dtype=float)
+        return total
 
     def tail_class(self):
         r = max(abs(to_float(x)) for x in self.measure.points)
@@ -378,6 +413,7 @@ class MomentSequence:
         self.family = family
         self.backend = backend
         self._cache: dict[int, object] = {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}  # f64_moments, read-only
         self._siblings: dict[Backend, MomentSequence] = {backend: self}
 
     def __repr__(self):
@@ -398,14 +434,22 @@ class MomentSequence:
         """m_0, m_step, ..., m_{(count-1) step} as a dense f64 array (fast
         numeric paths).
 
-        PowerLog at f64 takes one vectorized pow, whose values its f64
-        ``moment`` repeats; any other sequence reads its moments in index
-        order and rounds each to f64 (a Fraction correctly).
+        At f64 the family builds the block in one call
+        (:meth:`MomentFamily.f64_moments`), with the bits of its ``moment``;
+        the sequence keeps it per (count, step), read-only, and returns the
+        same array on every later call.  A family without a block, or any
+        other backend, reads the moments in index order and rounds each to
+        f64 (a Fraction correctly), into a fresh array.
         """
-        if isinstance(self.family, PowerLog) and self.backend.kind == F64:
-            c = to_float(self.family.c)
-            return (np.arange(0, count * step, step, dtype=float) + 1.0) ** (-c)
-        return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)
+        block = self._blocks.get((count, step))
+        if block is None and self.backend.kind == F64:
+            block = self.family.f64_moments(count, step)
+            if block is not None:
+                block.flags.writeable = False
+                self._blocks[count, step] = block
+        if block is None:
+            return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)
+        return block
 
     def nu(self) -> "MomentSequence":
         """The sequence m_n - m_{n+2} (moments after damping by 1 - x^2)."""

@@ -498,9 +498,11 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     and bound of a size it declines at ``bits``.
 
     Where the moments read so far are those of a symmetric functional
-    (:func:`~.triangular.parity_holds`), A~_jk, L~_jk and X~_jk are exact
-    zeros for odd j + k, and row j forms only its entries of the parity of
-    j: the ints, and all that follows from them, are those of the full loops.
+    (:func:`~.triangular.parity_holds`, carried from row to row, so each
+    odd moment is compared to 0 once per rung), A~_jk, L~_jk and X~_jk are
+    exact zeros for odd j + k, and row j forms only its entries of the
+    parity of j: the ints, and all that follows from them, are those of the
+    full loops.
     """
     top = max(grid)
     work = ms.with_backend(bigfloat(bits))
@@ -515,6 +517,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     thetas = []  # theta_M of the prefix, M = 1, 2, ...
     beyond = None  # what a size past the prefix gets
     climb = False  # whether the sizes past the prefix run again at 2 bits
+    symmetric = True  # parity_holds(block, j + 1), carried from row to row
     for j in range(top):
         try:
             with mpmath.workprec(bits):
@@ -527,8 +530,10 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         with mpmath.workprec(frac):
             scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
         mj, ej = scale[j]
-        # entries with j + k odd vanish for a symmetric functional: skip them
-        first, step = (j % 2, 2) if parity_holds(block, j + 1) else (0, 1)
+        # entries with j + k odd vanish for a symmetric functional: skip them;
+        # the only odd moment new to row j is m_{2j-1}, the last of the pair
+        symmetric = symmetric and parity_holds(block[2 * j - 2 : 2 * j], 2)
+        first, step = (j % 2, 2) if symmetric else (0, 1)
         row = [0] * j
         for k in range(first, j, step):
             mk, ek = scale[k]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelmoments import (
+    Backend,
     BackendError,
     Discrete,
     DiscreteMeasure,
@@ -68,6 +69,83 @@ def test_f64_partial_trace_is_the_in_order_sum(family):
     fresh = seq(family, F64_BACKEND)
     assert partial_trace(fresh, terms).hex() == acc.hex()
     assert all(n % 2 == 0 for n in fresh._cache)
+
+
+# ---------------------------------------------------------------------------
+# f64 blocks
+# ---------------------------------------------------------------------------
+
+
+BLOCK_FAMILIES = (
+    [PowerLog(c) for c in (0.3, Fraction(1, 2), 1, 2, Fraction(7, 3))]
+    + [Gegenbauer(lam) for lam in (0, 0.25, Fraction(1, 2), 1, Fraction(3, 2), -0.25)]
+    + [
+        Discrete(DiscreteMeasure((Fraction(-1, 2), Fraction(0), Fraction(3, 4)), (1, 1, 1))),
+        Discrete(DiscreteMeasure((-0.9, -0.125, 0.0, 0.7), (0.3, Fraction(1, 3), 2, 0.25))),
+    ]
+)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("family", BLOCK_FAMILIES, ids=str)
+def test_f64_block_has_the_bits_of_the_moments(family, step):
+    # the family's block, kept by the sequence and read-only, against the
+    # moments of a fresh sequence
+    for count in (0, 1, 2000, 2047):
+        ms = seq(family, F64_BACKEND)
+        block = ms.float_array(count, step)
+        reference = seq(family, F64_BACKEND).moments(max((count - 1) * step + 1, 0))[::step]
+        assert [v.hex() for v in block.tolist()] == [v.hex() for v in reference]
+        assert ms.float_array(count, step) is block
+        assert not block.flags.writeable
+        assert not ms._cache  # no moment was read one at a time
+
+
+@pytest.mark.parametrize("family", [Gaussian(), LogNormal(1.0)], ids=str)
+def test_f64_families_without_a_block_read_each_moment(family):
+    assert family.f64_moments(30, 1) is None
+    for step in (1, 2):
+        ms = seq(family, F64_BACKEND)
+        values = ms.float_array(18, step)
+        assert sorted(ms._cache) == list(range(0, 18 * step, step))
+        assert values.tolist() == [ms.moment(n) for n in range(0, 18 * step, step)]
+        assert ms.float_array(18, step) is not values
+
+
+@pytest.mark.parametrize("backend", [RAT, bigfloat(64)], ids=lambda b: b.tag())
+@pytest.mark.parametrize(
+    "family",
+    [PowerLog(2), Gegenbauer(Fraction(1, 2)), Discrete(DiscreteMeasure((0, Fraction(1, 3)), (1, 2)))],
+    ids=str,
+)
+def test_exact_and_bigfloat_backends_never_consult_the_block(monkeypatch, family, backend):
+    def refuse(self, count, step):
+        raise AssertionError("f64_moments consulted off f64")
+
+    monkeypatch.setattr(type(family), "f64_moments", refuse)
+    ms = seq(family, backend)
+    assert ms.float_array(40, 2).tolist() == [float(ms.moment(n)) for n in range(0, 80, 2)]
+
+
+def test_discrete_f64_block_converts_its_data_once(monkeypatch):
+    # no per-moment call, and one conversion per point and per weight
+    # (the per-moment path converts all of them at every index)
+    mu = DiscreteMeasure((Fraction(-1, 2), Fraction(0), Fraction(3, 4)), (1, 1, 1))
+    converted = []
+    real_convert = Backend.convert
+
+    def counting_convert(self, value):
+        converted.append(value)
+        return real_convert(self, value)
+
+    def refuse(self, n, backend, known=None):
+        raise AssertionError("Discrete.moment called for an f64 block")
+
+    monkeypatch.setattr(Backend, "convert", counting_convert)
+    monkeypatch.setattr(Discrete, "moment", refuse)
+    block = seq(Discrete(mu), F64_BACKEND).float_array(10_000, step=2)
+    assert len(block) == 10_000
+    assert sorted(converted) == sorted(mu.points + mu.weights)
 
 
 def test_gegenbauer_even_moment():
@@ -153,6 +231,10 @@ def test_log_normal_overflow_names_backend():
     ms = seq(LogNormal(1.0), F64_BACKEND)
     with pytest.raises(PrecisionError, match="bigfloat"):
         ms.moment(60)
+    # an mpf exponent does not overflow: the smallest big float holds m_60
+    with pytest.raises(PrecisionError, match="use bigfloat:64$"):
+        ms.moment(60)
+    assert mpmath.isfinite(seq(LogNormal(1.0), bigfloat(64)).moment(60))
 
 
 @pytest.mark.parametrize("sigma", [1.0, 1.3, 2.1, Fraction(13, 10)], ids=str)

@@ -1191,6 +1191,38 @@ def test_graded_parity_skip_is_bit_identical(monkeypatch, family, backend, grid)
     assert skipped == _graded_bits(spectral._graded_lambda_min(ms, grid))
 
 
+@pytest.mark.parametrize(
+    "family, backend, grid",
+    [
+        (Gaussian(), bigfloat(256), list(range(4, 41, 4))),
+        (Gegenbauer(F(1, 2)), F64_BACKEND, [8, 24, 40]),
+        (LogNormal(1.0), bigfloat(256), [4, 12]),
+    ],
+    ids=["gaussian", "legendre-f64", "lognormal"],
+)
+def test_graded_parity_reads_each_odd_moment_once_per_rung(monkeypatch, family, backend, grid):
+    # the parity flag is carried from row to row: within one rung (one call
+    # of the run), each odd moment is compared to 0 at most once, not once
+    # per later row as well
+    rungs = []
+    real_graded, real_parity = spectral._graded_lambda_min, spectral.parity_holds
+
+    def graded(ms, grid, **kwargs):
+        rungs.append((max(grid), []))
+        return real_graded(ms, grid, **kwargs)
+
+    def parity(moments, n):
+        rungs[-1][1].extend(id(m) for m in moments[1 : 2 * n - 2 : 2])
+        return real_parity(moments, n)
+
+    monkeypatch.setattr(spectral, "_graded_lambda_min", graded)
+    monkeypatch.setattr(spectral, "parity_holds", parity)
+    spectral._graded_lambda_min(MomentSequence(family, backend), grid)
+    assert len(rungs) >= (2 if family.name == "gegenbauer" else 1)
+    for top, compared in rungs:
+        assert compared and len(compared) == len(set(compared)) <= top - 1
+
+
 _FLOAT_BACKENDS = [F64_BACKEND, bigfloat(64), bigfloat(256)]
 
 
