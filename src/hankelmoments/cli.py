@@ -101,8 +101,9 @@ def _sequence_from_config(config: dict, *, finite: bool = True) -> MomentSequenc
     value; ``bench`` passes ``finite=False``, since its agreement gate is
     what fails on nan data.  m_0 is read and every ``explicit`` value
     converted, so a family the backend cannot represent (log-normal or float
-    data at ``rational``) is a config error here rather than per-entry
-    errors or big-float values under a ``rational`` tag later.
+    data at ``rational``, finite data past the f64 range at ``f64``) is a
+    config error here rather than per-entry errors or big-float values under
+    a ``rational`` tag later.
     """
     family = family_from_json(config["family"])
     if finite:
@@ -114,7 +115,7 @@ def _sequence_from_config(config: dict, *, finite: bool = True) -> MomentSequenc
         if isinstance(family, Explicit):
             for value in family.values:
                 backend.convert(value)
-    except BackendError as err:
+    except (BackendError, OverflowError) as err:  # OverflowError: past the f64 range
         raise ConfigError(
             f"family {family.name} has no moments at backend {backend.tag()}: {err}"
         ) from None

@@ -6,11 +6,11 @@ vectors g_k = (k+1)^(-d) is a theorem where the family states the edge
 exponent of its measure (:func:`power_decay_domain`); anywhere else, and for
 any other vector, it is answered with trend evidence over growing
 truncations (:func:`domain_diagnostic`), labelled heuristic.
-Every exact product -- ``matvec_naive`` off f64, the shift series and its
-remainder, the kernel-vector images of ``extremal`` -- is one row action,
-:func:`row_actions`.  The fast f64 products (``matvec_fft`` and the form and
-row-action values of ``domain_diagnostic``) run on numpy's FFT at 5-smooth
-lengths.  The f64 paths convert their data into numpy once -- a vector
+Every exact product -- ``matvec_naive`` off f64, the shift series (on the
+damped moments m_k - m_{k+2}) and its remainder, the kernel-vector images of
+``extremal`` -- is made of the dot rows of :func:`row_actions`.  The fast f64
+products (``matvec_fft`` and the form and row-action values of
+``domain_diagnostic``) run on numpy's FFT at 5-smooth lengths.  The f64 paths convert their data into numpy once -- a vector
 ``g`` with ``np.asarray``, the values of a coefficient generator with
 ``np.fromiter``, the moments through ``MomentSequence.float_array`` -- and
 return lists of Python floats.  numpy converts each element with
@@ -46,11 +46,17 @@ def row_actions(ms: MomentSequence, g, start: int, stop: int):
     backend = ms.backend
     with backend.context():
         g = [backend.convert(x) for x in g]
-        if not g:
-            return [backend.zero()] * (stop - start)
-        width = len(g)
-        window = [ms.moment(i) for i in range(start, stop + width - 1)]
-        return [dot(window[i : i + width], g) for i in range(stop - start)]
+        window = [ms.moment(i) for i in range(start, stop + len(g) - 1)] if g else []
+        return _dot_rows(window, g, stop - start, backend.zero())
+
+
+def _dot_rows(window, g, count, zero):
+    """(sum_j window[i + j] g_j)_{i < count}, each row one :func:`.backends.dot`
+    (``zero`` for every row when ``g`` is empty)."""
+    width = len(g)
+    if not width:
+        return [zero] * count
+    return [dot(window[i : i + width], g) for i in range(count)]
 
 
 def matvec_naive(ms: MomentSequence, g, n: int):
@@ -130,13 +136,15 @@ def apply_H_via_series(
     """Apply the operator through its damped-measure shift series.
 
     Requires even moments decreasing to zero (measure inside (-1, 1)).  The
-    added term at stage ``l`` is the ``2l``-fold shift of the damped-sequence
-    row action on ``g``: the slice r[2l : 2l + n] of one growing sequence of
-    row actions r_k = sum_j nu_{k+j} g_j, so each further stage computes two
-    entries.  A stage's squared norm is one :func:`.backends.dot` of its n
-    entries with themselves, and each result entry one ``dot`` over its terms
-    after the last stage; both sum in order, so float bits are those of the
-    in-order loops.
+    damped moments nu_k = m_k - m_{k+2}, those of (1 - x^2) dmu, are formed
+    here in the backend's context, each once, as the stages reach them.  The
+    added term at stage ``l`` is the ``2l``-fold shift of their row action on
+    ``g``: the slice r[2l : 2l + n] of one growing sequence of row actions
+    r_k = sum_j nu_{k+j} g_j, each row one :func:`.backends.dot` as in
+    :func:`row_actions`, so each further stage computes two entries.  A
+    stage's squared norm is one ``dot`` of its n entries with themselves, and
+    each result entry one ``dot`` over its terms after the last stage; both
+    sum in order, so float bits are those of the in-order loops.
 
     Under float backends the terms are summed until the last one drops below
     ``tol`` (default 1e-12) or ``max_terms`` is hit.  Under the rational
@@ -158,14 +166,17 @@ def apply_H_via_series(
     exact = backend.kind == RATIONAL
     if not exact:
         tol = 1e-12 if tol is None else tol
-    nu = ms.nu()
+    nu = []  # nu_k = m_k - m_{k+2}, the moments of (1 - x^2) dmu
     rows = []  # r_k for k < 2l + n
     deltas = []
     converged = exact
     terms_used = 0
     with backend.context():
+        g = [backend.convert(x) for x in g]
         for l in range(min(max_terms, RECORDED_TERMS) if exact else max_terms):
-            rows += row_actions(nu, g, len(rows), 2 * l + n)
+            stop = 2 * l + n
+            nu += [ms.moment(k) - ms.moment(k + 2) for k in range(len(nu), stop + len(g) - 1)]
+            rows += _dot_rows(nu[len(rows) :], g, stop - len(rows), backend.zero())
             stage = rows[2 * l : 2 * l + n]
             ns = dot(stage, stage)
             deltas.append(math.sqrt(to_float(ns)))

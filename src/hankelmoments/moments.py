@@ -87,7 +87,11 @@ class MomentFamily:
     def finite_data(self) -> "MomentFamily | None":
         """None for a measure with infinite support, whose truncations are all
         positive definite; finite data, which can be singular, returns itself
-        with every value exact (a float or mpf as its binary fraction)."""
+        with every value exact (a float or mpf as its binary fraction).
+
+        Every family is one or the other: the moments of a positive measure
+        with infinite support, or exact finite data.  So this answer is the
+        whole of :func:`positive_definite_limit`."""
         return None
 
     def params_json(self) -> dict:
@@ -379,23 +383,6 @@ class Explicit(MomentFamily):
         return {"values": self.values}
 
 
-@dataclass(frozen=True)
-class _Difference(MomentFamily):
-    """Internal view: n-th moment is base m_n - m_{n+2} (the (1-x^2) dμ measure)."""
-
-    base: "MomentSequence"
-
-    name = "nu_view"
-
-    def moment(self, n, backend, known=None):
-        base = self.base.with_backend(backend)
-        with backend.context():
-            return base.moment(n) - base.moment(n + 2)
-
-    def tail_class(self):
-        return self.base.family.tail_class()
-
-
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -404,6 +391,10 @@ class _Difference(MomentFamily):
 class MomentSequence:
     """A family bound to a backend, with an append-only cache.
 
+    The family is one of the library's own, each a positive measure with
+    infinite support or exact finite data (:meth:`MomentFamily.finite_data`);
+    derived sequences, such as the damped moments m_n - m_{n+2} of the shift
+    series, are formed by their callers from these moments.
     :meth:`with_backend` keeps one sibling sequence per backend for the life
     of the sequence, in a registry the siblings share, so every caller that
     asks for the same family at the same precision reads one cache.
@@ -450,10 +441,6 @@ class MomentSequence:
         if block is None:
             return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)
         return block
-
-    def nu(self) -> "MomentSequence":
-        """The sequence m_n - m_{n+2} (moments after damping by 1 - x^2)."""
-        return MomentSequence(_Difference(self), self.backend)
 
     def with_backend(self, backend: Backend) -> "MomentSequence":
         """The sibling sequence in ``backend``, made on first use and then kept;
@@ -604,10 +591,10 @@ def classify(
 
     Closed-form families are classified analytically from their known tails;
     explicit sequences get heuristic verdicts over the evidence window.
-    Positive definiteness is the pivot test on the largest leading block
-    whose moments the backend can read, capped at a float backend by the
-    exact limit (:func:`positive_definite_limit`): m_0 .. m_{2n-2} are read
-    in order up to the first one that is missing or out of range, so an
+    Positive definiteness is the family's exact answer
+    (:func:`positive_definite_limit`) at every backend, up to the largest
+    leading block whose moments the backend can read: m_0 .. m_{2n-2} are
+    read in order up to the first one that is missing or out of range, so an
     explicit sequence is probed as far as its values go and an f64
     log-normal one as far as its moments stay finite.  A family the backend
     cannot represent at all gives 0.
@@ -623,20 +610,17 @@ def classify(
     else:
         verdicts = _heuristic_verdicts(ms)
 
-    # largest leading block passing the pivot test under this backend
-    block = []
+    # the largest leading block whose moments this backend can read
+    readable = 0
     try:
         for j in range(2 * n - 1):
-            block.append(ms.moment(j))
+            ms.moment(j)
+            readable += 1
     except (PrecisionError, MissingMomentError, OverflowError):
         pass
     except BackendError:
-        block = []
-    n_probe = (len(block) + 1) // 2
-    if ms.backend.kind != RATIONAL:
-        n_probe = positive_definite_limit(ms, n_probe)
-    with ms.backend.context():
-        pd_up_to = ldl_positive_definite_limit(block, n_probe, ms.backend.zero())
+        readable = 0
+    pd_up_to = positive_definite_limit(ms, (readable + 1) // 2)
 
     terms = trace_terms if trace_terms is not None else n
     trace = None

@@ -646,13 +646,15 @@ class SpectralProfile:
     quantities: tuple
 
     def reliable(self, name: str):
-        """(n, value) pairs whose value the status does not call into question."""
+        """(n, value) pairs of the entries without an error status, and for
+        lambda_min only its positive values: an entry unresolved for its
+        lambda_max alone keeps its certified lambda_min."""
         out = []
         for e in self.entries:
             value = getattr(e, name)
             if value is None or e.status.startswith("error"):
                 continue
-            if name == "lambda_min" and e.status != "ok":
+            if name == "lambda_min" and not value > 0:
                 continue
             out.append((e.n, value))
         return out

@@ -121,15 +121,15 @@ def ldl_decompose(moments, n, zero, *, precision_suspect=False, symmetric=False)
 def ldl_positive_definite_limit(moments, n, zero) -> int:
     """Largest ``M <= n`` whose leading ``MxM`` Hankel block is positive definite.
 
-    ``moments`` holds ``m_0 .. m_{2n-2}``; ``M`` is the first index with
+    ``moments`` holds exact ``m_0 .. m_{2n-2}`` (Fractions, as
+    :func:`~.moments.positive_definite_limit` passes them, so no float
+    rounding can end the walk); ``M`` is the first index with
     ``sigma_{M,M} <= 0`` in :func:`ldl_decompose` (``n`` if there is none).
     """
     try:
         ldl_decompose(moments, n, zero, symmetric=parity_holds(moments, n))
     except PositivityError as err:
         return err.dimension - 1
-    except (OverflowError, ZeroDivisionError):
-        return 0
     return n
 
 

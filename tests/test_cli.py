@@ -482,6 +482,27 @@ def test_non_finite_discrete_data_exits_2(tmp_path, run, where, value):
         assert (code, out, err.splitlines()) == (2, "", expected), command
 
 
+PAST_F64 = "1" + "0" * 400  # an exact integer, past the f64 range
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"family": "explicit", "params": {"values": [PAST_F64, "1", "1"]}},
+        {"family": "explicit", "params": {"values": ["1", PAST_F64, "1"]}},
+        {"family": "discrete", "params": {"points": [PAST_F64], "weights": ["1"]}},
+    ],
+    ids=["explicit-first", "explicit-middle", "discrete-point"],
+)
+def test_finite_data_past_the_f64_range_exits_2(tmp_path, run, family):
+    cfg = write(tmp_path / "c.json", {"family": family, "backend": "f64"})
+    code, out, err = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: family {family['family']} has no moments at backend f64: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_classify_clamps_its_probe_to_short_explicit_data(tmp_path, run):
     cfg = write(
         tmp_path / "c.json",

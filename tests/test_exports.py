@@ -22,13 +22,18 @@ def test_star_import_succeeds():
     assert set(hankelmoments.__all__) <= namespace.keys()
 
 
-def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
-    # the tracer wraps library functions by (module, name); a rename would
-    # silently drop a layer from the benchmark's per-layer metrics
+def _load_tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # the tracer wraps library functions by (module, name); a rename would
+    # silently drop a layer from the benchmark's per-layer metrics
+    tracer = _load_tracer(monkeypatch)
     pairs = [(module, fn) for module, fn, _ in tracer.SPANNED + tracer.COUNTED]
     missing = [
         (module, fn)
@@ -38,6 +43,19 @@ def test_every_function_the_benchmark_tracer_wraps_resolves(monkeypatch):
         )
     ]
     assert pairs and missing == []
+
+
+def test_every_method_the_benchmark_tracer_wraps_is_defined_on_its_class(monkeypatch):
+    # the tracer replaces these methods through cls.__dict__: an inherited
+    # method would raise there, and a family class renamed or moved out of
+    # the moments module would leave its moments uncounted
+    tracer = _load_tracer(monkeypatch)
+    moments = importlib.import_module(f"{tracer.PACKAGE}.moments")
+    owners = [(getattr(moments, name, None), "moment") for name in tracer.FAMILIES]
+    owners += [(moments.MomentSequence, "moment"), (moments.MomentSequence, "float_array")]
+    missing = [(cls, attr) for cls, attr in owners
+               if not (isinstance(cls, type) and callable(vars(cls).get(attr)))]
+    assert tracer.FAMILIES and missing == []
 
 
 def test_cli_import_loads_no_scipy():

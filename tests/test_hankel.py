@@ -312,8 +312,8 @@ def test_series_float_hilbert_agrees_within_tail_bound():
 
 
 def per_stage_series(ms, g, n, stages):
-    """Reference: term l of the series summed afresh as (sum_j nu_{i+2l+j} g_j)_{i<n}."""
-    nu = ms.nu()
+    """Reference: term l of the series summed afresh as (sum_j nu_{i+2l+j} g_j)_{i<n},
+    nu_k = m_k - m_{k+2}."""
     with ms.backend.context():
         terms = []
         for l in range(stages):
@@ -321,7 +321,8 @@ def per_stage_series(ms, g, n, stages):
             for i in range(n):
                 acc = ms.backend.zero()
                 for j, gj in enumerate(g):
-                    acc = acc + nu.moment(i + 2 * l + j) * gj
+                    k = i + 2 * l + j
+                    acc = acc + (ms.moment(k) - ms.moment(k + 2)) * gj
                 term.append(acc)
             terms.append(term)
         return terms

@@ -388,6 +388,21 @@ def test_profile_marks_unresolved_beyond_escalation_cap():
     assert by_n[80].lambda_max is not None  # still trustworthy at f64
 
 
+def test_reliable_lambda_min_survives_a_declined_lambda_max():
+    # lambda_max is past the f64 range from N = 20 on and is declined; the
+    # certified lambda_min of those entries stays reliable
+    profile = lambda_profile(
+        MomentSequence(LogNormal(1), bigfloat(64)),
+        [8, 16, 24, 31],
+        quantities=("lambda_min", "lambda_max"),
+    )
+    assert [e.status for e in profile.entries][2:] == ["lambda-min-unresolved"] * 2
+    reliable = profile.reliable("lambda_min")
+    assert [n for n, _ in reliable] == [8, 16, 24, 31]
+    assert reliable == [(e.n, e.lambda_min) for e in profile.entries]
+    assert [n for n, _ in profile.reliable("lambda_max")] == [8, 16]
+
+
 def test_profile_lognormal_f64_escalates_instead_of_crashing():
     # the f64 moment path overflows early for this family; the profile must
     # take the eigenvalues from big-float moments and mark the trace
