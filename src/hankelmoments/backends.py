@@ -168,8 +168,11 @@ def parse_number(value):
     """Read a number from a config: the one rule for every config value.
 
     ``"p/q"`` and integer strings, and JSON integers, become ``Fraction``s;
-    decimal strings become floats.  Bools and anything else (floats,
-    ``Fraction``s, mpf) are returned as given.
+    decimal strings become floats, and one that is not zero but rounds to
+    0.0 (``"1e-400"``) raises ValueError.  Bools and anything else (floats,
+    ``Fraction``s, mpf) are returned as given; a JSON number token is
+    parsed by ``json`` before it gets here, so one that underflows arrives
+    as 0.0 and cannot be told from a zero.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -179,7 +182,10 @@ def parse_number(value):
         try:
             return Fraction(int(text))
         except ValueError:
-            return float(text)
+            number = float(text)
+        if number == 0 and Fraction(text) != 0:
+            raise ValueError(f"{text!r} underflows to 0.0 as a float")
+        return number
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     return value

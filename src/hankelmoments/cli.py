@@ -44,7 +44,7 @@ from .serialize import (
     series_to_csv,
     triangular_pair_to_json,
 )
-from .spectral import lambda_profile, plateau_verdict
+from .spectral import ESCALATE_MAX_N, lambda_profile, plateau_verdict
 from .extremal import (
     HypothesisViolationError,
     kernel_vector_check,
@@ -337,7 +337,12 @@ SUBCOMMANDS = {
     }),
     "spectrum": Subcommand(run_spectrum, ["family", "n_grid"], {
         "family": _FAMILY_SCHEMA,
-        "n_grid": _N_GRID_SCHEMA,
+        "n_grid": {
+            **_N_GRID_SCHEMA,
+            "description": f"truncation sizes; above {ESCALATE_MAX_N} lambda_min and "
+            "hs_norm_b get no value (no graded run and no exact factor), while "
+            "lambda_max and trace_partial are computed at any size",
+        },
         "window": {"type": "integer", "minimum": 1},
         "ratio_threshold": {"type": "number", "exclusiveMinimum": 0},
         "quantities": {
@@ -364,9 +369,10 @@ SUBCOMMANDS = {
         "decay": {"type": "number", "exclusiveMinimum": 0.5},
         "k_max": {
             "type": "integer",
-            "minimum": 100,
-            "description": "largest truncation of the heuristic trend; unused "
-            "where the family states an edge exponent and the answer is analytic",
+            "minimum": 102,
+            "description": "largest truncation of the heuristic trend, whose grid "
+            "needs 3 points; unused where the family states an edge exponent and "
+            "the answer is analytic",
         },
     }),
     "recurrence": Subcommand(run_recurrence, ["family"], {

@@ -268,7 +268,6 @@ def power_decay(d: float):
     def gen(k):
         return (k + 1.0) ** (-d)
 
-    gen.label = f"power_decay({d})"
     return gen
 
 

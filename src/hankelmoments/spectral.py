@@ -32,8 +32,8 @@ resolved at this precision.  A negative lambda_min is bisected to
 lambda_min by less than 2^-70 relative, a 64th of the bracket.
 
 A profile entry takes each extreme by one rule, whatever else it asks for:
-lambda_min from the graded path below where its bound holds, and otherwise,
-like lambda_max, from one LAPACK ``eigvalsh`` of the scaled f64 truncation
+lambda_min from the graded path below where its bound holds, and nowhere
+else; lambda_max from one LAPACK ``eigvalsh`` of the scaled f64 truncation
 where a bound certifies it (:func:`lambda_profile`).  The moment block m_0
 .. m_{2N-2} is read at the sequence's own precision, or at 128 bits where
 the family refuses it there (it has no rational moments, or a moment that
@@ -66,14 +66,19 @@ spare), and is read relative to the value:
 
 both at the scale 2^-e; the reported value is lambda^ 2^e.  For a positive
 semidefinite H, ||H||_F <= sqrt(N) lambda_max, so eps of lambda_max is at
-most about 4 N^(3/2) u: 2.3e-13 at N = 64.  The smallest and the largest
-eigenvalue of the one ``eigvalsh`` are each reported where eps <=
-LAMBDA_MAX_TOL and lambda^ 2^e is a normal f64 number (a lambda_max past
-the f64 range is declined, not written as inf); 1e-12 is the relative
-agreement the ``eigsy`` checks hold the graded path to.  lambda_min takes
-this value only where the graded path declines: an indefinite truncation
-reports its negative lambda_min this way, and a lambda_min near 0 of a
-singular or ill-conditioned one stays unresolved.
+most about 4 N^(3/2) u: 2.3e-13 at N = 64.  The largest eigenvalue of the
+``eigvalsh`` is reported where eps <= LAMBDA_MAX_TOL and lambda^ 2^e is a
+normal f64 number (a lambda_max past the f64 range is declined, not
+written as inf); 1e-12 is the relative agreement the ``eigsy`` checks hold
+the graded path to.  The same bound on the smallest eigenvalue certifies
+nothing the graded path misses: as ||H||_F >= lambda_max, eps <=
+LAMBDA_MAX_TOL asks for kappa_2(H) <= 1e-12 / (4 N u), while A = S^-1 H
+S^-1 below has tr A^-1 = sum_k (H^-1)_kk m_2k <= N kappa_2(H) (the van der
+Sluis bound), so theta below stays under 1e-31 at 128 bits up to N = 64
+wherever it holds.  No positive definite Hankel matrix beyond small N is
+that well conditioned (Beckermann, *Numer. Math.* 85, 2000).  Nor does a
+negative value state more than that the truncation is not positive
+definite, which the graded path proves exactly.
 
 lambda_min comes from the graded path, whose precision follows the condition
 of A in H = S A S, S diagonal, not that of H (Demmel and Veselic, *Jacobi's
@@ -126,10 +131,12 @@ second order, and reads
 
     eps = (theta + 4 (N + 1) u + N 2^-1074 / sigma^) / (1 - theta).
 
-A lambda^ with eps <= LAMBDA_MAX_TOL is reported.  The path declines, and
-lambda_min falls to ``eigvalsh`` above, when an even moment is not positive,
-when X~ S^-1 or lambda^ leaves the normal f64 range, or when a pivot is not
-positive or the bound exceeds LAMBDA_MAX_TOL at every rung it runs.
+A lambda^ with eps <= LAMBDA_MAX_TOL is reported; there is no other
+lambda_min.  The path declines, and lambda_min is unresolved, when X~ S^-1
+or lambda^ leaves the normal f64 range, or when the bound exceeds
+LAMBDA_MAX_TOL at every rung it runs.  An even moment or a pivot that is
+not positive, or theta_M >= 1, on a truncation whose exact block is not
+positive definite (below) is a :class:`~.triangular.PositivityError`.
 
 A profile runs the graded path once per grid and rung, at the largest size N
 it asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <=
@@ -161,9 +168,12 @@ every truncation of it being positive definite; finite data takes the
 rational LDL of the exact values the rungs approach.  A stop on a block the
 exact test finds not positive definite is final, as a singular truncation
 stops on theta_M >= 1 or a pivot <= 0 at every rung and must not climb to
-the cap; so is a stop on a moment error, a non-positive even moment or an
-overflow.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43 and
-512 bits for N = 44..64.
+the cap: every size from M on reports the
+:class:`~.triangular.PositivityError` of dimension M that the exact factor
+raises.  A non-positive even moment, a non-positive diagonal entry, takes
+the same test and error, and a stop on a moment error or an overflow is
+final too.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43
+and 512 bits for N = 44..64.
 
 Where the moments a row reads are those of a symmetric functional (every
 odd one exactly zero), A~_jk = r_j m~_{j+k} r_k vanishes for odd j + k, and
@@ -193,16 +203,18 @@ the 6u leaving u spare for the second order and the underflows.  nu is
 hs_norm_b wherever eps_hs <= LAMBDA_MAX_TOL; eps_hs never exceeds the
 lambda_min bound, as nu >= sigma, so a size with a certified lambda_min has
 a certified weight.  A profile runs the graded path for hs_norm_b even when
-it does not ask for lambda_min.  Only a rational sequence, whose weight
-stays the correctly rounded exact one, and a size the graded path declines
-read the weight off the exact factor of the rational sibling, which reads
-finite data exactly (:func:`_hs_norms`) and reports a size past the exact
-positive-definite limit as its :class:`~.triangular.PositivityError` at
-once.  The Chebyshev algorithm of :mod:`.triangular` forms the leading
-M x M block of the N x N factor by the same operations whatever N is, so
-tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running
-sum over its columns: the largest such size is factored once, and each
-smaller one reads its leading block.  A size whose own factor fails keeps
+it does not ask for lambda_min, and a size it proves not positive definite
+reports that error for the weight too.  Only a rational sequence, whose
+weight stays the correctly rounded exact one, and a size the graded path
+declines read the weight off the exact factor of the rational sibling,
+which reads finite data exactly (:func:`_hs_norms`) and reports a size
+past the exact positive-definite limit as its
+:class:`~.triangular.PositivityError` at once.  The Chebyshev algorithm
+of :mod:`.triangular` forms the leading M x M block of the N x N factor
+by the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 =
+sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running sum over its columns: the
+largest such size is factored once, and each smaller one reads its
+leading block.  A size whose own factor fails keeps
 its error, and the next smaller size factors anew.
 """
 
@@ -236,7 +248,7 @@ from .moments import MissingMomentError, MomentSequence, partial_trace, positive
 from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor
 from .triangular import PositivityError, parity_holds
 
-ESCALATE_MAX_N = 64  # profiles refuse big-float work above this size
+ESCALATE_MAX_N = 64  # above this size a profile runs no graded run and no exact factor
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
 GRADED_BITS = 128  # first rung of the graded lambda_min
 _BRACKET_BITS = 64  # a positive extreme is bisected to 2^-64 relative at every rung
@@ -466,6 +478,16 @@ class GradedItem:
     hs_eps: float
 
 
+def _past_the_limit(ms, m, proven):
+    """The :class:`PositivityError` of size ``m`` where its exact leading
+    block is not positive definite, else None: ``m`` <= ``proven``, the size
+    a lower rung has proven so, or :func:`~.moments.positive_definite_limit`
+    passes it.  The error is the one :func:`~.orthopoly.factor` raises."""
+    if m <= proven or positive_definite_limit(ms, m) >= m:
+        return None
+    return PositivityError(m, f"the exact leading {m}x{m} block is not positive definite")
+
+
 def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS, proven=0):
     """Graded lambda_min of every truncation size in ``grid``, from one run
     per rung, the first at ``bits``.
@@ -480,22 +502,26 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     rounding Y of X S^-1.
 
     Returns one item per size: a :class:`GradedItem`, whose ``bits`` is the
-    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; None
-    where the path declines; or the error raised reading that size's
-    moments.  An even moment or a pivot that is not positive, or a
-    row of Y that overflows, ends the prefix, and so does the first theta_M
-    >= ``tol`` (at most 1): theta_M grows with M and eps >= theta_M, so
-    every larger size declines at this rung, with no further rows and no
-    SVD.  The sizes from M on are run again at 2 ``bits``, up to
-    ``RETRY_CAP_BITS``, when the prefix ends on tol <= theta_M < 1 (the
+    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; the
+    error raised reading that size's moments; a :class:`PositivityError`
+    from the first size M the run proves not positive definite on; or None
+    where the path declines.  An even moment or a pivot that is not
+    positive, or a row of Y that overflows, ends the prefix, and so does
+    the first theta_M >= ``tol`` (at most 1): theta_M grows with M and eps
+    >= theta_M, so every larger size declines at this rung, with no further
+    rows and no SVD.  The sizes from M on are run again at 2 ``bits``, up
+    to ``RETRY_CAP_BITS``, when the prefix ends on tol <= theta_M < 1 (the
     leading M x M block is then proven positive definite, and theta_M at 2
     ``bits`` is about 2^-bits theta_M), or on theta_M >= 1 or a pivot <= 0
     where the leading M x M block is positive definite: M <= ``proven``,
     the size a lower rung has proven so, or else
-    :func:`~.moments.positive_definite_limit`, checked once per size; any
-    other end is final.  ``tol`` is a test seam: the profile keeps the
-    default, the bound it accepts, and the tests pass 1 to read the value
-    and bound of a size it declines at ``bits``.
+    :func:`~.moments.positive_definite_limit`, checked once per size.
+    Where the exact block is not positive definite (on these stops and on
+    an even moment that is not positive), every size from M on gets the
+    :class:`PositivityError` of dimension M (:func:`_past_the_limit`); any
+    other end is final with None.  ``tol`` is a test seam: the profile
+    keeps the default, the bound it accepts, and the tests pass 1 to read
+    the value and bound of a size it declines at ``bits``.
 
     Where the moments read so far are those of a symmetric functional
     (:func:`~.triangular.parity_holds`, carried from row to row, so each
@@ -526,6 +552,7 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             beyond = err
             break
         if not block[2 * j] > 0:
+            beyond = _past_the_limit(ms, j + 1, proven)
             break
         with mpmath.workprec(frac):
             scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
@@ -544,7 +571,8 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
             row[k] = _round_div((a << frac) - dots, chol[k][k])
         pivot = one_sq - sum(t * t for t in row[first::step])
         if pivot <= 0:
-            climb = j + 1 <= proven or positive_definite_limit(ms, j + 1) > j
+            beyond = _past_the_limit(ms, j + 1, proven)
+            climb = beyond is None
             break
         row.append(math.isqrt(pivot))
         chol.append(row)
@@ -564,7 +592,8 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         except OverflowError:
             break
         if not theta < tol:
-            climb = theta < 1 or j + 1 <= proven or positive_definite_limit(ms, j + 1) > j
+            beyond = None if theta < 1 else _past_the_limit(ms, j + 1, proven)
+            climb = beyond is None
             break
         thetas.append(theta)
     out = []
@@ -604,11 +633,16 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
 class ProfileEntry:
     """One grid point of a :class:`SpectralProfile`.
 
-    ``precision_bits`` names one path per entry: the rung of the graded run
-    that certified lambda_min (128, ``GRADED_BITS``, or a climb to 256, 512,
-    ...), else 53 when an extreme is LAPACK's, else the rung of the graded
-    run behind ``hs_norm_b``; None means the exact factor gave
-    ``hs_norm_b``, or no path gave a value (an unresolved lambda_min).
+    ``lambda_min`` is only ever the graded value, positive and certified;
+    ``lambda_max`` only LAPACK's.  ``precision_bits`` names one path per
+    entry: the rung of the graded run that certified lambda_min (128,
+    ``GRADED_BITS``, or a climb to 256, 512, ...), else 53 when lambda_max
+    is certified, else the rung of the graded run behind ``hs_norm_b``;
+    None means the exact factor gave ``hs_norm_b``, or no path gave a value.
+
+    An entry that asks for lambda_min or hs_norm_b at a size the graded run
+    proves not positive definite reports ``error:PositivityError``; one
+    that asks for an extreme no path certifies is ``lambda-min-unresolved``.
 
     ``hs_norm_b`` of an f64 or big-float sequence is ||Y_M||_F of the graded
     run, at the rung that certified it (the rung lambda_min reports when
@@ -646,18 +680,14 @@ class SpectralProfile:
     quantities: tuple
 
     def reliable(self, name: str):
-        """(n, value) pairs of the entries without an error status, and for
-        lambda_min only its positive values: an entry unresolved for its
-        lambda_max alone keeps its certified lambda_min."""
-        out = []
-        for e in self.entries:
-            value = getattr(e, name)
-            if value is None or e.status.startswith("error"):
-                continue
-            if name == "lambda_min" and not value > 0:
-                continue
-            out.append((e.n, value))
-        return out
+        """(n, value) pairs of the entries with a value and without an error
+        status: an entry unresolved for its lambda_max alone keeps its
+        certified lambda_min."""
+        return [
+            (e.n, getattr(e, name))
+            for e in self.entries
+            if getattr(e, name) is not None and not e.status.startswith("error")
+        ]
 
 
 def _check_interlacing(profile: SpectralProfile):
@@ -685,20 +715,23 @@ def lambda_profile(
     Each extreme follows one rule, whatever else the entry asks for.
     lambda_min is the graded value of the scaled fixed-point Cholesky when
     its relative bound (module docstring) is at most ``LAMBDA_MAX_TOL`` =
-    1e-12 at 128 bits or at a rung the graded run climbs to.  Both extremes
-    otherwise come from one LAPACK ``eigvalsh`` of the scaled f64
-    truncation, each where its relative bound eps = (4 N u ||H||_F + N^2
-    2^-1074) / |lambda| (u = 2^-53) is at most ``LAMBDA_MAX_TOL``
-    (:func:`_certified_extremes`); so an indefinite truncation reports its
-    negative lambda_min.  An entry that asks for an extreme it cannot
-    certify, or whose lambda_min is negative, is marked unresolved rather
-    than silently degraded.  Above ``ESCALATE_MAX_N`` there is no graded
-    run and no factor.  The graded run, behind lambda_min and, for a
-    sequence that is not rational, hs_norm_b, nests, so it runs once per
-    grid, at its largest size, and every entry reads its leading block
-    (module docstring); so does the exact factor behind any other
-    hs_norm_b (:func:`_hs_norms`).  Interlacing of the reliable extremes is
-    enforced as a postcondition.
+    1e-12 at 128 bits or at a rung the graded run climbs to, and nothing
+    else: a size the graded run proves not positive definite reports its
+    :class:`PositivityError`.  lambda_max comes from one LAPACK ``eigvalsh``
+    of the scaled f64 truncation, where its relative bound eps = (4 N u
+    ||H||_F + N^2 2^-1074) / lambda (u = 2^-53) is at most
+    ``LAMBDA_MAX_TOL`` (:func:`_certified_lambda_max`).  An entry that asks
+    for an extreme it cannot certify is marked unresolved rather than
+    silently degraded.  Above ``ESCALATE_MAX_N`` there is no graded run and
+    no exact factor, so lambda_min and hs_norm_b get no value there.  The
+    graded run, behind lambda_min and, for a sequence that is not rational,
+    hs_norm_b, nests, so it runs once per grid, at its largest size, and
+    every entry reads its leading block (module docstring); so does the
+    exact factor behind the hs_norm_b of a rational sequence and of a size
+    the graded run declines (:func:`_hs_norms`).  A size the graded run
+    proves not positive definite takes its error for hs_norm_b too, with
+    no factor.  Interlacing of the reliable extremes is enforced as a
+    postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -712,11 +745,11 @@ def lambda_profile(
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
     if "hs_norm_b" in quantities:
         if graded_hs:
-            hs = {
-                n: (item.hs_norm_b, item.bits)
-                for n, item in graded.items()
-                if isinstance(item, GradedItem) and item.hs_eps <= LAMBDA_MAX_TOL
-            }
+            for n, item in graded.items():
+                if isinstance(item, Exception):
+                    hs[n] = item
+                elif item is not None and item.hs_eps <= LAMBDA_MAX_TOL:
+                    hs[n] = item.hs_norm_b, item.bits
         hs |= _hs_norms(ms.with_backend(RATIONAL_BACKEND), [n for n in eligible if n not in hs])
     # an entry reports no lambda_min it did not ask for
     min_items = graded if "lambda_min" in quantities else {}
@@ -769,28 +802,28 @@ def _scaled_truncation(ms, n):
     return sliding_window_view(np.array(block), n), e
 
 
-def _certified_extremes(ms, n):
-    """(lambda_min, lambda_max): eigenvalues [0] and [-1] of one LAPACK
-    ``eigvalsh`` of the scaled f64 truncation (:func:`_scaled_truncation`),
-    each where :func:`_eigvalsh_error` is at most ``LAMBDA_MAX_TOL`` times
-    its size and its value lambda 2^e is a normal f64 number, else None.
-    A missing moment of explicit data propagates."""
+def _certified_lambda_max(ms, n):
+    """lambda_max: the largest eigenvalue of one LAPACK ``eigvalsh`` of the
+    scaled f64 truncation (:func:`_scaled_truncation`), where
+    :func:`_eigvalsh_error` is at most ``LAMBDA_MAX_TOL`` times its size and
+    its value lambda 2^e is a normal f64 number, else None.  A missing
+    moment of explicit data propagates."""
     h64, e = _scaled_truncation(ms, n)
-    err = _eigvalsh_error(h64)
-    eig = np.linalg.eigvalsh(h64)
-    return tuple(
-        math.ldexp(lam, e)
-        if err <= LAMBDA_MAX_TOL * abs(lam)
-        and sys.float_info.min_exp <= math.frexp(lam)[1] + e <= sys.float_info.max_exp
-        else None
-        for lam in (float(eig[0]), float(eig[-1]))
-    )
+    lam = float(np.linalg.eigvalsh(h64)[-1])
+    if _eigvalsh_error(h64) <= LAMBDA_MAX_TOL * abs(lam) and (
+        sys.float_info.min_exp <= math.frexp(lam)[1] + e <= sys.float_info.max_exp
+    ):
+        return math.ldexp(lam, e)
+    return None
 
 
 def _hs_norms(ms, grid):
-    """{n: (hs_norm_b, None) or the error of its factor} over ``grid``.
+    """{n: (hs_norm_b, None) or the error of its factor} over ``grid``: every
+    size of a rational sequence, and the sizes whose weight the graded run
+    of a float sequence declines (a size it proves not positive definite
+    already holds its error).
 
-    ``ms`` is a rational sequence, whose :func:`~.orthopoly.factor` is exact
+    ``ms`` is the rational sibling, whose :func:`~.orthopoly.factor` is exact
     (no precision bits): a size past the exact positive-definite limit
     reports its :class:`PositivityError`, and a family without rational
     moments a :class:`BackendError`.  Walks the grid from the largest size
@@ -832,7 +865,9 @@ def _sqrt_to_float(q: Fraction) -> float:
 
 
 def _read(item):
-    """A grid item for one entry, raising the error it holds.
+    """A grid item for one entry, raising the error it holds: a moment
+    error or a :class:`PositivityError` of the graded run, or the error of
+    an exact factor.
 
     The entry raises it where a single-size run would: the entry reports
     an ``_ENTRY_ERRORS`` error as its status, and a missing moment of short
@@ -848,11 +883,12 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
     """One grid point; ``graded_item`` is its item from
     :func:`_graded_lambda_min` when the entry asks for lambda_min, and
     ``hs_item`` its (hs_norm_b, bits) from the graded run or
-    :func:`_hs_norms`, or the error of its factor (None where no grid
-    function ran for it).  lambda_min is the graded value where its bound
-    holds, and otherwise, like lambda_max, the certified ``eigvalsh`` value
-    (:func:`_certified_extremes`); an extreme asked for and still missing,
-    or a negative lambda_min, leaves the entry unresolved."""
+    :func:`_hs_norms`, or the error of the graded run or of its factor
+    (None where no grid function ran for it).  lambda_max, the certified
+    ``eigvalsh`` value (:func:`_certified_lambda_max`), is read first, so an
+    entry whose graded item is an error keeps it; lambda_min is the graded
+    value where its bound holds, else None.  An extreme asked for and
+    missing leaves the entry unresolved."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
     status = "ok"
@@ -864,20 +900,16 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
             except (OverflowError, PrecisionError):
                 trace = float("inf")
 
+        if "lambda_max" in quantities:
+            lam_max = _certified_lambda_max(ms, n)
+            if lam_max is not None:
+                bits_used = 53
         graded = _read(graded_item)
         if graded is not None and graded.eps <= LAMBDA_MAX_TOL:
             lam_min, bits_used = graded.lambda_min, graded.bits
-        need_min = "lambda_min" in quantities and lam_min is None
-        need_max = "lambda_max" in quantities
-        if need_min or need_max:
-            lo, hi = _certified_extremes(ms, n)
-            if need_min:
-                lam_min = lo
-            if need_max:
-                lam_max = hi
-            if bits_used is None and (lam_min is not None or lam_max is not None):
-                bits_used = 53
-        if (need_min and not (lam_min or 0) > 0) or (need_max and lam_max is None):
+        if ("lambda_min" in quantities and lam_min is None) or (
+            "lambda_max" in quantities and lam_max is None
+        ):
             status = "lambda-min-unresolved"
 
         hs_item = _read(hs_item)

@@ -140,6 +140,16 @@ def test_parse_number_table(value, expected):
     assert type(parsed) is type(expected)
 
 
+def test_parse_number_refuses_a_decimal_that_underflows():
+    # a nonzero decimal that rounds to 0.0 would silently change the data
+    for text in ("1e-400", "-2.5e-330", "2e-324"):
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            parse_number(text)
+    assert parse_number("5e-324") == 5e-324  # the smallest subnormal
+    for text in ("0.0", "-0e-400", "0e5"):
+        assert parse_number(text) == 0.0
+
+
 def test_parse_number_leaves_bools_and_exact_values():
     assert parse_number(True) is True
     x = Fraction(2, 3)

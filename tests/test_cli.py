@@ -190,8 +190,8 @@ def test_classify_infinite_trace_is_written_as_a_string(tmp_path, run):
 
 
 def test_spectrum_csv_flags_an_unresolved_entry(tmp_path, run):
-    # H_3 of (1, 2, 1, 0, 1) is indefinite: its negative lambda_min is
-    # LAPACK's, uncertified, and the row says so
+    # H_3 of (1, 2, 1, 0, 1) is indefinite: the row reports the
+    # PositivityError and no value
     cfg = write(
         tmp_path / "s.json",
         {"family": {"family": "explicit", "params": {"values": ["1", "2", "1", "0", "1"]}},
@@ -200,7 +200,18 @@ def test_spectrum_csv_flags_an_unresolved_entry(tmp_path, run):
     code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     csv_lines = (tmp_path / "o" / "spectrum_profile.csv").read_text().splitlines()
-    assert csv_lines[1] == "3,-1.2360679774997898,,,53,lambda-min-unresolved"
+    assert csv_lines[1] == "3,,,,,error:PositivityError"
+    # lambda_max(H_24) of LogNormal(1) is past the f64 range and declined;
+    # the certified lambda_min stays in the unresolved row
+    cfg = write(
+        tmp_path / "s.json",
+        {"family": _LOGNORMAL_F64, "backend": "bigfloat:64", "n_grid": [24],
+         "quantities": ["lambda_min", "lambda_max"]},
+    )
+    code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    csv_lines = (tmp_path / "o" / "spectrum_profile.csv").read_text().splitlines()
+    assert csv_lines[1] == "24,0.44187234067030323,,,128,lambda-min-unresolved"
 
 
 def test_spectrum_empty_grid_exits_2(tmp_path, run):
@@ -482,6 +493,24 @@ def test_non_finite_discrete_data_exits_2(tmp_path, run, where, value):
         assert (code, out, err.splitlines()) == (2, "", expected), command
 
 
+def test_decimal_values_that_underflow_exit_2(tmp_path, run):
+    # "1e-400" would be read as 0.0: classify reported "pd up to: 1" for
+    # explicit data whose exact H_3 is positive definite
+    expected = ["config error: '1e-400' underflows to 0.0 as a float"]
+    explicit = write(tmp_path / "x.json", {
+        "family": {"family": "explicit", "params": {"values": ["1", "0", "1e-400", "0", "1"]}},
+        "backend": "bigfloat:256", "n": 3,
+    })
+    measure = {"points": ["-1/2", "1e-400"], "weights": ["1", "1"]}
+    discrete = write(tmp_path / "d.json", {"family": {"family": "discrete", "params": measure},
+                                           "backend": "f64"})
+    extremal = write(tmp_path / "e.json", {"measure": measure, "remove": [], "backend": "f64"})
+    for command, cfg in (("classify", explicit), ("classify", discrete), ("extremal", extremal)):
+        code, out, err = run(command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out, err.splitlines()) == (2, "", expected), (command, cfg)
+    assert not (tmp_path / "o").exists()
+
+
 PAST_F64 = "1" + "0" * 400  # an exact integer, past the f64 range
 
 
@@ -551,6 +580,21 @@ def test_domain_command(tmp_path, run):
     csv_lines = (tmp_path / "o" / "domain_form_profile.csv").read_text().splitlines()
     assert csv_lines[0] == "K,value"
     assert len(csv_lines) > 1
+
+
+@pytest.mark.parametrize("k_max, code", [(100, 2), (101, 2), (102, 0)])
+def test_domain_k_max_gives_the_trend_three_points(tmp_path, run, k_max, code):
+    # the trend fits a grid of at least 3 points: k_max 100 and 101 give 1
+    # and 2, and used to pass the schema only to fail on "k_grid"
+    measure = {"points": ["-1/2", "0", "3/4"], "weights": ["1", "1", "1"]}
+    cfg = write(tmp_path / "d.json", {"family": {"family": "discrete", "params": measure},
+                                      "decay": 1.2, "k_max": k_max})
+    got, _, err = run("domain", "--config", cfg)
+    assert got == code
+    if code:
+        assert err.splitlines() == [
+            f"config error: config rejected by schema: {k_max} is less than the minimum of 102"
+        ]
 
 
 def test_domain_gegenbauer_default_grid(tmp_path, run):

@@ -189,22 +189,22 @@ def test_mixed_sign_moments_keep_their_sign():
         assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
 
-def test_indefinite_explicit_sequence_reports_its_negative_lambda_min(monkeypatch):
+def test_indefinite_explicit_sequence_reports_a_positivity_error(monkeypatch):
     ms = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
     ref_lo, ref_hi = _eigsy_on_block(ms.with_backend(bigfloat(128)), 3, 128)
     assert ref_lo < 0
     lo, hi = bigfloat_extremes(ms, 3, 128)
     assert abs(lo / ref_lo - 1) < 1e-12 and abs(hi / ref_hi - 1) < 1e-12
     # the graded run stops on the pivot 1 - 2^2 < 0 of the exact H_2, which
-    # is indefinite, so it does not climb; one eigvalsh certifies both
-    # extremes, and the negative lambda_min leaves the entry unresolved
+    # is indefinite, so it does not climb and proves H_3 not positive
+    # definite: the entry reports that error, with no lambda_min, and keeps
+    # the certified lambda_max of eigvalsh
     _no_ladder(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entry = lambda_profile(ms, [3], quantities=("lambda_min", "lambda_max")).entries[0]
     assert runs == [([3], spectral.GRADED_BITS)]
-    assert entry.status == "lambda-min-unresolved"
-    assert entry.precision_bits == 53
-    assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
+    assert entry.status == "error:PositivityError"
+    assert entry.precision_bits == 53 and entry.lambda_min is None
     assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
 
 
@@ -434,8 +434,7 @@ def test_profile_trace_partial_column():
 def _uncertified_lambda_max(monkeypatch):
     """Decline every LAPACK lambda_max, as an uncertified one is declined
     (the scaled f64 path certifies these inputs)."""
-    real = spectral._certified_extremes
-    monkeypatch.setattr(spectral, "_certified_extremes", lambda ms, n: (real(ms, n)[0], None))
+    monkeypatch.setattr(spectral, "_certified_lambda_max", lambda ms, n: None)
 
 
 def test_profile_entry_with_empty_ladder_is_unresolved(monkeypatch):
@@ -457,15 +456,15 @@ def test_profile_computes_only_the_requested_extremes(monkeypatch):
     # the spiked N = 5 and 6: the graded run climbs to 256 bits and certifies
     # lambda_min, so no eigvalsh runs; lambda_max alone runs no graded run
     ms = MomentSequence(SPIKED, bigfloat(256))
-    real = spectral._certified_extremes
+    real = spectral._certified_lambda_max
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh ran")
 
-    monkeypatch.setattr(spectral, "_certified_extremes", refuse)
+    monkeypatch.setattr(spectral, "_certified_lambda_max", refuse)
     profile = lambda_profile(ms, [5, 6], quantities=("lambda_min",))
     assert all(e.status == "ok" and e.lambda_max is None for e in profile.entries)
-    monkeypatch.setattr(spectral, "_certified_extremes", real)
+    monkeypatch.setattr(spectral, "_certified_lambda_max", real)
     runs = _spy_graded(monkeypatch)
     profile = lambda_profile(ms, [5, 6], quantities=("lambda_max",))
     assert all(e.status == "ok" and e.lambda_min is None for e in profile.entries)
@@ -613,7 +612,7 @@ def test_lambda_max_of_the_window_view_is_bit_equal_to_the_row_lists(family, bac
     # certified lambda_max has the bits of the one built from row lists
     for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 256, 512):
         ms = MomentSequence(family, backend)
-        assert spectral._certified_extremes(ms, n)[1] == _list_built_lambda_max(ms, n), n
+        assert spectral._certified_lambda_max(ms, n) == _list_built_lambda_max(ms, n), n
 
 
 def test_rational_power_log_float_array_rounds_each_fraction():
@@ -661,7 +660,7 @@ def test_lognormal_f64_lambda_max_lies_within_its_bound(sigma):
         ms.moment(2 * last)
     for n in range(2, last + 1):
         h64, _ = spectral._scaled_truncation(ms, n)
-        lam_max = spectral._certified_extremes(ms, n)[1]
+        lam_max = spectral._certified_lambda_max(ms, n)
         bound = spectral._eigvalsh_error(h64) / float(np.linalg.eigvalsh(h64)[-1])
         exact = _exact_lognormal_lambda_max(sigma, n)
         assert float(abs(lam_max - exact) / exact) <= bound, n
@@ -769,21 +768,23 @@ def test_graded_path_climbs_its_own_rungs_on_hilbert(monkeypatch):
 def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
     # H_N of the 4-point measure is singular from N = 5 on: the graded run
     # stops there even with tol=1, and the exact leading 5 x 5 block is not
-    # positive definite, so it does not climb.  Every larger size is
-    # unresolved with no value: eigvalsh puts lambda_min ~ 0 below its bound
+    # positive definite, so it does not climb.  Every larger size reports
+    # the PositivityError of dimension 5, with no value
     ms = MomentSequence(FOUR_POINTS, F64_BACKEND)
-    assert spectral._graded_lambda_min(ms, [4, 5], tol=1)[1] is None
+    item = spectral._graded_lambda_min(ms, [4, 5], tol=1)[1]
+    assert isinstance(item, spectral.PositivityError) and item.dimension == 5
+    assert not item.precision_suspect
     _no_ladder(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entries = lambda_profile(ms, [4, 8, 12, 16], quantities=("lambda_min",)).entries
     assert runs == [([4, 8, 12, 16], 128)]
     assert entries[0].status == "ok" and entries[0].precision_bits == 128
     for entry in entries[1:]:
-        assert entry.status == "lambda-min-unresolved"
+        assert entry.status == "error:PositivityError"
         assert entry.lambda_min is None and entry.precision_bits is None
     # a certified lambda_max still comes from LAPACK
     entries = lambda_profile(ms, [8], quantities=("lambda_min", "lambda_max")).entries
-    assert entries[0].status == "lambda-min-unresolved" and entries[0].precision_bits == 53
+    assert entries[0].status == "error:PositivityError" and entries[0].precision_bits == 53
     assert entries[0].lambda_max == pytest.approx(_eigsy_extremes(FOUR_POINTS, 8)[1], rel=1e-12)
 
 
@@ -846,10 +847,12 @@ FAINT_POINT = Discrete(
 def test_graded_path_climbs_unless_the_exact_block_is_not_positive_definite(monkeypatch):
     hilbert = MomentSequence(PowerLog(1), F64_BACKEND)
     assert spectral._graded_lambda_min(hilbert, [24], tol=1)[0].eps > spectral.LAMBDA_MAX_TOL
+    # pivot 1 - 2^2 < 0 of an exact H_2 that is not positive definite
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral._graded_lambda_min(indefinite, [3])[0] is None  # pivot 1 - 2^2 < 0
     crossed = MomentSequence(Explicit.from_list([1, 2, 1]), F64_BACKEND)
-    assert spectral._graded_lambda_min(crossed, [2])[0] is None  # pivot 1 - 2^2 < 0
+    for ms, n in [(indefinite, 3), (crossed, 2)]:
+        item = spectral._graded_lambda_min(ms, [n])[0]
+        assert isinstance(item, spectral.PositivityError) and item.dimension == 2
     # the spiked theta_5 passes 1 at 128 bits and the faint point's pivot
     # drops to 0 or below, but both exact H_5 are positive definite: the run
     # climbs until it certifies them
@@ -862,12 +865,11 @@ def test_graded_path_climbs_unless_the_exact_block_is_not_positive_definite(monk
         assert entry.status == "ok" and entry.precision_bits == bits
         lam_min = _eigsy_extremes(family, 5)[0]
         assert entry.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0)
-    # the indefinite truncation takes its negative lambda_min from eigvalsh,
-    # as it does when lambda_max is asked for too
+    # the indefinite truncation reports that error, with no value, as it
+    # does when lambda_max is asked for too
     entry = lambda_profile(indefinite, [3], quantities=("lambda_min",)).entries[0]
-    assert entry.status == "lambda-min-unresolved" and entry.precision_bits == 53
-    ref_lo = _eigsy_on_block(indefinite.with_backend(bigfloat(128)), 3, 128)[0]
-    assert entry.lambda_min == pytest.approx(float(ref_lo), rel=1e-12, abs=0)
+    assert entry.status == "error:PositivityError"
+    assert entry.lambda_min is None and entry.precision_bits is None
 
 
 def test_f64_lambda_max_is_certified_at_53_bits(monkeypatch):
@@ -979,8 +981,10 @@ def test_profile_does_not_swallow_bugs_in_the_f64_assembly():
 )
 def test_short_explicit_data_names_the_index_of_a_single_size_run(quantities, index):
     # the grid functions hold a missing moment until the entry that needs
-    # it, so the profile stops where a run of that size alone stops
-    ms = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
+    # it, so the profile stops where a run of that size alone stops.  The
+    # five Hilbert values are positive definite up to N = 3, so no size
+    # before the missing moment fails for another reason
+    ms = MomentSequence(Explicit.from_list([F(1, j + 1) for j in range(5)]), F64_BACKEND)
     for grid in ([2, 3, 5], [5]):
         with pytest.raises(MissingMomentError, match=f"index {index} requested"):
             lambda_profile(ms, grid, quantities=quantities)
@@ -1165,9 +1169,16 @@ def test_climb_checks_each_stopping_size_once(monkeypatch):
 
 
 def _graded_bits(items):
-    return [item if not isinstance(item, spectral.GradedItem) else
-            (item.bits, item.lambda_min.hex(), item.eps.hex(), item.hs_norm_b.hex(),
-             item.hs_eps.hex()) for item in items]
+    """Each item's fields in hex; an error item by its type and dimension."""
+    out = []
+    for item in items:
+        if isinstance(item, spectral.GradedItem):
+            item = (item.bits, item.lambda_min.hex(), item.eps.hex(), item.hs_norm_b.hex(),
+                    item.hs_eps.hex())
+        elif isinstance(item, spectral.PositivityError):
+            item = (type(item), item.dimension)
+        out.append(item)
+    return out
 
 
 # dyadic points and weights: the big-float odd moments cancel exactly
@@ -1265,10 +1276,10 @@ def test_spiked_profile_is_certified_past_the_first_rung(monkeypatch, backend):
 
 @pytest.mark.parametrize("backend", _FLOAT_BACKENDS, ids=lambda b: b.tag())
 def test_singular_truncation_reports_no_value(monkeypatch, backend):
-    # H_5 of the 4-point measure is singular: its weight is the exact
-    # factor's PositivityError (the factor ladder reported 5.99e8, 1.7e102
-    # and inf under "ok"), and lambda_min past N = 4 is unresolved after a
-    # single 128-bit graded run
+    # H_5 of the 4-point measure is singular: its weight is the
+    # PositivityError the graded run proves (the factor ladder reported
+    # 5.99e8, 1.7e102 and inf under "ok"), and so is lambda_min past N = 4,
+    # after a single 128-bit graded run
     _no_ladder(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(FOUR_POINTS, backend)
@@ -1279,22 +1290,66 @@ def test_singular_truncation_reports_no_value(monkeypatch, backend):
     assert runs == [([4, 5, 6, 7, 8], 128)]
     assert entries[0].status == "ok"
     for entry in entries[1:]:
-        assert entry.status == "lambda-min-unresolved" and entry.lambda_min is None
+        assert entry.status == "error:PositivityError" and entry.lambda_min is None
 
 
 @pytest.mark.parametrize("backend", _FLOAT_BACKENDS + [RAT], ids=lambda b: b.tag())
 def test_discrete_profile_past_its_support_fails_at_once(monkeypatch, backend):
-    # H_26 of the 25-point measure is singular: N = 28 and 32 report the
-    # exact factor's PositivityError, where the factor ladder ran every
-    # rung up to 65536 bits first (28 to 40 s a profile); the statuses and
-    # precisions are those the ladder gave
+    # H_26 of the 25-point measure is singular: N = 28 and 32 report a
+    # PositivityError, where the factor ladder ran every rung up to 65536
+    # bits first (28 to 40 s a profile); the statuses and precisions are
+    # those the ladder gave.  A float sequence takes the error from its
+    # graded run and factors nothing; a rational one from its exact factor
     seen = _spy_factor(monkeypatch)
     ms = MomentSequence(_DISCRETE_25, backend)
     entries = lambda_profile(ms, [4, 8, 24, 28, 32], _DEFAULT_QUANTITIES).entries
     assert [(e.status, e.precision_bits) for e in entries] == [("ok", 128)] * 3 + [
         ("error:PositivityError", 53)
     ] * 2
-    assert set(seen) == {RAT}
+    assert set(seen) == ({RAT} if backend == RAT else set())
+
+
+def _random_discrete(seed, size):
+    """``size`` distinct points k/128 in (-1, 1), weights k/8 in [1/8, 2]."""
+    rng = np.random.default_rng(seed)
+    points = sorted(F(int(k), 128) for k in rng.choice(np.arange(-127, 128), size, replace=False))
+    weights = [F(int(k), 8) for k in rng.integers(1, 17, size)]
+    return Discrete(DiscreteMeasure(tuple(points), tuple(weights)))
+
+
+def _eigvalsh_certifies_a_positive_lambda_min(ms, n):
+    """Whether the smallest eigenvalue of the scaled f64 truncation is
+    positive and within the ``eigvalsh`` bound, as lambda_max is certified
+    (the normal-range check left out, which only certifies less)."""
+    h64, _ = spectral._scaled_truncation(ms, n)
+    lam = float(np.linalg.eigvalsh(h64)[0])
+    return lam > 0 and spectral._eigvalsh_error(h64) <= spectral.LAMBDA_MAX_TOL * lam
+
+
+@pytest.mark.parametrize(
+    "family",
+    [PowerLog(1), PowerLog(2), PowerLog(F(1, 2)), Gaussian(), LogNormal(1.0), LogNormal(0.3),
+     Gegenbauer(F(0)), Gegenbauer(F(1, 2)), Gegenbauer(F(3))]
+    + [_random_discrete(seed, size) for seed, size in [(1, 21), (2, 30), (3, 42), (4, 54)]],
+    ids=["hilbert", "powerlog2", "powerlog-half", "gaussian", "lognormal", "lognormal-0.3",
+         "chebyshev", "legendre", "gegenbauer3", "discrete21", "discrete30", "discrete42",
+         "discrete54"],
+)
+def test_eigvalsh_certifies_no_lambda_min_the_graded_run_misses(family):
+    # tr A^-1 <= N kappa_2(H), so any H that eigvalsh can certify has theta
+    # far below 1e-12 at 128 bits: wherever the scaled eigvalsh would
+    # certify a positive lambda_min (only at N = 2..5 here), the graded run
+    # certifies one too, and a profile loses nothing by not asking it
+    grid = list(range(2, 65))
+    for backend in (F64_BACKEND, bigfloat(128)):
+        ms = MomentSequence(family, backend)
+        items = spectral._graded_lambda_min(ms, grid)
+        certified = [n for n in grid if _eigvalsh_certifies_a_positive_lambda_min(ms, n)]
+        assert certified, backend.tag()
+        for n in certified:
+            item = items[n - 2]
+            assert isinstance(item, spectral.GradedItem), (backend.tag(), n, item)
+            assert item.eps <= spectral.LAMBDA_MAX_TOL, (backend.tag(), n)
 
 
 def test_profile_factors_once_and_grades_once(monkeypatch):
