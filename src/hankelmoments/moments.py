@@ -52,8 +52,8 @@ class MissingMomentError(HankelError, LookupError):
 class MomentFamily:
     """Base class: ``moment(n, backend, known)`` in closed form, optionally
     a whole f64 block at once (:meth:`f64_moments`), and what is known of
-    the measure: :meth:`tail_class`, :meth:`edge_exponent` and
-    :meth:`finite_data`."""
+    the measure: :meth:`tail_class`, :meth:`edge_exponent`,
+    :meth:`finite_data` and :meth:`positive_definite_limit`."""
 
     name: str = "?"
 
@@ -85,14 +85,16 @@ class MomentFamily:
         return None
 
     def finite_data(self) -> "MomentFamily | None":
-        """None for a measure with infinite support, whose truncations are all
-        positive definite; finite data, which can be singular, returns itself
-        with every value exact (a float or mpf as its binary fraction).
-
-        Every family is one or the other: the moments of a positive measure
-        with infinite support, or exact finite data.  So this answer is the
-        whole of :func:`positive_definite_limit`."""
+        """None for a measure with infinite support; finite data returns
+        itself with every value exact (a float or mpf as its binary
+        fraction), which the rational sibling reads."""
         return None
+
+    def positive_definite_limit(self, n: int) -> int:
+        """Largest M <= n whose exact leading M x M block is positive
+        definite: n for a positive measure with infinite support, every
+        truncation of which is positive definite."""
+        return n
 
     def params_json(self) -> dict:
         return {}
@@ -347,8 +349,16 @@ class Discrete(MomentFamily):
         exact = [tuple(map(_exact, xs)) for xs in (self.measure.points, self.measure.weights)]
         return Discrete(DiscreteMeasure(*exact))
 
+    def positive_definite_limit(self, n):
+        # H_N = V^t W V with V the Vandermonde matrix of the distinct points
+        # and W the positive weights: positive definite iff N <= the size
+        return min(n, self.measure.size)
+
     def params_json(self):
         return self.measure.to_json()
+
+
+PD_FIRST_BLOCK = 8  # leading block size an explicit sequence's limit tries first
 
 
 @dataclass(frozen=True)
@@ -378,6 +388,20 @@ class Explicit(MomentFamily):
 
     def finite_data(self):
         return Explicit(tuple(map(_exact, self.values)))
+
+    def positive_definite_limit(self, n):
+        """The rational LDL of the exact values on leading blocks of 8, 16,
+        ... up to n, stopping at the first that is not positive definite:
+        the blocks nest, so the limit is the whole block's, and no value
+        past that block is read."""
+        exact = self.finite_data()
+        size = min(PD_FIRST_BLOCK, n)
+        while True:
+            block = [exact.moment(i, RATIONAL_BACKEND) for i in range(2 * size - 1)]
+            limit = ldl_positive_definite_limit(block, size, Fraction(0))
+            if limit < size or size == n:
+                return limit
+            size = min(2 * size, n)
 
     def params_json(self):
         return {"values": self.values}
@@ -453,27 +477,12 @@ class MomentSequence:
         return sibling
 
 
-PD_FIRST_BLOCK = 8  # leading block size positive_definite_limit tries first
-
-
 def positive_definite_limit(ms: MomentSequence, n: int) -> int:
-    """Largest M <= n whose exact leading M x M block is positive definite: n
-    for infinite support, else the rational LDL of the exact finite data.
-
-    The LDL runs on leading blocks of size 8, 16, ... up to n and stops at
-    the first one that is not positive definite.  The blocks nest, so the
-    limit is the whole block's, and finite data, which fail at their support
-    size + 1, pay only for the first block past it.
-    """
-    if ms.family.finite_data() is None:
-        return n
-    exact = ms.with_backend(RATIONAL_BACKEND)
-    size = min(PD_FIRST_BLOCK, n)
-    while True:
-        limit = ldl_positive_definite_limit(exact.moments(2 * size - 1), size, Fraction(0))
-        if limit < size or size == n:
-            return limit
-        size = min(2 * size, n)
+    """Largest M <= n whose exact leading M x M block is positive definite,
+    as the family answers it (:meth:`MomentFamily.positive_definite_limit`):
+    n for infinite support, min(n, size) for a discrete measure, and the
+    rational LDL for explicit data."""
+    return ms.family.positive_definite_limit(n)
 
 
 def hankel_rows(ms: MomentSequence, n: int) -> list[list]:

@@ -132,11 +132,12 @@ second order, and reads
     eps = (theta + 4 (N + 1) u + N 2^-1074 / sigma^) / (1 - theta).
 
 A lambda^ with eps <= LAMBDA_MAX_TOL is reported; there is no other
-lambda_min.  The path declines, and lambda_min is unresolved, when X~ S^-1
-or lambda^ leaves the normal f64 range, or when the bound exceeds
-LAMBDA_MAX_TOL at every rung it runs.  An even moment or a pivot that is
-not positive, or theta_M >= 1, on a truncation whose exact block is not
-positive definite (below) is a :class:`~.triangular.PositivityError`.
+lambda_min.  The path declines, and lambda_min is unresolved, when lambda^
+leaves the normal f64 range (the weight of the same size keeps its value,
+below), or when the bound exceeds LAMBDA_MAX_TOL at every rung it runs.  An
+even moment or a pivot that is not positive, or theta_M >= 1, on a
+truncation whose exact block is not positive definite (below) is a
+:class:`~.triangular.PositivityError`.
 
 A profile runs the graded path once per grid and rung, at the largest size N
 it asks for, and p comes from that N.  Row j of L~ reads only A~_jk, k <=
@@ -163,16 +164,16 @@ positive definite A' has a positive lambda_min of its own, which the
 rounding at 2^-b hid and a finer rung brings out.  The exact test is the
 family's (:func:`~.moments.positive_definite_limit`), made only on such a
 stop and once per size: the rungs above take a size a climb has proven as
-positive definite.  A measure with infinite support passes it at once,
-every truncation of it being positive definite; finite data takes the
-rational LDL of the exact values the rungs approach.  A stop on a block the
-exact test finds not positive definite is final, as a singular truncation
-stops on theta_M >= 1 or a pivot <= 0 at every rung and must not climb to
-the cap: every size from M on reports the
-:class:`~.triangular.PositivityError` of dimension M that the exact factor
-raises.  A non-positive even moment, a non-positive diagonal entry, takes
-the same test and error, and a stop on a moment error or an overflow is
-final too.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43
+positive definite.  A measure with infinite support passes it at once, every
+truncation of it being positive definite, a discrete measure passes up to
+its number of points, and explicit data takes the rational LDL of the exact
+values the rungs approach.  A stop on a block the exact test finds not
+positive definite is final, as a singular truncation stops on theta_M >= 1
+or a pivot <= 0 at every rung and must not climb to the cap: every size from
+M on reports the :class:`~.triangular.PositivityError` of dimension M that
+the exact factor raises.  A non-positive even moment, a non-positive
+diagonal entry, takes the same test and error, and a stop on a moment error
+is final too.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43
 and 512 bits for N = 44..64.
 
 Where the moments a row reads are those of a symmetric functional (every
@@ -193,29 +194,38 @@ most u ||Y^_M||_F + M 2^-1075.  The norm nu is the ``math.hypot`` of the
 norms of the rows of Y_M, each the ``math.hypot`` of its entries, formed
 once as the row is written.  Python documents hypot as within 1 ulp (2u),
 so nu is within 4u of ||Y_M||_F.  hypot scales by its largest argument, so
-nothing overflows where the result does not, and ||Y_M||_F <= sqrt(M)
-sigma <= 2^514 wherever lambda^ is a normal number; scaled entries that
-underflow move nu by at most M^2 2^-1074 relative, far below u.  So
+nothing overflows where the result does not; wherever nu is a normal
+number, scaled entries that underflow move it by at most M^2 2^-1074
+relative, far below u.  So
 
     eps_hs = (theta_M / 2 + 6 u + M 2^-1074 / nu) / (1 - theta_M),
 
 the 6u leaving u spare for the second order and the underflows.  nu is
 hs_norm_b wherever eps_hs <= LAMBDA_MAX_TOL; eps_hs never exceeds the
 lambda_min bound, as nu >= sigma, so a size with a certified lambda_min has
-a certified weight.  A profile runs the graded path for hs_norm_b even when
-it does not ask for lambda_min, and a size it proves not positive definite
-reports that error for the weight too.  Only a rational sequence, whose
-weight stays the correctly rounded exact one, and a size the graded path
-declines read the weight off the exact factor of the rational sibling,
-which reads finite data exactly (:func:`_hs_norms`) and reports a size
-past the exact positive-definite limit as its
-:class:`~.triangular.PositivityError` at once.  The Chebyshev algorithm
-of :mod:`.triangular` forms the leading M x M block of the N x N factor
-by the same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 =
-sum_{j<M} ||col_j(U^-1)||^2 / d_j is a running sum over its columns: the
-largest such size is factored once, and each smaller one reads its
-leading block.  A size whose own factor fails keeps
-its error, and the next smaller size factors anew.
+a certified weight.  The weight has a range check of its own.  theta_M is
+formed from the ints before row M - 1 of Y, so a row of Y that overflows
+belongs to a block already proven positive definite, and its entry bounds
+||Y_M'||_F from below for every M' >= M: each of those weights is at least
+2^1024.  The run goes on with the ints, and each such size, like one whose
+nu is not a normal number (a Y that underflows), reports a
+:class:`~.backends.PrecisionError` for its weight, unless the run proves
+its block not positive definite.  As sigma <= nu <= sqrt(M) sigma, lambda^
+is then outside the normal f64 range too, and lambda_min is declined.
+
+A profile runs the graded path for hs_norm_b even when it does not ask for
+lambda_min, and a size it proves not positive definite reports that error
+for the weight too: the graded run is the only source of the weight of an
+f64 or big-float sequence.  That of a rational sequence stays the correctly
+rounded exact one, read off its exact factor (:func:`_hs_norms`), which
+reports a size past the exact positive-definite limit as its
+:class:`~.triangular.PositivityError`.  The Chebyshev algorithm of
+:mod:`.triangular` forms the leading M x M block of the N x N factor by the
+same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
+||col_j(U^-1)||^2 / d_j is a running sum over its columns: the largest size
+is factored once, and each smaller one reads its leading block.  A size
+whose own factor fails keeps its error, and the next smaller size factors
+anew.
 """
 
 from __future__ import annotations
@@ -235,7 +245,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .backends import (
     BIGFLOAT,
     RATIONAL,
-    RATIONAL_BACKEND,
     BackendError,
     HankelError,
     PrecisionError,
@@ -469,9 +478,11 @@ def _scaled_float(num, exp):
 @dataclass(frozen=True)
 class GradedItem:
     """One size of a graded run: lambda_min and ||Y_M||_F = hs_norm_b, each
-    with its relative bound (module docstring), and the rung of the run."""
+    with its relative bound (module docstring), and the rung of the run.
+    lambda_min is None, with an infinite bound, where lambda^ is outside the
+    normal f64 range."""
 
-    lambda_min: float
+    lambda_min: float | None
     eps: float
     bits: int
     hs_norm_b: float
@@ -502,19 +513,21 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     rounding Y of X S^-1.
 
     Returns one item per size: a :class:`GradedItem`, whose ``bits`` is the
-    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; the
-    error raised reading that size's moments; a :class:`PositivityError`
-    from the first size M the run proves not positive definite on; or None
-    where the path declines.  An even moment or a pivot that is not
-    positive, or a row of Y that overflows, ends the prefix, and so does
-    the first theta_M >= ``tol`` (at most 1): theta_M grows with M and eps
-    >= theta_M, so every larger size declines at this rung, with no further
-    rows and no SVD.  The sizes from M on are run again at 2 ``bits``, up
-    to ``RETRY_CAP_BITS``, when the prefix ends on tol <= theta_M < 1 (the
-    leading M x M block is then proven positive definite, and theta_M at 2
-    ``bits`` is about 2^-bits theta_M), or on theta_M >= 1 or a pivot <= 0
-    where the leading M x M block is positive definite: M <= ``proven``,
-    the size a lower rung has proven so, or else
+    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; a
+    :class:`PrecisionError` where that weight is outside the normal f64
+    range (lambda^ is then too); the error raised reading that size's
+    moments; a :class:`PositivityError` from the first size M the run proves
+    not positive definite on; or None where the path declines.  An even
+    moment or a pivot that is not positive ends the prefix, and so does the
+    first theta_M >= ``tol`` (at most 1), formed before the f64 row of Y:
+    theta_M grows with M and eps >= theta_M, so every larger size declines
+    at this rung, with no further rows and no SVD.  A row of Y that
+    overflows does not end it.  The sizes from M on are run again at 2
+    ``bits``, up to ``RETRY_CAP_BITS``, when the prefix ends on tol <=
+    theta_M < 1 (the leading M x M block is then proven positive definite,
+    and theta_M at 2 ``bits`` is about 2^-bits theta_M), or on theta_M >= 1
+    or a pivot <= 0 where the leading M x M block is positive definite: M <=
+    ``proven``, the size a lower rung has proven so, or else
     :func:`~.moments.positive_definite_limit`, checked once per size.
     Where the exact block is not positive definite (on these stops and on
     an even moment that is not positive), every size from M on gets the
@@ -583,36 +596,38 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
         x[j] = _round_div(one_sq, row[j])
         for k in range(j - step, -1, -step):
             x[k] = _round_div(-sum(map(mul, x[k + step :: step], cols[k][step::step])), cols[k][0])
-        try:
-            y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
-            row_norms.append(math.hypot(*y_row))
-            norm_sq += sum(t * t for t in x)
-            # theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2
-            theta = (2 * (j + 1) ** 2 + 1) * norm_sq / theta_unit
-        except OverflowError:
-            break
+        norm_sq += sum(t * t for t in x)
+        # theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2, read as 1 where it is past 1
+        theta = min((2 * (j + 1) ** 2 + 1) * norm_sq, theta_unit) / theta_unit
         if not theta < tol:
             beyond = None if theta < 1 else _past_the_limit(ms, j + 1, proven)
             climb = beyond is None
             break
         thetas.append(theta)
+        try:
+            y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
+        except OverflowError:  # every weight from size j + 1 on is past 2^1024
+            y_row = [math.inf]
+        row_norms.append(math.hypot(*y_row))
     out = []
     for m in grid:
         if m > len(thetas):
             out.append(beyond)
             continue
         theta = thetas[m - 1]
+        hs = math.hypot(*row_norms[:m])
+        if not sys.float_info.min <= hs < math.inf:
+            out.append(PrecisionError(f"a weight of {hs} is outside the normal f64 range"))
+            continue
+        hs_eps = (theta / 2 + 6 * 2.0**-53 + m * 2.0**-1074 / hs) / (1 - theta)
         sigma = float(np.linalg.norm(y[:m, :m], 2))
         try:
-            lam = (1 / sigma) ** 2 if 0 < sigma < math.inf else 0.0
+            lam = (1 / sigma) ** 2
         except OverflowError:  # a lambda_min past the f64 range
             lam = math.inf
-        if not sys.float_info.min <= lam < math.inf:
-            out.append(None)
-            continue
         eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
-        hs = math.hypot(*row_norms[:m])
-        hs_eps = (theta / 2 + 6 * 2.0**-53 + m * 2.0**-1074 / hs) / (1 - theta)
+        if not sys.float_info.min <= lam < math.inf:
+            lam, eps = None, math.inf
         out.append(GradedItem(lam, eps, bits, hs, hs_eps))
     if climb and 2 * bits <= RETRY_CAP_BITS:
         rest = [i for i, m in enumerate(grid) if m > len(thetas)]
@@ -638,21 +653,24 @@ class ProfileEntry:
     entry: the rung of the graded run that certified lambda_min (128,
     ``GRADED_BITS``, or a climb to 256, 512, ...), else 53 when lambda_max
     is certified, else the rung of the graded run behind ``hs_norm_b``;
-    None means the exact factor gave ``hs_norm_b``, or no path gave a value.
+    None means the exact factor of a rational sequence gave ``hs_norm_b``,
+    or no path gave a value.
 
     An entry that asks for lambda_min or hs_norm_b at a size the graded run
-    proves not positive definite reports ``error:PositivityError``; one
-    that asks for an extreme no path certifies is ``lambda-min-unresolved``.
+    proves not positive definite reports ``error:PositivityError``, and one
+    that asks for hs_norm_b where the weight is outside the normal f64 range
+    ``error:PrecisionError``; one that asks for an extreme or the weight and
+    gets no value is ``lambda-min-unresolved``.
 
     ``hs_norm_b`` of an f64 or big-float sequence is ||Y_M||_F of the graded
     run, at the rung that certified it (the rung lambda_min reports when
-    both are asked for), wherever its bound is at most ``LAMBDA_MAX_TOL``.
-    That of a rational sequence, and of a size the graded path declines, is
-    the exact weight of the rational sibling, read off one exact factor:
-    that of the largest such size up to ``ESCALATE_MAX_N`` whose own factor
-    succeeds.  Every such size above it reports the error of its own factor
-    (a :class:`PositivityError` past the exact positive-definite limit),
-    and every one below it reads its leading block (module docstring).
+    both are asked for), wherever its bound is at most ``LAMBDA_MAX_TOL``,
+    and nothing else.  That of a rational sequence is its exact weight,
+    read off one exact factor: that of the largest size up to
+    ``ESCALATE_MAX_N`` whose own factor succeeds.  Every size above it
+    reports the error of its own factor (a :class:`PositivityError` past
+    the exact positive-definite limit), and every one below it reads its
+    leading block (module docstring).
     """
 
     n: int
@@ -721,17 +739,16 @@ def lambda_profile(
     of the scaled f64 truncation, where its relative bound eps = (4 N u
     ||H||_F + N^2 2^-1074) / lambda (u = 2^-53) is at most
     ``LAMBDA_MAX_TOL`` (:func:`_certified_lambda_max`).  An entry that asks
-    for an extreme it cannot certify is marked unresolved rather than
-    silently degraded.  Above ``ESCALATE_MAX_N`` there is no graded run and
-    no exact factor, so lambda_min and hs_norm_b get no value there.  The
-    graded run, behind lambda_min and, for a sequence that is not rational,
-    hs_norm_b, nests, so it runs once per grid, at its largest size, and
-    every entry reads its leading block (module docstring); so does the
-    exact factor behind the hs_norm_b of a rational sequence and of a size
-    the graded run declines (:func:`_hs_norms`).  A size the graded run
-    proves not positive definite takes its error for hs_norm_b too, with
-    no factor.  Interlacing of the reliable extremes is enforced as a
-    postcondition.
+    for an extreme or the weight it cannot certify is marked unresolved
+    rather than silently degraded.  Above ``ESCALATE_MAX_N`` there is no
+    graded run and no exact factor, so lambda_min and hs_norm_b get no
+    value there.  The graded run, behind lambda_min and the hs_norm_b of a
+    sequence that is not rational, nests, so it runs once per grid, at its
+    largest size, and every entry reads its leading block (module
+    docstring); so does the exact factor behind the hs_norm_b of a rational
+    sequence (:func:`_hs_norms`).  A size the graded run proves not
+    positive definite takes its error for hs_norm_b too.  Interlacing of
+    the reliable extremes is enforced as a postcondition.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if not n_grid or n_grid[0] < 1:
@@ -743,14 +760,14 @@ def lambda_profile(
     graded_hs = "hs_norm_b" in quantities and ms.backend.kind != RATIONAL
     if eligible and ("lambda_min" in quantities or graded_hs):
         graded = dict(zip(eligible, _graded_lambda_min(ms, eligible)))
-    if "hs_norm_b" in quantities:
-        if graded_hs:
-            for n, item in graded.items():
-                if isinstance(item, Exception):
-                    hs[n] = item
-                elif item is not None and item.hs_eps <= LAMBDA_MAX_TOL:
-                    hs[n] = item.hs_norm_b, item.bits
-        hs |= _hs_norms(ms.with_backend(RATIONAL_BACKEND), [n for n in eligible if n not in hs])
+    if graded_hs:
+        for n, item in graded.items():
+            if isinstance(item, Exception):
+                hs[n] = item
+            elif item is not None and item.hs_eps <= LAMBDA_MAX_TOL:
+                hs[n] = item.hs_norm_b, item.bits
+    elif "hs_norm_b" in quantities:
+        hs = _hs_norms(ms, eligible)
     # an entry reports no lambda_min it did not ask for
     min_items = graded if "lambda_min" in quantities else {}
     entries = [
@@ -818,13 +835,11 @@ def _certified_lambda_max(ms, n):
 
 
 def _hs_norms(ms, grid):
-    """{n: (hs_norm_b, None) or the error of its factor} over ``grid``: every
-    size of a rational sequence, and the sizes whose weight the graded run
-    of a float sequence declines (a size it proves not positive definite
-    already holds its error).
+    """{n: (hs_norm_b, None) or the error of its factor} over ``grid``, for
+    a rational sequence ``ms``.
 
-    ``ms`` is the rational sibling, whose :func:`~.orthopoly.factor` is exact
-    (no precision bits): a size past the exact positive-definite limit
+    Its :func:`~.orthopoly.factor` is exact (no precision bits): a size
+    past the exact positive-definite limit
     reports its :class:`PositivityError`, and a family without rational
     moments a :class:`BackendError`.  Walks the grid from the largest size
     down and factors only a size that no successful factor covers yet;
@@ -882,12 +897,13 @@ def _read(item):
 def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
     """One grid point; ``graded_item`` is its item from
     :func:`_graded_lambda_min` when the entry asks for lambda_min, and
-    ``hs_item`` its (hs_norm_b, bits) from the graded run or
-    :func:`_hs_norms`, or the error of the graded run or of its factor
-    (None where no grid function ran for it).  lambda_max, the certified
-    ``eigvalsh`` value (:func:`_certified_lambda_max`), is read first, so an
-    entry whose graded item is an error keeps it; lambda_min is the graded
-    value where its bound holds, else None.  An extreme asked for and
+    ``hs_item`` its (hs_norm_b, bits) from the graded run or, for a rational
+    sequence, :func:`_hs_norms`, or the error of the graded run or of its
+    factor (None where no value was certified or no grid function ran for
+    it).  lambda_max, the certified ``eigvalsh`` value
+    (:func:`_certified_lambda_max`), is read first, so an entry whose
+    graded item is an error keeps it; lambda_min is the graded value where
+    its bound holds, else None.  An extreme or the weight asked for and
     missing leaves the entry unresolved."""
     lam_min = lam_max = hs = trace = None
     bits_used = None
@@ -904,19 +920,19 @@ def _profile_entry(ms, n, quantities, graded_item, hs_item) -> ProfileEntry:
             lam_max = _certified_lambda_max(ms, n)
             if lam_max is not None:
                 bits_used = 53
-        graded = _read(graded_item)
+        # a weight outside the f64 range puts lambda^ outside it too: declined
+        graded = None if isinstance(graded_item, PrecisionError) else _read(graded_item)
         if graded is not None and graded.eps <= LAMBDA_MAX_TOL:
             lam_min, bits_used = graded.lambda_min, graded.bits
-        if ("lambda_min" in quantities and lam_min is None) or (
-            "lambda_max" in quantities and lam_max is None
-        ):
-            status = "lambda-min-unresolved"
 
         hs_item = _read(hs_item)
         if hs_item is not None:
             hs, hs_bits = hs_item
             if bits_used is None:
                 bits_used = hs_bits
+        asked = {"lambda_min": lam_min, "lambda_max": lam_max, "hs_norm_b": hs}
+        if any(asked[q] is None for q in asked if q in quantities):
+            status = "lambda-min-unresolved"
     except _ENTRY_ERRORS as err:
         status = f"error:{type(err).__name__}"
     return ProfileEntry(

@@ -189,6 +189,30 @@ def test_classify_infinite_trace_is_written_as_a_string(tmp_path, run):
     assert result["trace_partial"] == "inf" and result["positive_definite_up_to"] == 4
 
 
+_TEN_400 = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "weight, backend, weights",
+    [(_TEN_400, "bigfloat:128", [7.071067811865475e-201, 1.5811388300841897e-200]),
+     ("1/" + _TEN_400, "f64", [7.071067811865475e199, 1.5811388300841897e200])],
+    ids=["heavy", "light"],
+)
+def test_spectrum_two_spikes_report_the_graded_weight(tmp_path, run, weight, backend, weights):
+    # weight w at -1/2 and 1/2: lambda_min(H_N) is outside the f64 range and
+    # declined, while the weight of the same size comes from the 128-bit
+    # graded run.  (m_0 = 2e400 of the heavy measure has no f64 value.)
+    measure = {"points": ["-1/2", "1/2"], "weights": [weight, weight]}
+    cfg = write(tmp_path / "s.json", {"family": {"family": "discrete", "params": measure},
+                                      "backend": backend, "n_grid": [1, 2]})
+    code, _, _ = run("spectrum", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0
+    report = read_report(tmp_path / "o" / "spectrum_report.json")
+    entries = report["results"]["profile"]["entries"]
+    assert [(e["lambda_min"], e["hs_norm_b"]) for e in entries] == [(None, w) for w in weights]
+    assert report["precision"] == {"1": 128, "2": 128}
+
+
 def test_spectrum_csv_flags_an_unresolved_entry(tmp_path, run):
     # H_3 of (1, 2, 1, 0, 1) is indefinite: the row reports the
     # PositivityError and no value

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmoments import (
     Backend,
@@ -24,6 +26,8 @@ from hankelmoments import (
 )
 from hankelmoments.moments import partial_trace, positive_definite_limit
 from hankelmoments.triangular import ldl_positive_definite_limit
+
+from conftest import rational_points_and_weights
 
 RAT = RATIONAL_BACKEND
 
@@ -451,10 +455,25 @@ def test_positive_definite_limit_is_the_full_block_limit(family, sizes):
 
 
 def test_positive_definite_limit_stops_at_the_first_failing_block():
-    # six points fail at H_7, inside the first block of 8: only m_0 .. m_14 are formed
+    # explicit data of six points fail at H_7, inside the first block of 8:
+    # m_0 .. m_14 are all it reads, so it needs no value past them; a
+    # discrete measure answers in closed form and forms no moment at all
+    values = seq(Discrete(SIX_POINTS)).moments(15)
+    assert positive_definite_limit(seq(Explicit(tuple(values)), F64_BACKEND), 64) == 6
     ms = seq(Discrete(SIX_POINTS), F64_BACKEND)
     assert positive_definite_limit(ms, 64) == 6
-    assert len(ms.with_backend(RAT)._cache) == 15
+    assert ms.with_backend(RAT)._cache == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_points_and_weights(max_points=10), st.integers(min_value=1, max_value=14))
+def test_discrete_positive_definite_limit_is_the_ldl_limit(measure, n):
+    # H_N of distinct points and positive weights is positive definite iff
+    # N <= the number of points; n runs on both sides of it
+    exact = seq(Discrete(measure)).moments(2 * n - 1)
+    assert positive_definite_limit(seq(Discrete(measure), F64_BACKEND), n) == (
+        ldl_positive_definite_limit(exact, n, Fraction(0))
+    )
 
 
 def test_classify_explicit_is_heuristic():

@@ -1013,6 +1013,16 @@ def test_small_f64_hilbert_grid_hs_norm_is_the_exact_weight(grid):
     assert entry.hs_norm_b == pytest.approx(ref, rel=1e-12, abs=0)
 
 
+def _two_spikes(weight):
+    """Weight ``weight`` at -1/2 and 1/2: H_1 = (2w), H_2 = diag(2w, w/2)."""
+    return Discrete(DiscreteMeasure((F(-1, 2), F(1, 2)), (weight, weight)))
+
+
+# lambda_min(H_1) = 2w is past the f64 range either way, the weights
+# sqrt(1/(2w)) and sqrt(5/(2w)) are not
+_SPIKES_400 = {"heavy": _two_spikes(F(10**400)), "light": _two_spikes(F(1, 10**400))}
+
+
 @pytest.mark.parametrize(
     "family, backend, grid, ref_backend",
     [
@@ -1021,18 +1031,40 @@ def test_small_f64_hilbert_grid_hs_norm_is_the_exact_weight(grid):
         (Gaussian(), F64_BACKEND, list(range(4, 41, 4)), RAT),
         (Gaussian(), bigfloat(256), list(range(4, 41, 4)), RAT),
         (LogNormal(1.0), F64_BACKEND, list(range(4, 29, 4)), bigfloat(1024)),
+    ] + [
+        (family, backend, [1, 2], RAT)
+        for family in _SPIKES_400.values() for backend in (F64_BACKEND, bigfloat(128))
     ],
-    ids=["hilbert", "legendre", "gaussian-f64", "gaussian", "lognormal"],
+    ids=["hilbert", "legendre", "gaussian-f64", "gaussian", "lognormal"] + [
+        f"{name}-spikes-{tag}" for name in _SPIKES_400 for tag in ("f64", "bigfloat:128")
+    ],
 )
 def test_graded_hs_norm_bound_covers_its_error(family, backend, grid, ref_backend):
     # ||Y_M||_F against the weight of the exact (or 1024-bit) factor, every
-    # size certified; Hilbert climbs to 256 and 512 bits
+    # size certified; Hilbert climbs to 256 and 512 bits.  An exact trace is
+    # rooted before it is rounded, since the two-spike traces are outside the
+    # f64 range (in range the root has the bytes of math.sqrt(float(q)))
     items = spectral._graded_lambda_min(MomentSequence(family, backend), grid)
     exact = factor(MomentSequence(family, ref_backend), grid[-1]).hs_norm_sq_b()
     for n, item in zip(grid, items):
         assert item.hs_eps <= spectral.LAMBDA_MAX_TOL, n
-        ref = math.sqrt(float(exact[n - 1]))
+        q = exact[n - 1]
+        ref = spectral._sqrt_to_float(q) if isinstance(q, F) else math.sqrt(float(q))
         assert abs(item.hs_norm_b / ref - 1) <= item.hs_eps, n
+
+
+@pytest.mark.parametrize("backend", [F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag())
+@pytest.mark.parametrize("name", _SPIKES_400)
+def test_weight_is_kept_where_lambda_min_is_declined(name, backend):
+    # the graded run declines lambda_min(H_N), outside the f64 range, and
+    # still reports the weight of the same size, at its rung, with no factor
+    ms = MomentSequence(_SPIKES_400[name], backend)
+    items = spectral._graded_lambda_min(ms, [1, 2])
+    assert [(item.lambda_min, item.eps) for item in items] == [(None, math.inf)] * 2
+    entries = lambda_profile(ms, [1, 2], ("lambda_min", "hs_norm_b")).entries
+    assert [(e.lambda_min, e.hs_norm_b, e.precision_bits, e.status) for e in entries] == [
+        (None, item.hs_norm_b, 128, "lambda-min-unresolved") for item in items
+    ]
 
 
 def test_declined_hs_norm_bound_still_covers_its_error():
@@ -1058,12 +1090,52 @@ def test_hs_norm_grid_keeps_the_single_size_statuses():
     assert all(e.hs_norm_b > 0 for e in entries[:3])
 
 
-def _two_spikes(weight):
-    """Weight ``weight`` at -1/2 and 1/2: H_1 = (2w), H_2 = diag(2w, w/2)."""
-    return Discrete(DiscreteMeasure((F(-1, 2), F(1, 2)), (weight, weight)))
-
-
 _ALL_BACKENDS = [RAT, F64_BACKEND, bigfloat(128)]
+
+
+@pytest.mark.parametrize(
+    "family, backend",
+    [(PowerLog(1), F64_BACKEND), (PowerLog(F(1, 2)), F64_BACKEND), (Gaussian(), F64_BACKEND),
+     (Gegenbauer(F(3)), F64_BACKEND)]
+    + [(LogNormal(sigma), bigfloat(64)) for sigma in (0.3, 1.0, 2.0, 3.0)]
+    + [(spikes, backend) for spikes in _SPIKES_400.values()
+       for backend in (F64_BACKEND, bigfloat(128))],
+    ids=["hilbert", "powerlog-half", "gaussian", "gegenbauer3", "lognormal-0.3", "lognormal-1",
+         "lognormal-2", "lognormal-3", "heavy-spikes-f64", "heavy-spikes-bigfloat:128",
+         "light-spikes-f64", "light-spikes-bigfloat:128"],
+)
+def test_float_weight_has_one_source(monkeypatch, family, backend):
+    # a float sequence takes its weight from the graded run alone: the
+    # profile factors nothing and never reaches the exact weight
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float weight read the exact factor")
+
+    monkeypatch.setattr(spectral, "factor", refuse)
+    monkeypatch.setattr(spectral, "_hs_norms", refuse)
+    grid = [1, 2] if family.name == "discrete" else list(range(8, 65, 8))
+    entries = lambda_profile(MomentSequence(family, backend), grid).entries
+    assert all(e.hs_norm_b is not None for e in entries)
+
+
+@pytest.mark.parametrize("backend", [F64_BACKEND, RAT], ids=lambda b: b.tag())
+def test_weight_asked_for_and_not_given_is_unresolved(backend):
+    # above ESCALATE_MAX_N no path gives the weight, so an entry that asks
+    # for it is unresolved
+    ms = MomentSequence(PowerLog(1), backend)
+    entry = lambda_profile(ms, [80], ("hs_norm_b",)).entries[0]
+    assert (entry.hs_norm_b, entry.status) == (None, "lambda-min-unresolved")
+
+
+def test_reliable_lambda_min_survives_a_declined_weight(monkeypatch):
+    # a declined weight leaves the entry unresolved; its certified lambda_min
+    # stays reliable
+    monkeypatch.setattr(spectral, "_hs_norms", lambda ms, grid: {})
+    profile = lambda_profile(MomentSequence(PowerLog(1), RAT), [4, 8], ("lambda_min", "hs_norm_b"))
+    assert [(e.hs_norm_b, e.status) for e in profile.entries] == [
+        (None, "lambda-min-unresolved")
+    ] * 2
+    assert profile.reliable("lambda_min") == [(e.n, e.lambda_min) for e in profile.entries]
+    assert all(value > 0 for _, value in profile.reliable("lambda_min"))
 
 
 @pytest.mark.parametrize("backend", _ALL_BACKENDS, ids=lambda b: b.tag())
