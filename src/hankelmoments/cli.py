@@ -31,7 +31,7 @@ from jsonschema.validators import validator_for
 from . import __version__
 from .backends import Backend, BackendError, HankelError, to_float
 from .hankel import default_k_grid, matvec_fft, matvec_naive, power_decay_domain
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, EmptyMeasureError
 from .moments import Discrete, Explicit, MissingMomentError, MomentSequence, classify
 from .orthopoly import factor, recurrence
 from .serialize import (
@@ -49,6 +49,7 @@ from .extremal import (
     HypothesisViolationError,
     kernel_vector_check,
     perturbation_check,
+    remove_masses,
 )
 
 EXIT_OK = 0
@@ -186,9 +187,10 @@ def run_extremal(config: dict, report: dict):
     measure = DiscreteMeasure.from_json(config["measure"])
     _require_finite_data(Discrete(measure))
     remove = config["remove"]
-    for idx in remove:
-        if idx >= measure.size:
-            raise ConfigError(f"removal index {idx} out of range for {measure.size} points")
+    try:  # in range, distinct and not every point, by the same rule as the checks
+        remove_masses(measure, remove)
+    except (IndexError, ValueError, EmptyMeasureError) as err:
+        raise ConfigError(str(err)) from None
     backend = Backend.parse(config.get("backend", "rational"))
     n = config.get("n", measure.size)
 

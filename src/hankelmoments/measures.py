@@ -37,12 +37,12 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_lists(points, weights) -> "DiscreteMeasure":
-        pts = [parse_number(x) for x in points]
-        wts = [parse_number(w) for w in weights]
-        order = sorted(range(len(pts)), key=lambda i: pts[i])
-        return DiscreteMeasure(
-            tuple(pts[i] for i in order), tuple(wts[i] for i in order)
-        )
+        """The measure of the given points and weights, sorted by point; the
+        lists must have equal length (checked before the sort pairs them)."""
+        if len(points) != len(weights):
+            raise ValueError(f"{len(points)} points and {len(weights)} weights: lengths differ")
+        pairs = sorted(zip(map(parse_number, points), map(parse_number, weights)), key=lambda p: p[0])
+        return DiscreteMeasure(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
 
     @property
     def size(self) -> int:

@@ -3,13 +3,14 @@
 ``factor`` peels the truncation into ``C = D^{1/2} U`` (unit upper triangular
 ``U``, positive pivots ``D``) so that ``C^t C`` reproduces the matrix and
 ``B = C^{-1}`` carries the polynomial coefficients: column ``n`` of ``B``
-holds the monomial coefficients of the n-th orthonormal polynomial.  The
-factorization is the O(N^2) Chebyshev algorithm of :mod:`.triangular`, which
-works on the moment block ``m_0 .. m_{2N-2}`` directly: it yields ``D`` and
-``U`` from the mixed moments, then ``U^{-1}`` (the monic polynomials) from
-the three-term recurrence, whose coefficients the factorization forms once
-and the pair keeps (:attr:`TriangularPair.monic_recurrence`).  A factor of
-a symmetric functional skips the entries that vanish by parity
+holds the monomial coefficients of the n-th orthonormal polynomial.  A
+rational factorization is the O(N^2) Chebyshev algorithm of
+:mod:`.triangular`, which works on the moment block ``m_0 .. m_{2N-2}``
+directly and yields ``D`` and ``U`` from the mixed moments; a float one reads
+them off the graded Cholesky (below).  Either way ``U^{-1}`` (the monic
+polynomials) follows from the three-term recurrence, whose coefficients are
+formed once and kept by the pair (:attr:`TriangularPair.monic_recurrence`).
+A factor of a symmetric functional skips the entries that vanish by parity
 (:mod:`.triangular`); the pair records that in ``symmetric``.  The
 recurrence is the one polynomial evaluator: :func:`recurrence` reads its
 orthonormal form in O(N), :meth:`TriangularPair.monic_values` runs it in the
@@ -20,23 +21,27 @@ pair's backend, for the life of the pair, and hands out copies.  Under the
 rational backend everything stays square-root-free and exact; identities
 are checked in that form.
 
-Hankel truncations of bounded-support families are notoriously ill
-conditioned (for measures on [0, 1], log2 of the condition number grows like
-5.05 N), so every float factorization, f64 input included, runs on a
-big-float precision ladder.  :func:`ladder` is the list of precisions that
-``factor`` walks; only ``factor`` walks it (the spectral profiles climb the
-rungs of their own graded run and factor only exact rational sequences).
-It starts at ``BITS_PER_DIM`` bits per dimension plus ``BASE_MARGIN_BITS``
-plus the exponent of the largest moment (raised to an explicit big-float
-backend's own precision) and doubles while it stays at or below
-``RETRY_CAP_BITS``; ``factor`` stops at the first rung that succeeds.  As
-no rung tells exhausted precision from a block that is not positive
-definite, it first reads the family's exact limit (:mod:`.moments`).
+Every float factor, f64 input included, is read off the graded Cholesky of
+:mod:`.spectral` (its module docstring derives the bounds): H = S A S with
+S^-1 = diag(r_k), A = L L^t on Python ints, and X L = I + R row by row.
+:func:`graded_rows` is that row loop, the one both the lambda_min path and
+``factor`` iterate.  ``factor`` climbs its rungs from ``GRADED_BITS`` (or an
+explicit big-float backend's own precision), doubling, until the bounds of
+the pivots, alpha and beta lie below the output precision (2^-53 for f64,
+2^-b for ``bigfloat:b``) with ``FACTOR_MARGIN_BITS`` to spare, and stops with
+a :class:`~.backends.PrecisionError` past ``RETRY_CAP_BITS``.  No rung tells
+exhausted precision from a block that is not positive definite, so it first
+reads the family's exact limit (:mod:`.moments`).  Rational input takes the
+Chebyshev algorithm of :mod:`.triangular`, exactly.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 
@@ -45,6 +50,8 @@ from .backends import (
     RATIONAL,
     Backend,
     F64_BACKEND,
+    HankelError,
+    PrecisionError,
     bigfloat,
     dot,
     three_term,
@@ -59,41 +66,124 @@ from .triangular import (
 )
 
 
-BITS_PER_DIM = 6
-BASE_MARGIN_BITS = 64
-RETRY_CAP_BITS = 65536
+GRADED_BITS = 128  # first rung of every float computation
+RETRY_CAP_BITS = 65536  # last rung
+FACTOR_MARGIN_BITS = 8  # a float factor's bounds lie this far below its output precision
 
 
-def ladder(ms: MomentSequence, n: int) -> list[int]:
-    """Big-float precisions to try for the N x N truncation, cheapest first.
+# ---------------------------------------------------------------------------
+# the graded Cholesky
+# ---------------------------------------------------------------------------
 
-    Starts at BITS_PER_DIM * N + BASE_MARGIN_BITS plus ceil(log2 max |m_j|)
-    (at least 64), raised to the precision of an explicit big-float backend,
-    and doubles while at most RETRY_CAP_BITS; empty when the start already
-    exceeds the cap.
+
+def guard_bits(n):
+    """2 ceil(log2 N): the headroom of the N x N fixed-point rounding errors."""
+    return 2 * (n - 1).bit_length()
+
+
+def graded_frac(bits, n):
+    """p = bits + 2 ceil(log2 N) + 8, the fixed-point format of a graded run
+    of size N at rung ``bits``."""
+    return bits + guard_bits(n) + 8
+
+
+def _round_shift(man, exp):
+    """round(man * 2^exp) for ints ``man`` and ``exp`` (halves rounded up)."""
+    if exp >= 0:
+        return man << exp
+    return (man + (1 << (-exp - 1))) >> -exp
+
+
+def _round_div(num, den):
+    """round(num / den) for ints, den > 0 (halves rounded up)."""
+    return (2 * num + den) // (2 * den)
+
+
+# Row j of a graded run: row j of L~ (its diagonal last) and of X~, ints at
+# 2^-p; r_j = man 2^exp as ``scale = (man, exp)``; theta_{j+1} as the int
+# ``theta`` at 2^-(2p + bits); ``step`` 2 where the moments read so far are
+# those of a symmetric functional, whose parity zeros the row skipped, else 1.
+GradedRow = namedtuple("GradedRow", "chol x scale theta step")
+
+
+class GradedStop(HankelError):
+    """A graded run ended before its last row, at size ``size``.
+
+    ``definite``: the run's theta_M reached its tolerance below 1, which
+    proves the leading block positive definite.  Else an even moment or a
+    pivot was not positive, or theta_M >= 1, which proves nothing by itself.
     """
-    bits = max(BITS_PER_DIM * n + BASE_MARGIN_BITS + _max_moment_log2(ms, 2 * n - 1), 64)
-    if ms.backend.kind == BIGFLOAT:
-        bits = max(bits, ms.backend.precision)
-    rungs = []
-    while bits <= RETRY_CAP_BITS:
-        rungs.append(bits)
-        bits *= 2
-    return rungs
+
+    def __init__(self, size: int, definite: bool = False):
+        super().__init__(f"the graded run stopped at size {size}")
+        self.size, self.definite = size, definite
 
 
-def _max_moment_log2(ms: MomentSequence, count: int) -> int:
-    """ceil(log2 max |m_j|) over j < count (0 when at most 1), probed at 64 bits.
+def graded_rows(ms: MomentSequence, top: int, bits: int, tol):
+    """The rows of the graded run of size ``top`` at rung ``bits``
+    (:mod:`.spectral`), each a :class:`GradedRow`; raises
+    :class:`GradedStop` where the run ends early, and the error of a moment
+    that cannot be read.
 
-    The probe reads the sequence's one 64-bit sibling, so the ladders of
-    every factor of one sequence compute each probe moment once.
+    H = S A S with S^-1 = diag(r_k), r_k = 1/sqrt(m_2k), from the moment
+    block at ``bits``; A is rounded to p = :func:`graded_frac` fractional
+    bits with unit diagonal, factored A = L L^t and inverted row by row (X L
+    = I + R) on Python ints, row j of X right after row j of L.  The run
+    stops at the first theta_M >= ``tol`` (a float or a Fraction, compared
+    exactly), theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2.
+
+    Where the moments read so far are those of a symmetric functional
+    (:func:`~.triangular.parity_holds`, carried from row to row, so each
+    odd moment is compared to 0 once per run), A~_jk, L~_jk and X~_jk are
+    exact zeros for odd j + k, and row j forms only its entries of the
+    parity of j: the ints are those of the full loops.
     """
-    probe = ms.with_backend(bigfloat(64))
-    with mpmath.workprec(64):
-        top = max(abs(probe.moment(j)) for j in range(count))
-        if top <= 1:
-            return 0
-        return int(mpmath.ceil(mpmath.log(top, 2)))
+    work = ms.with_backend(bigfloat(bits))
+    frac = graded_frac(bits, top)
+    tol = Fraction(tol)
+    mul = operator.mul
+    one_sq = 1 << (2 * frac)  # 1 at the scale of a product of two entries
+    theta_unit = 1 << (2 * frac + bits)
+    block, scale, chol, cols = [], [], [], []
+    norm_sq = 0  # ||X||_F^2 of the rows so far, at 2^(-2 frac)
+    symmetric = True  # parity_holds(block, j + 1), carried from row to row
+    for j in range(top):
+        with mpmath.workprec(bits):
+            block += [work.moment(i) for i in range(len(block), 2 * j + 1)]
+        if not block[2 * j] > 0:
+            raise GradedStop(j + 1)
+        with mpmath.workprec(frac):
+            scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
+        mj, ej = scale[j]
+        # entries with j + k odd vanish for a symmetric functional: skip them;
+        # the only odd moment new to row j is m_{2j-1}, the last of the pair
+        symmetric = symmetric and parity_holds(block[2 * j - 2 : 2 * j], 2)
+        first, step = (j % 2, 2) if symmetric else (0, 1)
+        row = [0] * j
+        for k in range(first, j, step):
+            mk, ek = scale[k]
+            sign, man, exp, _ = block[j + k]._mpf_
+            man *= mj * mk
+            a = _round_shift(-man if sign else man, exp + ej + ek + frac)
+            dots = sum(map(mul, row[first:k:step], chol[k][first:k:step]))
+            row[k] = _round_div((a << frac) - dots, chol[k][k])
+        pivot = one_sq - sum(t * t for t in row[first::step])
+        if pivot <= 0:
+            raise GradedStop(j + 1)
+        row.append(math.isqrt(pivot))
+        chol.append(row)
+        for col, t in zip(cols, row):
+            col.append(t)
+        cols.append([row[j]])
+        x = [0] * (j + 1)
+        x[j] = _round_div(one_sq, row[j])
+        for k in range(j - step, -1, -step):
+            x[k] = _round_div(-sum(map(mul, x[k + step :: step], cols[k][step::step])), cols[k][0])
+        norm_sq += sum(t * t for t in x)
+        theta = (2 * (j + 1) ** 2 + 1) * norm_sq
+        if theta * tol.denominator >= tol.numerator * theta_unit:
+            raise GradedStop(j + 1, definite=theta < theta_unit)
+        yield GradedRow(row, x, scale[j], theta, step)
 
 
 @dataclass(frozen=True)
@@ -101,14 +191,18 @@ class TriangularPair:
     """Factorization data: matrix = U^t diag(pivots) U, plus the inverse of U.
 
     ``backend`` is the scalar backend of the stored entries; ``precision_bits``
-    records the mantissa actually used (the ladder rung, None for exact data).
+    records the mantissa actually used (the graded rung, None for exact data).
     ``symmetric`` records that the factorization skipped the entries that
     vanish by parity (:mod:`.triangular`); readers of the pair may skip them
     too.  ``monic_recurrence`` is (alpha_0..alpha_{N-2}, beta_1..beta_{N-1})
     of the monic recurrence, alpha_k = U[k][k+1] - U[k-1][k] and beta_k =
     d_k / d_{k-1}, in the pair's scalar backend (exactly for rational
     pairs): :func:`factor` passes the ones its factorization formed, and a
-    pair built without them forms them from ``U`` and ``D``.
+    pair built without them forms them from ``U`` and ``D``.  ``bounds`` is
+    (pivots, alpha, beta) of a float factor, entry by entry: the relative
+    bound of each pivot d_k and monic beta_k, and the absolute bound of each
+    alpha_k, against the exact factor (:mod:`.spectral` derives them); None
+    for exact data.
     """
 
     n: int
@@ -119,6 +213,7 @@ class TriangularPair:
     precision_bits: int | None
     symmetric: bool = False
     monic_recurrence: tuple | None = field(default=None, repr=False, compare=False)
+    bounds: tuple | None = field(default=None, repr=False, compare=False)
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,61 +274,97 @@ class TriangularPair:
 
 
 def factor(ms: MomentSequence, n: int) -> TriangularPair:
-    """Factor the N x N truncation on the precision ladder.
+    """Factor the N x N truncation: exactly for rational input, else off
+    the graded Cholesky.
 
-    Each attempt runs :func:`ldl_decompose` on the moment block and then
+    Rational input runs :func:`ldl_decompose` on the moment block and then
     :func:`invert_unit_upper`, both O(N^2), and hands the recurrence
-    coefficients the first formed to the second and to the pair.  Both skip
-    the parity zeros of a block whose odd moments all vanish
-    (:func:`~.triangular.parity_holds`).  Rational input stays exact.  Float
+    coefficients the first formed to the second and to the pair.  Float
     input past the exact limit (:func:`~.moments.positive_definite_limit`)
-    raises :class:`PositivityError` at its dimension; other float input
-    tries each rung of :func:`ladder` until the pivots come out positive,
-    and the pair is a big float at that rung.  Failure on every rung raises
-    it flagged ``precision_suspect``; an empty ladder names ``RETRY_CAP_BITS``.
+    raises :class:`PositivityError` at its dimension.  Other float input
+    climbs the rungs of :func:`graded_rows` from ``GRADED_BITS``, or the
+    precision of a big-float backend if larger, doubling, until (2N + 1)
+    theta_N <= 2^-(out + FACTOR_MARGIN_BITS), out = 53 for f64 and b for
+    ``bigfloat:b``; every stop below that climbs, since the block is
+    positive definite.  The pair is a big float at that rung, with its
+    bounds (:func:`_graded_pair`).  No rung up to ``RETRY_CAP_BITS`` raises
+    :class:`~.backends.PrecisionError`, and a moment that cannot be read
+    raises its error.  Both paths skip the parity zeros of a block whose odd
+    moments all vanish.
     """
     if n < 1:
         raise ValueError("factorization size must be >= 1")
-
     if ms.backend.kind == RATIONAL:
-        rungs = [(ms, None)]
-    else:
-        d = positive_definite_limit(ms, n) + 1
-        if d <= n:
-            raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
-        rungs = [(ms.with_backend(bigfloat(bits)), bits) for bits in ladder(ms, n)]
+        block = ms.moments(2 * n - 1)
+        symmetric = parity_holds(block, n)
+        factors = ldl_decompose(block, n, ms.backend.zero(), symmetric=symmetric)
+        return _pair(ms.backend, *factors, None, symmetric)
+    d = positive_definite_limit(ms, n) + 1
+    if d <= n:
+        raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
+    out = ms.backend.precision if ms.backend.kind == BIGFLOAT else 53
+    tol = Fraction(1, (2 * n + 1) << (out + FACTOR_MARGIN_BITS))
+    bits = max(GRADED_BITS, out)
+    while bits <= RETRY_CAP_BITS:
+        try:
+            return _graded_pair(list(graded_rows(ms, n, bits, tol)), bits)
+        except GradedStop:
+            bits *= 2
+    raise PrecisionError(f"no rung up to RETRY_CAP_BITS = {RETRY_CAP_BITS} bits bounds "
+                         f"the {n}x{n} factor to 2^-{out}")
 
-    last_err = None
-    for work, bits in rungs:
-        backend = work.backend
-        with backend.context():
-            block = work.moments(2 * n - 1)
-            symmetric = parity_holds(block, n)
-            try:
-                unit_upper, pivots, alpha, beta = ldl_decompose(
-                    block, n, backend.zero(),
-                    precision_suspect=backend.kind == BIGFLOAT, symmetric=symmetric,
-                )
-            except PositivityError as err:
-                last_err = err
-                continue
-            inv = invert_unit_upper(alpha, beta, n, backend.zero(), symmetric=symmetric)
-        return TriangularPair(
-            n, backend,
-            tuple(tuple(r) for r in unit_upper),
-            tuple(pivots),
-            tuple(tuple(r) for r in inv),
-            bits,
-            symmetric,
-            (tuple(alpha), tuple(beta)),
+
+def _graded_pair(rows, bits) -> TriangularPair:
+    """The pair read off the complete graded run ``rows`` at ``bits``, with
+    its bounds (:mod:`.spectral`).
+
+    With L^ = L~ 2^-p and S^-1 = diag(r_k): d_k = (L^_kk / r_k)^2 and U[k][l]
+    = L~_lk r_k / (L~_kk r_l), each from exact ints in two roundings at
+    ``bits``; alpha and beta as the monic recurrence forms them, and U^-1
+    from :func:`invert_unit_upper`.  The bounds are formed at 53 bits.
+    """
+    n = len(rows)
+    frac = graded_frac(bits, n)
+    step = rows[-1].step
+    backend = bigfloat(bits)
+    zero = backend.zero()
+    with backend.context():
+        unit_upper = [[zero] * n for _ in range(n)]
+        pivots = []
+        for k, row in enumerate(rows):
+            (mk, ek), lkk = row.scale, row.chol[k]
+            pivots.append(mpmath.ldexp(mpmath.mpf(lkk * lkk) / (mk * mk), -2 * (frac + ek)))
+            unit_upper[k][k] = zero + 1
+            for l in range(k + step, n, step):
+                ml, el = rows[l].scale
+                unit_upper[k][l] = mpmath.ldexp(mpmath.mpf(rows[l].chol[k] * mk) / (lkk * ml), ek - el)
+        alpha = [monic_alpha(unit_upper, k) for k in range(n - 1)]
+        beta = [pivots[k] / pivots[k - 1] for k in range(1, n)]
+    with mpmath.workprec(53):
+        spare = mpmath.ldexp(1, 3 - bits)  # the roundings of the read-off
+        thetas = [mpmath.ldexp(row.theta, -2 * frac - bits) for row in rows]
+        logs = [-mpmath.log1p(-t) for t in thetas]
+        phis = [t / (mpmath.sqrt(2) * (1 - t)) for t in thetas]
+        roots = [0] + [mpmath.sqrt(b) for b in beta]
+        bounds = (
+            tuple(mpmath.expm1((2 * k + 1) * logs[k]) + spare for k in range(n)),
+            tuple((roots[k] + roots[k + 1]) * phis[k + 1] / (1 - phis[k + 1])
+                  + spare * (abs(unit_upper[k][k + 1]) + (abs(unit_upper[k - 1][k]) if k else 0))
+                  for k in range(n - 1)),
+            tuple(mpmath.expm1(4 * k * logs[k]) + spare for k in range(1, n)),
         )
-    tried = ", ".join("exact" if bits is None else f"{bits} bits" for _, bits in rungs)
-    raise PositivityError(
-        last_err.dimension if last_err else n,
-        f"{last_err} (tried: {tried})" if last_err
-        else f"the precision ladder has no rung at or below RETRY_CAP_BITS = {RETRY_CAP_BITS} bits",
-        precision_suspect=ms.backend.kind != RATIONAL,
-    )
+    return _pair(backend, unit_upper, pivots, alpha, beta, bits, step == 2, bounds)
+
+
+def _pair(backend, unit_upper, pivots, alpha, beta, bits, symmetric, bounds=None) -> TriangularPair:
+    """The pair of a factorization in ``backend``, U^-1 from its recurrence
+    (:func:`invert_unit_upper`)."""
+    n = len(pivots)
+    with backend.context():
+        inv = invert_unit_upper(alpha, beta, n, backend.zero(), symmetric=symmetric)
+    return TriangularPair(n, backend, tuple(map(tuple, unit_upper)), tuple(pivots),
+                          tuple(map(tuple, inv)), bits, symmetric, (tuple(alpha), tuple(beta)),
+                          bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +396,16 @@ class RecurrenceCoeffs:
     """x P_n = beta_{n+1} P_{n+1} + alpha_n P_n + beta_n P_{n-1}.
 
     ``alpha[n]`` holds alpha_n for n < N-1; ``beta[n]`` holds beta_{n+1}.
+    ``alpha_bound[n]`` bounds the error of ``alpha[n]``, absolute, and
+    ``beta_bound[n]`` that of ``beta[n]``, relative, against the exact
+    truncation; both are None for a rational pair, whose values are the
+    exact ones rounded once.
     """
 
     alpha: list
     beta: list
+    alpha_bound: list | None = None
+    beta_bound: list | None = None
 
 
 def recurrence(tp: TriangularPair) -> RecurrenceCoeffs:
@@ -278,14 +415,23 @@ def recurrence(tp: TriangularPair) -> RecurrenceCoeffs:
     with alpha_n = U[n][n+1] - U[n-1][n] and b_n = d_n / d_{n-1}; normalizing
     by P_n = pi_n / sqrt(d_n) keeps alpha_n and gives beta_{n+1} =
     sqrt(d_{n+1} / d_n).  Both are formed in the pair's backend (exactly for
-    rational pairs) and then converted to the numeric view.
+    rational pairs) and then converted to the numeric view.  A float pair's
+    alpha keeps its bound; a relative bound g of b_n becomes g / (1 +
+    sqrt(1 - g)) for its root, plus the rounding of the root.
     """
     if tp.n < 3:
         raise ValueError("recurrence extraction needs N >= 3")
     vb = tp._view_backend()
     alpha, ratios = tp.monic_recurrence
+    bounds = {}
+    if tp.bounds is not None:
+        with mpmath.workprec(53):
+            root = mpmath.ldexp(1, -tp.precision_bits)  # the rounding of the root
+            bounds = {"alpha_bound": list(tp.bounds[1]),
+                      "beta_bound": [g / (1 + mpmath.sqrt(1 - g)) + root for g in tp.bounds[2]]}
     with vb.context():
         return RecurrenceCoeffs(
             alpha=[vb.convert(a) for a in alpha],
             beta=[vb.sqrt(vb.convert(r)) for r in ratios],
+            **bounds,
         )

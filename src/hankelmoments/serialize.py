@@ -73,12 +73,15 @@ def triangular_pair_to_json(tp) -> dict:
 
 
 def recurrence_to_csv(rc, path) -> None:
-    """(n, alpha_n, beta_{n+1}) table of the three-term recurrence."""
+    """(n, alpha_n, beta_{n+1}) table of the three-term recurrence, with the
+    bound of each (absolute for alpha, relative for beta; empty for exact
+    data)."""
+    none = [None] * len(rc.alpha)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "alpha", "beta_next"])
-        for n, (a, b) in enumerate(zip(rc.alpha, rc.beta)):
-            writer.writerow([n, _csv_cell(a), _csv_cell(b)])
+        writer.writerow(["n", "alpha", "beta_next", "alpha_bound", "beta_next_bound"])
+        for n, row in enumerate(zip(rc.alpha, rc.beta, rc.alpha_bound or none, rc.beta_bound or none)):
+            writer.writerow([n, *map(_csv_cell, row)])
 
 
 def dump_json(obj, path) -> None:

@@ -172,8 +172,9 @@ positive definite is final, as a singular truncation stops on theta_M >= 1
 or a pivot <= 0 at every rung and must not climb to the cap: every size from
 M on reports the :class:`~.triangular.PositivityError` of dimension M that
 the exact factor raises.  A non-positive even moment, a non-positive
-diagonal entry, takes the same test and error, and a stop on a moment error
-is final too.  Hilbert takes 128 bits up to N = 18, 256 bits for N = 19..43
+diagonal entry, is such a stop too, and a stop on a moment error is final.
+The row loop is :func:`~.orthopoly.graded_rows`, which a float factor
+iterates too (below).  Hilbert's lambda_min takes 128 bits up to N = 18, 256 bits for N = 19..43
 and 512 bits for N = 44..64.
 
 Where the moments a row reads are those of a symmetric functional (every
@@ -226,6 +227,51 @@ same operations whatever N is, so tr(H_M^-1) = ||B_M||_F^2 = sum_{j<M}
 is factored once, and each smaller one reads its leading block.  A size
 whose own factor fails keeps its error, and the next smaller size factors
 anew.
+
+A float factor (:func:`~.orthopoly.factor`) reads its pair off the same
+ints, from a run at its size N that completes: every theta_M below the
+tolerance the factor sets.  Let W = S L~.  The computed factor is exact for
+H^ = W W^t: C^ = W^t, so d^_k = W_kk^2 = (L~_kk / r_k)^2 and U^[k][l] = W_lk
+/ W_kk = L~_lk r_k / (L~_kk r_l).  And H = W (I - G) W^t, with G = L~^-1 dA'
+L~^-t and dA' = L~ L~^t - A'.  The entry bounds above give ||dA'||_F <= 2N^2
+v + 6N 2^-p (the N^2 2^-p of A^ drops out), and L~^-1 = (I + R)^-1 X~ gives
+||L~^-1||_2^2 <= ||X~||_F^2 / (1 - N 2^(-p-1))^2.
+So ||G_M||_F <= theta_M, with room to spare for that factor and for the
+rounding of theta_M to 53 bits.  W is lower triangular, so G_M is the
+leading block of G and H_M = W_M (I - G_M) W_M^t.
+
+* Pivots.  d_k = det H_{k+1} / det H_k, and det H_M = det(W_M)^2 det(I -
+  G_M).  The eigenvalues of I - G_M lie in [1 - theta_M, 1 + theta_M], and
+  1 + theta <= 1 / (1 - theta), so det(I - G_M) lies within (1 -
+  theta_M)^(+-M).  As theta_M grows with M, d_k / d^_k lies within (1 -
+  theta_{k+1})^(+-(2k+1)): the relative bound is expm1((2k + 1) l_{k+1}),
+  l_M = -log1p(-theta_M), about (2k + 1) theta_{k+1}.
+* beta.  beta_k = d_k / d_{k-1} is det H_{k+1} det H_{k-1} / (det H_k)^2,
+  within (1 - theta_{k+1})^(+-4k): the bound is expm1(4k l_{k+1}), about 4k
+  theta_{k+1}.  For the orthonormal beta_k = sqrt(b_k) of a monic b_k
+  within g relative, |sqrt(x) - 1| = |x - 1| / (1 + sqrt(x)) gives g / (1 +
+  sqrt(1 - g)) (:func:`~.orthopoly.recurrence`).
+* alpha.  The exact Cholesky factor of H is W K, where K K^t = I - G and K
+  is lower triangular.  Sun's bound (*BIT* 31, 1991) gives ||K - I||_F <=
+  ||G||_F / (sqrt 2 (1 - ||G||_2)) <= phi = theta / (sqrt 2 (1 - theta)).
+  The exact U is then V U^, where V = diag(W)^-1 diag(K)^-1 K^t diag(W) is
+  unit upper triangular, so U[k][k+1] = U^[k][k+1] + V_{k,k+1}, with
+  V_{k,k+1} = (K_{k+1,k} / K_kk) sqrt(b^_{k+1}) and b^_{k+1} = d^_{k+1} /
+  d^_k.  Hence alpha_k = U[k][k+1] - U[k-1][k] moves by at most (sqrt b^_k
+  + sqrt b^_{k+1}) phi / (1 - phi), phi taken at theta_{k+2}, the leading
+  block that holds both entries.
+* Read-off.  d^_k and U^[k][l] come from exact ints in two roundings at b
+  (int to mpf, and one division), beta^ from two pivots in one more, and
+  alpha^ from two entries of U^ in one more.  2^(3-b) covers them: relative
+  for the pivots and beta, and times |U^[k][k+1]| + |U^[k-1][k]| for alpha.
+
+The bounds are formed at 53 bits and kept by the pair
+(:attr:`~.orthopoly.TriangularPair.bounds`).  The factor climbs from
+``GRADED_BITS``, or b for ``bigfloat:b`` if larger, until (2N + 1) theta_N
+<= 2^-(out + ``FACTOR_MARGIN_BITS``), out = 53 for f64 and b for
+``bigfloat:b``, which puts every relative bound near 2^-(out + 8) or below:
+Hilbert at f64 takes 128 bits up to N = 12, 256 bits for N = 13..37 and 512
+bits for N = 38..64.
 """
 
 from __future__ import annotations
@@ -254,12 +300,22 @@ from .backends import (
     to_float,
 )
 from .moments import MissingMomentError, MomentSequence, partial_trace, positive_definite_limit
-from .orthopoly import RETRY_CAP_BITS, TriangularPair, eval_polys, factor
-from .triangular import PositivityError, parity_holds
+from .orthopoly import (
+    GRADED_BITS,
+    RETRY_CAP_BITS,
+    GradedStop,
+    TriangularPair,
+    _round_shift,
+    eval_polys,
+    factor,
+    graded_frac,
+    graded_rows,
+    guard_bits,
+)
+from .triangular import PositivityError
 
 ESCALATE_MAX_N = 64  # above this size a profile runs no graded run and no exact factor
 LAMBDA_MAX_TOL = 1e-12  # relative bound to report f64 lambda_max or graded lambda_min
-GRADED_BITS = 128  # first rung of the graded lambda_min
 _BRACKET_BITS = 64  # a positive extreme is bisected to 2^-64 relative at every rung
 _ENTRY_ERRORS = (PositivityError, BackendError, PrecisionError)  # reported as a status
 
@@ -267,16 +323,6 @@ _ENTRY_ERRORS = (PositivityError, BackendError, PrecisionError)  # reported as a
 # ---------------------------------------------------------------------------
 # symmetric eigenvalue extremes (fixed point on Python ints)
 # ---------------------------------------------------------------------------
-
-
-def _guard_bits(n):
-    """2 ceil(log2 N): the headroom of the N x N kernels' rounding errors."""
-    return 2 * (n - 1).bit_length()
-
-
-def _frac_bits(bits, n):
-    """p = bits + 64 + 2 ceil(log2 N) + 8, the fixed-point format of the block."""
-    return bits + _BRACKET_BITS + _guard_bits(n) + 8
 
 
 def householder_tridiagonalize(rows, n, frac_bits):
@@ -296,7 +342,7 @@ def householder_tridiagonalize(rows, n, frac_bits):
     dropping the part of the reflected column that the rounded alpha leaves
     below the off-diagonal.
     """
-    scale = frac_bits + _guard_bits(n) + 3
+    scale = frac_bits + guard_bits(n) + 3
     rnd = 1 << (scale - 1)
     mul = operator.mul
     block = [list(r[: i + 1]) for i, r in enumerate(rows)]
@@ -425,13 +471,6 @@ def extreme_eigenvalue(diag, off, which: str, bits: int):
     return (lo + hi) >> 1
 
 
-def _round_shift(man, exp):
-    """round(man * 2^exp) for ints ``man`` and ``exp`` (halves rounded up)."""
-    if exp >= 0:
-        return man << exp
-    return (man + (1 << (-exp - 1))) >> -exp
-
-
 def _to_fixed(x, shift):
     """round(x * 2^shift) for an mpf ``x``, exactly (halves rounded up)."""
     sign, man, exp, _ = x._mpf_
@@ -447,7 +486,7 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max"
     ``bits``.
     """
     work = ms.with_backend(bigfloat(bits))
-    frac_bits = _frac_bits(bits, n)
+    frac_bits = graded_frac(bits + _BRACKET_BITS, n)
     with mpmath.workprec(bits):
         block = work.moments(2 * n - 1)
     e = max((m.exp + m.bc for m in block if m), default=0)
@@ -462,11 +501,6 @@ def bigfloat_extremes(ms: MomentSequence, n: int, bits: int, which=("min", "max"
             else None
             for end in ("min", "max")
         )
-
-
-def _round_div(num, den):
-    """round(num / den) for ints, den > 0 (halves rounded up)."""
-    return (2 * num + den) // (2 * den)
 
 
 def _scaled_float(num, exp):
@@ -503,14 +537,11 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     """Graded lambda_min of every truncation size in ``grid``, from one run
     per rung, the first at ``bits``.
 
-    H = S A S with S^-1 = diag(r_k), r_k = 1/sqrt(m_2k), from the moment
-    block at ``bits``; A is rounded to p = bits + 2 ceil(log2 N) + 8
-    fractional bits with unit diagonal, N the largest size, factored A = L
-    L^t and inverted row by row (X L = I + R) on Python ints, row j of X
-    right after row j of L.  Size M reads the leading blocks (module
-    docstring): theta_M from the running sum of ||X||_F^2 and lambda_min =
-    1/||Y_M||_2^2, the norm by LAPACK on the leading M x M block of the f64
-    rounding Y of X S^-1.
+    The rows are those of :func:`~.orthopoly.graded_rows` at the largest
+    size N.  Size M reads the leading blocks (module docstring): theta_M
+    from the running sum of ||X||_F^2 and lambda_min = 1/||Y_M||_2^2, the
+    norm by LAPACK on the leading M x M block of the f64 rounding Y of X
+    S^-1, each row of Y formed as its row of X arrives.
 
     Returns one item per size: a :class:`GradedItem`, whose ``bits`` is the
     rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; a
@@ -525,90 +556,39 @@ def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED
     overflows does not end it.  The sizes from M on are run again at 2
     ``bits``, up to ``RETRY_CAP_BITS``, when the prefix ends on tol <=
     theta_M < 1 (the leading M x M block is then proven positive definite,
-    and theta_M at 2 ``bits`` is about 2^-bits theta_M), or on theta_M >= 1
-    or a pivot <= 0 where the leading M x M block is positive definite: M <=
-    ``proven``, the size a lower rung has proven so, or else
+    and theta_M at 2 ``bits`` is about 2^-bits theta_M), or on theta_M >= 1,
+    an even moment or a pivot <= 0 where the leading M x M block is positive
+    definite: M <= ``proven``, the size a lower rung has proven so, or else
     :func:`~.moments.positive_definite_limit`, checked once per size.
-    Where the exact block is not positive definite (on these stops and on
-    an even moment that is not positive), every size from M on gets the
-    :class:`PositivityError` of dimension M (:func:`_past_the_limit`); any
-    other end is final with None.  ``tol`` is a test seam: the profile
-    keeps the default, the bound it accepts, and the tests pass 1 to read
-    the value and bound of a size it declines at ``bits``.
-
-    Where the moments read so far are those of a symmetric functional
-    (:func:`~.triangular.parity_holds`, carried from row to row, so each
-    odd moment is compared to 0 once per rung), A~_jk, L~_jk and X~_jk are
-    exact zeros for odd j + k, and row j forms only its entries of the
-    parity of j: the ints, and all that follows from them, are those of the
-    full loops.
+    Where the exact block is not positive definite, every size from M on
+    gets the :class:`PositivityError` of dimension M
+    (:func:`_past_the_limit`); a moment error is final.  ``tol`` is a test
+    seam: the profile keeps the default, the bound it accepts, and the tests
+    pass 1 to read the value and bound of a size it declines at ``bits``.
     """
     top = max(grid)
-    work = ms.with_backend(bigfloat(bits))
-    frac = bits + _guard_bits(top) + 8
-    mul = operator.mul
-    one_sq = 1 << (2 * frac)  # 1 at the scale of a product of two entries
+    frac = graded_frac(bits, top)
     theta_unit = 1 << (2 * frac + bits)
-    block, scale, chol, cols = [], [], [], []
     y = np.zeros((top, top))
-    norm_sq = 0  # ||X||_F^2 of the rows so far, at 2^(-2 frac)
+    scale = []
     row_norms = []  # ||row_j(Y)||_2 in f64
     thetas = []  # theta_M of the prefix, M = 1, 2, ...
     beyond = None  # what a size past the prefix gets
     climb = False  # whether the sizes past the prefix run again at 2 bits
-    symmetric = True  # parity_holds(block, j + 1), carried from row to row
-    for j in range(top):
-        try:
-            with mpmath.workprec(bits):
-                block += [work.moment(i) for i in range(len(block), 2 * j + 1)]
-        except (BackendError, PrecisionError, MissingMomentError) as err:
-            beyond = err
-            break
-        if not block[2 * j] > 0:
-            beyond = _past_the_limit(ms, j + 1, proven)
-            break
-        with mpmath.workprec(frac):
-            scale.append((1 / mpmath.sqrt(block[2 * j]))._mpf_[1:3])
-        mj, ej = scale[j]
-        # entries with j + k odd vanish for a symmetric functional: skip them;
-        # the only odd moment new to row j is m_{2j-1}, the last of the pair
-        symmetric = symmetric and parity_holds(block[2 * j - 2 : 2 * j], 2)
-        first, step = (j % 2, 2) if symmetric else (0, 1)
-        row = [0] * j
-        for k in range(first, j, step):
-            mk, ek = scale[k]
-            sign, man, exp, _ = block[j + k]._mpf_
-            man *= mj * mk
-            a = _round_shift(-man if sign else man, exp + ej + ek + frac)
-            dots = sum(map(mul, row[first:k:step], chol[k][first:k:step]))
-            row[k] = _round_div((a << frac) - dots, chol[k][k])
-        pivot = one_sq - sum(t * t for t in row[first::step])
-        if pivot <= 0:
-            beyond = _past_the_limit(ms, j + 1, proven)
-            climb = beyond is None
-            break
-        row.append(math.isqrt(pivot))
-        chol.append(row)
-        for col, t in zip(cols, row):
-            col.append(t)
-        cols.append([row[j]])
-        x = [0] * (j + 1)
-        x[j] = _round_div(one_sq, row[j])
-        for k in range(j - step, -1, -step):
-            x[k] = _round_div(-sum(map(mul, x[k + step :: step], cols[k][step::step])), cols[k][0])
-        norm_sq += sum(t * t for t in x)
-        # theta_M = (2 M^2 + 1) 2^-bits ||X_M||_F^2, read as 1 where it is past 1
-        theta = min((2 * (j + 1) ** 2 + 1) * norm_sq, theta_unit) / theta_unit
-        if not theta < tol:
-            beyond = None if theta < 1 else _past_the_limit(ms, j + 1, proven)
-            climb = beyond is None
-            break
-        thetas.append(theta)
-        try:
-            y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(x, scale)]
-        except OverflowError:  # every weight from size j + 1 on is past 2^1024
-            y_row = [math.inf]
-        row_norms.append(math.hypot(*y_row))
+    try:
+        for j, row in enumerate(graded_rows(ms, top, bits, tol)):
+            scale.append(row.scale)
+            thetas.append(row.theta / theta_unit)
+            try:
+                y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(row.x, scale)]
+            except OverflowError:  # every weight from size j + 1 on is past 2^1024
+                y_row = [math.inf]
+            row_norms.append(math.hypot(*y_row))
+    except (BackendError, PrecisionError, MissingMomentError) as err:
+        beyond = err
+    except GradedStop as stop:
+        beyond = None if stop.definite else _past_the_limit(ms, stop.size, proven)
+        climb = beyond is None
     out = []
     for m in grid:
         if m > len(thetas):

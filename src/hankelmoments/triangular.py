@@ -1,10 +1,14 @@
 """Square-root-free triangular factorization of Hankel truncations.
 
-Works entry-wise over any scalar backend (Fractions stay exact).  The N x N
-Hankel truncation ``H = (m_{k+l})`` of a positive definite moment sequence is
-decomposed as ``H = U^t D U`` with ``U`` unit upper triangular and ``D`` a
-positive diagonal, which realizes the Cholesky factor ``C = D^{1/2} U``
-without ever forming square roots.
+The N x N Hankel truncation ``H = (m_{k+l})`` of a positive definite moment
+sequence is decomposed as ``H = U^t D U`` with ``U`` unit upper triangular
+and ``D`` a positive diagonal, which realizes the Cholesky factor ``C =
+D^{1/2} U`` without ever forming square roots.  :func:`ldl_decompose` sees
+exact data only: the rational truncations of :func:`~.orthopoly.factor` and
+the exact blocks of :func:`~.moments.positive_definite_limit`; a float
+factor reads ``U`` and ``D`` off the graded Cholesky instead
+(:mod:`.orthopoly`).  :func:`invert_unit_upper` works entry-wise over any
+scalar backend and gives ``U^{-1}`` of both.
 
 The factorization uses the Hankel structure through the Chebyshev algorithm
 (Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
@@ -26,7 +30,8 @@ formed from an integer numerator over a common denominator, and on floats
 the step is the expression above, as written.
 
 ``alpha_k`` and ``beta_k`` are formed once, in :func:`ldl_decompose`, as the
-Chebyshev algorithm needs them: it returns them with ``U`` and ``D``, and
+Chebyshev algorithm needs them (a float factor forms them from its ``U`` and
+``D`` the same way): it returns them with ``U`` and ``D``, and
 :func:`invert_unit_upper` and the pair's monic recurrence
 (:class:`~.orthopoly.TriangularPair`) read them from there.
 
@@ -38,9 +43,10 @@ block, and with ``symmetric=True`` both routines step by 2 over the
 surviving half, leaving the zeros as they were allocated.  Every surviving
 entry is the same operation on the same operands as in the full loops, so
 the results are the same bit for bit where a computed zero carries no sign:
-on Fractions and on mpmath floats, the only data
+on Fractions, and on the mpmath floats of a float factor, the only data
 :func:`~.orthopoly.factor` hands these loops.  (On machine floats the full
-loops write -0.0 into some parity zeros of U^{-1}, ``-alpha_0`` first.)
+inverse loop writes -0.0 into some parity zeros of U^{-1}, ``-alpha_0``
+first.)
 """
 
 from __future__ import annotations
@@ -49,17 +55,17 @@ from .backends import HankelError, three_term
 
 
 class PositivityError(HankelError):
-    """A leading principal block failed to be positive definite.
+    """A leading principal block is not positive definite.
 
-    ``dimension`` is the first failing leading dimension (1-based);
-    ``precision_suspect`` marks a float factor that failed on every rung
-    although its exact block is positive definite (or has no exact data).
+    ``dimension`` is the first failing leading dimension (1-based).  Exact
+    data prove it: the rational LDL here, or the family's exact limit
+    (:func:`~.moments.positive_definite_limit`) that a float factor and the
+    graded run read before they report it.
     """
 
-    def __init__(self, dimension: int, message: str, precision_suspect: bool = False):
+    def __init__(self, dimension: int, message: str):
         super().__init__(message)
         self.dimension = dimension
-        self.precision_suspect = precision_suspect
 
 
 def monic_alpha(unit_upper, k):
@@ -75,7 +81,7 @@ def parity_holds(moments, n) -> bool:
     return all(m == 0 for m in moments[1 : 2 * n - 2 : 2])
 
 
-def ldl_decompose(moments, n, zero, *, precision_suspect=False, symmetric=False):
+def ldl_decompose(moments, n, zero, *, symmetric=False):
     """Return ``(unit_upper, pivots, alpha, beta)`` with ``H = U^t diag(pivots) U``.
 
     ``moments`` holds ``m_0 .. m_{2n-2}``, the entries of the N x N Hankel
@@ -104,7 +110,6 @@ def ldl_decompose(moments, n, zero, *, precision_suspect=False, symmetric=False)
                 k + 1,
                 f"leading {k + 1}x{k + 1} block is not positive definite "
                 f"(pivot {d!r})",
-                precision_suspect=precision_suspect,
             )
         if k:
             beta.append(d / pivots[k - 1])

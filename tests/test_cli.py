@@ -1,10 +1,10 @@
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from jsonschema.validators import validator_for
 
@@ -248,7 +248,7 @@ def test_spectrum_empty_grid_exits_2(tmp_path, run):
 
 
 def test_spectrum_policy_key_is_a_config_error(tmp_path, run):
-    # the precision ladder has no settable constants; a "policy" key is unknown
+    # the precision rungs have no settable constants; a "policy" key is unknown
     cfg = write(
         tmp_path / "s.json",
         {
@@ -386,6 +386,34 @@ def test_extremal_index_out_of_range_exits_2(tmp_path, run):
     cfg = write(tmp_path / "e.json", {"measure": demo_measure(), "remove": [7]})
     code, _, err = run("extremal", "--config", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("remove, message", [
+    ([0, 1, 2], "cannot remove every point mass"),
+    ([1, 1], "removal indices must be distinct"),
+])
+def test_extremal_removal_checks_exit_2(tmp_path, run, remove, message):
+    # removing every point, or one point twice, is a config error, found
+    # next to the range check before any computation
+    cfg = write(tmp_path / "e.json", {"measure": demo_measure(), "remove": remove})
+    code, _, err = run("extremal", "--config", cfg)
+    assert code == 2
+    assert err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["extremal", "spectrum"])
+@pytest.mark.parametrize("weights", [["1", "1", "1"], ["1"]], ids=["extra", "missing"])
+def test_measure_lists_of_unequal_length_exit_2(tmp_path, run, command, weights):
+    # 2 points with 3 weights used to drop the third weight and exit 0; 2
+    # with 1 raised a bare IndexError
+    measure = {"points": ["-1/2", "1/2"], "weights": weights}
+    config = ({"measure": measure, "remove": []} if command == "extremal" else
+              {"family": {"family": "discrete", "params": measure}, "n_grid": [2]})
+    code, _, err = run(command, "--config", write(tmp_path / "c.json", config))
+    assert code == 2
+    assert err.splitlines() == [
+        f"config error: 2 points and {len(weights)} weights: lengths differ"
+    ]
 
 
 def test_extremal_boundary_point_exits_2(tmp_path, run):
@@ -697,13 +725,13 @@ def test_recurrence_command_dumps_csv(tmp_path, run):
     code, out, _ = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0
     lines = (tmp_path / "o" / "recurrence.csv").read_text().splitlines()
-    assert lines[0] == "n,alpha,beta_next"
+    assert lines[0] == "n,alpha,beta_next,alpha_bound,beta_next_bound"
     assert len(lines) == 5  # alpha_0..alpha_3 with beta_1..beta_4
 
 
 def test_recurrence_of_a_truncation_f64_refuses_runs_on_the_ladder(tmp_path, run):
-    # f64 log-normal has no truncation limit: N = 10 factors on the
-    # big-float ladder like any float input, and the command succeeds
+    # f64 log-normal has no truncation limit: N = 10 is factored off the
+    # graded Cholesky like any float input, and the command succeeds
     cfg = write(
         tmp_path / "r.json",
         {
@@ -719,11 +747,10 @@ def test_recurrence_of_a_truncation_f64_refuses_runs_on_the_ladder(tmp_path, run
 
 
 def test_f64_hilbert_recurrence_reports_its_ladder_rung(tmp_path, run):
-    # f64 input is factored on the big-float ladder at every N; Hilbert's
-    # moments are those of Lebesgue measure on [0, 1] (shifted Legendre)
-    from hankelmoments import F64_BACKEND, MomentSequence, PowerLog
-    from hankelmoments.orthopoly import ladder
-
+    # f64 input is factored off the graded Cholesky at every N; Hilbert's
+    # moments are those of Lebesgue measure on [0, 1] (shifted Legendre:
+    # alpha_k = 1/2, beta_k = k / (2 sqrt(4k^2 - 1))), and every coefficient
+    # lies within its reported bound of those
     cfg = write(
         tmp_path / "r.json",
         {"family": {"family": "power_log", "params": {"c": 1}}, "backend": "f64", "n": 12},
@@ -731,13 +758,43 @@ def test_f64_hilbert_recurrence_reports_its_ladder_rung(tmp_path, run):
     code, _, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
     assert code == 0, err
     report = read_report(tmp_path / "o" / "recurrence_report.json")
-    bits = ladder(MomentSequence(PowerLog(1), F64_BACKEND), 12)[0]
-    assert report["precision"]["bits"] == bits
-    assert report["results"]["factorization"]["backend"] == f"bigfloat:{bits}"
+    assert report["precision"]["bits"] == 128
+    assert report["results"]["factorization"]["backend"] == "bigfloat:128"
     rc = report["results"]["recurrence"]
-    assert float(rc["alpha"][10]) == 0.5
-    ref = 11 / (2 * math.sqrt(4 * 11**2 - 1))
-    assert abs(float(rc["beta"][10]) - ref) <= 4 * math.ulp(ref)
+    assert len(rc["alpha_bound"]) == len(rc["beta_bound"]) == 11
+    with mpmath.workprec(256):
+        for a, bound in zip(rc["alpha"], rc["alpha_bound"]):
+            assert 0 < mpmath.mpf(bound) < 1e-18
+            assert abs(mpmath.mpf(a) - mpmath.mpf(1) / 2) <= mpmath.mpf(bound)
+        for k, (b, bound) in enumerate(zip(rc["beta"], rc["beta_bound"]), start=1):
+            ref = k / (2 * mpmath.sqrt(4 * k * k - 1))
+            assert 0 < mpmath.mpf(bound) < 1e-18
+            assert abs(mpmath.mpf(b) / ref - 1) <= mpmath.mpf(bound), k
+    lines = (tmp_path / "o" / "recurrence.csv").read_text().splitlines()
+    assert lines[1].split(",")[3:] == [rc["alpha_bound"][0], rc["beta_bound"][0]]
+
+
+def test_rational_recurrence_reports_null_bounds(tmp_path, run):
+    cfg = write(tmp_path / "r.json",
+                {"family": {"family": "gegenbauer", "params": {"lambda": "1/2"}}, "n": 5})
+    code, _, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    rc = read_report(tmp_path / "o" / "recurrence_report.json")["results"]["recurrence"]
+    assert rc["alpha_bound"] is None and rc["beta_bound"] is None
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_lognormal_30_recurrence_at_bigfloat_64_succeeds(tmp_path, run, n):
+    # m_{2N-2} reaches e^{(2N-2)^2 450}: the graded scaling takes it out, and
+    # the first rung bounds every coefficient
+    cfg = write(tmp_path / "r.json",
+                {"family": {"family": "log_normal", "params": {"sigma": 30}},
+                 "backend": "bigfloat:64", "n": n})
+    code, _, err = run("recurrence", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    report = read_report(tmp_path / "o" / "recurrence_report.json")
+    assert report["precision"]["bits"] == 128
+    assert all(mpmath.mpf(b) < 2.0**-64 for b in report["results"]["recurrence"]["beta_bound"])
 
 
 def test_schema_is_published(run):

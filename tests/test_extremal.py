@@ -70,6 +70,16 @@ def test_remove_validates_indices(three_point_measure):
         remove_masses(three_point_measure, [1, 1])
 
 
+@pytest.mark.parametrize("weights", [["1", "2", "3"], ["1"]], ids=["extra", "missing"])
+def test_from_lists_checks_the_lengths_before_sorting(weights):
+    # the sort pairs points and weights by index: a third weight was dropped,
+    # and a missing one raised a bare IndexError
+    with pytest.raises(ValueError, match=f"2 points and {len(weights)} weights"):
+        DiscreteMeasure.from_lists(["1/2", "-1/2"], weights)
+    mu = DiscreteMeasure.from_lists(["1/2", "-1/2"], ["1", "2"])
+    assert mu == DiscreteMeasure((F(-1, 2), F(1, 2)), (F(2), F(1)))
+
+
 @given(case=removal_cases())
 @settings(max_examples=40, deadline=None)
 def test_moment_additivity(case):

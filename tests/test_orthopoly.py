@@ -13,10 +13,12 @@ from hankelmoments import (
     DiscreteMeasure,
     Explicit,
     F64_BACKEND,
+    Gaussian,
     Gegenbauer,
     MomentSequence,
     PositivityError,
     PowerLog,
+    PrecisionError,
     RATIONAL_BACKEND,
     bigfloat,
     cd_kernel,
@@ -27,7 +29,6 @@ from hankelmoments import (
 from hankelmoments.backends import to_float
 from hankelmoments import orthopoly
 from hankelmoments.moments import LogNormal
-from hankelmoments.orthopoly import ladder
 
 from conftest import (
     b_matrix,
@@ -109,12 +110,10 @@ def test_factor_reports_failing_dimension():
     ms = MomentSequence(Explicit.from_list([1, 0] * 6), RAT)
     with pytest.raises(PositivityError) as err:
         factor(ms, 3)
-    assert err.value.dimension == 3
-    assert not err.value.precision_suspect  # exact input proves indefiniteness
+    assert err.value.dimension == 3  # exact input proves indefiniteness
     with pytest.raises(PositivityError) as err:
         factor(ms.with_backend(F64_BACKEND), 3)
-    assert err.value.dimension == 3
-    assert not err.value.precision_suspect  # the exact data prove it too
+    assert err.value.dimension == 3  # the exact data prove it too
 
 
 SIX_POINTS = DiscreteMeasure(
@@ -135,11 +134,10 @@ FOUR_FLOAT_POINTS = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
 def test_factor_refutes_finite_data_before_the_ladder(family, backend, n, dimension, monkeypatch):
     # the exact data prove the block indefinite or singular, so no rung runs;
     # rounding at a rung can leave such a block a tiny positive pivot
-    monkeypatch.setattr(orthopoly, "ladder", lambda *args: pytest.fail("the ladder ran"))
+    monkeypatch.setattr(orthopoly, "graded_rows", lambda *args: pytest.fail("a rung ran"))
     with pytest.raises(PositivityError) as err:
         factor(MomentSequence(family, backend), n)
     assert err.value.dimension == dimension
-    assert not err.value.precision_suspect
     assert len(str(err.value)) < 200
 
 
@@ -151,20 +149,19 @@ def test_factor_past_the_support_raises_before_the_ladder(mu):
     # big-float rung
     rounded = DiscreteMeasure(tuple(map(float, mu.points)), tuple(map(float, mu.weights)))
     rungs = []
-    real = orthopoly.ldl_decompose
+    real = orthopoly.graded_rows
 
-    def recording(*args, **kwargs):
-        rungs.append(mpmath.mp.prec)
-        return real(*args, **kwargs)
+    def recording(ms, top, bits, tol):
+        rungs.append(bits)
+        return real(ms, top, bits, tol)
 
-    with mock.patch.object(orthopoly, "ldl_decompose", recording):
+    with mock.patch.object(orthopoly, "graded_rows", recording):
         for data in (mu, rounded):
             size = len(set(data.points))
             for backend in (F64_BACKEND, bigfloat(64)):
                 with pytest.raises(PositivityError) as err:
                     factor(MomentSequence(Discrete(data), backend), size + 1)
                 assert err.value.dimension == size + 1
-                assert not err.value.precision_suspect
     assert rungs == []
 
 
@@ -196,7 +193,7 @@ def test_factor_float_round_trip_hilbert_12():
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     n = 12
     tp = factor(ms, n)
-    assert tp.precision_bits == ladder(ms, n)[0]
+    assert tp.precision_bits == orthopoly.GRADED_BITS
     assert tp.backend == bigfloat(tp.precision_bits)
     recon = reconstruction(tp)
     h = [[to_float(ms.moment(k + l)) for l in range(n)] for k in range(n)]
@@ -234,64 +231,169 @@ def test_precision_ladder_bigfloat_40_reconstructs():
 
 @pytest.mark.slow
 def test_ladder_handles_lognormal_scale():
+    # the top entry is e^{30^2/2} ~ 2^650: the mpf exponents and the scaling
+    # S carry it, so the first rung serves, with every bound below 2^-72
     ms = MomentSequence(LogNormal(1.0), bigfloat(64))
     tp = factor(ms, 16)
     assert all(d > 0 for d in tp.pivots)
-    # scale-aware bits: the top entry is e^{30^2/2} ~ 2^650, so the ladder must
-    # lift the requested 64 bits well past the dynamic range
-    assert tp.precision_bits >= 700
+    assert tp.precision_bits == orthopoly.GRADED_BITS
+    assert _relative_bounds(tp) < mpmath.mpf(2) ** -72
+
+
+def _relative_bounds(tp):
+    """The largest relative bound of the pair's pivots and beta."""
+    pivots, _, beta = tp.bounds
+    return max(pivots + beta)
+
+
+def _rungs(monkeypatch):
+    """Record the rung of every graded run a factor starts."""
+    seen = []
+    real = orthopoly.graded_rows
+
+    def recording(ms, top, bits, tol):
+        seen.append(bits)
+        return real(ms, top, bits, tol)
+
+    monkeypatch.setattr(orthopoly, "graded_rows", recording)
+    return seen
 
 
 def test_factor_retries_the_next_ladder_rung_on_pivot_failure(monkeypatch):
-    # one bit per dimension is too little for Hilbert N=40: the first rung
-    # (104 bits) loses a pivot and the second one (208 bits) succeeds
-    ms = MomentSequence(PowerLog(1), F64_BACKEND)
-    monkeypatch.setattr(orthopoly, "BITS_PER_DIM", 1)
-    rungs = ladder(ms, 40)
-    assert rungs[:2] == [104, 208]
-    seen = []
-    original = orthopoly.ldl_decompose
-
-    def recording(*args, **kwargs):
-        seen.append(mpmath.mp.prec)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(orthopoly, "ldl_decompose", recording)
-    tp = factor(ms, 40)
-    assert seen == rungs[:2]
-    assert tp.precision_bits == rungs[1] == 208
-    assert tp.backend == bigfloat(208)
+    # Hilbert N=40: 128 and 256 bits stop short of the bound target (a pivot,
+    # or a theta_M too large), and the climb doubles to 512 bits
+    seen = _rungs(monkeypatch)
+    tp = factor(MomentSequence(PowerLog(1), F64_BACKEND), 40)
+    assert seen == [128, 256, 512]
+    assert tp.precision_bits == 512 and tp.backend == bigfloat(512)
+    assert _relative_bounds(tp) <= 2.0 ** -61
 
 
 def test_factor_takes_the_ladder_for_a_truncation_f64_refuses():
     # f64 log-normal has no truncation limit: N = 8 and 10 alike succeed at
-    # the first rung of the big-float ladder, within 2^-200 of a 512-bit factor
+    # the first rung, within their bounds of a bigfloat:512 factor
     ms = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    assert factor(ms, 8).precision_bits == ladder(ms, 8)[0]
+    assert factor(ms, 8).precision_bits == orthopoly.GRADED_BITS
     tp = factor(ms, 10)
-    assert tp.precision_bits == ladder(ms, 10)[0] and tp.backend == bigfloat(tp.precision_bits)
-    exact = factor(MomentSequence(LogNormal(1.0), bigfloat(512)), 10)
-    with mpmath.workprec(512):
-        for d, ref in zip(tp.pivots, exact.pivots):
-            assert abs(d / ref - 1) < mpmath.mpf(2) ** -200
+    assert tp.precision_bits == orthopoly.GRADED_BITS and tp.backend == bigfloat(128)
+    ref = factor(MomentSequence(LogNormal(1.0), bigfloat(512)), 10)
+    with mpmath.workprec(1024):
+        for d, r, bound, ref_bound in zip(tp.pivots, ref.pivots, tp.bounds[0], ref.bounds[0]):
+            assert abs(d / r - 1) <= bound + 2 * ref_bound
 
 
 def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap(monkeypatch):
+    # bigfloat:64 starts at GRADED_BITS, bigfloat:200 at its own 200 bits;
+    # 200 bits miss the 2^-208 target of a bigfloat:200 factor, and a cap
+    # of 256 leaves no rung above it
+    seen = _rungs(monkeypatch)
     ms = MomentSequence(PowerLog(1), bigfloat(200))
-    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 1000)
-    assert ladder(ms.with_backend(bigfloat(64)), 6)[0] == orthopoly.BITS_PER_DIM * 6 + 64
-    assert ladder(ms, 6) == [200, 400, 800]
+    assert factor(ms.with_backend(bigfloat(64)), 6).precision_bits == 128
+    assert factor(ms, 6).precision_bits == 400
+    assert seen == [128, 200, 400]
+    seen.clear()
+    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 256)
+    with pytest.raises(PrecisionError, match="RETRY_CAP_BITS = 256"):
+        factor(ms, 6)
+    assert seen == [200]
 
 
-def test_empty_ladder_raises_precision_suspect_positivity_error():
-    # the largest moment of LogNormal(30) at N=10 is ~ 2^210345, so the
-    # ladder would start beyond RETRY_CAP_BITS
-    ms = MomentSequence(LogNormal(30), bigfloat(64))
-    assert ladder(ms, 10) == []
-    with pytest.raises(PositivityError, match="RETRY_CAP_BITS") as err:
-        factor(ms, 10)
-    assert err.value.precision_suspect
-    assert err.value.dimension == 10
+def _lognormal_reference(sigma, n, bits):
+    """Pivots and monic alpha, beta of log-normal in closed form at ``bits``:
+    with q = e^-sigma^2, beta_k = q^-(4k-2) (1 - q^k), alpha_k =
+    q^-(k+1/2) ((1 + q) q^-k - q), and d_k = d_{k-1} beta_k from d_0 = 1."""
+    with mpmath.workprec(bits):
+        q = mpmath.exp(-mpmath.mpf(sigma) ** 2)
+        beta = [q ** -(4 * k - 2) * (1 - q**k) for k in range(1, n)]
+        alpha = [q ** -(k + mpmath.mpf(1) / 2) * ((1 + q) * q**-k - q) for k in range(n - 1)]
+        pivots = [mpmath.mpf(1)]
+        for b in beta:
+            pivots.append(pivots[-1] * b)
+    return pivots, alpha, beta
+
+
+def assert_within_bounds(tp, pivots, alpha, beta, bits):
+    """Every pivot, monic alpha and beta of the float pair ``tp`` within its
+    bound of the reference values, and every orthonormal beta of its
+    recurrence within its bound, compared at ``bits``."""
+    pivot_bounds, alpha_bounds, beta_bounds = tp.bounds
+    rc = recurrence(tp) if tp.n >= 3 else None
+    with mpmath.workprec(bits):
+        for k, (d, ref, bound) in enumerate(zip(tp.pivots, pivots, pivot_bounds)):
+            assert abs(d / ref - 1) <= bound, ("pivot", k)
+        for k, (a, ref, bound) in enumerate(zip(tp.monic_recurrence[0], alpha, alpha_bounds)):
+            assert abs(a - ref) <= bound, ("alpha", k)
+        for k, (b, ref, bound) in enumerate(zip(tp.monic_recurrence[1], beta, beta_bounds)):
+            assert abs(b / ref - 1) <= bound, ("beta", k + 1)
+        if rc is not None:
+            assert rc.alpha_bound == list(alpha_bounds)
+            for k, (b, ref, bound) in enumerate(zip(rc.beta, beta, rc.beta_bound)):
+                assert abs(b / mpmath.sqrt(ref) - 1) <= bound, ("orthonormal beta", k + 1)
+
+
+def _exact_scalars(values, bits):
+    """Fractions as mpf at ``bits`` (the exact factor's values, rounded once)."""
+    with mpmath.workprec(bits):
+        return [mpmath.mpf(v.numerator) / v.denominator for v in values]
+
+
+def assert_rational_within_bounds(tp, ms):
+    """The float pair ``tp`` of ``ms`` against the exact factor of the same
+    size, compared at 4 times its rung."""
+    exact = factor(ms.with_backend(RAT), tp.n)
+    bits = 4 * tp.precision_bits
+    alpha, beta = exact.monic_recurrence
+    assert_within_bounds(tp, _exact_scalars(exact.pivots, bits), _exact_scalars(alpha, bits),
+                         _exact_scalars(beta, bits), bits)
+
+
+@pytest.mark.parametrize("n", [12, 32, 64])
+@pytest.mark.parametrize("family", [PowerLog(1), PowerLog(2), Gegenbauer(F(1, 2)), Gaussian()],
+                         ids=["hilbert", "powerlog2", "legendre", "gaussian"])
+def test_f64_factor_lies_within_its_bounds_of_the_exact_factor(family, n):
+    ms = MomentSequence(family, F64_BACKEND)
+    tp = factor(ms, n)
+    assert _relative_bounds(tp) <= 2.0 ** -61
+    assert_rational_within_bounds(tp, ms)
+
+
+@pytest.mark.parametrize("n", [12, 32, 64])
+def test_f64_lognormal_factor_lies_within_its_bounds_of_the_closed_form(n):
+    tp = factor(MomentSequence(LogNormal(1.0), F64_BACKEND), n)
+    assert tp.precision_bits == orthopoly.GRADED_BITS
+    assert_within_bounds(tp, *_lognormal_reference(1, n, 512), 512)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_lognormal_30_at_bigfloat_64_factors_within_its_bounds(n):
+    # the largest moment at N=40 is e^{78^2 30^2 / 2} ~ 2^3.9e6: the moments
+    # are graded (A is the identity to 128 bits), so the first rung bounds
+    # every value far below 2^-64
+    tp = factor(MomentSequence(LogNormal(30), bigfloat(64)), n)
+    assert tp.precision_bits == orthopoly.GRADED_BITS and tp.backend == bigfloat(128)
+    assert _relative_bounds(tp) <= mpmath.mpf(2) ** -72
+    assert_within_bounds(tp, *_lognormal_reference(30, n, 512), 512)
+
+
+@given(mu=rational_points_and_weights())
+@settings(max_examples=30, deadline=None)
+def test_float_factor_lies_within_its_bounds_on_discrete_measures(mu):
+    # every float factor up to the support size against the exact one
+    family = Discrete(mu)
+    for backend in (F64_BACKEND, bigfloat(128)):
+        for n in range(2, mu.size + 1):
+            ms = MomentSequence(family, backend)
+            assert_rational_within_bounds(factor(ms, n), ms)
+
+
+def test_float_factor_never_runs_the_chebyshev_algorithm(monkeypatch):
+    # the Chebyshev algorithm factors exact data only; a float factor reads
+    # the graded Cholesky
+    monkeypatch.setattr(orthopoly, "ldl_decompose", lambda *args, **kwargs: pytest.fail("LDL ran"))
+    for family in (PowerLog(1), Gaussian(), LogNormal(1.0), Discrete(SIX_POINTS)):
+        for backend in (F64_BACKEND, bigfloat(64), bigfloat(256)):
+            tp = factor(MomentSequence(family, backend), 6)
+            assert tp.bounds is not None and tp.precision_bits >= 128
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +579,7 @@ def test_hilbert_f64_hs_norm_matches_eigsy(n):
 
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     tp = factor(ms, n)
-    assert tp.precision_bits == ladder(ms, n)[0]
+    assert tp.precision_bits == orthopoly.GRADED_BITS
     hs = math.sqrt(to_float(tp.hs_norm_sq_b()[-1]))
     with mpmath.workprec(640):
         h = mpmath.matrix([[mpmath.mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)])
@@ -503,13 +605,15 @@ def test_hilbert_f64_recurrence_is_shifted_legendre():
     ids=lambda v: repr(v) if isinstance(v, PowerLog) else str(v),
 )
 def test_f64_factor_beta_is_the_reference_beta(family, n):
-    # the first ladder rung leaves 53 good bits of beta for measures on [0, 1],
-    # whose log2 condition number grows like 5.05 N
+    # the graded rung bounds beta far below an ulp for measures on [0, 1],
+    # whose log2 condition number grows like 5.05 N; the reference is the
+    # exact factor where the family has rational moments
     ms = MomentSequence(family, F64_BACKEND)
     tp = factor(ms, n)
-    assert tp.precision_bits == ladder(ms, n)[0]
+    assert tp.precision_bits == (128 if n <= 12 else 512)
     beta = recurrence(tp).beta
-    ref = recurrence(factor(MomentSequence(family, bigfloat(2048)), n)).beta
+    exact = family.c in (1, 2)
+    ref = recurrence(factor(ms.with_backend(RAT if exact else bigfloat(2048)), n)).beta
     for k, (b, r) in enumerate(zip(beta, ref), start=1):
         r = to_float(r)
         assert abs(to_float(b) - r) <= 4 * math.ulp(r), k

@@ -140,9 +140,23 @@ def test_recurrence_csv(tmp_path):
     path = tmp_path / "rc.csv"
     recurrence_to_csv(rc, path)
     rows = list(csv.reader(path.open()))
-    assert rows[0] == ["n", "alpha", "beta_next"]
+    assert rows[0] == ["n", "alpha", "beta_next", "alpha_bound", "beta_next_bound"]
     assert len(rows) == 1 + len(rc.alpha)
     assert float(rows[1][2]) == pytest.approx(1 / 3**0.5)
+    for row, a_bound, b_bound in zip(rows[1:], rc.alpha_bound, rc.beta_bound):
+        assert 0 <= float(row[3]) == float(a_bound) and 0 < float(row[4]) == float(b_bound) < 1e-30
+
+
+def test_recurrence_csv_of_a_rational_pair_has_empty_bounds(tmp_path):
+    from hankelmoments import factor, recurrence
+    from hankelmoments.serialize import recurrence_to_csv
+
+    rc = recurrence(factor(MomentSequence(Gegenbauer(F(1, 2)), RATIONAL_BACKEND), 5))
+    assert rc.alpha_bound is None and rc.beta_bound is None
+    path = tmp_path / "rc.csv"
+    recurrence_to_csv(rc, path)
+    rows = list(csv.reader(path.open()))
+    assert [row[3:] for row in rows[1:]] == [["", ""]] * len(rc.alpha)
 
 
 def test_profile_csv(tmp_path):

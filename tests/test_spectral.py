@@ -31,7 +31,6 @@ from hankelmoments import (
 )
 from hankelmoments import orthopoly, spectral
 from hankelmoments.moments import LogNormal, MissingMomentError
-from hankelmoments.orthopoly import ladder
 from hankelmoments.spectral import (
     PlateauVerdict,
     SpectralInvariantError,
@@ -199,7 +198,7 @@ def test_indefinite_explicit_sequence_reports_a_positivity_error(monkeypatch):
     # is indefinite, so it does not climb and proves H_3 not positive
     # definite: the entry reports that error, with no lambda_min, and keeps
     # the certified lambda_max of eigvalsh
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entry = lambda_profile(ms, [3], quantities=("lambda_min", "lambda_max")).entries[0]
     assert runs == [([3], spectral.GRADED_BITS)]
@@ -413,7 +412,7 @@ def test_profile_lognormal_f64_escalates_instead_of_crashing():
     )
     for entry in profile.entries:
         assert entry.lambda_min is not None and entry.lambda_min > 0
-    # the graded run and the scaled 128-bit block, not the ladder
+    # the graded run and the scaled 128-bit block, not a float factor
     assert profile.entries[1].precision_bits == spectral.GRADED_BITS
     assert profile.entries[1].trace_partial == float("inf")  # f64 overflow marker
 
@@ -439,12 +438,10 @@ def _uncertified_lambda_max(monkeypatch):
 
 def test_profile_entry_with_empty_ladder_is_unresolved(monkeypatch):
     # the largest moment of LogNormal(30) at N=10 is e^{18^2 30^2 / 2} ~
-    # 2^210345, so the factor ladder would start beyond RETRY_CAP_BITS; the
-    # graded lambda_min still holds (A is the identity to 128 bits), and an
-    # uncertified lambda_max is missing
+    # 2^210345; the graded lambda_min holds at 128 bits (A is the identity
+    # to 128 bits), and an uncertified lambda_max is missing
     _uncertified_lambda_max(monkeypatch)
     ms = MomentSequence(LogNormal(30), bigfloat(64))
-    assert ladder(ms, 10) == []
     profile = lambda_profile(ms, [10], quantities=("lambda_min", "lambda_max"))
     entry = profile.entries[0]
     assert entry.status == "lambda-min-unresolved"
@@ -569,7 +566,7 @@ def test_lambda_max_never_reaches_the_ladder(monkeypatch, family, backend):
     # (log-normal past N = 8) and families without rational moments alike.
     # The log-normal lambda_max from N = 20 on is past the f64 range, so it
     # is declined instead of written as inf
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     profile = lambda_profile(MomentSequence(family, backend), range(4, 25, 4), ("lambda_max",))
     for entry in profile.entries:
         if family == LogNormal(1.0) and entry.n >= 20:
@@ -580,9 +577,9 @@ def test_lambda_max_never_reaches_the_ladder(monkeypatch, family, backend):
 
 
 def test_hilbert_n64_lambda_min_labelled_ok_matches_eigsy(monkeypatch):
-    # the ladder put it "ok" at 320 bits, ~2 bits above the resolution floor
+    # an earlier eigenvalue rule put it "ok" at 320 bits, ~2 bits above the resolution floor
     # and 3.7e-4 off; the graded path climbs 128 -> 256 -> 512 bits instead
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     entry = lambda_profile(
         MomentSequence(PowerLog(1), F64_BACKEND), [64], quantities=("lambda_min",)
     ).entries[0]
@@ -666,13 +663,18 @@ def test_lognormal_f64_lambda_max_lies_within_its_bound(sigma):
         assert float(abs(lam_max - exact) / exact) <= bound, n
 
 
-def _no_ladder(monkeypatch):
-    """Refuse the factor ladder and the fixed-point eigenvalue kernels."""
+def _no_float_factor(monkeypatch):
+    """Refuse a float factor and the fixed-point eigenvalue kernels."""
+    real = spectral.factor
 
     def refuse(*args, **kwargs):
         raise AssertionError("the big-float path ran")
 
-    monkeypatch.setattr(orthopoly, "ladder", refuse)
+    def exact_only(ms, n):
+        assert ms.backend == RAT, "a float factor ran"
+        return real(ms, n)
+
+    monkeypatch.setattr(spectral, "factor", exact_only)
     monkeypatch.setattr(spectral, "bigfloat_extremes", refuse)
 
 
@@ -690,7 +692,7 @@ def _no_ladder(monkeypatch):
 def test_graded_lambda_min_matches_eigsy(monkeypatch, family, backend, grid, bits):
     # LAPACK on the f64 Hilbert truncation puts lambda_min(12) 3.9 % off;
     # the graded path takes the moment growth out and keeps 1e-12
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     ms = MomentSequence(family, backend)
     for entry in lambda_profile(ms, grid, quantities=("lambda_min",)).entries:
         assert entry.status == "ok" and entry.precision_bits == spectral.GRADED_BITS
@@ -721,7 +723,7 @@ def test_graded_bound_covers_its_error(family, grid, bits, accepted):
 
 
 def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     profile = lambda_profile(
         MomentSequence(LogNormal(1.0), bigfloat(256)), range(4, 41, 4), quantities=("lambda_min",)
     )
@@ -773,8 +775,7 @@ def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
     ms = MomentSequence(FOUR_POINTS, F64_BACKEND)
     item = spectral._graded_lambda_min(ms, [4, 5], tol=1)[1]
     assert isinstance(item, spectral.PositivityError) and item.dimension == 5
-    assert not item.precision_suspect
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entries = lambda_profile(ms, [4, 8, 12, 16], quantities=("lambda_min",)).entries
     assert runs == [([4, 8, 12, 16], 128)]
@@ -810,7 +811,7 @@ def test_explicit_float_data_is_tested_exactly(monkeypatch):
     # Fractions.  Rounded to f64, the Hilbert H_N is positive definite up to
     # N = 13 only: N = 16 reports the exact factor's PositivityError, not a
     # BackendError of the refused floats, and the graded run does not climb
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(Explicit(tuple(1.0 / (j + 1) for j in range(31))), F64_BACKEND)
     assert spectral.positive_definite_limit(ms, 13) == 13
@@ -826,7 +827,7 @@ def test_float_discrete_data_is_tested_exactly(monkeypatch):
     # four float points: the exact H_5 is singular, so the 128-bit run stops
     # there for good, and every larger size reports the exact factor's
     # PositivityError rather than climbing to the cap
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     mu = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
     entries = lambda_profile(MomentSequence(Discrete(mu), F64_BACKEND), [4, 8, 16, 32]).entries
@@ -856,7 +857,7 @@ def test_graded_path_climbs_unless_the_exact_block_is_not_positive_definite(monk
     # the spiked theta_5 passes 1 at 128 bits and the faint point's pivot
     # drops to 0 or below, but both exact H_5 are positive definite: the run
     # climbs until it certifies them
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     for family, bits in [(SPIKED, 256), (FAINT_POINT, 512)]:
         ms = MomentSequence(family, bigfloat(256))
         item = spectral._graded_lambda_min(ms, [5], tol=1)[0]
@@ -875,7 +876,7 @@ def test_graded_path_climbs_unless_the_exact_block_is_not_positive_definite(monk
 def test_f64_lambda_max_is_certified_at_53_bits(monkeypatch):
     # machine Cholesky fails from N ~ 13 on, but backward-stable LAPACK
     # lambda_max stays within eps = 4 N u |H|_F / lambda_max of the exact one
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     ms = MomentSequence(PowerLog(1), F64_BACKEND)
     profile = lambda_profile(ms, [16, 32, 64], quantities=("lambda_max",))
     for entry in profile.entries:
@@ -930,7 +931,7 @@ class _Counting(MomentFamily):
 
 
 def test_profile_grid_computes_each_probe_moment_once():
-    # the profile walks no factor ladder, so it reads no 64-bit probe at
+    # the profile runs no float factor, so it reads no 64-bit probe at
     # all; N = 4 is graded at 128 bits, and N = 5 and 6 at 256 after one
     # exact check of H_5, each moment computed once per backend
     family = _Counting(SPIKED)
@@ -1276,16 +1277,16 @@ def test_graded_parity_skip_is_bit_identical(monkeypatch, family, backend, grid)
     # bit, at every rung (Legendre N = 40 climbs to 256 bits)
     ms = MomentSequence(family, backend)
     held = []
-    real = spectral.parity_holds
+    real = orthopoly.parity_holds
 
     def spy(moments, n):
         held.append(real(moments, n))
         return held[-1]
 
-    monkeypatch.setattr(spectral, "parity_holds", spy)
+    monkeypatch.setattr(orthopoly, "parity_holds", spy)
     skipped = _graded_bits(spectral._graded_lambda_min(ms, grid))
     assert all(held) == (family.name != "log_normal")
-    monkeypatch.setattr(spectral, "parity_holds", lambda moments, n: False)
+    monkeypatch.setattr(orthopoly, "parity_holds", lambda moments, n: False)
     assert skipped == _graded_bits(spectral._graded_lambda_min(ms, grid))
 
 
@@ -1303,7 +1304,7 @@ def test_graded_parity_reads_each_odd_moment_once_per_rung(monkeypatch, family, 
     # of the run), each odd moment is compared to 0 at most once, not once
     # per later row as well
     rungs = []
-    real_graded, real_parity = spectral._graded_lambda_min, spectral.parity_holds
+    real_graded, real_parity = spectral._graded_lambda_min, orthopoly.parity_holds
 
     def graded(ms, grid, **kwargs):
         rungs.append((max(grid), []))
@@ -1314,7 +1315,7 @@ def test_graded_parity_reads_each_odd_moment_once_per_rung(monkeypatch, family, 
         return real_parity(moments, n)
 
     monkeypatch.setattr(spectral, "_graded_lambda_min", graded)
-    monkeypatch.setattr(spectral, "parity_holds", parity)
+    monkeypatch.setattr(orthopoly, "parity_holds", parity)
     spectral._graded_lambda_min(MomentSequence(family, backend), grid)
     assert len(rungs) >= (2 if family.name == "gegenbauer" else 1)
     for top, compared in rungs:
@@ -1328,10 +1329,10 @@ _FLOAT_BACKENDS = [F64_BACKEND, bigfloat(64), bigfloat(256)]
 def test_spiked_profile_is_certified_past_the_first_rung(monkeypatch, backend):
     # the graded run stops at H_5 at 128 bits (theta >= 1); the exact H_5 is
     # positive definite, so it climbs, and 256 bits certify lambda_min and
-    # the weight of N = 5 and 6.  The eigenvalue ladder put lambda_min(H_5)
-    # 1.7e-10 off under "ok", and the factor ladder put the f64 weight of
+    # the weight of N = 5 and 6.  An earlier eigenvalue rule put lambda_min(H_5)
+    # 1.7e-10 off under "ok", and an earlier float factor put the f64 weight of
     # N = 5 at 5.99e8 (exact 2.13e21)
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     grid = [3, 4, 5, 6]
     ms = MomentSequence(SPIKED, backend)
     exact = factor(MomentSequence(SPIKED, RAT), grid[-1]).hs_norm_sq_b()
@@ -1349,10 +1350,10 @@ def test_spiked_profile_is_certified_past_the_first_rung(monkeypatch, backend):
 @pytest.mark.parametrize("backend", _FLOAT_BACKENDS, ids=lambda b: b.tag())
 def test_singular_truncation_reports_no_value(monkeypatch, backend):
     # H_5 of the 4-point measure is singular: its weight is the
-    # PositivityError the graded run proves (the factor ladder reported
+    # PositivityError the graded run proves (an earlier float factor reported
     # 5.99e8, 1.7e102 and inf under "ok"), and so is lambda_min past N = 4,
     # after a single 128-bit graded run
-    _no_ladder(monkeypatch)
+    _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(FOUR_POINTS, backend)
     entry = lambda_profile(ms, [5], quantities=("hs_norm_b",)).entries[0]
@@ -1368,9 +1369,9 @@ def test_singular_truncation_reports_no_value(monkeypatch, backend):
 @pytest.mark.parametrize("backend", _FLOAT_BACKENDS + [RAT], ids=lambda b: b.tag())
 def test_discrete_profile_past_its_support_fails_at_once(monkeypatch, backend):
     # H_26 of the 25-point measure is singular: N = 28 and 32 report a
-    # PositivityError, where the factor ladder ran every rung up to 65536
+    # PositivityError, where an earlier float factor ran every rung up to 65536
     # bits first (28 to 40 s a profile); the statuses and precisions are
-    # those the ladder gave.  A float sequence takes the error from its
+    # those it gave.  A float sequence takes the error from its
     # graded run and factors nothing; a rational one from its exact factor
     seen = _spy_factor(monkeypatch)
     ms = MomentSequence(_DISCRETE_25, backend)
