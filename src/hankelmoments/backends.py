@@ -167,9 +167,9 @@ def bigfloat(bits: int) -> Backend:
 def parse_number(value):
     """Read a number from a config: the one rule for every config value.
 
-    ``"p/q"`` and integer strings, and JSON integers, become ``Fraction``s;
-    decimal strings become floats, and one that is not zero but rounds to
-    0.0 (``"1e-400"``) raises ValueError.  Bools and anything else (floats,
+    ``"p/q"`` and integer strings, and JSON integers, become ``Fraction``s,
+    and ``"p/0"`` raises ValueError; decimal strings become floats, and one
+    that is not zero but rounds to 0.0 (``"1e-400"``) raises ValueError.  Bools and anything else (floats,
     ``Fraction``s, mpf) are returned as given; a JSON number token is
     parsed by ``json`` before it gets here, so one that underflows arrives
     as 0.0 and cannot be told from a zero.
@@ -177,8 +177,10 @@ def parse_number(value):
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = map(int, text.split("/", 1))
+            if not den:
+                raise ValueError(f"{text!r} has a zero denominator")
+            return Fraction(num, den)
         try:
             return Fraction(int(text))
         except ValueError:

@@ -56,11 +56,21 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 
+# a config number: a string or a JSON number (JSON Schema's "number" is no bool)
+_NUMBER_SCHEMA = {"type": ["string", "number"]}
+_NUMBERS_SCHEMA = {"type": "array", "items": _NUMBER_SCHEMA, "minItems": 1}
+
 _FAMILY_SCHEMA = {
     "type": "object",
     "properties": {
         "family": {"enum": list(FAMILY_NAMES)},
-        "params": {"type": "object"},
+        "params": {
+            "type": "object",
+            "properties": {
+                **dict.fromkeys(("c", "lambda", "sigma"), _NUMBER_SCHEMA),
+                **dict.fromkeys(("values", "points", "weights"), _NUMBERS_SCHEMA),
+            },
+        },
     },
     "required": ["family"],
     "additionalProperties": False,
@@ -68,10 +78,7 @@ _FAMILY_SCHEMA = {
 
 _MEASURE_SCHEMA = {
     "type": "object",
-    "properties": {
-        "points": {"type": "array", "items": {"type": ["string", "number"]}, "minItems": 1},
-        "weights": {"type": "array", "items": {"type": ["string", "number"]}, "minItems": 1},
-    },
+    "properties": {"points": _NUMBERS_SCHEMA, "weights": _NUMBERS_SCHEMA},
     "required": ["points", "weights"],
     "additionalProperties": False,
 }

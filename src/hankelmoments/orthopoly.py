@@ -24,14 +24,14 @@ are checked in that form.
 Every float factor, f64 input included, is read off the graded Cholesky of
 :mod:`.spectral` (its module docstring derives the bounds): H = S A S with
 S^-1 = diag(r_k), A = L L^t on Python ints, and X L = I + R row by row.
-:func:`graded_rows` is that row loop, the one both the lambda_min path and
-``factor`` iterate.  ``factor`` climbs its rungs from ``GRADED_BITS`` (or an
-explicit big-float backend's own precision), doubling, until the bounds of
-the pivots, alpha and beta lie below the output precision (2^-53 for f64,
-2^-b for ``bigfloat:b``) with ``FACTOR_MARGIN_BITS`` to spare, and stops with
-a :class:`~.backends.PrecisionError` past ``RETRY_CAP_BITS``.  No rung tells
-exhausted precision from a block that is not positive definite, so it first
-reads the family's exact limit (:mod:`.moments`).  Rational input takes the
+:func:`graded_rows` is that row loop and :func:`graded_climb` the one climb
+of its rungs, which both the lambda_min path and ``factor`` take.
+``factor`` climbs from ``GRADED_BITS`` (or an explicit big-float backend's
+own precision) until the bounds of the pivots, alpha and beta lie below the
+output precision (2^-53 for f64, 2^-b for ``bigfloat:b``) with
+``FACTOR_MARGIN_BITS`` to spare.  It first reads the family's exact limit
+(:mod:`.moments`), so a block that is not positive definite fails before
+any rung runs.  Rational input takes the
 Chebyshev algorithm of :mod:`.triangular`, exactly.
 """
 
@@ -49,6 +49,7 @@ from .backends import (
     BIGFLOAT,
     RATIONAL,
     Backend,
+    BackendError,
     F64_BACKEND,
     HankelError,
     PrecisionError,
@@ -56,7 +57,7 @@ from .backends import (
     dot,
     three_term,
 )
-from .moments import MomentSequence, positive_definite_limit
+from .moments import MissingMomentError, MomentSequence, positive_definite_limit
 from .triangular import (
     PositivityError,
     invert_unit_upper,
@@ -186,6 +187,43 @@ def graded_rows(ms: MomentSequence, top: int, bits: int, tol):
         yield GradedRow(row, x, scale[j], theta, step)
 
 
+def graded_climb(ms: MomentSequence, top: int, tol, bits: int):
+    """The rungs of the graded run of size ``top``: :func:`graded_rows` at
+    ``bits``, 2 ``bits``, ... up to ``RETRY_CAP_BITS``, each yielded as
+    ``(bits, rows)`` with the rows it completed.  The climb ends after the
+    first rung that completes all ``top``, or at the cap.
+
+    This is the one climb rule (:mod:`.spectral` gives its grounds).  A rung
+    that stops at size M climbs where its theta_M < 1, which proves the
+    leading M x M block positive definite, or, on theta_M >= 1, an even
+    moment or a pivot <= 0, where that block is positive definite: a lower
+    rung passed M, or else :func:`~.moments.positive_definite_limit` says
+    so, asked once per stopping size.  Otherwise the climb yields the
+    prefix and raises the :class:`PositivityError` of dimension M that the
+    exact factor raises; a moment that cannot be read yields the prefix and
+    raises its error.
+    """
+    proven = 0  # the largest stopping size shown positive definite
+    while bits <= RETRY_CAP_BITS:
+        rows, error = [], None
+        try:
+            for row in graded_rows(ms, top, bits, tol):
+                rows.append(row)
+        except GradedStop as stop:
+            m = stop.size
+            if not (stop.definite or m <= proven or positive_definite_limit(ms, m) >= m):
+                error = PositivityError(m, f"the exact leading {m}x{m} block is not positive definite")
+            proven = max(proven, m)
+        except (BackendError, PrecisionError, MissingMomentError) as err:
+            error = err
+        yield bits, rows
+        if error is not None:
+            raise error
+        if len(rows) == top:
+            return
+        bits *= 2
+
+
 @dataclass(frozen=True)
 class TriangularPair:
     """Factorization data: matrix = U^t diag(pivots) U, plus the inverse of U.
@@ -282,14 +320,13 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     coefficients the first formed to the second and to the pair.  Float
     input past the exact limit (:func:`~.moments.positive_definite_limit`)
     raises :class:`PositivityError` at its dimension.  Other float input
-    climbs the rungs of :func:`graded_rows` from ``GRADED_BITS``, or the
-    precision of a big-float backend if larger, doubling, until (2N + 1)
-    theta_N <= 2^-(out + FACTOR_MARGIN_BITS), out = 53 for f64 and b for
-    ``bigfloat:b``; every stop below that climbs, since the block is
-    positive definite.  The pair is a big float at that rung, with its
-    bounds (:func:`_graded_pair`).  No rung up to ``RETRY_CAP_BITS`` raises
-    :class:`~.backends.PrecisionError`, and a moment that cannot be read
-    raises its error.  Both paths skip the parity zeros of a block whose odd
+    takes the first rung of :func:`graded_climb`, from ``GRADED_BITS`` or
+    the precision of a big-float backend if larger, that completes with
+    (2N + 1) theta_N <= 2^-(out + FACTOR_MARGIN_BITS), out = 53 for f64 and
+    b for ``bigfloat:b``: the pair is a big float at that rung, with its
+    bounds (:func:`_graded_pair`).  A climb that ends without one raises
+    :class:`~.backends.PrecisionError`, and one that ends on a moment error
+    raises that.  Both paths skip the parity zeros of a block whose odd
     moments all vanish.
     """
     if n < 1:
@@ -304,12 +341,9 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
         raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
     out = ms.backend.precision if ms.backend.kind == BIGFLOAT else 53
     tol = Fraction(1, (2 * n + 1) << (out + FACTOR_MARGIN_BITS))
-    bits = max(GRADED_BITS, out)
-    while bits <= RETRY_CAP_BITS:
-        try:
-            return _graded_pair(list(graded_rows(ms, n, bits, tol)), bits)
-        except GradedStop:
-            bits *= 2
+    for bits, rows in graded_climb(ms, n, tol, max(GRADED_BITS, out)):
+        if len(rows) == n:
+            return _graded_pair(rows, bits)
     raise PrecisionError(f"no rung up to RETRY_CAP_BITS = {RETRY_CAP_BITS} bits bounds "
                          f"the {n}x{n} factor to 2^-{out}")
 

@@ -152,30 +152,24 @@ M and eps >= theta_M, so the run stops at the first M whose theta_M exceeds
 LAMBDA_MAX_TOL: every larger size declines at this rung, with no further
 rows and no SVD.
 
-The run then climbs.  A stop on LAMBDA_MAX_TOL <= theta_M < 1 proves the
-leading M x M block positive definite, and ||X~_M||_F^2 = tr A^_M^-1 lies
-within a factor (1 -+ theta_M)^-1 of tr A'_M^-1 (Ostrowski again), which
-depends on the moments, not on b.  So at 2b, theta_M = (2M^2 + 1) 2^-2b
-||X~_M||_F^2 is about 2^-b theta_M, far below LAMBDA_MAX_TOL, and the sizes
-from M on run again at 2b, up to RETRY_CAP_BITS; each size reports the rung
-that certified it.  A stop on theta_M >= 1 or on a pivot <= 0 climbs the
-same way where the exact leading M x M block is positive definite: a
-positive definite A' has a positive lambda_min of its own, which the
-rounding at 2^-b hid and a finer rung brings out.  The exact test is the
-family's (:func:`~.moments.positive_definite_limit`), made only on such a
-stop and once per size: the rungs above take a size a climb has proven as
-positive definite.  A measure with infinite support passes it at once, every
-truncation of it being positive definite, a discrete measure passes up to
-its number of points, and explicit data takes the rational LDL of the exact
-values the rungs approach.  A stop on a block the exact test finds not
-positive definite is final, as a singular truncation stops on theta_M >= 1
-or a pivot <= 0 at every rung and must not climb to the cap: every size from
-M on reports the :class:`~.triangular.PositivityError` of dimension M that
-the exact factor raises.  A non-positive even moment, a non-positive
-diagonal entry, is such a stop too, and a stop on a moment error is final.
-The row loop is :func:`~.orthopoly.graded_rows`, which a float factor
-iterates too (below).  Hilbert's lambda_min takes 128 bits up to N = 18, 256 bits for N = 19..43
-and 512 bits for N = 44..64.
+The sizes from M on then run again at higher rungs, by the one climb rule of
+:func:`~.orthopoly.graded_climb`, which a float factor takes too (below);
+each size reports the rung that certified it.  The rule rests on two facts.
+theta_M < 1 proves the leading M x M block positive definite, and
+||X~_M||_F^2 = tr A^_M^-1 lies within a factor (1 -+ theta_M)^-1 of tr
+A'_M^-1 (Ostrowski again), which depends on the moments, not on b: at 2b,
+theta_M is about 2^-b theta_M, far below LAMBDA_MAX_TOL.  And a positive
+definite A' has a positive lambda_min of its own, which the rounding at 2^-b
+can hide behind theta_M >= 1 or a pivot <= 0 and a finer rung brings out,
+while a singular truncation stops so at every rung and must not climb to the
+cap.  The family's exact test (:func:`~.moments.positive_definite_limit`)
+tells the two apart: a measure with infinite support passes it at once,
+every truncation of it being positive definite, a discrete measure passes up
+to its number of points, and explicit data takes the rational LDL of the
+exact values the rungs approach.  Where it fails, every size from M on
+reports the :class:`~.triangular.PositivityError` of dimension M that the
+exact factor raises.  Hilbert's lambda_min takes 128 bits up to N = 18, 256
+bits for N = 19..43 and 512 bits for N = 44..64.
 
 Where the moments a row reads are those of a symmetric functional (every
 odd one exactly zero), A~_jk = r_j m~_{j+k} r_k vanishes for odd j + k, and
@@ -299,17 +293,15 @@ from .backends import (
     sup_norm,
     to_float,
 )
-from .moments import MissingMomentError, MomentSequence, partial_trace, positive_definite_limit
+from .moments import MissingMomentError, MomentSequence, partial_trace
 from .orthopoly import (
     GRADED_BITS,
-    RETRY_CAP_BITS,
-    GradedStop,
     TriangularPair,
     _round_shift,
     eval_polys,
     factor,
+    graded_climb,
     graded_frac,
-    graded_rows,
     guard_bits,
 )
 from .triangular import PositivityError
@@ -523,100 +515,70 @@ class GradedItem:
     hs_eps: float
 
 
-def _past_the_limit(ms, m, proven):
-    """The :class:`PositivityError` of size ``m`` where its exact leading
-    block is not positive definite, else None: ``m`` <= ``proven``, the size
-    a lower rung has proven so, or :func:`~.moments.positive_definite_limit`
-    passes it.  The error is the one :func:`~.orthopoly.factor` raises."""
-    if m <= proven or positive_definite_limit(ms, m) >= m:
-        return None
-    return PositivityError(m, f"the exact leading {m}x{m} block is not positive definite")
+def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL):
+    """Graded lambda_min of every truncation size in ``grid``, from the rungs
+    of :func:`~.orthopoly.graded_climb` at the largest size N, which holds
+    the climb rule.
 
-
-def _graded_lambda_min(ms: MomentSequence, grid, tol=LAMBDA_MAX_TOL, bits=GRADED_BITS, proven=0):
-    """Graded lambda_min of every truncation size in ``grid``, from one run
-    per rung, the first at ``bits``.
-
-    The rows are those of :func:`~.orthopoly.graded_rows` at the largest
-    size N.  Size M reads the leading blocks (module docstring): theta_M
-    from the running sum of ||X||_F^2 and lambda_min = 1/||Y_M||_2^2, the
-    norm by LAPACK on the leading M x M block of the f64 rounding Y of X
-    S^-1, each row of Y formed as its row of X arrives.
+    Size M reads the leading blocks of the first rung whose prefix holds it
+    (module docstring): theta_M from the running sum of ||X||_F^2 and
+    lambda_min = 1/||Y_M||_2^2, the norm by LAPACK on the leading M x M
+    block of the f64 rounding Y of X S^-1, rebuilt from the rung's rows.
 
     Returns one item per size: a :class:`GradedItem`, whose ``bits`` is the
-    rung of the run that gave it and whose hs_norm_b is ||Y_M||_F; a
+    rung that gave it and whose hs_norm_b is ||Y_M||_F; a
     :class:`PrecisionError` where that weight is outside the normal f64
-    range (lambda^ is then too); the error raised reading that size's
-    moments; a :class:`PositivityError` from the first size M the run proves
-    not positive definite on; or None where the path declines.  An even
-    moment or a pivot that is not positive ends the prefix, and so does the
-    first theta_M >= ``tol`` (at most 1), formed before the f64 row of Y:
-    theta_M grows with M and eps >= theta_M, so every larger size declines
-    at this rung, with no further rows and no SVD.  A row of Y that
-    overflows does not end it.  The sizes from M on are run again at 2
-    ``bits``, up to ``RETRY_CAP_BITS``, when the prefix ends on tol <=
-    theta_M < 1 (the leading M x M block is then proven positive definite,
-    and theta_M at 2 ``bits`` is about 2^-bits theta_M), or on theta_M >= 1,
-    an even moment or a pivot <= 0 where the leading M x M block is positive
-    definite: M <= ``proven``, the size a lower rung has proven so, or else
-    :func:`~.moments.positive_definite_limit`, checked once per size.
-    Where the exact block is not positive definite, every size from M on
-    gets the :class:`PositivityError` of dimension M
-    (:func:`_past_the_limit`); a moment error is final.  ``tol`` is a test
-    seam: the profile keeps the default, the bound it accepts, and the tests
-    pass 1 to read the value and bound of a size it declines at ``bits``.
+    range (lambda^ is then too); the error that ends the climb, a moment
+    error or the :class:`PositivityError` of a block the climb proves not
+    positive definite, for every size no rung holds; or None where the
+    climb ends at the cap.  A rung's prefix ends at the first theta_M >=
+    ``tol`` (at most 1): theta_M grows with M and eps >= theta_M, so every
+    larger size declines at that rung, with no SVD.  A row of Y that
+    overflows does not end it.  ``tol`` is a test seam: the profile keeps
+    the default, the bound it accepts, and the tests pass 1 to read the
+    value and bound of a size it declines at a rung.
     """
     top = max(grid)
-    frac = graded_frac(bits, top)
-    theta_unit = 1 << (2 * frac + bits)
-    y = np.zeros((top, top))
-    scale = []
-    row_norms = []  # ||row_j(Y)||_2 in f64
-    thetas = []  # theta_M of the prefix, M = 1, 2, ...
-    beyond = None  # what a size past the prefix gets
-    climb = False  # whether the sizes past the prefix run again at 2 bits
+    items = {}
+    beyond = None  # what a size no rung holds gets
     try:
-        for j, row in enumerate(graded_rows(ms, top, bits, tol)):
-            scale.append(row.scale)
-            thetas.append(row.theta / theta_unit)
-            try:
-                y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(row.x, scale)]
-            except OverflowError:  # every weight from size j + 1 on is past 2^1024
-                y_row = [math.inf]
-            row_norms.append(math.hypot(*y_row))
-    except (BackendError, PrecisionError, MissingMomentError) as err:
+        for bits, rows in graded_climb(ms, top, tol, GRADED_BITS):
+            frac = graded_frac(bits, top)
+            y = np.zeros((top, top))
+            scale = [row.scale for row in rows]
+            row_norms = []  # ||row_j(Y)||_2 in f64
+            for j, row in enumerate(rows):
+                try:
+                    y[j, : j + 1] = y_row = [_scaled_float(t * m, e - frac) for t, (m, e) in zip(row.x, scale)]
+                except OverflowError:  # every weight from size j + 1 on is past 2^1024
+                    y_row = [math.inf]
+                row_norms.append(math.hypot(*y_row))
+            for m in grid:
+                if m <= len(rows) and m not in items:
+                    theta = rows[m - 1].theta / (1 << (2 * frac + bits))
+                    items[m] = _graded_item(y[:m, :m], row_norms[:m], theta, bits)
+    except (PositivityError, BackendError, PrecisionError, MissingMomentError) as err:
         beyond = err
-    except GradedStop as stop:
-        beyond = None if stop.definite else _past_the_limit(ms, stop.size, proven)
-        climb = beyond is None
-    out = []
-    for m in grid:
-        if m > len(thetas):
-            out.append(beyond)
-            continue
-        theta = thetas[m - 1]
-        hs = math.hypot(*row_norms[:m])
-        if not sys.float_info.min <= hs < math.inf:
-            out.append(PrecisionError(f"a weight of {hs} is outside the normal f64 range"))
-            continue
-        hs_eps = (theta / 2 + 6 * 2.0**-53 + m * 2.0**-1074 / hs) / (1 - theta)
-        sigma = float(np.linalg.norm(y[:m, :m], 2))
-        try:
-            lam = (1 / sigma) ** 2
-        except OverflowError:  # a lambda_min past the f64 range
-            lam = math.inf
-        eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
-        if not sys.float_info.min <= lam < math.inf:
-            lam, eps = None, math.inf
-        out.append(GradedItem(lam, eps, bits, hs, hs_eps))
-    if climb and 2 * bits <= RETRY_CAP_BITS:
-        rest = [i for i, m in enumerate(grid) if m > len(thetas)]
-        proven = max(proven, len(thetas) + 1)  # the size the prefix stopped at
-        items = _graded_lambda_min(ms, [grid[i] for i in rest], tol=tol, bits=2 * bits,
-                                   proven=proven)
-        for i, item in zip(rest, items):
-            out[i] = item
-    return out
+    return [items.get(m, beyond) for m in grid]
+
+
+def _graded_item(y, row_norms, theta, bits):
+    """The item of the leading block ``y`` of Y, whose rows have the norms
+    ``row_norms``, at ``theta`` (module docstring)."""
+    m = len(row_norms)
+    hs = math.hypot(*row_norms)
+    if not sys.float_info.min <= hs < math.inf:
+        return PrecisionError(f"a weight of {hs} is outside the normal f64 range")
+    hs_eps = (theta / 2 + 6 * 2.0**-53 + m * 2.0**-1074 / hs) / (1 - theta)
+    sigma = float(np.linalg.norm(y, 2))
+    try:
+        lam = (1 / sigma) ** 2
+    except OverflowError:  # a lambda_min past the f64 range
+        lam = math.inf
+    eps = (theta + 4 * (m + 1) * 2.0**-53 + m * 2.0**-1074 / sigma) / (1 - theta)
+    if not sys.float_info.min <= lam < math.inf:
+        lam, eps = None, math.inf
+    return GradedItem(lam, eps, bits, hs, hs_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,14 @@ def test_parse_number_refuses_a_decimal_that_underflows():
         assert parse_number(text) == 0.0
 
 
+def test_parse_number_refuses_a_zero_denominator():
+    # a ZeroDivisionError is an ArithmeticError, which the CLI reports as a
+    # failed computation (exit 1) rather than a config error
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="has a zero denominator"):
+            parse_number(text)
+
+
 def test_parse_number_leaves_bools_and_exact_values():
     assert parse_number(True) is True
     x = Fraction(2, 3)

@@ -563,6 +563,43 @@ def test_decimal_values_that_underflow_exit_2(tmp_path, run):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("family, params", [
+    ("power_log", {"c": None}),
+    ("power_log", {"c": [1]}),
+    ("power_log", {"c": True}),
+    ("log_normal", {"sigma": {"a": 1}}),
+    ("discrete", {"points": 5, "weights": ["1"]}),
+    ("explicit", {"values": "123"}),
+], ids=["null", "list", "bool", "object", "bare-points", "string-values"])
+def test_family_params_that_are_not_numbers_exit_2(tmp_path, run, family, params):
+    # null, a list or an object crashed with a TypeError (exit 1); true ran
+    # as c = 1 and the string "123" as the moments 1, 2, 3 (exit 0)
+    cfg = write(tmp_path / "c.json", {"family": {"family": family, "params": params},
+                                      "backend": "f64"})
+    code, out, err = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: config rejected by schema: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_denominators_exit_2(tmp_path, run):
+    # "1/0" raised ZeroDivisionError, reported as "computation failed" (exit 1)
+    expected = ["config error: '1/0' has a zero denominator"]
+    explicit = write(tmp_path / "x.json", {
+        "family": {"family": "explicit", "params": {"values": ["1", "1/0", "1"]}}, "backend": "f64",
+    })
+    gegenbauer = write(tmp_path / "g.json", {
+        "family": {"family": "gegenbauer", "params": {"lambda": "1/0"}}, "backend": "f64",
+    })
+    extremal = write(tmp_path / "e.json", {
+        "measure": {"points": ["-1/2", "1/2"], "weights": ["1", "1/0"]}, "remove": [],
+    })
+    for command, cfg in (("classify", explicit), ("classify", gegenbauer), ("extremal", extremal)):
+        code, out, err = run(command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out, err.splitlines()) == (2, "", expected), (command, cfg)
+    assert not (tmp_path / "o").exists()
+
+
 PAST_F64 = "1" + "0" * 400  # an exact integer, past the f64 range
 
 

@@ -28,7 +28,7 @@ from hankelmoments import (
 )
 from hankelmoments.backends import to_float
 from hankelmoments import orthopoly
-from hankelmoments.moments import LogNormal
+from hankelmoments.moments import LogNormal, MissingMomentError
 
 from conftest import (
     b_matrix,
@@ -296,6 +296,37 @@ def test_ladder_starts_at_an_explicit_bigfloat_precision_and_stops_at_the_cap(mo
     with pytest.raises(PrecisionError, match="RETRY_CAP_BITS = 256"):
         factor(ms, 6)
     assert seen == [200]
+
+
+def _climb(ms, top):
+    """The (bits, rows completed) of every rung of the climb at tol 1e-12,
+    and the error that ends it (None where it just ends)."""
+    rungs = []
+    try:
+        for bits, rows in orthopoly.graded_climb(ms, top, 1e-12, orthopoly.GRADED_BITS):
+            rungs.append((bits, len(rows)))
+    except (PositivityError, MissingMomentError) as err:
+        return rungs, err
+    return rungs, None
+
+
+def test_graded_climb_yields_each_rung_and_ends_on_the_first_complete_one():
+    # the exact H_5 of four points is singular: the stop at 5 is final;
+    # Hilbert stops at 19 at 128 bits and completes at 256; explicit data of
+    # 7 moments cannot fill row 5, whatever the rung
+    four = MomentSequence(Discrete(FOUR_FLOAT_POINTS), F64_BACKEND)
+    rungs, err = _climb(four, 6)
+    assert rungs == [(128, 4)]
+    assert isinstance(err, PositivityError) and err.dimension == 5
+    assert _climb(MomentSequence(PowerLog(1), F64_BACKEND), 32) == ([(128, 18), (256, 32)], None)
+    short = MomentSequence(Explicit(tuple(1.0 / (k + 1) for k in range(7))), F64_BACKEND)
+    rungs, err = _climb(short, 6)
+    assert rungs == [(128, 4)] and isinstance(err, MissingMomentError)
+
+
+def test_graded_climb_ends_at_the_cap_without_a_complete_rung(monkeypatch):
+    monkeypatch.setattr(orthopoly, "RETRY_CAP_BITS", 256)
+    assert _climb(MomentSequence(PowerLog(1), F64_BACKEND), 48) == ([(128, 18), (256, 43)], None)
 
 
 def _lognormal_reference(sigma, n, bits):

@@ -201,7 +201,7 @@ def test_indefinite_explicit_sequence_reports_a_positivity_error(monkeypatch):
     _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entry = lambda_profile(ms, [3], quantities=("lambda_min", "lambda_max")).entries[0]
-    assert runs == [([3], spectral.GRADED_BITS)]
+    assert runs == [(3, spectral.GRADED_BITS)]
     assert entry.status == "error:PositivityError"
     assert entry.precision_bits == 53 and entry.lambda_min is None
     assert entry.lambda_max == pytest.approx(float(ref_hi), rel=1e-12, abs=0)
@@ -733,15 +733,15 @@ def test_lognormal_profile_never_reaches_the_ladder(monkeypatch):
 
 
 def _spy_graded(monkeypatch):
-    """Record the grid and rung of every graded run, the climbs included."""
+    """Record the size and rung of every graded run, one record per rung."""
     runs = []
-    real = spectral._graded_lambda_min
+    real = orthopoly.graded_rows
 
-    def spy(ms, grid, **kwargs):
-        runs.append((list(grid), kwargs.get("bits", spectral.GRADED_BITS)))
-        return real(ms, grid, **kwargs)
+    def spy(ms, top, bits, tol):
+        runs.append((top, bits))
+        return real(ms, top, bits, tol)
 
-    monkeypatch.setattr(spectral, "_graded_lambda_min", spy)
+    monkeypatch.setattr(orthopoly, "graded_rows", spy)
     return runs
 
 
@@ -757,7 +757,7 @@ def test_graded_path_climbs_its_own_rungs_on_hilbert(monkeypatch):
     items = spectral._graded_lambda_min(ms, grid)
     runs = _spy_graded(monkeypatch)
     profile = lambda_profile(ms, grid)
-    assert runs == [(grid, 128), ([20, 24, 28, 32], 256)]
+    assert runs == [(32, 128), (32, 256)]
     for entry, item in zip(profile.entries, items):
         assert entry.status == "ok" and entry.lambda_min == item.lambda_min
         assert entry.precision_bits == item.bits == (128 if entry.n < 19 else 256)
@@ -778,7 +778,7 @@ def test_singular_truncation_grades_once_and_skips_the_ladder(monkeypatch):
     _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     entries = lambda_profile(ms, [4, 8, 12, 16], quantities=("lambda_min",)).entries
-    assert runs == [([4, 8, 12, 16], 128)]
+    assert runs == [(16, 128)]
     assert entries[0].status == "ok" and entries[0].precision_bits == 128
     for entry in entries[1:]:
         assert entry.status == "error:PositivityError"
@@ -793,16 +793,16 @@ def test_exact_positive_definiteness_reads_the_rational_ldl():
     # a zero pivot (the 4-point H_5) and a negative one (H_2 of the
     # indefinite data) both fail; a measure with infinite support passes
     four = MomentSequence(FOUR_POINTS, F64_BACKEND)
-    assert spectral.positive_definite_limit(four, 4) == 4
-    assert spectral.positive_definite_limit(four, 5) == 4
+    assert orthopoly.positive_definite_limit(four, 4) == 4
+    assert orthopoly.positive_definite_limit(four, 5) == 4
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert spectral.positive_definite_limit(indefinite, 1) == 1
-    assert spectral.positive_definite_limit(indefinite, 2) == 1
+    assert orthopoly.positive_definite_limit(indefinite, 1) == 1
+    assert orthopoly.positive_definite_limit(indefinite, 2) == 1
     spiked = MomentSequence(SPIKED, bigfloat(64))
-    assert spectral.positive_definite_limit(spiked, 6) == 6
-    assert spectral.positive_definite_limit(spiked, 7) == 6
+    assert orthopoly.positive_definite_limit(spiked, 6) == 6
+    assert orthopoly.positive_definite_limit(spiked, 7) == 6
     lognormal = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    assert spectral.positive_definite_limit(lognormal, 8) == 8
+    assert orthopoly.positive_definite_limit(lognormal, 8) == 8
 
 
 def test_explicit_float_data_is_tested_exactly(monkeypatch):
@@ -814,13 +814,13 @@ def test_explicit_float_data_is_tested_exactly(monkeypatch):
     _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(Explicit(tuple(1.0 / (j + 1) for j in range(31))), F64_BACKEND)
-    assert spectral.positive_definite_limit(ms, 13) == 13
-    assert spectral.positive_definite_limit(ms, 14) == 13
+    assert orthopoly.positive_definite_limit(ms, 13) == 13
+    assert orthopoly.positive_definite_limit(ms, 14) == 13
     entries = lambda_profile(ms, [8, 16]).entries
     assert [(e.status, e.precision_bits) for e in entries] == [
         ("ok", 128), ("error:PositivityError", 53)
     ]
-    assert runs == [([8, 16], 128)]
+    assert runs == [(16, 128)]
 
 
 def test_float_discrete_data_is_tested_exactly(monkeypatch):
@@ -832,7 +832,7 @@ def test_float_discrete_data_is_tested_exactly(monkeypatch):
     mu = DiscreteMeasure((-0.5, 0.0, 0.25, 0.75), (0.25,) * 4)
     entries = lambda_profile(MomentSequence(Discrete(mu), F64_BACKEND), [4, 8, 16, 32]).entries
     assert [e.status for e in entries] == ["ok"] + ["error:PositivityError"] * 3
-    assert runs == [([4, 8, 16, 32], 128)]
+    assert runs == [(32, 128)]
 
 
 # five points, one of weight 2^-300 at 1/2: the graded run stops on a pivot
@@ -1197,7 +1197,7 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
     ms = MomentSequence(family, bigfloat(256))
     runs = _spy_graded(monkeypatch)
     checks, norms = [], []
-    real_check, real_norm = spectral.positive_definite_limit, spectral.np.linalg.norm
+    real_check, real_norm = orthopoly.positive_definite_limit, spectral.np.linalg.norm
 
     def spy_check(ms, m):
         checks.append(m)
@@ -1207,12 +1207,12 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
         norms.append((runs[-1][1], len(a)))
         return real_norm(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "positive_definite_limit", spy_check)
+    monkeypatch.setattr(orthopoly, "positive_definite_limit", spy_check)
     monkeypatch.setattr(spectral.np.linalg, "norm", spy_norm)
     entries = lambda_profile(ms, [5, 6], quantities=("lambda_min",)).entries
     graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
     assert max(graded) < 2 * 5  # row 6 (index 5) would read m_9 and m_10
-    assert runs == [([5, 6], 128), ([5, 6], 256)]
+    assert runs == [(6, 128), (6, 256)]
     assert checks == [5]
     assert norms == [(256, 5), (256, 6)]
     assert all(e.status == "ok" and e.precision_bits == 256 for e in entries)
@@ -1223,13 +1223,13 @@ def test_climb_checks_each_stopping_size_once(monkeypatch):
     # the exact H_5 is checked at the first stop only, and 512 bits certify
     # it with the value and bounds the run gave when it checked both stops
     checks = []
-    real_check = spectral.positive_definite_limit
+    real_check = orthopoly.positive_definite_limit
 
     def spy_check(ms, m):
         checks.append(m)
         return real_check(ms, m)
 
-    monkeypatch.setattr(spectral, "positive_definite_limit", spy_check)
+    monkeypatch.setattr(orthopoly, "positive_definite_limit", spy_check)
     runs = _spy_graded(monkeypatch)
     item = spectral._graded_lambda_min(MomentSequence(FAINT_POINT, bigfloat(256)), [5], tol=1)[0]
     assert [bits for _, bits in runs] == [128, 256, 512]
@@ -1304,17 +1304,17 @@ def test_graded_parity_reads_each_odd_moment_once_per_rung(monkeypatch, family, 
     # of the run), each odd moment is compared to 0 at most once, not once
     # per later row as well
     rungs = []
-    real_graded, real_parity = spectral._graded_lambda_min, orthopoly.parity_holds
+    real_graded, real_parity = orthopoly.graded_rows, orthopoly.parity_holds
 
-    def graded(ms, grid, **kwargs):
-        rungs.append((max(grid), []))
-        return real_graded(ms, grid, **kwargs)
+    def graded(ms, top, bits, tol):
+        rungs.append((top, []))
+        return real_graded(ms, top, bits, tol)
 
     def parity(moments, n):
         rungs[-1][1].extend(id(m) for m in moments[1 : 2 * n - 2 : 2])
         return real_parity(moments, n)
 
-    monkeypatch.setattr(spectral, "_graded_lambda_min", graded)
+    monkeypatch.setattr(orthopoly, "graded_rows", graded)
     monkeypatch.setattr(orthopoly, "parity_holds", parity)
     spectral._graded_lambda_min(MomentSequence(family, backend), grid)
     assert len(rungs) >= (2 if family.name == "gegenbauer" else 1)
@@ -1360,7 +1360,7 @@ def test_singular_truncation_reports_no_value(monkeypatch, backend):
     assert entry.status == "error:PositivityError" and entry.hs_norm_b is None
     runs.clear()
     entries = lambda_profile(ms, range(4, 9), quantities=("lambda_min",)).entries
-    assert runs == [([4, 5, 6, 7, 8], 128)]
+    assert runs == [(8, 128)]
     assert entries[0].status == "ok"
     for entry in entries[1:]:
         assert entry.status == "error:PositivityError" and entry.lambda_min is None
