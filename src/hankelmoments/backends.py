@@ -11,15 +11,19 @@ computation is deterministic given (inputs, backend).  Big-float arithmetic
 must run inside ``with backend.context():`` so the mpmath working precision
 matches the backend.
 
-The exact inner loops of the library (the Chebyshev recurrence and the
-triangular inverse, xi and its identities, the Hankel row action) run on two
-scalar kernels, :func:`dot` and :func:`three_term`.  On ``Fraction`` (or
-``int``) operands they sum the integer products over a running least common
-denominator and reduce once, so each result is one reduced ``Fraction``
-built from an unreduced integer accumulation instead of a reduction per
-operation.  On any other operand type they evaluate the in-order expression
-an accumulate loop would, with the same operands, so float results keep
-their bits.
+The exact inner loops of the library that step scalar by scalar (xi and its
+identities, the monic polynomial values) run on two scalar kernels,
+:func:`dot` and :func:`three_term`.  On ``Fraction`` (or ``int``) operands
+they sum the integer products over a running least common denominator and
+reduce once, so each result is one reduced ``Fraction`` built from an
+unreduced integer accumulation instead of a reduction per operation.  On any
+other operand type they evaluate the in-order expression an accumulate loop
+would, with the same operands, so float results keep their bits.  The loops
+that step whole rows (the Chebyshev recurrence and the triangular inverse of
+:mod:`.triangular`, the exact Hankel row action of :mod:`.hankel`) go one
+level lower: :func:`integer_form` writes a row as Python ints over one common
+denominator, each row is formed on those ints and reduced once, and a
+``Fraction`` is built only for an entry the caller gets back.
 
 Numbers cross the JSON boundary by one rule each way.  :func:`parse_number`
 reads every number of a config: ``p/q`` and integer strings and JSON
@@ -36,7 +40,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
 
 import mpmath
 from mpmath import mpf
@@ -118,6 +122,8 @@ class Backend:
         the backend's own precision (never through an f64 detour).
         """
         if self.kind == RATIONAL:
+            if type(value) is Fraction:  # immutable: no copy needed
+                return value
             if isinstance(value, (float, mpf)):
                 raise BackendError(
                     "rational backend does not accept float input; "
@@ -268,6 +274,20 @@ def sup_norm(v):
 # -- exact inner-loop kernels ---------------------------------------------------
 
 _EXACT_TYPES = frozenset((Fraction, int))
+
+
+def is_exact(values) -> bool:
+    """Whether every value is a ``Fraction`` or an ``int`` (exact types only,
+    so a subclass or a float takes the in-order path of the caller)."""
+    return all(type(x) in _EXACT_TYPES for x in values)
+
+
+def integer_form(values):
+    """``(numerators, den)``: Fractions or ints as ints over the least common
+    multiple ``den`` of their denominators (1 for no values), so that
+    ``values[i] == numerators[i] / den``."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def dot(xs, ys):

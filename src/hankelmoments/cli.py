@@ -60,27 +60,42 @@ EXIT_CONFIG = 2
 _NUMBER_SCHEMA = {"type": ["string", "number"]}
 _NUMBERS_SCHEMA = {"type": "array", "items": _NUMBER_SCHEMA, "minItems": 1}
 
-_FAMILY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": list(FAMILY_NAMES)},
-        "params": {
-            "type": "object",
-            "properties": {
-                **dict.fromkeys(("c", "lambda", "sigma"), _NUMBER_SCHEMA),
-                **dict.fromkeys(("values", "points", "weights"), _NUMBERS_SCHEMA),
-            },
-        },
-    },
-    "required": ["family"],
-    "additionalProperties": False,
-}
-
 _MEASURE_SCHEMA = {
     "type": "object",
     "properties": {"points": _NUMBERS_SCHEMA, "weights": _NUMBERS_SCHEMA},
     "required": ["points", "weights"],
     "additionalProperties": False,
+}
+
+# the params each family reads, all of them required; gaussian reads none
+_FAMILY_PARAMS = {
+    "power_log": {"c": _NUMBER_SCHEMA},
+    "gegenbauer": {"lambda": _NUMBER_SCHEMA},
+    "discrete": _MEASURE_SCHEMA["properties"],
+    "log_normal": {"sigma": _NUMBER_SCHEMA},
+    "gaussian": {},
+    "explicit": {"values": _NUMBERS_SCHEMA},
+}
+
+_FAMILY_SCHEMA = {
+    "type": "object",
+    "properties": {"family": {"enum": list(FAMILY_NAMES)}, "params": {"type": "object"}},
+    "required": ["family"],
+    "additionalProperties": False,
+    "allOf": [
+        {
+            "if": {"properties": {"family": {"const": name}}, "required": ["family"]},
+            "then": {
+                "properties": {"params": {
+                    "properties": params,
+                    "required": list(params),
+                    "additionalProperties": False,
+                }},
+                "required": ["params"] if params else [],
+            },
+        }
+        for name, params in _FAMILY_PARAMS.items()
+    ],
 }
 
 _BACKEND_SCHEMA = {"type": "string", "pattern": r"^(rational|f64|bigfloat:[0-9]+)$"}

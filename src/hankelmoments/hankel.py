@@ -8,7 +8,8 @@ any other vector, it is answered with trend evidence over growing
 truncations (:func:`domain_diagnostic`), labelled heuristic.
 Every exact product -- ``matvec_naive`` off f64, the shift series (on the
 damped moments m_k - m_{k+2}) and its remainder, the kernel-vector images of
-``extremal`` -- is made of the dot rows of :func:`row_actions`.  The fast f64
+``extremal`` -- is made of the rows of :func:`row_actions`, each formed on
+ints over one common denominator for exact data.  The fast f64
 products (``matvec_fft`` and the form and row-action values of
 ``domain_diagnostic``) run on numpy's FFT at 5-smooth lengths.  The f64 paths convert their data into numpy once -- a vector
 ``g`` with ``np.asarray``, the values of a coefficient generator with
@@ -21,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .backends import F64, RATIONAL, BackendError, dot, to_float
+from .backends import F64, RATIONAL, BackendError, dot, integer_form, is_exact, to_float
 from .moments import _HALF, MomentSequence, _exact, classify
 
 
@@ -35,13 +38,13 @@ from .moments import _HALF, MomentSequence, _exact, classify
 
 
 def row_actions(ms: MomentSequence, g, start: int, stop: int):
-    """r_k = sum_j m_{k+j} g_j for start <= k < stop, summed in order of j.
+    """r_k = sum_j m_{k+j} g_j for start <= k < stop.
 
     The one exact Hankel row action: every product that is not an f64 array
     product goes through it, inside the backend's context.  ``g`` is
     converted to the backend first (so the rational backend refuses float
     coefficients), the moments m_start .. m_{stop+len(g)-2} are read once in
-    increasing order, and each row is one :func:`.backends.dot`.
+    increasing order, and the rows are formed by :func:`_dot_rows`.
     """
     backend = ms.backend
     with backend.context():
@@ -51,12 +54,25 @@ def row_actions(ms: MomentSequence, g, start: int, stop: int):
 
 
 def _dot_rows(window, g, count, zero):
-    """(sum_j window[i + j] g_j)_{i < count}, each row one :func:`.backends.dot`
-    (``zero`` for every row when ``g`` is empty)."""
+    """(sum_j window[i + j] g_j)_{i < count}; ``zero`` for every row when
+    ``g`` is empty.
+
+    Exact data (Fractions and ints only) is written as ints over the lcm of
+    its denominators once (:func:`.backends.integer_form`), and each row is
+    one integer sum and one reduced ``Fraction``, equal to the row's
+    :func:`.backends.dot`.  Other data sums each row in order of j, one
+    :func:`.backends.dot` per row, so float rows keep their bits.
+    """
     width = len(g)
     if not width:
         return [zero] * count
-    return [dot(window[i : i + width], g) for i in range(count)]
+    if not (is_exact(window) and is_exact(g)):
+        return [dot(window[i : i + width], g) for i in range(count)]
+    moments, m_den = integer_form(window)
+    coefficients, g_den = integer_form(g)
+    den = m_den * g_den
+    return [Fraction(sum(map(mul, moments[i : i + width], coefficients)), den)
+            for i in range(count)]
 
 
 def matvec_naive(ms: MomentSequence, g, n: int):
@@ -140,7 +156,7 @@ def apply_H_via_series(
     here in the backend's context, each once, as the stages reach them.  The
     added term at stage ``l`` is the ``2l``-fold shift of their row action on
     ``g``: the slice r[2l : 2l + n] of one growing sequence of row actions
-    r_k = sum_j nu_{k+j} g_j, each row one :func:`.backends.dot` as in
+    r_k = sum_j nu_{k+j} g_j, formed by :func:`_dot_rows` as in
     :func:`row_actions`, so each further stage computes two entries.  A
     stage's squared norm is one ``dot`` of its n entries with themselves, and
     each result entry one ``dot`` over its terms after the last stage; both

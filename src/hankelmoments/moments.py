@@ -33,6 +33,7 @@ from .backends import (
     BackendError,
     HankelError,
     PrecisionError,
+    integer_form,
     parse_number,
     to_float,
 )
@@ -299,21 +300,14 @@ class Discrete(MomentFamily):
 
     @cached_property
     def _integer_form(self):
-        """(a, w, B, W): points a_i / B and weights w_i / W over common denominators.
+        """(a, c, B, W): points a_i / B and weights c_i / W over common denominators.
 
         Converted through the rational backend once per measure, so float
         data raises :class:`BackendError` as a per-moment conversion would.
         """
-        points = [RATIONAL_BACKEND.convert(x) for x in self.measure.points]
-        weights = [RATIONAL_BACKEND.convert(c) for c in self.measure.weights]
-        b = math.lcm(*(x.denominator for x in points))
-        w = math.lcm(*(c.denominator for c in weights))
-        return (
-            [x.numerator * (b // x.denominator) for x in points],
-            [c.numerator * (w // c.denominator) for c in weights],
-            b,
-            w,
-        )
+        a, b = integer_form([RATIONAL_BACKEND.convert(x) for x in self.measure.points])
+        c, w = integer_form([RATIONAL_BACKEND.convert(c) for c in self.measure.weights])
+        return a, c, b, w
 
     def moment(self, n, backend, known=None):
         _require_index(n)

@@ -7,8 +7,8 @@ D^{1/2} U`` without ever forming square roots.  :func:`ldl_decompose` sees
 exact data only: the rational truncations of :func:`~.orthopoly.factor` and
 the exact blocks of :func:`~.moments.positive_definite_limit`; a float
 factor reads ``U`` and ``D`` off the graded Cholesky instead
-(:mod:`.orthopoly`).  :func:`invert_unit_upper` works entry-wise over any
-scalar backend and gives ``U^{-1}`` of both.
+(:mod:`.orthopoly`).  :func:`invert_unit_upper` gives ``U^{-1}`` of both,
+on ints for exact ``alpha`` and ``beta`` and entry-wise for mpmath ones.
 
 The factorization uses the Hankel structure through the Chebyshev algorithm
 (Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
@@ -24,10 +24,24 @@ starting from ``sigma_{0,l} = m_l``.  They are the rows of ``D U``:
 three-term recurrence ``pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}``
 with ``alpha_k = U[k][k+1] - U[k-1][k]`` and ``beta_k = d_k / d_{k-1}``.
 
-Both recurrences step through :func:`.backends.three_term`: on Fractions
-each new sigma and each coefficient of ``pi_{k+1}`` is one reduced Fraction
-formed from an integer numerator over a common denominator, and on floats
-the step is the expression above, as written.
+Both recurrences step a whole row at a time on Python ints.  Row k of sigma
+is kept as integer numerators ``S_k[l]`` over one row denominator ``L_k``
+(column k of ``U^{-1}``, the coefficients of pi_k, the same way).  With
+``alpha_{k-1} = p/q`` and ``beta_{k-1} = r/s`` the next row is
+
+    S_k[l] = c1 S_{k-1}[l+1] - c2 S_{k-1}[l] - c3 S_{k-2}[l]
+    over L_k = lcm(L_{k-1} q, L_{k-2} s),
+
+where ``c1 = L_k / L_{k-1}``, ``c2 = p L_k / (L_{k-1} q)`` and ``c3 = r L_k
+/ (L_{k-2} s)`` are three ints formed once per row (:func:`_row_step`).
+The new row is reduced once, by the gcd of ``L_k`` and all its numerators,
+and a Fraction is built only for an entry the caller gets back: ``d_k =
+S_k[k] / L_k`` and ``U[k][l] = S_k[l] / S_k[k]``, where the row denominator
+cancels, and each entry of ``U^{-1}`` from its column.  Fractions are
+canonical, so each entry is the one the scalar recurrence gives.  The
+mpmath ``alpha`` and ``beta`` of a float factor step
+:func:`invert_unit_upper` entry by entry through
+:func:`.backends.three_term`, the expression above as written.
 
 ``alpha_k`` and ``beta_k`` are formed once, in :func:`ldl_decompose`, as the
 Chebyshev algorithm needs them (a float factor forms them from its ``U`` and
@@ -41,8 +55,9 @@ Polynomials*, 1978, sec. I.4): sigma_{k,l}, U[k][l] and U^{-1}[k][l] are
 zero wherever k + l is odd.  :func:`parity_holds` reads that off the moment
 block, and with ``symmetric=True`` both routines step by 2 over the
 surviving half, leaving the zeros as they were allocated.  Every surviving
-entry is the same operation on the same operands as in the full loops, so
-the results are the same bit for bit where a computed zero carries no sign:
+entry is the same operation on the same operands as in the full loops (a
+skipped zero leaves the gcd of an integer row unchanged), so the results
+are the same bit for bit where a computed zero carries no sign:
 on Fractions, and on the mpmath floats of a float factor, the only data
 :func:`~.orthopoly.factor` hands these loops.  (On machine floats the full
 inverse loop writes -0.0 into some parity zeros of U^{-1}, ``-alpha_0``
@@ -51,7 +66,10 @@ first.)
 
 from __future__ import annotations
 
-from .backends import HankelError, three_term
+from fractions import Fraction
+from math import gcd, lcm
+
+from .backends import HankelError, integer_form, is_exact, three_term
 
 
 class PositivityError(HankelError):
@@ -81,31 +99,56 @@ def parity_holds(moments, n) -> bool:
     return all(m == 0 for m in moments[1 : 2 * n - 2 : 2])
 
 
+def _row_step(lead, row, den, older, older_den, a, b, span):
+    """The integer row step (module docstring): entries ``l`` in ``span`` of
+    lead - a row - b older, for ints ``lead`` and ``row`` over ``den``,
+    ``older`` over ``older_den`` and exact ``a`` and ``b``, as ``(entries,
+    den')``, reduced by their gcd with den'."""
+    p = den * a.denominator
+    q = older_den * b.denominator
+    new = lcm(p, q)
+    c1, c2, c3 = new // den, a.numerator * (new // p), b.numerator * (new // q)
+    if c2:
+        entries = [c1 * lead[l] - c2 * row[l] - c3 * older[l] for l in span]
+    else:  # a = 0, as on every row of a symmetric block
+        entries = [c1 * lead[l] - c3 * older[l] for l in span]
+    g = gcd(new, *entries)
+    if g == 1:
+        return entries, new
+    return [x // g for x in entries], new // g
+
+
 def ldl_decompose(moments, n, zero, *, symmetric=False):
     """Return ``(unit_upper, pivots, alpha, beta)`` with ``H = U^t diag(pivots) U``.
 
-    ``moments`` holds ``m_0 .. m_{2n-2}``, the entries of the N x N Hankel
-    truncation ``H``.  Runs the Chebyshev algorithm (module docstring) in
-    O(N^2) operations, and returns the monic recurrence it forms on the way:
-    ``alpha = (alpha_0, ..., alpha_{n-2})`` and ``beta = (beta_1, ...,
-    beta_{n-1})``.  ``symmetric`` (:func:`parity_holds`) skips the entries
-    with k + l odd.  Raises :class:`PositivityError` at the first
-    nonpositive pivot ``sigma_{k,k}``, with ``dimension = k + 1``.
+    ``moments`` holds exact ``m_0 .. m_{2n-2}`` (Fractions or ints), the
+    entries of the N x N Hankel truncation ``H``; ``zero`` is the Fraction
+    0 the skipped entries of ``U`` hold.  Runs the Chebyshev algorithm
+    (module docstring) on integer rows in O(N^2) row operations, and returns
+    the monic recurrence it forms on the way: ``alpha = (alpha_0, ...,
+    alpha_{n-2})`` and ``beta = (beta_1, ..., beta_{n-1})``, Fractions.
+    ``symmetric`` (:func:`parity_holds`) skips the entries with k + l odd.
+    Raises :class:`PositivityError` at the first nonpositive pivot
+    ``sigma_{k,k}``, with ``dimension = k + 1``.
     """
     step = 2 if symmetric else 1
+    width = 2 * n - 1
     unit_upper = [[zero] * n for _ in range(n)]
     pivots, alpha, beta = [], [], []
-    older = [zero] * (2 * n - 1)  # sigma_{k-2, .}; sigma_{-1, .} = 0
-    sigma = list(moments[: 2 * n - 1])  # sigma_{k, .}, valid for k <= l <= 2n-2-k
+    # sigma_{k, l} = row[l] / den, valid for k <= l <= 2n-2-k; sigma_{-1, .} = 0
+    row, den = integer_form(moments[:width])
+    older, older_den = [0] * width, 1
     for k in range(n):
         if k:
-            a, b = alpha[k - 1], beta[k - 2] if k > 1 else zero
-            nxt = [zero] * (2 * n - 1)
-            for l in range(k, 2 * n - 1 - k, step):
-                nxt[l] = three_term(sigma[l + 1], a, sigma[l], b, older[l])
-            older, sigma = sigma, nxt
-        d = sigma[k]
-        if not d > 0:
+            b = beta[k - 2] if k > 1 else 0
+            entries, new_den = _row_step(row[1:], row, den, older, older_den, alpha[k - 1], b,
+                                         range(k, width - k, step))
+            nxt = [0] * width
+            nxt[k : width - k : step] = entries
+            older, older_den, row, den = row, den, nxt, new_den
+        top = row[k]
+        d = Fraction(top, den)
+        if not top > 0:
             raise PositivityError(
                 k + 1,
                 f"leading {k + 1}x{k + 1} block is not positive definite "
@@ -114,10 +157,9 @@ def ldl_decompose(moments, n, zero, *, symmetric=False):
         if k:
             beta.append(d / pivots[k - 1])
         pivots.append(d)
-        row = unit_upper[k]
-        row[k] = zero + 1
-        for l in range(k + step, n, step):
-            row[l] = sigma[l] / d
+        upper = unit_upper[k]
+        upper[k] = zero + 1
+        upper[k + step : n : step] = [Fraction(x, top) for x in row[k + step : n : step]]
         if k + 1 < n:
             alpha.append(monic_alpha(unit_upper, k))
     return unit_upper, pivots, alpha, beta
@@ -145,11 +187,16 @@ def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
     orthogonal polynomial ``pi_k``; columns are built by the three-term
     recurrence from ``alpha[k] = alpha_k`` and ``beta[k - 1] = beta_k``, as
     :func:`ldl_decompose` returns them.  ``symmetric`` skips the entries
-    with j + k odd.  Exact for rational input.
+    with j + k odd.  Exact ``alpha`` and ``beta`` (Fractions or ints) step
+    each column on ints and give Fractions; others step entry by entry
+    through :func:`.backends.three_term`.
     """
     inv = [[zero] * n for _ in range(n)]
     for k in range(n):
         inv[k][k] = zero + 1
+    if is_exact(alpha) and is_exact(beta):
+        _invert_exact(inv, alpha, beta, n, 2 if symmetric else 1)
+        return inv
     if n > 1 and not symmetric:
         inv[0][1] = -alpha[0]
     for k in range(1, n - 1):
@@ -162,3 +209,25 @@ def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
         if not symmetric:
             inv[k][k + 1] = inv[k - 1][k] - a
     return inv
+
+
+def _invert_exact(inv, alpha, beta, n, step):
+    """Fill the columns 1 .. n-1 of ``inv`` from exact ``alpha`` and ``beta``.
+
+    Column k is held as ints ``col[j] / den`` (entry k is ``den``, pi_k
+    being monic), and column k + 1 is one :func:`_row_step` of it:
+    coefficient j of pi_{k+1} is pi_k[j-1] - alpha_k pi_k[j] - beta_k
+    pi_{k-1}[j].  Only the entries with j + k + 1 even are formed
+    when ``step`` is 2.
+    """
+    older, older_den = [0] * n, 1  # pi_{-1} = 0
+    col, den = [1] + [0] * (n - 1), 1  # pi_0 = 1
+    for k in range(n - 1):
+        span = range((k + 1) % step, k + 2, step)
+        entries, new_den = _row_step([0] + col, col, den, older, older_den, alpha[k],
+                                     beta[k - 1] if k else 0, span)
+        nxt = [0] * n
+        nxt[span.start : k + 2 : step] = entries
+        older, older_den, col, den = col, den, nxt, new_den
+        for j in span[:-1]:
+            inv[j][k + 1] = Fraction(col[j], den)

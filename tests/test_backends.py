@@ -14,6 +14,7 @@ from hankelmoments.backends import (
     F64_BACKEND,
     RATIONAL_BACKEND,
     dot,
+    integer_form,
     parse_number,
     scalar_to_json,
     sup_norm,
@@ -46,6 +47,25 @@ def test_rational_convert_is_exact():
     assert b.convert(5) == Fraction(5)
     x = b.convert(Fraction(1, 3))
     assert (x + x + x) == 1  # closed under arithmetic, no rounding
+
+
+def test_rational_convert_returns_a_fraction_as_given():
+    x = Fraction(-7, 9)
+    assert RATIONAL_BACKEND.convert(x) is x
+    # a subclass is still rebuilt as a plain Fraction, an int as its Fraction
+    y = RATIONAL_BACKEND.convert(_FractionSubclass(2, 3))
+    assert type(y) is Fraction and y == Fraction(2, 3)
+    assert type(RATIONAL_BACKEND.convert(4)) is Fraction
+
+
+@given(values=st.lists(st.one_of(st.integers(-50, 50),
+                                 st.fractions(max_denominator=40)), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_integer_form_is_over_the_lcm_of_the_denominators(values):
+    numerators, den = integer_form(values)
+    assert all(type(x) is int for x in numerators)
+    assert den == math.lcm(*(Fraction(x).denominator for x in values))
+    assert [Fraction(x, den) for x in numerators] == values
 
 
 def test_rational_refuses_floats():

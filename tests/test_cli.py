@@ -9,7 +9,8 @@ import pytest
 from jsonschema.validators import validator_for
 
 import hankelmoments
-from hankelmoments.cli import CONFIG_SCHEMAS, main
+from hankelmoments.cli import _FAMILY_PARAMS, CONFIG_SCHEMAS, main
+from hankelmoments.serialize import FAMILY_NAMES
 
 
 def write(path, obj):
@@ -580,6 +581,41 @@ def test_family_params_that_are_not_numbers_exit_2(tmp_path, run, family, params
     assert (code, out) == (2, "")
     assert err.startswith("config error: config rejected by schema: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("power_log", {"c": 1, "sigma": 2, "foo": 3},
+     "Additional properties are not allowed ('foo', 'sigma' were unexpected)"),
+    ("power_log", {}, "'c' is a required property"),
+    ("gegenbauer", {"c": 1}, "'lambda' is a required property"),
+    ("log_normal", {"sigma": 1, "c": 1}, "Additional properties are not allowed ('c' was unexpected)"),
+    ("discrete", {"points": ["1/2"]}, "'weights' is a required property"),
+    ("explicit", {}, "'values' is a required property"),
+    ("gaussian", {"c": 1}, "Additional properties are not allowed ('c' was unexpected)"),
+], ids=["unread-keys", "no-c", "no-lambda", "sigma-and-c", "no-weights", "no-values",
+        "gaussian-c"])
+def test_each_family_takes_exactly_its_own_params(tmp_path, run, family, params, message):
+    # unread keys ran with them ignored (exit 0), and a missing key exited 2
+    # with the bare KeyError "config error: 'c'"
+    cfg = write(tmp_path / "c.json", {"family": {"family": family, "params": params},
+                                      "backend": "f64"})
+    code, out, err = run("classify", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert (code, out, err.splitlines()) == (
+        2, "", [f"config error: config rejected by schema: {message}"])
+    assert not (tmp_path / "o").exists()
+
+
+def test_family_params_schema_covers_every_family(tmp_path, run):
+    assert tuple(_FAMILY_PARAMS) == FAMILY_NAMES
+    # gaussian alone reads no params, so it may leave them out
+    for params in ({}, None):
+        family = {"family": "gaussian"} if params is None else {"family": "gaussian", "params": {}}
+        cfg = write(tmp_path / "g.json", {"family": family, "backend": "f64", "trace_terms": 10})
+        assert run("classify", "--config", cfg)[0] == 0
+    cfg = write(tmp_path / "p.json", {"family": {"family": "power_log"}, "backend": "f64"})
+    code, _, err = run("classify", "--config", cfg)
+    assert (code, err) == (2, "config error: config rejected by schema: "
+                              "'params' is a required property\n")
 
 
 def test_zero_denominators_exit_2(tmp_path, run):

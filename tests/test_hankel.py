@@ -28,8 +28,8 @@ from hankelmoments import (
     power_decay,
     power_decay_domain,
 )
-from hankelmoments.backends import to_float, to_json
-from hankelmoments.hankel import _fast_len, default_k_grid
+from hankelmoments.backends import dot, to_float, to_json
+from hankelmoments.hankel import _dot_rows, _fast_len, default_k_grid
 
 RAT = RATIONAL_BACKEND
 F = Fraction
@@ -133,6 +133,22 @@ def test_exact_products_refuse_float_coefficients():
         apply_H_via_series(uniform(), [F(1), 0.25], 3)
     # ints and Fractions are exact data
     assert matvec_naive(uniform(), [1, F(1, 3)], 2) == [F(1), F(1, 9)]
+
+
+_EXACT_ENTRIES = st.one_of(st.integers(-20, 20),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=30))
+
+
+@given(g=st.lists(_EXACT_ENTRIES, max_size=6), count=st.integers(0, 8), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_dot_rows_equal_the_per_row_dot(g, count, data):
+    """The integer rows of exact data against one backends.dot per row, in
+    value and type: ints and Fractions mixed, all-int data, an empty g."""
+    size = max(count + len(g) - 1, 0)
+    window = data.draw(st.lists(_EXACT_ENTRIES, min_size=size, max_size=size))
+    rows = _dot_rows(window, g, count, F(0))
+    expected = [dot(window[i : i + len(g)], g) if g else F(0) for i in range(count)]
+    assert [(type(r), r) for r in rows] == [(type(e), e) for e in expected]
 
 
 def test_matvec_naive_empty_vector_keeps_the_backend_type():
