@@ -11,8 +11,8 @@ computation is deterministic given (inputs, backend).  Big-float arithmetic
 must run inside ``with backend.context():`` so the mpmath working precision
 matches the backend.
 
-The exact inner loops of the library that step scalar by scalar (xi and its
-identities, the monic polynomial values) run on two scalar kernels,
+The inner loops of the library that step scalar by scalar (the monic
+polynomial values, the readers of a float factor) run on two scalar kernels,
 :func:`dot` and :func:`three_term`.  On ``Fraction`` (or ``int``) operands
 they sum the integer products over a running least common denominator and
 reduce once, so each result is one reduced ``Fraction`` built from an
@@ -20,9 +20,10 @@ unreduced integer accumulation instead of a reduction per operation.  On any
 other operand type they evaluate the in-order expression an accumulate loop
 would, with the same operands, so float results keep their bits.  The loops
 that step whole rows (the Chebyshev recurrence and the triangular inverse of
-:mod:`.triangular`, the exact Hankel row action of :mod:`.hankel`) go one
-level lower: :func:`integer_form` writes a row as Python ints over one common
-denominator, each row is formed on those ints and reduced once, and a
+:mod:`.triangular`, the exact Hankel row action and shift series of
+:mod:`.hankel`, xi, its identity and the weights of an exact factor) go
+one level lower: :func:`integer_form` writes a row as Python ints over one
+common denominator, each row is formed on those ints and reduced once, and a
 ``Fraction`` is built only for an entry the caller gets back.
 
 Numbers cross the JSON boundary by one rule each way.  :func:`parse_number`

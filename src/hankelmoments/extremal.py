@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .backends import (
     RATIONAL,
@@ -163,14 +164,39 @@ def cd_kernel(
 
     The orthonormal system comes from factoring the full M x M truncation;
     the inverse square roots pair up, so the kernel value is exact for
-    rational data.  On support points K(x_i, x_j) = delta_ij / c_i.
+    rational data.  On support points K(x_i, x_j) = delta_ij / c_i.  An
+    exact pair sums pi_k(x) pi_k(y) / d_k as integer numerators over a
+    running lcm, the numerator of d_k in the denominator, the way
+    :func:`.backends.dot` sums, and builds one Fraction; a float pair takes
+    one ``dot`` of pi(x) with pi_k(y) / d_k.
     """
     if tp is None:
         tp = factor(MomentSequence(Discrete(mu), backend), mu.size)
     pix = tp.monic_values(x)
     piy = pix if y == x else tp.monic_values(y)
+    if tp.integer_forms is not None:
+        return _exact_kernel_sum(pix, piy, tp.pivots)
     with tp.backend.context():
         return dot(pix, [p / d for p, d in zip(piy, tp.pivots)])
+
+
+def _exact_kernel_sum(pix, piy, pivots):
+    """sum_k pix_k piy_k / d_k of Fractions, exactly zero terms skipped
+    (:func:`cd_kernel`)."""
+    num, den = 0, 1
+    for x, y, d in zip(pix, piy, pivots):
+        a = x.numerator * y.numerator
+        if not a:
+            continue
+        a *= d.denominator
+        b = x.denominator * y.denominator * d.numerator
+        if b == den:
+            num += a
+        else:
+            g = math.gcd(den, b)
+            num = num * (b // g) + a * (den // g)
+            den = den // g * b
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ vectors g_k = (k+1)^(-d) is a theorem where the family states the edge
 exponent of its measure (:func:`power_decay_domain`); anywhere else, and for
 any other vector, it is answered with trend evidence over growing
 truncations (:func:`domain_diagnostic`), labelled heuristic.
-Every exact product -- ``matvec_naive`` off f64, the shift series (on the
-damped moments m_k - m_{k+2}) and its remainder, the kernel-vector images of
-``extremal`` -- is made of the rows of :func:`row_actions`, each formed on
-ints over one common denominator for exact data.  The fast f64
+Every exact product works on ints over one common denominator and builds a
+``Fraction`` only for an entry it returns: ``matvec_naive`` off f64, the
+shift series' remainder and the kernel-vector images of ``extremal`` are
+rows of :func:`row_actions`, and the exact shift series keeps its damped
+moments m_k - m_{k+2} and their row actions as ints over one running
+denominator (:func:`apply_H_via_series`).  The fast f64
 products (``matvec_fft`` and the form and row-action values of
 ``domain_diagnostic``) run on numpy's FFT at 5-smooth lengths.  The f64 paths convert their data into numpy once -- a vector
 ``g`` with ``np.asarray``, the values of a coefficient generator with
@@ -156,11 +158,16 @@ def apply_H_via_series(
     here in the backend's context, each once, as the stages reach them.  The
     added term at stage ``l`` is the ``2l``-fold shift of their row action on
     ``g``: the slice r[2l : 2l + n] of one growing sequence of row actions
-    r_k = sum_j nu_{k+j} g_j, formed by :func:`_dot_rows` as in
-    :func:`row_actions`, so each further stage computes two entries.  A
-    stage's squared norm is one ``dot`` of its n entries with themselves, and
-    each result entry one ``dot`` over its terms after the last stage; both
-    sum in order, so float bits are those of the in-order loops.
+    r_k = sum_j nu_{k+j} g_j, so each further stage computes two entries.
+    Under the rational backend nu and r are ints over one running
+    denominator, rescaled when a new nu enlarges it: a stage's squared norm
+    is one integer sum, one Fraction gives its delta, and each result entry
+    is one Fraction plus its remainder entry.  Under float backends the rows
+    are formed by :func:`_dot_rows`, a stage's squared norm is one ``dot``
+    of its n entries with themselves, and each result entry one ``dot`` over
+    its terms after the last stage; both sum in order, so float bits are
+    those of the in-order loops.  Either way the moments are read stage by
+    stage, up to the ones the last stage and the remainder need.
 
     Under float backends the terms are summed until the last one drops below
     ``tol`` (default 1e-12) or ``max_terms`` is hit.  Under the rational
@@ -180,33 +187,15 @@ def apply_H_via_series(
         )
     backend = ms.backend
     exact = backend.kind == RATIONAL
-    if not exact:
-        tol = 1e-12 if tol is None else tol
-    nu = []  # nu_k = m_k - m_{k+2}, the moments of (1 - x^2) dmu
-    rows = []  # r_k for k < 2l + n
-    deltas = []
-    converged = exact
-    terms_used = 0
     with backend.context():
         g = [backend.convert(x) for x in g]
-        for l in range(min(max_terms, RECORDED_TERMS) if exact else max_terms):
-            stop = 2 * l + n
-            nu += [ms.moment(k) - ms.moment(k + 2) for k in range(len(nu), stop + len(g) - 1)]
-            rows += _dot_rows(nu[len(rows) :], g, stop - len(rows), backend.zero())
-            stage = rows[2 * l : 2 * l + n]
-            ns = dot(stage, stage)
-            deltas.append(math.sqrt(to_float(ns)))
-            terms_used = l + 1
-            if (ns == 0) if exact else (deltas[-1] < tol):
-                converged = True
-                break
-        # entry i sums r_i, r_{i+2}, ... over the stages, in stage order
-        terms = [rows[i : i + 2 * terms_used : 2] for i in range(n)]
         if exact:
-            # close the telescope: the L terms sum to H g - R(L), R(L) = S^{2L} H g
-            remainder = row_actions(ms, g, 2 * terms_used, 2 * terms_used + n)
-            terms = [t + [r] for t, r in zip(terms, remainder)]
-        result = [dot(t, [1] * len(t)) for t in terms]
+            stages = min(max_terms, RECORDED_TERMS)
+            result, deltas, terms_used = _telescoped_series(ms, g, n, stages)
+            converged = True
+        else:
+            tol = 1e-12 if tol is None else tol
+            result, deltas, terms_used, converged = _iterated_series(ms, g, n, max_terms, tol)
     return SeriesApplyReport(
         result=result,
         partial_norm_deltas=deltas,
@@ -215,6 +204,63 @@ def apply_H_via_series(
         mode="telescoped-exact" if exact else "iterative",
         tolerance=None if exact else tol,
     )
+
+
+def _telescoped_series(ms, g, n, stages):
+    """(result, deltas, terms_used) of the exact series of
+    :func:`apply_H_via_series`, over exact ``g``.
+
+    nu_k = nu[k] / nu_den and r_k = rows[k] / (nu_den g_den) are ints over
+    one running denominator, rescaled when a new nu enlarges it; a stage's
+    squared norm is one integer sum, and each result entry one Fraction
+    plus its remainder entry.
+    """
+    coefficients, g_den = integer_form(g)
+    width = len(g)
+    nu, nu_den = [], 1
+    rows = []
+    deltas = []
+    for l in range(stages):
+        stop = 2 * l + n
+        fresh = [ms.moment(k) - ms.moment(k + 2) for k in range(len(nu), stop + width - 1)]
+        den = math.lcm(nu_den, *[v.denominator for v in fresh])
+        if den != nu_den:
+            scale = den // nu_den
+            nu = [v * scale for v in nu]
+            rows = [r * scale for r in rows]
+            nu_den = den
+        nu += [v.numerator * (den // v.denominator) for v in fresh]
+        rows += [sum(map(mul, nu[k : k + width], coefficients)) for k in range(len(rows), stop)]
+        square = sum(r * r for r in rows[2 * l : stop])
+        deltas.append(math.sqrt(to_float(Fraction(square, (nu_den * g_den) ** 2))))
+        if not square:
+            break
+    terms_used = len(deltas)
+    # close the telescope: the L terms sum to H g - R(L), R(L) = S^{2L} H g
+    remainder = row_actions(ms, g, 2 * terms_used, 2 * terms_used + n)
+    return ([Fraction(sum(rows[i : i + 2 * terms_used : 2]), nu_den * g_den) + r
+             for i, r in enumerate(remainder)], deltas, terms_used)
+
+
+def _iterated_series(ms, g, n, max_terms, tol):
+    """(result, deltas, terms_used, converged) of the float series of
+    :func:`apply_H_via_series`: every sum in order, as in :func:`dot`."""
+    nu = []  # nu_k = m_k - m_{k+2}, the moments of (1 - x^2) dmu
+    rows = []  # r_k for k < 2l + n
+    deltas = []
+    converged = False
+    for l in range(max_terms):
+        stop = 2 * l + n
+        nu += [ms.moment(k) - ms.moment(k + 2) for k in range(len(nu), stop + len(g) - 1)]
+        rows += _dot_rows(nu[len(rows) :], g, stop - len(rows), ms.backend.zero())
+        stage = rows[2 * l : 2 * l + n]
+        deltas.append(math.sqrt(to_float(dot(stage, stage))))
+        if deltas[-1] < tol:
+            converged = True
+            break
+    # entry i sums r_i, r_{i+2}, ... over the stages, in stage order
+    result = [dot(t, [1] * len(t)) for t in (rows[i : i + 2 * len(deltas) : 2] for i in range(n))]
+    return result, deltas, len(deltas), converged
 
 
 # ---------------------------------------------------------------------------

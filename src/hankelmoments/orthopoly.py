@@ -55,6 +55,8 @@ from .backends import (
     PrecisionError,
     bigfloat,
     dot,
+    integer_form,
+    is_exact,
     three_term,
 )
 from .moments import MissingMomentError, MomentSequence, positive_definite_limit
@@ -240,7 +242,18 @@ class TriangularPair:
     (pivots, alpha, beta) of a float factor, entry by entry: the relative
     bound of each pivot d_k and monic beta_k, and the absolute bound of each
     alpha_k, against the exact factor (:mod:`.spectral` derives them); None
-    for exact data.
+    for exact data.  ``integer_forms`` is (rows, columns) of an exact pair,
+    lists of Python ints: ``U[k][l] = rows[k][l] / rows[k][k]`` (the mixed
+    moments S_k of :func:`~.triangular.ldl_decompose`) and ``U^-1[j][k] =
+    columns[k][j] / columns[k][k]`` (pi_k's coefficients from
+    :func:`~.triangular.invert_unit_upper`).  :func:`factor` passes the
+    ones its factorization formed; a rational pair built with exact entries
+    and without them derives them once, by
+    :func:`~.backends.integer_form` per row and column.  The exact readers
+    (:meth:`hs_norm_sq_b`, xi and its identity in :mod:`.spectral`, the
+    kernel of :mod:`.extremal`) work on them and build a Fraction only for
+    an entry they return; a float pair has None and keeps the in-order
+    loops.
     """
 
     n: int
@@ -252,6 +265,7 @@ class TriangularPair:
     symmetric: bool = False
     monic_recurrence: tuple | None = field(default=None, repr=False, compare=False)
     bounds: tuple | None = field(default=None, repr=False, compare=False)
+    integer_forms: tuple | None = field(default=None, repr=False, compare=False)
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -260,6 +274,12 @@ class TriangularPair:
                 alpha = tuple(monic_alpha(self.unit_upper, k) for k in range(self.n - 1))
                 beta = tuple(self.pivots[k] / self.pivots[k - 1] for k in range(1, self.n))
             object.__setattr__(self, "monic_recurrence", (alpha, beta))
+        if (self.integer_forms is None and self.backend.kind == RATIONAL
+                and is_exact(self.pivots) and all(map(is_exact, self.unit_upper))
+                and all(map(is_exact, self.unit_upper_inv))):
+            rows = [integer_form(row)[0] for row in self.unit_upper]
+            columns = [integer_form(col)[0] for col in zip(*self.unit_upper_inv)]
+            object.__setattr__(self, "integer_forms", (rows, columns))
 
     # -- views ---------------------------------------------------------------
 
@@ -299,14 +319,23 @@ class TriangularPair:
         / d_j, the running sum in order of j; the last entry is ||B||_F^2.
         The leading M x M blocks of U^-1 and D come from the same operations
         as the M x M factor at this precision (:mod:`.triangular`), so every
-        entry is that factor's own weight, bit for bit.
+        entry is that factor's own weight, bit for bit.  An exact pair reads
+        its integer columns (:attr:`integer_forms`): term j is sum_i C_j[i]^2
+        / (c_j^2 d_j), c_j = C_j[j], one Fraction.
         """
+        columns = self.integer_forms[1] if self.integer_forms is not None else None
+        step = 2 if self.symmetric else 1
         with self.backend.context():
             acc = self.backend.zero()
             sums = []
-            for j in range(self.n):
-                col = [self.unit_upper_inv[k][j] for k in range(j + 1)]
-                acc = acc + dot(col, col) / self.pivots[j]
+            for j, d in enumerate(self.pivots):
+                if columns is None:
+                    col = [self.unit_upper_inv[k][j] for k in range(j + 1)]
+                    acc = acc + dot(col, col) / d
+                else:
+                    col = columns[j]
+                    square = sum(x * x for x in col[j % step : j + 1 : step])
+                    acc = acc + Fraction(square * d.denominator, col[j] * col[j] * d.numerator)
                 sums.append(acc)
             return sums
 
@@ -334,8 +363,8 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     if ms.backend.kind == RATIONAL:
         block = ms.moments(2 * n - 1)
         symmetric = parity_holds(block, n)
-        factors = ldl_decompose(block, n, ms.backend.zero(), symmetric=symmetric)
-        return _pair(ms.backend, *factors, None, symmetric)
+        *factors, rows = ldl_decompose(block, n, ms.backend.zero(), symmetric=symmetric)
+        return _pair(ms.backend, *factors, None, symmetric, rows=rows)
     d = positive_definite_limit(ms, n) + 1
     if d <= n:
         raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
@@ -390,15 +419,17 @@ def _graded_pair(rows, bits) -> TriangularPair:
     return _pair(backend, unit_upper, pivots, alpha, beta, bits, step == 2, bounds)
 
 
-def _pair(backend, unit_upper, pivots, alpha, beta, bits, symmetric, bounds=None) -> TriangularPair:
+def _pair(backend, unit_upper, pivots, alpha, beta, bits, symmetric, bounds=None,
+          rows=None) -> TriangularPair:
     """The pair of a factorization in ``backend``, U^-1 from its recurrence
-    (:func:`invert_unit_upper`)."""
+    (:func:`invert_unit_upper`); an exact factorization passes its integer
+    ``rows`` and keeps the integer columns of the inverse with them."""
     n = len(pivots)
     with backend.context():
-        inv = invert_unit_upper(alpha, beta, n, backend.zero(), symmetric=symmetric)
+        inv, columns = invert_unit_upper(alpha, beta, n, backend.zero(), symmetric=symmetric)
     return TriangularPair(n, backend, tuple(map(tuple, unit_upper)), tuple(pivots),
                           tuple(map(tuple, inv)), bits, symmetric, (tuple(alpha), tuple(beta)),
-                          bounds)
+                          bounds, None if rows is None else (rows, columns))
 
 
 # ---------------------------------------------------------------------------

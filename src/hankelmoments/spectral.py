@@ -290,6 +290,7 @@ from .backends import (
     PrecisionError,
     bigfloat,
     dot,
+    integer_form,
     sup_norm,
     to_float,
 )
@@ -952,6 +953,13 @@ def _xi_and_image(tp: TriangularPair, t):
     in square-root-free form); rational pairs check that exactly.  A
     symmetric pair's products skip the entries of U^-1 and U that vanish by
     parity.
+
+    An exact pair works on its integer forms
+    (:attr:`~.orthopoly.TriangularPair.integer_forms`): with column k of
+    U^-1 = C_k / c_k and Q_k / B = pi_k(t) / (d_k c_k) over one lcm B, xi =
+    X / B for the ints X = sum_k Q_k C_k, and with row k of U = S_k / S_k[k],
+    image_k = d_k (sum_l S_k[l] X_l) / (S_k[k] B), one Fraction per entry.
+    Float pairs sum each entry in order (:func:`.backends.dot`).
     """
     if abs(to_float(t)) >= 1:
         warnings.warn(
@@ -962,12 +970,33 @@ def _xi_and_image(tp: TriangularPair, t):
     backend = tp.backend
     step = 2 if tp.symmetric else 1  # skip the parity zeros of U and U^-1
     y = tp.monic_values(t)
-    with backend.context():
-        z = [y[k] / tp.pivots[k] for k in range(tp.n)]
-        xi = [dot(tp.unit_upper_inv[i][i::step], z[i::step]) for i in range(tp.n)]
-        image = [dot(tp.unit_upper[k][k::step], xi[k::step]) * tp.pivots[k] for k in range(tp.n)]
+    if tp.integer_forms is not None:
+        xi, image = _exact_xi_and_image(tp, y, step)
+    else:
+        with backend.context():
+            z = [y[k] / tp.pivots[k] for k in range(tp.n)]
+            xi = [dot(tp.unit_upper_inv[i][i::step], z[i::step]) for i in range(tp.n)]
+            image = [dot(tp.unit_upper[k][k::step], xi[k::step]) * tp.pivots[k]
+                     for k in range(tp.n)]
     if backend.kind == RATIONAL and image != y:
         raise SpectralInvariantError("xi construction violated its defining identity")
+    return xi, image
+
+
+def _exact_xi_and_image(tp, y, step):
+    """xi and its image of the exact pair ``tp`` from the monic values
+    ``y`` (:func:`_xi_and_image`)."""
+    rows, columns = tp.integer_forms
+    q, b = integer_form([v / (d * col[k])
+                         for k, (v, d, col) in enumerate(zip(y, tp.pivots, columns))])
+    # X_i = sum_{k >= i} Q_k C_k[i]: row i of the integer U^-1 times Q
+    x = [sum(map(operator.mul, row[i::step], q[i::step]))
+         for i, row in enumerate(zip(*columns))]
+    xi = [Fraction(v, b) for v in x]
+    image = []
+    for k, (row, d) in enumerate(zip(rows, tp.pivots)):
+        total = sum(map(operator.mul, row[k::step], x[k::step]))
+        image.append(Fraction(d.numerator * total, d.denominator * row[k] * b))
     return xi, image
 
 
@@ -994,7 +1023,9 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
 
     In exact arithmetic the residual vanishes because the factor columns
     reassemble the monomials from the orthonormal values.  Float pairs report
-    the roundoff left by the ill-conditioned reconstruction.
+    the roundoff left by the ill-conditioned reconstruction.  An exact pair
+    forms residual_i = (sum_k S_k[i] W_k) / E - t^i on its integer rows,
+    with W_k / E = image_k / S_k[k] over one lcm E, one Fraction per entry.
     """
     backend = tp.backend
     step = 2 if tp.symmetric else 1  # U[j][i] vanishes by parity where i + j is odd
@@ -1002,15 +1033,31 @@ def h_xi_identity(tp: TriangularPair, t) -> ResidualReport:
     with backend.context():
         tv = backend.convert(t)
         # r = U^t (D U xi) - tau
-        residuals = []
-        power = backend.one()
-        for i, column in enumerate(zip(*tp.unit_upper)):
-            part = slice(i % step, i + 1, step)
-            residuals.append(dot(column[part], image[part]) - power)
-            power = power * tv
+        if tp.integer_forms is not None:
+            residuals = _exact_residuals(tp.integer_forms[0], image, tv, step)
+        else:
+            residuals = []
+            power = backend.one()
+            for i, column in enumerate(zip(*tp.unit_upper)):
+                part = slice(i % step, i + 1, step)
+                residuals.append(dot(column[part], image[part]) - power)
+                power = power * tv
         return ResidualReport(
             residuals=residuals,
             sup=to_float(sup_norm(residuals)),
             l2=math.sqrt(to_float(dot(residuals, residuals))),
             exact_zero=backend.kind == RATIONAL and all(r == 0 for r in residuals),
         )
+
+
+def _exact_residuals(rows, image, t, step):
+    """U^t image - (t^i)_i on the integer rows of U (:func:`h_xi_identity`)."""
+    w, e = integer_form([v / row[k] for k, (v, row) in enumerate(zip(image, rows))])
+    residuals = []
+    num, den = 1, 1  # t^i = num / den, in lowest terms
+    for i, column in enumerate(zip(*rows)):
+        part = slice(i % step, i + 1, step)
+        total = sum(map(operator.mul, column[part], w[part]))
+        residuals.append(Fraction(total * den - num * e, e * den))
+        num, den = num * t.numerator, den * t.denominator
+    return residuals

@@ -38,7 +38,11 @@ The new row is reduced once, by the gcd of ``L_k`` and all its numerators,
 and a Fraction is built only for an entry the caller gets back: ``d_k =
 S_k[k] / L_k`` and ``U[k][l] = S_k[l] / S_k[k]``, where the row denominator
 cancels, and each entry of ``U^{-1}`` from its column.  Fractions are
-canonical, so each entry is the one the scalar recurrence gives.  The
+canonical, so each entry is the one the scalar recurrence gives.
+:func:`ldl_decompose` also hands back the integer rows ``S_k[:n]`` and
+:func:`invert_unit_upper` the integer columns ``C_k`` (entry k of each
+being its scale), which the exact pair keeps for its readers
+(:class:`~.orthopoly.TriangularPair`).  The
 mpmath ``alpha`` and ``beta`` of a float factor step
 :func:`invert_unit_upper` entry by entry through
 :func:`.backends.three_term`, the expression above as written.
@@ -119,7 +123,8 @@ def _row_step(lead, row, den, older, older_den, a, b, span):
 
 
 def ldl_decompose(moments, n, zero, *, symmetric=False):
-    """Return ``(unit_upper, pivots, alpha, beta)`` with ``H = U^t diag(pivots) U``.
+    """Return ``(unit_upper, pivots, alpha, beta, rows)`` with ``H = U^t
+    diag(pivots) U``.
 
     ``moments`` holds exact ``m_0 .. m_{2n-2}`` (Fractions or ints), the
     entries of the N x N Hankel truncation ``H``; ``zero`` is the Fraction
@@ -128,13 +133,15 @@ def ldl_decompose(moments, n, zero, *, symmetric=False):
     the monic recurrence it forms on the way: ``alpha = (alpha_0, ...,
     alpha_{n-2})`` and ``beta = (beta_1, ..., beta_{n-1})``, Fractions.
     ``symmetric`` (:func:`parity_holds`) skips the entries with k + l odd.
-    Raises :class:`PositivityError` at the first nonpositive pivot
-    ``sigma_{k,k}``, with ``dimension = k + 1``.
+    ``rows`` holds the integer rows: list k is ``S_k[l]`` for l < n, so
+    that ``U[k][l] = S_k[l] / S_k[k]``.  Raises
+    :class:`PositivityError` at the first nonpositive pivot ``sigma_{k,k}``,
+    with ``dimension = k + 1``.
     """
     step = 2 if symmetric else 1
     width = 2 * n - 1
     unit_upper = [[zero] * n for _ in range(n)]
-    pivots, alpha, beta = [], [], []
+    pivots, alpha, beta, rows = [], [], [], []
     # sigma_{k, l} = row[l] / den, valid for k <= l <= 2n-2-k; sigma_{-1, .} = 0
     row, den = integer_form(moments[:width])
     older, older_den = [0] * width, 1
@@ -160,9 +167,10 @@ def ldl_decompose(moments, n, zero, *, symmetric=False):
         upper = unit_upper[k]
         upper[k] = zero + 1
         upper[k + step : n : step] = [Fraction(x, top) for x in row[k + step : n : step]]
+        rows.append(row[:n])
         if k + 1 < n:
             alpha.append(monic_alpha(unit_upper, k))
-    return unit_upper, pivots, alpha, beta
+    return unit_upper, pivots, alpha, beta, rows
 
 
 def ldl_positive_definite_limit(moments, n, zero) -> int:
@@ -181,7 +189,8 @@ def ldl_positive_definite_limit(moments, n, zero) -> int:
 
 
 def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
-    """Inverse of the unit upper factor of :func:`ldl_decompose`, in O(N^2).
+    """``(inv, columns)``: the inverse of the unit upper factor of
+    :func:`ldl_decompose`, in O(N^2), and its integer columns.
 
     Column ``k`` of ``U^{-1}`` holds the monomial coefficients of the monic
     orthogonal polynomial ``pi_k``; columns are built by the three-term
@@ -189,14 +198,16 @@ def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
     :func:`ldl_decompose` returns them.  ``symmetric`` skips the entries
     with j + k odd.  Exact ``alpha`` and ``beta`` (Fractions or ints) step
     each column on ints and give Fractions; others step entry by entry
-    through :func:`.backends.three_term`.
+    through :func:`.backends.three_term`.  For exact data list k of
+    ``columns`` is ``C_k[j]`` for j < n, so that ``U^{-1}[j][k] = C_k[j] /
+    C_k[k]``; for other data ``columns`` is None.
     """
     inv = [[zero] * n for _ in range(n)]
     for k in range(n):
         inv[k][k] = zero + 1
     if is_exact(alpha) and is_exact(beta):
-        _invert_exact(inv, alpha, beta, n, 2 if symmetric else 1)
-        return inv
+        columns = _invert_exact(inv, alpha, beta, n, 2 if symmetric else 1)
+        return inv, columns
     if n > 1 and not symmetric:
         inv[0][1] = -alpha[0]
     for k in range(1, n - 1):
@@ -208,11 +219,12 @@ def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
             inv[j][k + 1] = three_term(inv[j - 1][k], a, inv[j][k], b, inv[j][k - 1])
         if not symmetric:
             inv[k][k + 1] = inv[k - 1][k] - a
-    return inv
+    return inv, None
 
 
 def _invert_exact(inv, alpha, beta, n, step):
-    """Fill the columns 1 .. n-1 of ``inv`` from exact ``alpha`` and ``beta``.
+    """Fill the columns 1 .. n-1 of ``inv`` from exact ``alpha`` and ``beta``,
+    and return the integer columns.
 
     Column k is held as ints ``col[j] / den`` (entry k is ``den``, pi_k
     being monic), and column k + 1 is one :func:`_row_step` of it:
@@ -222,6 +234,7 @@ def _invert_exact(inv, alpha, beta, n, step):
     """
     older, older_den = [0] * n, 1  # pi_{-1} = 0
     col, den = [1] + [0] * (n - 1), 1  # pi_0 = 1
+    columns = [col]
     for k in range(n - 1):
         span = range((k + 1) % step, k + 2, step)
         entries, new_den = _row_step([0] + col, col, den, older, older_den, alpha[k],
@@ -229,5 +242,7 @@ def _invert_exact(inv, alpha, beta, n, step):
         nxt = [0] * n
         nxt[span.start : k + 2 : step] = entries
         older, older_den, col, den = col, den, nxt, new_den
+        columns.append(col)
         for j in span[:-1]:
             inv[j][k + 1] = Fraction(col[j], den)
+    return columns

@@ -388,6 +388,75 @@ def test_series_adds_remainder_after_a_zero_term():
     assert report.converged
 
 
+def exact_series_reference(ms, g, n):
+    """(result, deltas, terms_used) of the exact series from the per-stage
+    Fraction sums: stages up to 32, the last the first zero one, then the
+    remainder R(L)_i = sum_j m_{i+j+2L} g_j."""
+    partial, deltas = [F(0)] * n, []
+    for term in per_stage_series(ms, g, n, 32):
+        partial = [p + x for p, x in zip(partial, term)]
+        square = in_order_sum_of_squares(term)
+        deltas.append(math.sqrt(to_float(square)))
+        if square == 0:
+            break
+    shift = 2 * len(deltas)
+    result = [p + sum(ms.moment(i + j + shift) * gj for j, gj in enumerate(g))
+              for i, p in enumerate(partial)]
+    return result, deltas, len(deltas)
+
+
+@given(
+    family=st.sampled_from([PowerLog(1), Gegenbauer(F(1, 2))]),
+    g=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=1, max_size=5),
+    n=st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_series_equals_per_stage_fraction_sums(family, g, n):
+    ms = MomentSequence(family, RAT)
+    report = apply_H_via_series(ms, g, n)
+    result, deltas, terms_used = exact_series_reference(ms, g, n)
+    assert report.result == result
+    assert all(type(x) is F for x in report.result)
+    assert report.partial_norm_deltas == deltas
+    assert report.terms_used == terms_used
+
+
+def zero_first_stage():
+    # g_0 nu_0 + g_4 nu_4 = 0, so the first stage is zero, but H g is not:
+    # the data ends at m_6, the seventh moment, enough for classify's window
+    mu = DiscreteMeasure((F(1, 3), F(1, 2)), (F(1), F(1)))
+    nu = [sum(w * x**k * (1 - x * x) for x, w in zip(mu.points, mu.weights)) for k in (0, 4)]
+    return Discrete(mu), [-nu[1] / nu[0], F(0), F(0), F(0), F(1)], 1, 1
+
+
+def full_run():
+    return PowerLog(1), [F(1), F(-1, 3), F(0), F(1, 2)], 5, 32
+
+
+@pytest.mark.parametrize("case", [zero_first_stage, full_run], ids=["zero-first-stage", "full-run"])
+def test_exact_series_reads_moments_stage_by_stage(case, monkeypatch):
+    family, g, n, stages = case()
+    closed_form = type(family).moment
+    read = []
+
+    def spy(self, j, backend, known=None):
+        read.append(j)
+        return closed_form(self, j, backend, known)
+
+    monkeypatch.setattr(type(family), "moment", spy)
+    ms = MomentSequence(family, RAT)
+    report = apply_H_via_series(ms, g, n)
+    assert report.terms_used == stages
+    assert report.result != [0] * n
+    # the last stage and the remainder both end at m_{2L + n + len(g) - 2}
+    top = 2 * stages + n + len(g) - 2
+    assert max(read) == top
+    monkeypatch.undo()
+    # so data that ends there is enough
+    explicit = MomentSequence(Explicit(tuple(ms.moments(top + 1))), RAT)
+    assert apply_H_via_series(explicit, g, n) == report
+
+
 def test_series_requires_decaying_moments():
     with pytest.raises(ValueError, match="is_o1"):
         apply_H_via_series(MomentSequence(Gaussian(), RAT), v_basis(0), 4)

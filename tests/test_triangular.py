@@ -108,12 +108,12 @@ def pair_of(unit_upper, pivots, inv):
 def assert_matches_dense(block, n, points):
     zero = F(0)
     symmetric = parity_holds(block, n)
-    unit_upper, pivots, alpha, beta = ldl_decompose(block, n, zero, symmetric=symmetric)
+    unit_upper, pivots, alpha, beta, _ = ldl_decompose(block, n, zero, symmetric=symmetric)
     ref_upper, ref_pivots = dense_ldl(rows_of(block, n), n, zero)
     assert unit_upper == ref_upper
     assert pivots == ref_pivots
     ref_inv = dense_inverse(ref_upper, n, zero)
-    inv = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
+    inv, _ = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
     assert inv == ref_inv
     tp = pair_of(unit_upper, pivots, inv)
     for x in points:
@@ -194,15 +194,18 @@ def test_integer_kernels_equal_the_scalar_loops_and_dense_elimination(case):
         assert ours == full == dense == limit + 1
         return
     assert limit == n
-    unit_upper, pivots, alpha, beta = ours
+    unit_upper, pivots, alpha, beta, rows = ours
     # bits_of checks the type of every entry as well as its value
     assert bits_of(unit_upper) == bits_of(full[0]) == bits_of(dense[0])
     assert bits_of([pivots]) == bits_of([full[1]]) == bits_of([dense[1]])
     reference = pair_of(*full, full_inverse(*full, n, zero))
     assert bits_of(reference.monic_recurrence) == bits_of([alpha, beta])
-    inv = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
+    inv, columns = invert_unit_upper(alpha, beta, n, zero, symmetric=symmetric)
     assert bits_of(inv) == bits_of(reference.unit_upper_inv)
     assert bits_of(inv) == bits_of(dense_inverse(dense[0], n, zero))
+    # the integer forms are U and U^-1 over their diagonal entries
+    assert [[F(s, row[k]) for s in row] for k, row in enumerate(rows)] == unit_upper
+    assert [[F(col[j], col[k]) for k, col in enumerate(columns)] for j in range(n)] == inv
 
 
 class _Counted:
@@ -276,8 +279,8 @@ def counted_factor(block, n):
     symmetric = parity_holds(block, n)
     with mock.patch.object(triangular, "_row_step", counting_step), \
             mock.patch.object(triangular, "Fraction", counting_fraction):
-        unit_upper, pivots, alpha, beta = ldl_decompose(block, n, F(0), symmetric=symmetric)
-        inv = invert_unit_upper(alpha, beta, n, F(0), symmetric=symmetric)
+        unit_upper, pivots, alpha, beta, _ = ldl_decompose(block, n, F(0), symmetric=symmetric)
+        inv, _ = invert_unit_upper(alpha, beta, n, F(0), symmetric=symmetric)
 
     def counted(rows):
         return [[_Counted(x, counter) for x in row] for row in rows]
