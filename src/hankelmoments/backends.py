@@ -120,7 +120,9 @@ class Backend:
 
         The rational backend refuses floats: silent binary-fraction promotion
         would launder rounding into "exact" results.  Strings are parsed at
-        the backend's own precision (never through an f64 detour).
+        the backend's own precision (never through an f64 detour).  An exact
+        value past the f64 range raises :class:`PrecisionError` at f64, naming
+        the smallest big float, whose exponent does not overflow.
         """
         if self.kind == RATIONAL:
             if type(value) is Fraction:  # immutable: no copy needed
@@ -134,7 +136,12 @@ class Backend:
         if self.kind == F64:
             if isinstance(value, str):
                 value = parse_number(value)
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise PrecisionError(
+                    f"an exact value past the f64 range; use {BIGFLOAT}:{MIN_BIGFLOAT_BITS}"
+                ) from None
         with self.context():
             if isinstance(value, str):
                 if "/" in value:

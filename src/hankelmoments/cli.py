@@ -29,13 +29,15 @@ import numpy as np
 from jsonschema.validators import validator_for
 
 from . import __version__
-from .backends import Backend, BackendError, HankelError, to_float
+from .backends import Backend, BackendError, HankelError, PrecisionError, to_float
 from .hankel import default_k_grid, matvec_fft, matvec_naive, power_decay_domain
 from .measures import DiscreteMeasure, EmptyMeasureError
 from .moments import Discrete, Explicit, MissingMomentError, MomentSequence, classify
 from .orthopoly import factor, recurrence
 from .serialize import (
+    FAMILIES,
     FAMILY_NAMES,
+    MEASURE_PARAMS,
     dump_json,
     family_from_json,
     profile_to_csv,
@@ -56,27 +58,15 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 
-# a config number: a string or a JSON number (JSON Schema's "number" is no bool)
-_NUMBER_SCHEMA = {"type": ["string", "number"]}
-_NUMBERS_SCHEMA = {"type": "array", "items": _NUMBER_SCHEMA, "minItems": 1}
 
-_MEASURE_SCHEMA = {
-    "type": "object",
-    "properties": {"points": _NUMBERS_SCHEMA, "weights": _NUMBERS_SCHEMA},
-    "required": ["points", "weights"],
-    "additionalProperties": False,
-}
+def _params_schema(params: dict) -> dict:
+    """Exactly the given params, all of them required."""
+    return {"properties": params, "required": list(params), "additionalProperties": False}
 
-# the params each family reads, all of them required; gaussian reads none
-_FAMILY_PARAMS = {
-    "power_log": {"c": _NUMBER_SCHEMA},
-    "gegenbauer": {"lambda": _NUMBER_SCHEMA},
-    "discrete": _MEASURE_SCHEMA["properties"],
-    "log_normal": {"sigma": _NUMBER_SCHEMA},
-    "gaussian": {},
-    "explicit": {"values": _NUMBERS_SCHEMA},
-}
 
+_MEASURE_SCHEMA = {"type": "object", **_params_schema(MEASURE_PARAMS)}
+
+# one branch per family of the table: its params, required unless it reads none
 _FAMILY_SCHEMA = {
     "type": "object",
     "properties": {"family": {"enum": list(FAMILY_NAMES)}, "params": {"type": "object"}},
@@ -86,15 +76,11 @@ _FAMILY_SCHEMA = {
         {
             "if": {"properties": {"family": {"const": name}}, "required": ["family"]},
             "then": {
-                "properties": {"params": {
-                    "properties": params,
-                    "required": list(params),
-                    "additionalProperties": False,
-                }},
-                "required": ["params"] if params else [],
+                "properties": {"params": _params_schema(entry.params)},
+                "required": ["params"] if entry.params else [],
             },
         }
-        for name, params in _FAMILY_PARAMS.items()
+        for name, entry in FAMILIES.items()
     ],
 }
 
@@ -138,7 +124,7 @@ def _sequence_from_config(config: dict, *, finite: bool = True) -> MomentSequenc
         if isinstance(family, Explicit):
             for value in family.values:
                 backend.convert(value)
-    except (BackendError, OverflowError) as err:  # OverflowError: past the f64 range
+    except (BackendError, PrecisionError) as err:  # PrecisionError: past the f64 range
         raise ConfigError(
             f"family {family.name} has no moments at backend {backend.tag()}: {err}"
         ) from None

@@ -106,6 +106,21 @@ def _require_index(n: int):
         raise ValueError(f"moment index must be >= 0, got {n}")
 
 
+def _f64_overflow(name: str, n: int) -> PrecisionError:
+    """The error of an f64 moment m_n past the f64 range; an mpf exponent
+    does not overflow, so the smallest big float serves."""
+    return PrecisionError(f"{name} moment m_{n} overflows f64; use bigfloat:{MIN_BIGFLOAT_BITS}")
+
+
+def _convert_moment(family, n, backend, value):
+    """``value``, the family's exact m_n, in ``backend``, with the moment
+    named where it is past the f64 range."""
+    try:
+        return backend.convert(value)
+    except PrecisionError:
+        raise _f64_overflow(family.name, n) from None
+
+
 def _exact(value) -> Fraction:
     """``value`` as a Fraction, a float or mpf as its binary fraction."""
     if isinstance(value, mpmath.mpf):
@@ -227,7 +242,7 @@ class Gaussian(MomentFamily):
         value = 1
         for i in range(1, n // 2 + 1):
             value *= 2 * i - 1
-        return backend.convert(value)
+        return _convert_moment(self, n, backend, value)
 
     def tail_class(self):
         return {"is_o1": False, "is_O_1_over_n": False, "is_ell1": False}
@@ -277,10 +292,7 @@ class LogNormal(MomentFamily):
                 return +value
         value = float(value)  # inf past the range, with no error
         if value == math.inf:
-            # an mpf exponent does not overflow: the smallest big float serves
-            raise PrecisionError(
-                f"log_normal moment m_{n} overflows f64; use bigfloat:{MIN_BIGFLOAT_BITS}"
-            )
+            raise _f64_overflow(self.name, n)
         return value
 
     def tail_class(self):
@@ -320,18 +332,25 @@ class Discrete(MomentFamily):
         with backend.context():
             total = backend.zero()
             for x, c in zip(points, weights):
-                total = total + c * x**n
+                try:
+                    total = total + c * x**n
+                except OverflowError:  # a float power past the f64 range
+                    raise _f64_overflow(self.name, n) from None
             return total
 
     def f64_moments(self, count, step):
         # the sum of moment, in point order with Python's pow, on points and
         # weights converted once; numpy adds the per-point terms entrywise,
-        # one IEEE addition each, as the scalar loop does
+        # one IEEE addition each, as the scalar loop does.  A power past the
+        # f64 range builds no block: moment names the first one it meets.
         indices = range(0, count * step, step)
         total = np.zeros(count)
         for x, c in zip(self.measure.points, self.measure.weights):
             x, c = F64_BACKEND.convert(x), F64_BACKEND.convert(c)
-            total = total + np.array([c * x**n for n in indices], dtype=float)
+            try:
+                total = total + np.array([c * x**n for n in indices], dtype=float)
+            except OverflowError:
+                return None
         return total
 
     def tail_class(self):
@@ -378,7 +397,7 @@ class Explicit(MomentFamily):
                 f"explicit sequence stores {len(self.values)} moments, "
                 f"index {n} requested"
             )
-        return backend.convert(self.values[n])
+        return _convert_moment(self, n, backend, self.values[n])
 
     def finite_data(self):
         return Explicit(tuple(map(_exact, self.values)))
@@ -448,7 +467,8 @@ class MomentSequence:
         the sequence keeps it per (count, step), read-only, and returns the
         same array on every later call.  A family without a block, or any
         other backend, reads the moments in index order and rounds each to
-        f64 (a Fraction correctly), into a fresh array.
+        f64 (a Fraction correctly; one past the f64 range raises
+        :class:`PrecisionError`), into a fresh array.
         """
         block = self._blocks.get((count, step))
         if block is None and self.backend.kind == F64:
@@ -457,7 +477,8 @@ class MomentSequence:
                 block.flags.writeable = False
                 self._blocks[count, step] = block
         if block is None:
-            return np.fromiter(map(self.moment, range(0, count * step, step)), float, count)
+            moments = map(self.moment, range(0, count * step, step))
+            return np.fromiter(map(F64_BACKEND.convert, moments), float, count)
         return block
 
     def with_backend(self, backend: Backend) -> "MomentSequence":
@@ -469,14 +490,6 @@ class MomentSequence:
             sibling = self._siblings[backend] = MomentSequence(exact or self.family, backend)
             sibling._siblings = self._siblings
         return sibling
-
-
-def positive_definite_limit(ms: MomentSequence, n: int) -> int:
-    """Largest M <= n whose exact leading M x M block is positive definite,
-    as the family answers it (:meth:`MomentFamily.positive_definite_limit`):
-    n for infinite support, min(n, size) for a discrete measure, and the
-    rational LDL for explicit data."""
-    return ms.family.positive_definite_limit(n)
 
 
 def hankel_rows(ms: MomentSequence, n: int) -> list[list]:
@@ -595,12 +608,12 @@ def classify(
     Closed-form families are classified analytically from their known tails;
     explicit sequences get heuristic verdicts over the evidence window.
     Positive definiteness is the family's exact answer
-    (:func:`positive_definite_limit`) at every backend, up to the largest
-    leading block whose moments the backend can read: m_0 .. m_{2n-2} are
-    read in order up to the first one that is missing or out of range, so an
-    explicit sequence is probed as far as its values go and an f64
-    log-normal one as far as its moments stay finite.  A family the backend
-    cannot represent at all gives 0.
+    (:meth:`MomentFamily.positive_definite_limit`) at every backend, up to
+    the largest leading block whose moments the backend can read: m_0 ..
+    m_{2n-2} are read in order up to the first one that is missing or out
+    of range, so an explicit sequence is probed as far as its values go and
+    an f64 log-normal one as far as its moments stay finite.  A family the
+    backend cannot represent at all gives 0.
     """
     if n < 2:
         raise ValueError("classification needs a truncation of at least 2")
@@ -619,17 +632,17 @@ def classify(
         for j in range(2 * n - 1):
             ms.moment(j)
             readable += 1
-    except (PrecisionError, MissingMomentError, OverflowError):
+    except (PrecisionError, MissingMomentError):
         pass
     except BackendError:
         readable = 0
-    pd_up_to = positive_definite_limit(ms, (readable + 1) // 2)
+    pd_up_to = ms.family.positive_definite_limit((readable + 1) // 2)
 
     terms = trace_terms if trace_terms is not None else n
     trace = None
     try:
         trace = partial_trace(ms, terms)
-    except (OverflowError, PrecisionError):
+    except PrecisionError:
         trace = float("inf")
     except MissingMomentError:
         trace = None

@@ -59,7 +59,7 @@ from .backends import (
     is_exact,
     three_term,
 )
-from .moments import MissingMomentError, MomentSequence, positive_definite_limit
+from .moments import MissingMomentError, MomentSequence
 from .triangular import (
     PositivityError,
     invert_unit_upper,
@@ -199,8 +199,9 @@ def graded_climb(ms: MomentSequence, top: int, tol, bits: int):
     that stops at size M climbs where its theta_M < 1, which proves the
     leading M x M block positive definite, or, on theta_M >= 1, an even
     moment or a pivot <= 0, where that block is positive definite: a lower
-    rung passed M, or else :func:`~.moments.positive_definite_limit` says
-    so, asked once per stopping size.  Otherwise the climb yields the
+    rung passed M, or else the family's
+    :meth:`~.moments.MomentFamily.positive_definite_limit` says so, asked
+    once per stopping size.  Otherwise the climb yields the
     prefix and raises the :class:`PositivityError` of dimension M that the
     exact factor raises; a moment that cannot be read yields the prefix and
     raises its error.
@@ -213,7 +214,7 @@ def graded_climb(ms: MomentSequence, top: int, tol, bits: int):
                 rows.append(row)
         except GradedStop as stop:
             m = stop.size
-            if not (stop.definite or m <= proven or positive_definite_limit(ms, m) >= m):
+            if not (stop.definite or m <= proven or ms.family.positive_definite_limit(m) >= m):
                 error = PositivityError(m, f"the exact leading {m}x{m} block is not positive definite")
             proven = max(proven, m)
         except (BackendError, PrecisionError, MissingMomentError) as err:
@@ -296,7 +297,11 @@ class TriangularPair:
         is keyed on ``x`` converted to the backend, and every call returns a
         new list.  (-0.0 reads the vector of 0.0, which has the same bits: x
         enters only through alpha_k - x, and a zero product leaves the step
-        at +0.0.)
+        at +0.0.)  The memo earns its place on exact pairs, whose kernel
+        values re-read their points: without it the ``exact-rational``
+        benchmark ran about 8 % slower (``wall_s`` 0.245 / 0.242 / 0.256 s
+        against 0.263 / 0.265 / 0.280 s in three alternating pairs on a
+        2-vCPU host).
         """
         x = self.backend.convert(x)
         values = self._values.get(x)
@@ -347,7 +352,8 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
     Rational input runs :func:`ldl_decompose` on the moment block and then
     :func:`invert_unit_upper`, both O(N^2), and hands the recurrence
     coefficients the first formed to the second and to the pair.  Float
-    input past the exact limit (:func:`~.moments.positive_definite_limit`)
+    input past the exact limit
+    (:meth:`~.moments.MomentFamily.positive_definite_limit`)
     raises :class:`PositivityError` at its dimension.  Other float input
     takes the first rung of :func:`graded_climb`, from ``GRADED_BITS`` or
     the precision of a big-float backend if larger, that completes with
@@ -365,7 +371,7 @@ def factor(ms: MomentSequence, n: int) -> TriangularPair:
         symmetric = parity_holds(block, n)
         *factors, rows = ldl_decompose(block, n, ms.backend.zero(), symmetric=symmetric)
         return _pair(ms.backend, *factors, None, symmetric, rows=rows)
-    d = positive_definite_limit(ms, n) + 1
+    d = ms.family.positive_definite_limit(n) + 1
     if d <= n:
         raise PositivityError(d, f"the exact leading {d}x{d} block is not positive definite")
     out = ms.backend.precision if ms.backend.kind == BIGFLOAT else 53

@@ -6,15 +6,26 @@ decimal strings with enough digits to round-trip, counts and finite machine
 floats as JSON numbers (floats as shortest round-trip decimals), inf, -inf
 and nan as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, report records as
 objects of their fields.  Config numbers are read back by
-:func:`~.backends.parse_number`.  Moment families travel as ``{"family":
-..., "params": {...}, "backend": ...}``; profiles export as CSV with one row
-per truncation size, the entry's status last.
+:func:`~.backends.parse_number`.
+
+Moment families travel as ``{"family": ..., "params": {...}, "backend":
+...}``.  :data:`FAMILIES` is the one table of them: for each wire name, the
+params the family reads, all required, as JSON Schema fragments (a
+measure's written once, :data:`MEASURE_PARAMS`), and the constructor that
+reads them.  :data:`FAMILY_NAMES`, :func:`family_from_json` and the CLI's
+config schema come from it; each family writes the same keys back in its
+``params_json``.
+
+Every CSV goes through one writer, a header row and then the rows:
+profiles with one row per truncation size, the entry's status last, the
+recurrence with one row per index and two-column series.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from typing import Callable, NamedTuple
 
 from .backends import parse_number, scalar_to_json, to_json
 from .measures import DiscreteMeasure
@@ -29,7 +40,28 @@ from .moments import (
     PowerLog,
 )
 
-FAMILY_NAMES = ("power_log", "gegenbauer", "discrete", "log_normal", "gaussian", "explicit")
+# a config number: a string or a JSON number (JSON Schema's "number" is no bool)
+_NUMBER = {"type": ["string", "number"]}
+_NUMBERS = {"type": "array", "items": _NUMBER, "minItems": 1}
+
+# the params of a finitely supported measure, all of them required
+MEASURE_PARAMS = {"points": _NUMBERS, "weights": _NUMBERS}
+
+
+class FamilyEntry(NamedTuple):
+    params: dict  # the params the family reads, all required: name -> JSON Schema
+    build: Callable[[dict], MomentFamily]
+
+
+FAMILIES = {
+    "power_log": FamilyEntry({"c": _NUMBER}, lambda p: PowerLog(parse_number(p["c"]))),
+    "gegenbauer": FamilyEntry({"lambda": _NUMBER}, lambda p: Gegenbauer(parse_number(p["lambda"]))),
+    "discrete": FamilyEntry(MEASURE_PARAMS, lambda p: Discrete(DiscreteMeasure.from_json(p))),
+    "log_normal": FamilyEntry({"sigma": _NUMBER}, lambda p: LogNormal(parse_number(p["sigma"]))),
+    "gaussian": FamilyEntry({}, lambda p: Gaussian()),
+    "explicit": FamilyEntry({"values": _NUMBERS}, lambda p: Explicit.from_list(p["values"])),
+}
+FAMILY_NAMES = tuple(FAMILIES)
 
 
 def family_to_json(family: MomentFamily) -> dict:
@@ -38,20 +70,9 @@ def family_to_json(family: MomentFamily) -> dict:
 
 def family_from_json(obj: dict) -> MomentFamily:
     name = obj.get("family")
-    params = obj.get("params", {})
-    if name == "power_log":
-        return PowerLog(parse_number(params["c"]))
-    if name == "gegenbauer":
-        return Gegenbauer(parse_number(params["lambda"]))
-    if name == "gaussian":
-        return Gaussian()
-    if name == "log_normal":
-        return LogNormal(parse_number(params["sigma"]))
-    if name == "discrete":
-        return Discrete(DiscreteMeasure.from_json(params))
-    if name == "explicit":
-        return Explicit.from_list(params["values"])
-    raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+    if name not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+    return FAMILIES[name].build(obj.get("params", {}))
 
 
 def sequence_to_json(ms: MomentSequence) -> dict:
@@ -77,11 +98,9 @@ def recurrence_to_csv(rc, path) -> None:
     bound of each (absolute for alpha, relative for beta; empty for exact
     data)."""
     none = [None] * len(rc.alpha)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "alpha", "beta_next", "alpha_bound", "beta_next_bound"])
-        for n, row in enumerate(zip(rc.alpha, rc.beta, rc.alpha_bound or none, rc.beta_bound or none)):
-            writer.writerow([n, *map(_csv_cell, row)])
+    rows = zip(rc.alpha, rc.beta, rc.alpha_bound or none, rc.beta_bound or none)
+    _write_csv(path, ["n", "alpha", "beta_next", "alpha_bound", "beta_next_bound"],
+               ([n, *map(_csv_cell, row)] for n, row in enumerate(rows)))
 
 
 def dump_json(obj, path) -> None:
@@ -93,30 +112,23 @@ def dump_json(obj, path) -> None:
 
 def series_to_csv(path, pairs, header=("K", "value")) -> None:
     """Two-column profile export."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, v in pairs:
-            writer.writerow([k, _csv_cell(v)])
+    _write_csv(path, header, ([k, _csv_cell(v)] for k, v in pairs))
 
 
 def profile_to_csv(profile, path) -> None:
+    _write_csv(
+        path,
+        ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits", "status"],
+        ([e.n, *map(_csv_cell, (e.lambda_min, e.lambda_max, e.hs_norm_b, e.precision_bits)),
+          e.status] for e in profile.entries),
+    )
+
+
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["N", "lambda_min", "lambda_max", "hs_norm_B", "precision_bits", "status"]
-        )
-        for e in profile.entries:
-            writer.writerow(
-                [
-                    e.n,
-                    _csv_cell(e.lambda_min),
-                    _csv_cell(e.lambda_max),
-                    _csv_cell(e.hs_norm_b),
-                    e.precision_bits if e.precision_bits is not None else "",
-                    e.status,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _csv_cell(value):

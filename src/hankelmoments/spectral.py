@@ -162,8 +162,8 @@ theta_M is about 2^-b theta_M, far below LAMBDA_MAX_TOL.  And a positive
 definite A' has a positive lambda_min of its own, which the rounding at 2^-b
 can hide behind theta_M >= 1 or a pivot <= 0 and a finer rung brings out,
 while a singular truncation stops so at every rung and must not climb to the
-cap.  The family's exact test (:func:`~.moments.positive_definite_limit`)
-tells the two apart: a measure with infinite support passes it at once,
+cap.  The family's exact test
+(:meth:`~.moments.MomentFamily.positive_definite_limit`) tells the two apart: a measure with infinite support passes it at once,
 every truncation of it being positive definite, a discrete measure passes up
 to its number of points, and explicit data takes the rational LDL of the
 exact values the rungs approach.  Where it fails, every size from M on
@@ -747,7 +747,7 @@ def _scaled_truncation(ms, n):
     if ms.backend.kind != BIGFLOAT:
         try:
             block = ms.float_array(2 * n - 1)
-        except (PrecisionError, BackendError, OverflowError):
+        except (PrecisionError, BackendError):
             block = None
         if block is not None and np.all(np.isfinite(block)):
             # only scaled down: an entry that underflowed in its own

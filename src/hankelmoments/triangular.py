@@ -5,8 +5,8 @@ sequence is decomposed as ``H = U^t D U`` with ``U`` unit upper triangular
 and ``D`` a positive diagonal, which realizes the Cholesky factor ``C =
 D^{1/2} U`` without ever forming square roots.  :func:`ldl_decompose` sees
 exact data only: the rational truncations of :func:`~.orthopoly.factor` and
-the exact blocks of :func:`~.moments.positive_definite_limit`; a float
-factor reads ``U`` and ``D`` off the graded Cholesky instead
+the exact blocks of :meth:`~.moments.MomentFamily.positive_definite_limit`;
+a float factor reads ``U`` and ``D`` off the graded Cholesky instead
 (:mod:`.orthopoly`).  :func:`invert_unit_upper` gives ``U^{-1}`` of both,
 on ints for exact ``alpha`` and ``beta`` and entry-wise for mpmath ones.
 
@@ -42,10 +42,18 @@ canonical, so each entry is the one the scalar recurrence gives.
 :func:`ldl_decompose` also hands back the integer rows ``S_k[:n]`` and
 :func:`invert_unit_upper` the integer columns ``C_k`` (entry k of each
 being its scale), which the exact pair keeps for its readers
-(:class:`~.orthopoly.TriangularPair`).  The
-mpmath ``alpha`` and ``beta`` of a float factor step
-:func:`invert_unit_upper` entry by entry through
-:func:`.backends.three_term`, the expression above as written.
+(:class:`~.orthopoly.TriangularPair`).
+
+Both kinds of data take one column rule in :func:`invert_unit_upper`:
+coefficient j of pi_{k+1} is pi_k[j-1] - alpha_k pi_k[j] - beta_k
+pi_{k-1}[j] for j in ``range((k + 1) % step, k + 1, step)`` (``step`` 2 on
+a symmetric block, below), pi_{k+1}[k+1] = 1 being the diagonal, with zero
+for pi_k[-1] and for pi_{-1}.  Exact data step the whole column on ints as
+above; the mpmath ``alpha`` and ``beta`` of a float factor step it entry by
+entry through :func:`.backends.three_term`, as written.  The zero
+neighbours cost no rounding: in mpmath, whose zero carries no sign, ``0 -
+a x`` rounds as ``-a x`` and ``x - a 1 - b 0`` as ``x - a``, ``a`` being
+at the working precision.
 
 ``alpha_k`` and ``beta_k`` are formed once, in :func:`ldl_decompose`, as the
 Chebyshev algorithm needs them (a float factor forms them from its ``U`` and
@@ -63,9 +71,7 @@ entry is the same operation on the same operands as in the full loops (a
 skipped zero leaves the gcd of an integer row unchanged), so the results
 are the same bit for bit where a computed zero carries no sign:
 on Fractions, and on the mpmath floats of a float factor, the only data
-:func:`~.orthopoly.factor` hands these loops.  (On machine floats the full
-inverse loop writes -0.0 into some parity zeros of U^{-1}, ``-alpha_0``
-first.)
+:func:`~.orthopoly.factor` hands these loops.
 """
 
 from __future__ import annotations
@@ -81,8 +87,8 @@ class PositivityError(HankelError):
 
     ``dimension`` is the first failing leading dimension (1-based).  Exact
     data prove it: the rational LDL here, or the family's exact limit
-    (:func:`~.moments.positive_definite_limit`) that a float factor and the
-    graded run read before they report it.
+    (:meth:`~.moments.MomentFamily.positive_definite_limit`) that a float
+    factor and the graded run read before they report it.
     """
 
     def __init__(self, dimension: int, message: str):
@@ -177,8 +183,8 @@ def ldl_positive_definite_limit(moments, n, zero) -> int:
     """Largest ``M <= n`` whose leading ``MxM`` Hankel block is positive definite.
 
     ``moments`` holds exact ``m_0 .. m_{2n-2}`` (Fractions, as
-    :func:`~.moments.positive_definite_limit` passes them, so no float
-    rounding can end the walk); ``M`` is the first index with
+    :meth:`~.moments.MomentFamily.positive_definite_limit` passes them, so
+    no float rounding can end the walk); ``M`` is the first index with
     ``sigma_{M,M} <= 0`` in :func:`ldl_decompose` (``n`` if there is none).
     """
     try:
@@ -195,30 +201,26 @@ def invert_unit_upper(alpha, beta, n, zero, *, symmetric=False):
     Column ``k`` of ``U^{-1}`` holds the monomial coefficients of the monic
     orthogonal polynomial ``pi_k``; columns are built by the three-term
     recurrence from ``alpha[k] = alpha_k`` and ``beta[k - 1] = beta_k``, as
-    :func:`ldl_decompose` returns them.  ``symmetric`` skips the entries
-    with j + k odd.  Exact ``alpha`` and ``beta`` (Fractions or ints) step
-    each column on ints and give Fractions; others step entry by entry
-    through :func:`.backends.three_term`.  For exact data list k of
+    :func:`ldl_decompose` returns them, by the one column rule of the module
+    docstring.  ``symmetric`` skips the entries with j + k odd.  Exact
+    ``alpha`` and ``beta`` (Fractions or ints) step each column on ints and
+    give Fractions; others (mpmath floats) step the same span entry by entry
+    through :func:`.backends.three_term`, with ``zero`` for the neighbours
+    past the ends of columns k and k - 1.  For exact data list k of
     ``columns`` is ``C_k[j]`` for j < n, so that ``U^{-1}[j][k] = C_k[j] /
     C_k[k]``; for other data ``columns`` is None.
     """
     inv = [[zero] * n for _ in range(n)]
     for k in range(n):
         inv[k][k] = zero + 1
+    step = 2 if symmetric else 1
     if is_exact(alpha) and is_exact(beta):
-        columns = _invert_exact(inv, alpha, beta, n, 2 if symmetric else 1)
-        return inv, columns
-    if n > 1 and not symmetric:
-        inv[0][1] = -alpha[0]
-    for k in range(1, n - 1):
-        a, b = alpha[k], beta[k - 1]
-        if not symmetric or k % 2:
-            inv[0][k + 1] = -a * inv[0][k] - b * inv[0][k - 1]
-        first, step = (1 + k % 2, 2) if symmetric else (1, 1)
-        for j in range(first, k, step):
-            inv[j][k + 1] = three_term(inv[j - 1][k], a, inv[j][k], b, inv[j][k - 1])
-        if not symmetric:
-            inv[k][k + 1] = inv[k - 1][k] - a
+        return inv, _invert_exact(inv, alpha, beta, n, step)
+    for k in range(n - 1):
+        a, b = alpha[k], beta[k - 1] if k else zero
+        for j in range((k + 1) % step, k + 1, step):
+            inv[j][k + 1] = three_term(inv[j - 1][k] if j else zero, a, inv[j][k], b,
+                                       inv[j][k - 1] if k else zero)
     return inv, None
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 import hankelmoments
-from hankelmoments.cli import _FAMILY_PARAMS, CONFIG_SCHEMAS, main
-from hankelmoments.serialize import FAMILY_NAMES
+from hankelmoments.cli import CONFIG_SCHEMAS, main
 
 
 def write(path, obj):
@@ -606,7 +607,6 @@ def test_each_family_takes_exactly_its_own_params(tmp_path, run, family, params,
 
 
 def test_family_params_schema_covers_every_family(tmp_path, run):
-    assert tuple(_FAMILY_PARAMS) == FAMILY_NAMES
     # gaussian alone reads no params, so it may leave them out
     for params in ({}, None):
         family = {"family": "gaussian"} if params is None else {"family": "gaussian", "params": {}}
@@ -758,6 +758,24 @@ def test_domain_power_log_is_analytic(tmp_path, run, decay, labels):
         assert v == {"label": v["label"], "heuristic": False, "basis": "analytic",
                      "edge_exponent": -0.5, "decay": decay}
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["domain_report.json"]
+
+
+@pytest.mark.parametrize(
+    "family, moment",
+    [({"family": "gaussian"}, "gaussian moment m_302"),
+     ({"family": "discrete", "params": {"points": ["-1/2", "11/10"], "weights": ["1", "1"]}},
+      "discrete moment m_7448")],
+    ids=["gaussian", "discrete"],
+)
+def test_domain_past_the_f64_range_names_a_big_float(tmp_path, run, family, moment):
+    # the trend reads moments past the f64 range: a computation failure that
+    # names the moment and the backend holding it, as log-normal's does,
+    # where Python's "int too large to convert to float" and "(34, 'Numerical
+    # result out of range')" were printed
+    cfg = write(tmp_path / "d.json", {"family": family, "backend": "f64", "decay": 1})
+    code, out, err = run("domain", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err == f"computation failed: {moment} overflows f64; use bigfloat:64\n"
 
 
 def test_positivity_failure_exits_1(tmp_path, run):
@@ -936,6 +954,23 @@ def test_backend_flag_overrides_config(tmp_path, run):
     code, out, _ = run("classify", "--config", cfg, "--backend", "f64")
     assert code == 0
     assert "[f64]" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, run):
+    # every echo/hankelmoments pair of README's CLI section, as written,
+    # from a fresh directory
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = re.findall(r"echo '(.*?)' > (\S+)\nhankelmoments ([^\n]*)", block, re.S)
+    assert examples and len(examples) == block.count("\nhankelmoments ")
+    monkeypatch.chdir(tmp_path)
+    for config, name, argv in examples:
+        (tmp_path / name).write_text(config)
+        code, _, err = run(*shlex.split(argv))
+        assert (argv, code, err) == (argv, 0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hankelmoments import (
     bigfloat,
     classify,
 )
-from hankelmoments.moments import partial_trace, positive_definite_limit
+from hankelmoments.moments import partial_trace
 from hankelmoments.triangular import ldl_positive_definite_limit
 
 from conftest import rational_points_and_weights
@@ -239,6 +239,42 @@ def test_log_normal_overflow_names_backend():
     assert mpmath.isfinite(seq(LogNormal(1.0), bigfloat(64)).moment(60))
 
 
+_WIDE = Discrete(DiscreteMeasure((Fraction(-1, 2), Fraction(11, 10)), (Fraction(1, 2),) * 2))
+
+
+@pytest.mark.parametrize(
+    "family, last, first",
+    [(Gaussian(), 300, 302), (_WIDE, 7447, 7448),
+     (Explicit((Fraction(1), Fraction(10**400))), 0, 1)],
+    ids=["gaussian", "discrete", "explicit"],
+)
+def test_every_f64_overflow_names_the_moment_and_a_backend(family, last, first):
+    # each family raises as log_normal does, at the first moment past the
+    # f64 range; gaussian failed in float(int) and discrete in pow, with
+    # Python's messages, and the smallest big float holds the moment
+    ms = seq(family, F64_BACKEND)
+    assert math.isfinite(ms.moment(last))
+    with pytest.raises(PrecisionError, match=f"^{family.name} moment m_{first} overflows "
+                                             "f64; use bigfloat:64$"):
+        ms.moment(first)
+    assert mpmath.isfinite(seq(family, bigfloat(64)).moment(first))
+
+
+def test_f64_blocks_past_the_range_name_the_first_moment():
+    # a discrete block with a power past the range is not built: the
+    # moments are read one at a time up to the first that overflows
+    with pytest.raises(PrecisionError, match="^discrete moment m_7448 overflows"):
+        seq(_WIDE, F64_BACKEND).float_array(8000)
+    with pytest.raises(PrecisionError, match="^gaussian moment m_302 overflows"):
+        seq(Gaussian(), F64_BACKEND).float_array(200, step=2)
+    # an exact sequence rounded to f64 refuses a moment past the range too
+    with pytest.raises(PrecisionError, match="use bigfloat:64$"):
+        seq(Gaussian(), RAT).float_array(400)
+    with pytest.raises(PrecisionError, match="use bigfloat:64$"):
+        F64_BACKEND.convert(Fraction(10**400, 3))
+    assert classify(seq(Gaussian(), F64_BACKEND), 200).trace_partial == math.inf
+
+
 @pytest.mark.parametrize("sigma", [1.0, 1.3, 2.1, Fraction(13, 10)], ids=str)
 @pytest.mark.parametrize(
     "backend", [F64_BACKEND, bigfloat(128), bigfloat(256)], ids=lambda b: b.tag()
@@ -451,7 +487,7 @@ INFINITE_SUPPORT_SIZES = [1, 2, 7, 8, 9, 16, 17, 24]
 def test_positive_definite_limit_is_the_full_block_limit(family, sizes):
     for n in sizes:
         full = ldl_positive_definite_limit(seq(family).moments(2 * n - 1), n, Fraction(0))
-        assert positive_definite_limit(seq(family, F64_BACKEND), n) == full
+        assert seq(family, F64_BACKEND).family.positive_definite_limit(n) == full
 
 
 def test_positive_definite_limit_stops_at_the_first_failing_block():
@@ -459,9 +495,9 @@ def test_positive_definite_limit_stops_at_the_first_failing_block():
     # m_0 .. m_14 are all it reads, so it needs no value past them; a
     # discrete measure answers in closed form and forms no moment at all
     values = seq(Discrete(SIX_POINTS)).moments(15)
-    assert positive_definite_limit(seq(Explicit(tuple(values)), F64_BACKEND), 64) == 6
+    assert seq(Explicit(tuple(values)), F64_BACKEND).family.positive_definite_limit(64) == 6
     ms = seq(Discrete(SIX_POINTS), F64_BACKEND)
-    assert positive_definite_limit(ms, 64) == 6
+    assert ms.family.positive_definite_limit(64) == 6
     assert ms.with_backend(RAT)._cache == {}
 
 
@@ -471,7 +507,7 @@ def test_discrete_positive_definite_limit_is_the_ldl_limit(measure, n):
     # H_N of distinct points and positive weights is positive definite iff
     # N <= the number of points; n runs on both sides of it
     exact = seq(Discrete(measure)).moments(2 * n - 1)
-    assert positive_definite_limit(seq(Discrete(measure), F64_BACKEND), n) == (
+    assert seq(Discrete(measure), F64_BACKEND).family.positive_definite_limit(n) == (
         ldl_positive_definite_limit(exact, n, Fraction(0))
     )
 

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from jsonschema.validators import validator_for
 
 from hankelmoments import (
     Backend,
@@ -19,7 +20,9 @@ from hankelmoments import (
     lambda_profile,
 )
 from hankelmoments.backends import scalar_to_json, to_json
+from hankelmoments.cli import _FAMILY_SCHEMA
 from hankelmoments.serialize import (
+    FAMILY_NAMES,
     family_from_json,
     family_to_json,
     profile_to_csv,
@@ -30,25 +33,29 @@ from hankelmoments.serialize import (
 F = Fraction
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        PowerLog(2),
-        PowerLog(F(3)),
-        Gegenbauer(F(1, 2)),
-        Gaussian(),
-        LogNormal(1.0),
-        Discrete(
-            DiscreteMeasure((F(-1, 2), F(0), F(1, 2)), (F(1, 4), F(1, 2), F(1, 4)))
-        ),
-        Explicit((F(1), F(0), F(1, 2))),
-    ],
-)
+ROUND_TRIP_FAMILIES = [
+    PowerLog(2),
+    PowerLog(F(3)),
+    Gegenbauer(F(1, 2)),
+    Gaussian(),
+    LogNormal(1.0),
+    Discrete(
+        DiscreteMeasure((F(-1, 2), F(0), F(1, 2)), (F(1, 4), F(1, 2), F(1, 4)))
+    ),
+    Explicit((F(1), F(0), F(1, 2))),
+]
+
+
+@pytest.mark.parametrize("family", ROUND_TRIP_FAMILIES)
 def test_family_round_trip(family):
     encoded = family_to_json(family)
     decoded = family_from_json(encoded)
     assert decoded == family
     assert json.loads(json.dumps(encoded)) == encoded
+    # params_json writes the keys the family table reads: the config schema
+    # built from the table takes them, for every family of the table
+    validator_for(_FAMILY_SCHEMA)(_FAMILY_SCHEMA).validate(encoded)
+    assert {f.name for f in ROUND_TRIP_FAMILIES} == set(FAMILY_NAMES)
 
 
 def test_family_json_uses_pq_strings():

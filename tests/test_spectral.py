@@ -793,16 +793,16 @@ def test_exact_positive_definiteness_reads_the_rational_ldl():
     # a zero pivot (the 4-point H_5) and a negative one (H_2 of the
     # indefinite data) both fail; a measure with infinite support passes
     four = MomentSequence(FOUR_POINTS, F64_BACKEND)
-    assert orthopoly.positive_definite_limit(four, 4) == 4
-    assert orthopoly.positive_definite_limit(four, 5) == 4
+    assert four.family.positive_definite_limit(4) == 4
+    assert four.family.positive_definite_limit(5) == 4
     indefinite = MomentSequence(Explicit.from_list([1, -2, 1, 3, -1]), F64_BACKEND)
-    assert orthopoly.positive_definite_limit(indefinite, 1) == 1
-    assert orthopoly.positive_definite_limit(indefinite, 2) == 1
+    assert indefinite.family.positive_definite_limit(1) == 1
+    assert indefinite.family.positive_definite_limit(2) == 1
     spiked = MomentSequence(SPIKED, bigfloat(64))
-    assert orthopoly.positive_definite_limit(spiked, 6) == 6
-    assert orthopoly.positive_definite_limit(spiked, 7) == 6
+    assert spiked.family.positive_definite_limit(6) == 6
+    assert spiked.family.positive_definite_limit(7) == 6
     lognormal = MomentSequence(LogNormal(1.0), F64_BACKEND)
-    assert orthopoly.positive_definite_limit(lognormal, 8) == 8
+    assert lognormal.family.positive_definite_limit(8) == 8
 
 
 def test_explicit_float_data_is_tested_exactly(monkeypatch):
@@ -814,8 +814,8 @@ def test_explicit_float_data_is_tested_exactly(monkeypatch):
     _no_float_factor(monkeypatch)
     runs = _spy_graded(monkeypatch)
     ms = MomentSequence(Explicit(tuple(1.0 / (j + 1) for j in range(31))), F64_BACKEND)
-    assert orthopoly.positive_definite_limit(ms, 13) == 13
-    assert orthopoly.positive_definite_limit(ms, 14) == 13
+    assert ms.family.positive_definite_limit(13) == 13
+    assert ms.family.positive_definite_limit(14) == 13
     entries = lambda_profile(ms, [8, 16]).entries
     assert [(e.status, e.precision_bits) for e in entries] == [
         ("ok", 128), ("error:PositivityError", 53)
@@ -1197,17 +1197,17 @@ def test_graded_run_stops_at_the_first_declined_row(monkeypatch):
     ms = MomentSequence(family, bigfloat(256))
     runs = _spy_graded(monkeypatch)
     checks, norms = [], []
-    real_check, real_norm = orthopoly.positive_definite_limit, spectral.np.linalg.norm
+    real_check, real_norm = _Counting.positive_definite_limit, spectral.np.linalg.norm
 
-    def spy_check(ms, m):
+    def spy_check(family, m):
         checks.append(m)
-        return real_check(ms, m)
+        return real_check(family, m)
 
     def spy_norm(a, *args, **kwargs):
         norms.append((runs[-1][1], len(a)))
         return real_norm(a, *args, **kwargs)
 
-    monkeypatch.setattr(orthopoly, "positive_definite_limit", spy_check)
+    monkeypatch.setattr(_Counting, "positive_definite_limit", spy_check)
     monkeypatch.setattr(spectral.np.linalg, "norm", spy_norm)
     entries = lambda_profile(ms, [5, 6], quantities=("lambda_min",)).entries
     graded = [n for backend, n in family.calls if backend == bigfloat(spectral.GRADED_BITS)]
@@ -1223,13 +1223,13 @@ def test_climb_checks_each_stopping_size_once(monkeypatch):
     # the exact H_5 is checked at the first stop only, and 512 bits certify
     # it with the value and bounds the run gave when it checked both stops
     checks = []
-    real_check = orthopoly.positive_definite_limit
+    real_check = Discrete.positive_definite_limit
 
-    def spy_check(ms, m):
+    def spy_check(family, m):
         checks.append(m)
-        return real_check(ms, m)
+        return real_check(family, m)
 
-    monkeypatch.setattr(orthopoly, "positive_definite_limit", spy_check)
+    monkeypatch.setattr(Discrete, "positive_definite_limit", spy_check)
     runs = _spy_graded(monkeypatch)
     item = spectral._graded_lambda_min(MomentSequence(FAINT_POINT, bigfloat(256)), [5], tol=1)[0]
     assert [bits for _, bits in runs] == [128, 256, 512]

@@ -25,8 +25,10 @@ from hankelmoments import (
     F64_BACKEND,
     Gaussian,
     Gegenbauer,
+    LogNormal,
     MomentSequence,
     PositivityError,
+    PowerLog,
     RATIONAL_BACKEND,
     TriangularPair,
     bigfloat,
@@ -415,6 +417,7 @@ def assert_parity_skip_is_bit_identical(ms, n, points):
         with mock.patch.object(orthopoly, "parity_holds", lambda moments, n: False):
             ref = factor(ms, n)
         assert ref.precision_bits == tp.precision_bits and not ref.symmetric
+        assert_float_inverse_is_the_loop_as_written(ref)
     assert bits_of(tp.unit_upper) == bits_of(ref.unit_upper)
     assert bits_of([tp.pivots]) == bits_of([ref.pivots])
     assert bits_of(tp.unit_upper_inv) == bits_of(ref.unit_upper_inv)
@@ -424,6 +427,22 @@ def assert_parity_skip_is_bit_identical(ms, n, points):
         residuals = h_xi_identity(tp, t).residuals
         assert bits_of([xi, image, residuals]) == bits_of(full_xi(ref, t))
     return tp
+
+
+def assert_float_inverse_is_the_loop_as_written(tp):
+    """U^-1 of a float pair, stepped by the one column rule with zero for
+    the neighbours past the column ends, has the bits of the loop that
+    writes out the first row and the line next to the diagonal."""
+    with tp.backend.context():
+        ref = full_inverse(tp.unit_upper, tp.pivots, tp.n, tp.backend.zero())
+    assert bits_of(tp.unit_upper_inv) == bits_of(ref)
+
+
+@pytest.mark.parametrize("backend", [F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag())
+@pytest.mark.parametrize("family", [PowerLog(1), LogNormal(1), Explicit(tuple(
+    F(1, 3**j) + F(1, (j + 1) ** 2) for j in range(23)))], ids=repr)
+def test_float_inverse_is_the_loop_as_written(family, backend):
+    assert_float_inverse_is_the_loop_as_written(factor(MomentSequence(family, backend), 12))
 
 
 BACKENDS = [RATIONAL_BACKEND, F64_BACKEND, bigfloat(128), bigfloat(256)]
