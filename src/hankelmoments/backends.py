@@ -11,20 +11,23 @@ computation is deterministic given (inputs, backend).  Big-float arithmetic
 must run inside ``with backend.context():`` so the mpmath working precision
 matches the backend.
 
-The inner loops of the library that step scalar by scalar (the monic
-polynomial values, the readers of a float factor) run on two scalar kernels,
-:func:`dot` and :func:`three_term`.  On ``Fraction`` (or ``int``) operands
-they sum the integer products over a running least common denominator and
-reduce once, so each result is one reduced ``Fraction`` built from an
-unreduced integer accumulation instead of a reduction per operation.  On any
-other operand type they evaluate the in-order expression an accumulate loop
-would, with the same operands, so float results keep their bits.  The loops
-that step whole rows (the Chebyshev recurrence and the triangular inverse of
-:mod:`.triangular`, the exact Hankel row action and shift series of
-:mod:`.hankel`, xi, its identity and the weights of an exact factor) go
-one level lower: :func:`integer_form` writes a row as Python ints over one
-common denominator, each row is formed on those ints and reduced once, and a
-``Fraction`` is built only for an entry the caller gets back.
+The inner loops that step scalar by scalar have one exact accumulator,
+:func:`exact_sum`: it adds ``(numerator, denominator)`` int pairs over a
+running least common denominator and builds one reduced ``Fraction`` from
+the unreduced integer accumulation, instead of a reduction per operation.
+The reproducing kernel of :mod:`.extremal` passes it its terms directly;
+the other loops (the monic polynomial values, the readers of a float
+factor) run on two scalar kernels, :func:`dot` and :func:`three_term`,
+whose exact branch is one ``exact_sum`` of their terms.  On any other
+operand type the two kernels evaluate the in-order expression an
+accumulate loop would, with the same operands, so float results keep
+their bits.  The loops that step whole rows (the Chebyshev recurrence and
+the triangular inverse of :mod:`.triangular`, the exact Hankel row action
+and shift series of :mod:`.hankel`, xi, its identity and the weights of an
+exact factor) go one level lower: :func:`integer_form` writes a row as
+Python ints over one common denominator, each row is formed on those ints
+and reduced once, and a ``Fraction`` is built only for an entry the caller
+gets back.
 
 Numbers cross the JSON boundary by one rule each way.  :func:`parse_number`
 reads every number of a config: ``p/q`` and integer strings and JSON
@@ -116,26 +119,30 @@ class Backend:
         return contextlib.nullcontext()
 
     def convert(self, value):
-        """Coerce ``value`` (int, Fraction, str ``p/q``, float) to a native scalar.
+        """Coerce a number (int, Fraction, float, mpf) to a native scalar.
 
-        The rational backend refuses floats: silent binary-fraction promotion
-        would launder rounding into "exact" results.  Strings are parsed at
-        the backend's own precision (never through an f64 detour).  An exact
-        value past the f64 range raises :class:`PrecisionError` at f64, naming
-        the smallest big float, whose exponent does not overflow.
+        A string raises TypeError: :func:`parse_number` is the one reader of
+        number strings.  The rational backend refuses floats: silent
+        binary-fraction promotion would launder rounding into "exact"
+        results.  An exact value past the f64 range raises
+        :class:`PrecisionError` at f64, naming the smallest big float, whose
+        exponent does not overflow.
         """
+        if self.kind == RATIONAL and type(value) is Fraction:  # immutable: no copy needed
+            return value
+        if isinstance(value, str):
+            raise TypeError(
+                f"convert takes a number, not the string {value!r}; "
+                "read it with backends.parse_number"
+            )
         if self.kind == RATIONAL:
-            if type(value) is Fraction:  # immutable: no copy needed
-                return value
             if isinstance(value, (float, mpf)):
                 raise BackendError(
                     "rational backend does not accept float input; "
-                    "pass an int, Fraction or 'p/q' string"
+                    "pass an int or a Fraction (a 'p/q' string in a config)"
                 )
             return Fraction(value)
         if self.kind == F64:
-            if isinstance(value, str):
-                value = parse_number(value)
             try:
                 return float(value)
             except OverflowError:
@@ -143,11 +150,6 @@ class Backend:
                     f"an exact value past the f64 range; use {BIGFLOAT}:{MIN_BIGFLOAT_BITS}"
                 ) from None
         with self.context():
-            if isinstance(value, str):
-                if "/" in value:
-                    num, den = value.split("/", 1)
-                    return mpf(int(num)) / mpf(int(den))
-                return mpf(value)
             if isinstance(value, Fraction):
                 return mpf(value.numerator) / mpf(value.denominator)
             return mpf(value)
@@ -287,7 +289,7 @@ _EXACT_TYPES = frozenset((Fraction, int))
 def is_exact(values) -> bool:
     """Whether every value is a ``Fraction`` or an ``int`` (exact types only,
     so a subclass or a float takes the in-order path of the caller)."""
-    return all(type(x) in _EXACT_TYPES for x in values)
+    return _EXACT_TYPES.issuperset(map(type, values))
 
 
 def integer_form(values):
@@ -298,24 +300,18 @@ def integer_form(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def dot(xs, ys):
-    """sum_i x_i y_i over two sequences of equal length, in order of i.
+def exact_sum(terms):
+    """sum_i n_i / d_i over ``(n_i, d_i)`` int pairs (every d_i nonzero), in
+    order of i: the one exact accumulator of the library.
 
-    Fraction and int operands: the products' integer numerators are summed
-    over a running least common denominator, exactly zero terms skipped, and
-    one reduced ``Fraction`` is built at the end (``Fraction(0)`` when empty).
-    Other operands: ``0 + x_0 y_0 + x_1 y_1 + ...``, left to right.
+    The numerators are summed over a running least common denominator,
+    exactly zero terms skipped, and one reduced ``Fraction`` is built at
+    the end (``Fraction(0)`` when there are no terms).
     """
     num, den = 0, 1
-    for x, y in zip(xs, ys):
-        if type(x) not in _EXACT_TYPES or type(y) not in _EXACT_TYPES:
-            return _in_order_dot(xs, ys)
-        a = x.numerator
-        c = y.numerator
-        if not (a and c):
+    for a, b in terms:
+        if not a:
             continue
-        a *= c
-        b = x.denominator * y.denominator
         if b == den:
             num += a
         else:
@@ -325,7 +321,16 @@ def dot(xs, ys):
     return Fraction(num, den)
 
 
-def _in_order_dot(xs, ys):
+def dot(xs, ys):
+    """sum_i x_i y_i over two sequences of equal length, in order of i.
+
+    Fraction and int operands: one :func:`exact_sum` of the products'
+    integer numerators and denominators.  Other operands:
+    ``0 + x_0 y_0 + x_1 y_1 + ...``, left to right.
+    """
+    if is_exact(xs) and is_exact(ys):
+        return exact_sum([(x.numerator * y.numerator, x.denominator * y.denominator)
+                          for x, y in zip(xs, ys)])
     acc = 0
     for x, y in zip(xs, ys):
         acc = acc + x * y
@@ -335,23 +340,15 @@ def _in_order_dot(xs, ys):
 def three_term(a, alpha, b, beta, c):
     """a - alpha b - beta c, the step of a three-term recurrence.
 
-    Fraction and int operands: one reduced ``Fraction`` from the integer
-    numerators over a common denominator, exactly zero products skipped.
+    Fraction and int operands: one :func:`exact_sum` of the three terms.
     Other operands: ``a - alpha * b - beta * c`` as written.
     """
     if (type(a) in _EXACT_TYPES and type(alpha) in _EXACT_TYPES
             and type(b) in _EXACT_TYPES and type(beta) in _EXACT_TYPES
             and type(c) in _EXACT_TYPES):
-        num, den = a.numerator, a.denominator
-        for p, q in ((alpha, b), (beta, c)):
-            t = p.numerator * q.numerator
-            if t:
-                d = p.denominator * q.denominator
-                if d == den:
-                    num -= t
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) - t * (den // g)
-                    den = den // g * d
-        return Fraction(num, den)
+        return exact_sum((
+            (a.numerator, a.denominator),
+            (-alpha.numerator * b.numerator, alpha.denominator * b.denominator),
+            (-beta.numerator * c.numerator, beta.denominator * c.denominator),
+        ))
     return a - alpha * b - beta * c

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .backends import (
     RATIONAL,
@@ -19,6 +18,7 @@ from .backends import (
     Backend,
     HankelError,
     dot,
+    exact_sum,
     to_float,
 )
 from .hankel import row_actions
@@ -60,10 +60,9 @@ def remove_masses(mu: DiscreteMeasure, indices) -> DiscreteMeasure:
 
 
 def _check_removal_indices(mu: DiscreteMeasure, indices):
-    """Removed points must be support indices and lie inside (-1, 1)."""
+    """Removed points must lie inside (-1, 1); :func:`remove_masses` has
+    checked the indices themselves."""
     for i in indices:
-        if not 0 <= i < mu.size:
-            raise IndexError(f"removal index {i} out of range for {mu.size} points")
         if not abs(to_float(mu.points[i])) < 1:
             raise HypothesisViolationError(
                 f"removed point {mu.points[i]} lies outside (-1, 1); the rank-one "
@@ -103,9 +102,9 @@ def perturbation_check(
     indices = list(indices)
     if n < 1:
         raise ValueError("truncation size must be >= 1")
+    mu_t = remove_masses(mu, indices)
     _check_removal_indices(mu, indices)
     removed = [{"point": mu.points[i], "weight": mu.weights[i]} for i in indices]
-    mu_t = remove_masses(mu, indices) if indices else mu
 
     full = MomentSequence(Discrete(mu), backend)
     trimmed = MomentSequence(Discrete(mu_t), backend)
@@ -165,38 +164,21 @@ def cd_kernel(
     The orthonormal system comes from factoring the full M x M truncation;
     the inverse square roots pair up, so the kernel value is exact for
     rational data.  On support points K(x_i, x_j) = delta_ij / c_i.  An
-    exact pair sums pi_k(x) pi_k(y) / d_k as integer numerators over a
-    running lcm, the numerator of d_k in the denominator, the way
-    :func:`.backends.dot` sums, and builds one Fraction; a float pair takes
-    one ``dot`` of pi(x) with pi_k(y) / d_k.
+    exact pair passes the terms pi_k(x) pi_k(y) / d_k to
+    :func:`.backends.exact_sum` as integer pairs, the numerator of d_k in
+    the denominator; a float pair takes one ``dot`` of pi(x) with
+    pi_k(y) / d_k.
     """
     if tp is None:
         tp = factor(MomentSequence(Discrete(mu), backend), mu.size)
     pix = tp.monic_values(x)
     piy = pix if y == x else tp.monic_values(y)
     if tp.integer_forms is not None:
-        return _exact_kernel_sum(pix, piy, tp.pivots)
+        return exact_sum([(p.numerator * q.numerator * d.denominator,
+                           p.denominator * q.denominator * d.numerator)
+                          for p, q, d in zip(pix, piy, tp.pivots)])
     with tp.backend.context():
         return dot(pix, [p / d for p, d in zip(piy, tp.pivots)])
-
-
-def _exact_kernel_sum(pix, piy, pivots):
-    """sum_k pix_k piy_k / d_k of Fractions, exactly zero terms skipped
-    (:func:`cd_kernel`)."""
-    num, den = 0, 1
-    for x, y, d in zip(pix, piy, pivots):
-        a = x.numerator * y.numerator
-        if not a:
-            continue
-        a *= d.denominator
-        b = x.denominator * y.denominator * d.numerator
-        if b == den:
-            num += a
-        else:
-            g = math.gcd(den, b)
-            num = num * (b // g) + a * (den // g)
-            den = den // g * b
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +222,9 @@ def kernel_vector_check(
             "a finitely supported measure has rank M; truncation and embedding "
             "cannot exceed it"
         )
+    mu_t = remove_masses(mu, indices)
     _check_removal_indices(mu, indices)
-    ms = MomentSequence(Discrete(mu), backend)
-    tp = factor(ms, m)
-    mu_t = remove_masses(mu, indices) if indices else mu
+    tp = factor(MomentSequence(Discrete(mu), backend), m)
     trimmed = MomentSequence(Discrete(mu_t), backend)
 
     removed_points = [mu.points[i] for i in indices]
@@ -251,7 +232,7 @@ def kernel_vector_check(
     exact = backend.kind == RATIONAL
     all_zero = True
     with backend.context():
-        for x in removed_points or []:
+        for x in removed_points:
             xi = _xi_and_image(tp, x)[0][:emb]
             image = row_actions(trimmed, xi, 0, n)
             ns = dot(image, image)

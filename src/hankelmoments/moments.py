@@ -613,7 +613,9 @@ def classify(
     m_{2n-2} are read in order up to the first one that is missing or out
     of range, so an explicit sequence is probed as far as its values go and
     an f64 log-normal one as far as its moments stay finite.  A family the
-    backend cannot represent at all gives 0.
+    backend cannot represent at all (log-normal, or power-log with an
+    exponent that is not an integer, at ``rational``) raises the
+    :class:`BackendError` of its m_0.
     """
     if n < 2:
         raise ValueError("classification needs a truncation of at least 2")
@@ -634,8 +636,6 @@ def classify(
             readable += 1
     except (PrecisionError, MissingMomentError):
         pass
-    except BackendError:
-        readable = 0
     pd_up_to = ms.family.positive_definite_limit((readable + 1) // 2)
 
     terms = trace_terms if trace_terms is not None else n

@@ -14,6 +14,7 @@ from hankelmoments.backends import (
     F64_BACKEND,
     RATIONAL_BACKEND,
     dot,
+    exact_sum,
     integer_form,
     parse_number,
     scalar_to_json,
@@ -43,7 +44,7 @@ def test_bigfloat_minimum_precision():
 
 def test_rational_convert_is_exact():
     b = RATIONAL_BACKEND
-    assert b.convert("2/3") == Fraction(2, 3)
+    assert b.convert(parse_number("2/3")) == Fraction(2, 3)
     assert b.convert(5) == Fraction(5)
     x = b.convert(Fraction(1, 3))
     assert (x + x + x) == 1  # closed under arithmetic, no rounding
@@ -84,8 +85,16 @@ def test_bigfloat_conversion_uses_context_precision():
 
 
 def test_f64_convert():
-    assert F64_BACKEND.convert("1/4") == 0.25
+    assert F64_BACKEND.convert(parse_number("1/4")) == 0.25
     assert F64_BACKEND.convert(Fraction(1, 2)) == 0.5
+
+
+@pytest.mark.parametrize("backend", [RATIONAL_BACKEND, bigfloat(64), F64_BACKEND],
+                         ids=lambda b: b.tag())
+def test_convert_refuses_strings(backend):
+    # parse_number is the one reader of number strings
+    with pytest.raises(TypeError, match="parse_number"):
+        backend.convert("1/3")
 
 
 class _FractionSubclass(Fraction):
@@ -138,7 +147,7 @@ def test_scalar_json_forms():
     assert scalar_to_json(Fraction(1, 3)) == "1/3"
     assert scalar_to_json(Fraction(4)) == "4"
     assert scalar_to_json(0.25) == 0.25
-    assert RATIONAL_BACKEND.convert(scalar_to_json(Fraction(-7, 9))) == Fraction(-7, 9)
+    assert parse_number(scalar_to_json(Fraction(-7, 9))) == Fraction(-7, 9)
 
 
 @pytest.mark.parametrize(
@@ -271,6 +280,15 @@ def test_dot_equals_the_in_order_fraction_loop(pairs):
     out = dot(xs, ys)
     assert type(out) is Fraction
     assert out == in_order_dot(xs, ys, Fraction(0))
+
+
+@given(terms=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                st.integers(-10**4, 10**4).filter(bool)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_equals_the_fraction_sum(terms):
+    out = exact_sum(terms)
+    assert type(out) is Fraction
+    assert out == sum((Fraction(n, d) for n, d in terms), Fraction(0))
 
 
 @given(args=st.tuples(*[exact_scalars] * 5))

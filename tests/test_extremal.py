@@ -12,7 +12,9 @@ from hankelmoments import (
     HypothesisViolationError,
     MomentSequence,
     RATIONAL_BACKEND,
+    bigfloat,
     cd_kernel,
+    factor,
     kernel_vector_check,
     perturbation_check,
     remove_masses,
@@ -120,6 +122,13 @@ def test_perturbation_rank_two(three_point_measure):
     assert len(report.correction_coefficients) == 2
 
 
+@pytest.mark.parametrize("check", [perturbation_check, kernel_vector_check])
+def test_checks_reject_an_index_past_the_support(three_point_measure, check):
+    # remove_masses checks the range for both
+    with pytest.raises(IndexError, match="out of range for 3 points"):
+        check(three_point_measure, [three_point_measure.size], 3)
+
+
 def test_perturbation_rejects_boundary_points():
     mu = DiscreteMeasure((F(-1), F(1, 2)), (F(1), F(1)))
     with pytest.raises(HypothesisViolationError):
@@ -196,6 +205,19 @@ def test_cd_kernel_eight_point_measure():
             assert cd_kernel(mu, x, mu.points[j]) == 0
 
 
+@pytest.mark.parametrize("backend", [F64_BACKEND, bigfloat(128)], ids=lambda b: b.tag())
+@given(mu=rational_points_and_weights(max_points=6))
+@settings(max_examples=30, deadline=None)
+def test_cd_kernel_float_backends_match_the_exact_kernel(backend, mu):
+    pts = mu.points
+    tp = factor(MomentSequence(Discrete(mu), backend), mu.size)
+    exact = [[cd_kernel(mu, x, y) for y in pts] for x in pts]
+    scale = max(abs(float(v)) for row in exact for v in row)
+    for x, row in zip(pts, exact):
+        for y, value in zip(pts, row):
+            assert abs(float(cd_kernel(mu, x, y, tp=tp)) - float(value)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # kernel vectors of the trimmed truncation
 # ---------------------------------------------------------------------------
@@ -240,6 +262,14 @@ def test_kernel_vector_multiple_removals():
     report = kernel_vector_check(mu, [0, 3])
     assert report.exact_zero
     assert report.residual_norms == [0.0, 0.0]
+
+
+def test_kernel_vector_short_embedding_leaves_a_residual(three_point_measure):
+    # xi(1/2) cut to its first two entries is no longer in the kernel
+    report = kernel_vector_check(three_point_measure, [2], k_tail=2)
+    assert report.embedding_length == 2 and report.n == 3
+    assert report.residual_norms == [pytest.approx(0.5728219618, abs=1e-10)]
+    assert not report.exact_zero
 
 
 def test_kernel_vector_respects_rank_limits(three_point_measure):

@@ -438,6 +438,13 @@ def test_classify_gegenbauer_thresholds():
     assert classify(seq(Gegenbauer(Fraction(-1, 4))), 4).is_O_1_over_n.value is False
 
 
+@pytest.mark.parametrize("family", [LogNormal(1), PowerLog(Fraction(1, 2))], ids=lambda f: f.name)
+def test_classify_raises_for_a_family_the_backend_cannot_represent(family):
+    # m_0 already has no rational value; the CLI reports this as a config error
+    with pytest.raises(BackendError):
+        classify(seq(family, RATIONAL_BACKEND), 4)
+
+
 def test_classify_positive_definite_limit_explicit():
     # moments of a two-point +-1 measure: rank 2, singular from size 3 on
     ms = seq(Explicit.from_list([1, 0] * 8))
